@@ -175,7 +175,8 @@ class CapacityProblem:
 
     apply(values) maps a density field to its potential K f; because the
     kernel is symmetric the same map serves as the adjoint, and measures
-    given by masses are handled by dividing out the atom weights.
+    given by masses are handled by dividing out the atom weights.  `reach`
+    is K 1, applied once on first use and kept for later solves.
     """
 
     def __init__(self, space, apply_fn: Callable[[np.ndarray], np.ndarray],
@@ -186,12 +187,22 @@ class CapacityProblem:
         self.is_identity = is_identity
         self.kernel = kernel
         self.label = label
+        self._reach: Optional[np.ndarray] = None
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self._apply(values)
 
     def potential_of_measure(self, masses: np.ndarray) -> np.ndarray:
         return self._apply(masses / self.space.weights)
+
+    @property
+    def reach(self) -> np.ndarray:
+        """K 1, the potential of the unit density (read-only, cached)."""
+        if self._reach is None:
+            reach = self.apply(np.ones(self.space.size))
+            reach.setflags(write=False)
+            self._reach = reach
+        return self._reach
 
     @property
     def dimension(self) -> Optional[int]:
@@ -277,9 +288,22 @@ def capacity(problem: CapacityProblem, mask: SetMask,
 
     The empty set has capacity zero by convention (no solve).  Identity
     kernels short-circuit to the exact counting answer.  Infeasibility (a
-    kernel row vanishing identically on E) is detected up front and
-    reported.  Non-convergence within the iteration budget returns the best
-    certified bounds with converged=False rather than raising.
+    kernel row vanishing identically on E) is detected up front from the
+    problem's cached `reach` = K 1 and reported.  Non-convergence within the
+    iteration budget returns the best certified bounds with converged=False
+    rather than raising.
+
+    Each iteration applies the kernel once for the gradient at the momentum
+    point y, once per backtracking trial for the candidate's potential, and
+    every fifth iteration once more for the primal upper bound.  The
+    potential of the next momentum point comes from linearity when it can
+    (see `_momentum_point`): potentials are linear in the measure, so
+    K(mu + beta (mu - mu_prev)) = a + beta (a - a_prev) from the two fresh
+    potentials already at hand.  That holds only while the extrapolated
+    measure is nonnegative; when the projection onto mu >= 0 clips an entry,
+    the projected point's potential is applied instead.  The certified
+    bounds are computed only from freshly applied potentials, never from
+    the combination, so the certificate does not depend on the shortcut.
     """
     if mask.space is not problem.space:
         raise ValueError("mask lives on a different space than the problem")
@@ -298,8 +322,7 @@ def capacity(problem: CapacityProblem, mask: SetMask,
         return CapacityResult(val, val, val, 0.0, True, 0, mask, params,
                               optimizer=f, potential=f.copy(), dual_measure=mu)
 
-    reach = problem.apply(np.ones(problem.space.size))
-    if np.any(reach[E] <= 0.0):
+    if np.any(problem.reach[E] <= 0.0):
         return CapacityResult(math.inf, math.inf, math.inf, math.inf, False, 0,
                               mask, params, infeasible=True)
 
@@ -340,7 +363,7 @@ def capacity(problem: CapacityProblem, mask: SetMask,
 
     y, ay = mu.copy(), a.copy()
     Fy = neg_dual(y, ay)
-    mu_prev = mu.copy()
+    mu_prev, a_prev = mu.copy(), a
     momentum = 1.0
     step = 1.0
     iterations = 0
@@ -360,8 +383,7 @@ def capacity(problem: CapacityProblem, mask: SetMask,
         mu_new, a_new = candidate, a_cand
         momentum_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum ** 2))
         beta = (momentum - 1.0) / momentum_next
-        y = np.where(E, np.maximum(mu_new + beta * (mu_new - mu_prev), 0.0), 0.0)
-        ay = problem.potential_of_measure(y)
+        y, ay = _momentum_point(problem, E, mu_new, a_new, mu_prev, a_prev, beta)
         F_next = neg_dual(y, ay)
         if F_next > Fy:  # adaptive restart: drop momentum on ascent failure
             y, ay = mu_new.copy(), a_new.copy()
@@ -369,7 +391,7 @@ def capacity(problem: CapacityProblem, mask: SetMask,
             F_next = neg_dual(y, ay)
         Fy = F_next
         momentum = momentum_next
-        mu_prev = mu_new
+        mu_prev, a_prev = mu_new, a_new
         step *= 1.5
 
         if iterations % 5 == 0 or iterations == params.max_iter:
@@ -390,6 +412,24 @@ def capacity(problem: CapacityProblem, mask: SetMask,
     return CapacityResult(best_upper, best_lower, best_upper, gap, False,
                           iterations, mask, params, optimizer=best_f,
                           potential=best_u, dual_measure=best_mu / s)
+
+
+def _momentum_point(problem: CapacityProblem, E: np.ndarray,
+                    mu_new: np.ndarray, a_new: np.ndarray,
+                    mu_prev: np.ndarray, a_prev: np.ndarray, beta: float):
+    """Extrapolated dual point y = P(mu_new + beta (mu_new - mu_prev)) and K y.
+
+    P projects onto the measures that are nonnegative and vanish off E.  Both
+    iterates vanish off E, so P is inactive exactly when the extrapolation
+    has no negative entry; then y is the extrapolation itself and, by
+    linearity, K y = a_new + beta (a_new - a_prev) with no kernel apply.
+    Otherwise y is projected and its potential applied.
+    """
+    z = mu_new + beta * (mu_new - mu_prev)
+    if z.min() >= 0.0:
+        return z, a_new + beta * (a_new - a_prev)
+    y = np.where(E, np.maximum(z, 0.0), 0.0)
+    return y, problem.potential_of_measure(y)
 
 
 class CapacityOracle:

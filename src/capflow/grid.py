@@ -133,8 +133,11 @@ class KernelSpec:
 
     `kernel` is the displacement table g(x_j - x_m) indexed like an FFT
     (entry 0 = zero displacement).  `transfer` is the cell-measure-scaled
-    transform used by convolve; its zero-frequency entry is exactly 1 after
-    the post-clip renormalization, so the kernel has unit total mass.
+    real-input transform (`rfftn`) used by convolve: the half spectrum of
+    shape (N//2+1,) in 1-D and (N, N//2+1) in 2-D, the last axis keeping
+    only the nonnegative frequencies.  It is real because the kernel is
+    even.  Its zero-frequency entry is 1 up to roundoff after the post-clip
+    renormalization, so the kernel has unit total mass.
     """
 
     grid: Grid
@@ -188,7 +191,7 @@ def bessel_kernel(grid: Grid, alpha: float) -> KernelSpec:
                 f"{clipped:.3e} exceeds {CLIP_TOLERANCE:.0e}")
         ker = np.clip(raw, 0.0, None)
         ker /= ker.sum() * grid.cell_measure
-        transfer = np.fft.fftn(ker).real * grid.cell_measure  # even => real
+        transfer = np.fft.rfftn(ker).real * grid.cell_measure  # even => real
         ker.setflags(write=False)
         transfer.setflags(write=False)
         sym.setflags(write=False)
@@ -199,11 +202,14 @@ def bessel_kernel(grid: Grid, alpha: float) -> KernelSpec:
 
 
 def convolve(grid: Grid, kernel: KernelSpec, f: Field) -> Field:
-    """Periodic convolution through the transform domain.
+    """Periodic convolution through the real-input transform domain.
 
-    Scaled by the cell measure, so convolving the all-ones field returns the
-    kernel mass 1.  Nonnegative inputs stay nonnegative up to transform
-    roundoff; values above -1e-12 (relative) are clipped to zero.
+    The field is real, so only the half spectrum is formed (`rfftn`),
+    multiplied by the kernel's half-spectrum `transfer` and inverted with
+    `irfftn` at the grid shape.  Scaled by the cell measure, so convolving
+    the all-ones field returns the kernel mass 1.  Nonnegative inputs stay
+    nonnegative up to transform roundoff; negative outputs no lower than
+    -1e-12 * max|output| are clipped to zero.
     """
     # kernels are cached by geometry, so compare by value, not identity
     if (kernel.grid.n, kernel.grid.L, kernel.grid.N) != (grid.n, grid.L, grid.N):
@@ -216,11 +222,12 @@ def convolve(grid: Grid, kernel: KernelSpec, f: Field) -> Field:
 
 def _convolve_values(grid: Grid, kernel: KernelSpec, values: np.ndarray) -> np.ndarray:
     v = values.reshape(grid.shape)
-    out = np.fft.ifftn(np.fft.fftn(v) * kernel.transfer).real.ravel()
-    if np.all(values >= 0.0):
-        scale = float(np.abs(out).max()) or 1.0
-        floor = -1e-12 * scale
-        tiny = (out < 0.0) & (out >= floor)
-        if tiny.any():
-            out[tiny] = 0.0
+    out = np.fft.irfftn(np.fft.rfftn(v) * kernel.transfer, s=grid.shape,
+                        axes=range(grid.n)).ravel()
+    # one reduction per test; the mask is built only when roundoff went negative
+    if values.min() >= 0.0:
+        low = float(out.min())
+        if low < 0.0:
+            floor = -1e-12 * max(float(out.max()), -low)
+            out[(out < 0.0) & (out >= floor)] = 0.0
     return out

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from capflow.grid import CLIP_TOLERANCE, bessel_kernel, convolve, make_grid
+from capflow.grid import (CLIP_TOLERANCE, _convolve_values, bessel_kernel,
+                          convolve, make_grid)
 from capflow.measure import DiscreteMeasureSpace, Field, pairing
 from capflow import modelio
 
@@ -133,6 +134,28 @@ def test_convolution_pairing_symmetry_and_monotonicity():
     cb = convolve(g, k, Field.of(g, b)).values
     assert np.all(ca <= cb + 1e-12)
     assert ca.min() >= 0.0
+
+
+@pytest.mark.parametrize("n, N, L, alpha", [(1, 256, 16.0, 0.5),
+                                             (1, 512, 16.0, 0.5),
+                                             (2, 128, 12.0, 1.0),
+                                             (2, 256, 12.0, 1.0)])
+def test_half_spectrum_convolution_matches_complex_reference(n, N, L, alpha):
+    g = make_grid(n, L, N)
+    k = bessel_kernel(g, alpha)
+    assert k.transfer.shape == g.shape[:-1] + (N // 2 + 1,)
+    assert k.transfer.dtype == np.float64
+    # reference: full complex transform of the same kernel table
+    full = np.fft.fftn(k.kernel).real * g.cell_measure
+    rng = np.random.default_rng(N + n)
+    spike = np.zeros(g.size)
+    spike[rng.integers(g.size)] = 1.0 / g.cell_measure
+    for v in (rng.standard_normal(g.size), rng.random(g.size), spike):
+        ref = np.fft.ifftn(np.fft.fftn(v.reshape(g.shape)) * full).real.ravel()
+        out = _convolve_values(g, k, v)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(out).max()
+        if v.min() >= 0.0:
+            assert out.min() >= 0.0
 
 
 def test_grid_mismatch_errors():
