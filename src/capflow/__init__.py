@@ -13,9 +13,9 @@ from .measure import (DiscreteMeasureSpace, Field, LorentzExponents,
 from .grid import Grid, KernelSpec, bessel_kernel, convolve, make_grid
 from .capacity import (CapacityOracle, CapacityParams, CapacityProblem,
                        CapacityResult, NormEstimate, SetMask, capacity,
-                       capacitary_lorentz_norm, equilibrium_checks,
-                       finite_problem, grid_problem, identity_problem,
-                       l1c_norm, lebesgue_lower_bound_check,
+                       capacity_batch, capacitary_lorentz_norm,
+                       equilibrium_checks, finite_problem, grid_problem,
+                       identity_problem, l1c_norm, lebesgue_lower_bound_check,
                        nonlinear_potential, strichartz_check, unit_cover)
 from .multiplier import (TestSetFamily, char_m_via_weights, default_grid_family,
                          m_norm, m_norm_local, script_m_norm,

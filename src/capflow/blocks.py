@@ -141,16 +141,16 @@ def block_norm_upper_constructive(f: Field, e: LorentzExponents, omega: Weight,
         return BlockDecomposition.build([], f)
     levels = np.ceil(np.log2(w[live])).astype(int)
     keys = sorted({(int(k), int(l)) for k, l in zip(levels, ann[live])})
+    level_of = np.ceil(np.log2(w)).astype(int)
+    masks = [SetMask(f.space, (level_of == k) & (ann == l) & live) for k, l in keys]
+    masks = [m for m in masks if not m.is_empty]
+    oracle.prefetch(masks)
     terms = []
-    for k, l in keys:
-        piece = (np.ceil(np.log2(w)).astype(int) == k) & (ann == l) & live
-        mask = SetMask(f.space, piece)
-        if mask.is_empty:
-            continue
+    for mask in masks:
         cap = oracle.value(mask)
         if cap <= 0.0:
             continue
-        fpiece = Field(f.space, np.where(piece, vals, 0.0))
+        fpiece = Field(f.space, np.where(mask.bools, vals, 0.0))
         lam = lorentz_norm(fpiece, e) * cap ** (1.0 / e.q_conj)
         if lam == 0.0:
             continue
@@ -175,7 +175,9 @@ def block_norm_upper_greedy(f: Field, e: LorentzExponents,
     sets = dictionary.sets(oracle.space, f)
     residual = f.values.copy()
     w = f.space.weights
-    terms = []
+    # the peel order depends on the residual alone, so the supports are
+    # known before any capacity is needed
+    peels = []
     while np.any(residual != 0.0):
         energies = []
         for i, mask in enumerate(sets):
@@ -188,14 +190,17 @@ def block_norm_upper_greedy(f: Field, e: LorentzExponents,
                 f"dictionary does not cover the field support "
                 f"({leftover} cells uncovered)")
         mask = sets[i]
-        piece = np.where(mask.bools, residual, 0.0)
+        peels.append((mask, np.where(mask.bools, residual, 0.0)))
+        residual = np.where(mask.bools, 0.0, residual)
+    oracle.prefetch([mask for mask, _ in peels])
+    terms = []
+    for mask, piece in peels:
         cap = oracle.value(mask)
         lam = lorentz_norm(Field(f.space, piece), e) * \
             cap ** _capacity_exponent(e, norm_type)
         blk = validate_block(Field(f.space, piece / lam), mask, e, norm_type,
                              oracle)
         terms.append((lam, blk))
-        residual = np.where(mask.bools, 0.0, residual)
     greedy = BlockDecomposition.build(terms, f)
     if omega is not None and norm_type == "B":
         constructive = block_norm_upper_constructive(f, e, omega, oracle)
@@ -346,6 +351,7 @@ def trace_norm(mu: AtomicMeasure, family: TestSetFamily,
     """sup over test sets of |mu|(K)/cap(K); exact for all-subsets on a
     finite model."""
     sets = family.sets(oracle.space)
+    oracle.prefetch(sets)
     best, witness, worst = -1.0, None, 0.0
     lo = hi = 0.0
     for mask in sets:
@@ -381,6 +387,7 @@ def trace_norm_inf_form(mu: AtomicMeasure, oracle: CapacityOracle,
     if family is None:
         family = TestSetFamily.all_subsets()
     sets = family.sets(oracle.space)
+    oracle.prefetch(sets)
     caps = np.array([oracle.value(m) for m in sets])
     variations = np.array([mu.variation_of(m) for m in sets])
     keep = caps > 0.0
@@ -424,6 +431,7 @@ def lorentz_norm_batch(space, e: LorentzExponents) -> Callable:
 def m_norm_batch(space, e: LorentzExponents, oracle: CapacityOracle) -> Callable:
     """Vectorized all-subsets multiplier norm over rows (small models)."""
     fam = TestSetFamily.all_subsets().sets(space)
+    oracle.prefetch(fam)
     lor = lorentz_norm_batch(space, e)
     caps = np.array([oracle.value(m) for m in fam])
     masks = np.stack([m.bools for m in fam])

@@ -16,6 +16,17 @@ the upper bound.  A solve is accepted when the relative gap between the two
 is below the requested tolerance; the certificate, not the iteration, is the
 contract.
 
+There is one solver, `capacity_batch`, and `capacity` is its batch of one.
+It runs the scheme on a (B, size) stack of sets at once: each row keeps its
+own step, momentum, restart state and best bounds, and a row retires when
+its certificate closes (checked every fifth iteration), after which the
+state arrays are compacted.  Large batches are split into chunks of at most
+2^20 / size rows.  The kernel apply and every reduction act row by row and
+each certificate is computed from its own row's freshly applied potentials,
+so batching changes neither a row's certificate nor, on spectral grids, a
+single bit of its iterates.  `CapacityOracle.prefetch` feeds a whole family
+of sets to one batch.
+
 Layer-cake functionals over capacities (the L1-capacity norm and the
 capacitary Lorentz norms) are evaluated exactly over the finitely many
 superlevel sets, with optional certified level quantization for fields with
@@ -25,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +52,7 @@ __all__ = [
     "grid_problem",
     "CapacityResult",
     "capacity",
+    "capacity_batch",
     "CapacityOracle",
     "NonlinearPotential",
     "nonlinear_potential",
@@ -79,6 +91,8 @@ class CapacityParams:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not (0.0 < self.tol < 1.0):
             raise ValueError(f"tolerance must lie in (0, 1), got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
     @property
     def s_conj(self) -> float:
@@ -173,10 +187,11 @@ class SetMask:
 class CapacityProblem:
     """A space together with a nonnegative symmetric kernel operator.
 
-    apply(values) maps a density field to its potential K f; because the
-    kernel is symmetric the same map serves as the adjoint, and measures
-    given by masses are handled by dividing out the atom weights.  `reach`
-    is K 1, applied once on first use and kept for later solves.
+    apply(values) maps a density field to its potential K f, or each row of
+    a (B, size) stack of fields to its own potential; because the kernel is
+    symmetric the same map serves as the adjoint, and measures given by
+    masses are handled by dividing out the atom weights.  `reach` is K 1,
+    applied once on first use and kept for later solves.
     """
 
     def __init__(self, space, apply_fn: Callable[[np.ndarray], np.ndarray],
@@ -228,7 +243,9 @@ def finite_problem(space: DiscreteMeasureSpace, matrix) -> CapacityProblem:
     w = space.weights
     Mw = M * w[None, :]
     ident = bool(np.allclose(Mw, np.eye(m), rtol=0.0, atol=1e-14))
-    return CapacityProblem(space, lambda f: Mw @ f, is_identity=ident,
+    # f @ Mw.T maps a (size,) field and each row of a (B, size) stack alike
+    MwT = Mw.T
+    return CapacityProblem(space, lambda f: f @ MwT, is_identity=ident,
                            label="finite")
 
 
@@ -281,155 +298,237 @@ class CapacityResult:
 
 _FEAS_MARGIN = 1e-9  # constraints enforced as (Kf) >= 1 - margin, then rescaled
 
+_BETAS = np.zeros(1)  # FISTA extrapolation weights, grown on demand
+
+
+def _betas(count: int) -> np.ndarray:
+    """At least `count` extrapolation weights beta_k = (t_k - 1) / t_{k+1},
+    with t_0 = 1 and t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2.
+
+    The momentum depends only on the iterations since the row's last
+    restart, so one table serves every row.  The recurrence runs in Python
+    floats (libm, not numpy's vector kernels, whose last bits can differ);
+    a larger table is built whole and swapped in, so concurrent solves
+    never see a partial one.
+    """
+    global _BETAS
+    if _BETAS.size < count:
+        t = [1.0]
+        for _ in range(count):
+            t.append(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t[-1] ** 2)))
+        tt = np.array(t)
+        _BETAS = (tt[:-1] - 1.0) / tt[1:]
+    return _BETAS
+
 
 def capacity(problem: CapacityProblem, mask: SetMask,
              params: CapacityParams) -> CapacityResult:
     """Solve the capacity program for E = mask with certificates.
 
-    The empty set has capacity zero by convention (no solve).  Identity
-    kernels short-circuit to the exact counting answer.  Infeasibility (a
-    kernel row vanishing identically on E) is detected up front from the
-    problem's cached `reach` = K 1 and reported.  Non-convergence within the
+    The batch of one of `capacity_batch`, which documents the solver.  The
+    empty set has capacity zero by convention (no solve).  Identity kernels
+    short-circuit to the exact counting answer.  Infeasibility (a kernel
+    row vanishing identically on E) is detected up front from the problem's
+    cached `reach` = K 1 and reported.  Non-convergence within the
     iteration budget returns the best certified bounds with converged=False
     rather than raising.
-
-    Each iteration applies the kernel once for the gradient at the momentum
-    point y, once per backtracking trial for the candidate's potential, and
-    every fifth iteration once more for the primal upper bound.  The
-    potential of the next momentum point comes from linearity when it can
-    (see `_momentum_point`): potentials are linear in the measure, so
-    K(mu + beta (mu - mu_prev)) = a + beta (a - a_prev) from the two fresh
-    potentials already at hand.  That holds only while the extrapolated
-    measure is nonnegative; when the projection onto mu >= 0 clips an entry,
-    the projected point's potential is applied instead.  The certified
-    bounds are computed only from freshly applied potentials, never from
-    the combination, so the certificate does not depend on the shortcut.
     """
-    if mask.space is not problem.space:
-        raise ValueError("mask lives on a different space than the problem")
-    if mask.is_empty:
-        return CapacityResult(0.0, 0.0, 0.0, 0.0, True, 0, mask, params,
-                              optimizer=np.zeros(problem.space.size),
-                              potential=np.zeros(problem.space.size),
-                              dual_measure=np.zeros(problem.space.size))
+    return capacity_batch(problem, [mask], params)[0]
+
+
+def capacity_batch(problem: CapacityProblem, masks: Sequence[SetMask],
+                   params: CapacityParams) -> list:
+    """Solve the capacity program for every mask, one result per mask.
+
+    Empty, identity and infeasible rows are answered without iterating, as
+    in `capacity`.  The others run one accelerated projected dual ascent
+    vectorized over rows, in chunks of at most 2^20 / size rows (the
+    arrays of a chunk stay near 8 MB each).  Each row keeps its own step,
+    momentum, best bounds and optimizers, and the kernel apply and every
+    reduction act row by row, so a row's iterates are those of its batch of
+    one (on finite models up to the roundoff of a matrix-matrix product).
+
+    Each iteration applies the kernel once for the gradients at the
+    momentum points, once for the candidates, and once more for each round
+    of backtracking on the rows that failed the sufficient-decrease test.
+    The potential of a momentum point y = mu + beta (mu - mu_prev) comes
+    from linearity, K y = a + beta (a - a_prev), for every row whose
+    extrapolation has no negative entry; rows the projection onto mu >= 0
+    clips are applied afresh.  A row whose dual objective rises drops its
+    momentum (adaptive restart).  Every fifth iteration the kernel is
+    applied once more for the primal upper bounds, the certificates are
+    computed, and the rows with gap <= tol retire: they leave the state
+    arrays, which are compacted.  The certified bounds come only from
+    freshly applied potentials, never from the combination, and each is a
+    function of its own row, so the certificate does not depend on the
+    batch.
+    """
+    results: list = [None] * len(masks)
+    rows = []
+    size = problem.space.size
     w = problem.space.weights
-    E = mask.bools
+    for i, mask in enumerate(masks):
+        if mask.space is not problem.space:
+            raise ValueError("mask lives on a different space than the problem")
+        E = mask.bools
+        if mask.is_empty:
+            results[i] = CapacityResult(0.0, 0.0, 0.0, 0.0, True, 0, mask, params,
+                                        optimizer=np.zeros(size),
+                                        potential=np.zeros(size),
+                                        dual_measure=np.zeros(size))
+        elif problem.is_identity:
+            val = mask.measure
+            f = E.astype(float)
+            results[i] = CapacityResult(val, val, val, 0.0, True, 0, mask, params,
+                                        optimizer=f, potential=f.copy(),
+                                        dual_measure=np.where(E, w, 0.0))
+        elif np.any(problem.reach[E] <= 0.0):
+            results[i] = CapacityResult(math.inf, math.inf, math.inf, math.inf,
+                                        False, 0, mask, params, infeasible=True)
+        else:
+            rows.append(i)
+    chunk = max(1, 2 ** 20 // size)
+    for start in range(0, len(rows), chunk):
+        part = rows[start:start + chunk]
+        # np.where evaluates both branches; degenerate rows take the guarded one
+        with np.errstate(divide="ignore", invalid="ignore"):
+            solved = _solve_rows(problem, [masks[i] for i in part], params)
+        for i, res in zip(part, solved):
+            results[i] = res
+    return results
 
-    if problem.is_identity:
-        val = mask.measure
-        f = E.astype(float)
-        mu = np.where(E, w, 0.0)
-        return CapacityResult(val, val, val, 0.0, True, 0, mask, params,
-                              optimizer=f, potential=f.copy(), dual_measure=mu)
 
-    if np.any(problem.reach[E] <= 0.0):
-        return CapacityResult(math.inf, math.inf, math.inf, math.inf, False, 0,
-                              mask, params, infeasible=True)
+def _solve_rows(problem: CapacityProblem, masks: list,
+                params: CapacityParams) -> list:
+    """The accelerated dual ascent of `capacity_batch` on feasible rows.
 
+    Row-wise reductions go through `np.add.reduce` and friends: on the
+    short rows of small models the per-call overhead is the cost.
+    """
+    w = problem.space.weights
     s = params.s
     sp = params.s_conj
+    energy_coef = (s - 1.0) * s ** (-sp)
+    rowsum, rowmin = np.add.reduce, np.minimum.reduce
+    apply, potential = problem.apply, problem.potential_of_measure
+    E = np.stack([m.bools for m in masks])
+    on = E.astype(float)   # 1 on E, 0 off E
+    live = np.arange(len(masks))   # mask index of each state row
+    results: list = [None] * len(masks)
 
-    def norm_sp(a: np.ndarray) -> float:
-        return float((w * np.maximum(a, 0.0) ** sp).sum()) ** (1.0 / sp)
+    def neg_dual(mu, a):
+        return energy_coef * rowsum(w * np.maximum(a, 0.0) ** sp, 1) - rowsum(mu, 1)
 
-    def neg_dual(mu: np.ndarray, a: np.ndarray) -> float:
-        return (s - 1.0) * s ** (-sp) * float(
-            (w * np.maximum(a, 0.0) ** sp).sum()) - float(mu.sum())
+    def ray_rescale(mu, a):
+        total = rowsum(mu, 1)
+        na = rowsum(w * np.maximum(a, 0.0) ** sp, 1) ** (1.0 / sp)
+        ok = (total > 0.0) & (na > 0.0)
+        t = np.where(ok, s * (total / na ** sp) ** (s - 1.0), 1.0)
+        lower = np.where(ok, (total / na) ** s, 0.0)
+        return mu * t[:, None], a * t[:, None], lower
 
-    def ray_rescale(mu: np.ndarray, a: np.ndarray):
-        total = float(mu.sum())
-        na = norm_sp(a)
-        if total <= 0.0 or na <= 0.0:
-            return mu, a, 0.0
-        t = s * (total / na ** sp) ** (s - 1.0)
-        return mu * t, a * t, (total / na) ** s
-
-    def primal_upper(a: np.ndarray):
+    def primal_upper(a):
         f = (np.maximum(a, 0.0) / s) ** (sp - 1.0)
-        u = problem.apply(f)
-        floor = float(u[E].min())
-        if floor <= 0.0:
-            return math.inf, None, None
-        f = f / (floor * (1.0 - _FEAS_MARGIN))
-        u = u / (floor * (1.0 - _FEAS_MARGIN))
-        ub = float((w * f ** s).sum())
-        return ub, f, u
+        u = apply(f)
+        floor = rowmin(np.where(E, u, np.inf), 1)
+        scale = (floor * (1.0 - _FEAS_MARGIN))[:, None]
+        f = f / scale
+        u = u / scale
+        upper = np.where(floor > 0.0, rowsum(w * f ** s, 1), np.inf)
+        return upper, f, u
 
-    mu = np.where(E, w, 0.0)
-    a = problem.potential_of_measure(mu)
+    def descend(y, grad, step, Fy):
+        """Projected gradient step from y: the candidate, its potential and
+        dual value, and the rows that failed the sufficient decrease test.
+        y and grad vanish off E, so the candidate does too."""
+        mu = np.maximum(y - step[:, None] * grad, 0.0)
+        a = potential(mu)
+        F = neg_dual(mu, a)
+        d = mu - y
+        bound = Fy + rowsum(grad * d, 1) + rowsum(d * d, 1) / (2 * step)
+        failed = (F > bound + 1e-18).nonzero()[0]
+        if failed.size:   # a step below 1e-18 is taken as it is
+            failed = failed[step[failed] >= 1e-18]
+        return mu, a, F, failed
+
+    mu = w * on
+    a = potential(mu)
     mu, a, best_lower = ray_rescale(mu, a)
     best_upper, best_f, best_u = primal_upper(a)
-    best_mu = mu.copy()
-
-    y, ay = mu.copy(), a.copy()
+    best_mu = mu
+    y, ay = mu, a
     Fy = neg_dual(y, ay)
-    mu_prev, a_prev = mu.copy(), a
-    momentum = 1.0
-    step = 1.0
-    iterations = 0
+    mu_prev, a_prev = mu, a
+    since = np.zeros((len(masks), 1), dtype=int)   # iterations since restart
+    step = np.ones(len(masks))
+    betas = _betas(64)
 
     for iterations in range(1, params.max_iter + 1):
-        u = problem.apply((np.maximum(ay, 0.0) / s) ** (sp - 1.0))
-        grad = np.where(E, u - 1.0, 0.0)
-        while True:
-            candidate = np.where(E, np.maximum(y - step * grad, 0.0), 0.0)
-            a_cand = problem.potential_of_measure(candidate)
-            F_cand = neg_dual(candidate, a_cand)
-            d = candidate - y
-            bound = Fy + float((grad * d).sum()) + float((d * d).sum()) / (2 * step)
-            if F_cand <= bound + 1e-18 or step < 1e-18:
-                break
-            step *= 0.5
-        mu_new, a_new = candidate, a_cand
-        momentum_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum ** 2))
-        beta = (momentum - 1.0) / momentum_next
-        y, ay = _momentum_point(problem, E, mu_new, a_new, mu_prev, a_prev, beta)
+        grad = (apply((np.maximum(ay, 0.0) / s) ** (sp - 1.0)) - 1.0) * on
+        mu_new, a_new, F_new, retry = descend(y, grad, step, Fy)
+        while retry.size:   # backtrack the rows that failed the test
+            rows = retry if retry.size < step.size else slice(None)  # no gather
+            step[rows] *= 0.5
+            mu_r, a_r, F_r, failed = descend(y[rows], grad[rows], step[rows],
+                                             Fy[rows])
+            mu_new[rows], a_new[rows], F_new[rows] = mu_r, a_r, F_r
+            retry = retry[failed]
+
+        if iterations > betas.size:
+            betas = _betas(2 * iterations)
+        beta = betas[since]
+        y = mu_new + beta * (mu_new - mu_prev)
+        ay = a_new + beta * (a_new - a_prev)
+        clipped = (rowmin(y, 1) < 0.0).nonzero()[0]
+        if clipped.size:   # projection active: apply the projected point
+            y[clipped] = np.maximum(y[clipped], 0.0)
+            ay[clipped] = potential(y[clipped])
         F_next = neg_dual(y, ay)
-        if F_next > Fy:  # adaptive restart: drop momentum on ascent failure
-            y, ay = mu_new.copy(), a_new.copy()
-            momentum_next = 1.0
-            F_next = neg_dual(y, ay)
+        since += 1
+        restart = (F_next > Fy).nonzero()[0]
+        if restart.size:   # adaptive restart: drop momentum on ascent failure
+            y[restart], ay[restart] = mu_new[restart], a_new[restart]
+            F_next[restart] = F_new[restart]
+            since[restart] = 0
         Fy = F_next
-        momentum = momentum_next
         mu_prev, a_prev = mu_new, a_new
         step *= 1.5
 
-        if iterations % 5 == 0 or iterations == params.max_iter:
-            mu_r, a_r, lo = ray_rescale(mu_new, a_new)
-            up, f_up, u_up = primal_upper(a_r)
-            if lo > best_lower:
-                best_lower, best_mu = lo, mu_r
-            if up < best_upper:
-                best_upper, best_f, best_u = up, f_up, u_up
-            gap = (best_upper - best_lower) / max(best_upper, 1e-300)
-            if gap <= params.tol:
-                return CapacityResult(
-                    best_upper, best_lower, best_upper, gap, True, iterations,
-                    mask, params, optimizer=best_f, potential=best_u,
-                    dual_measure=best_mu / s)
-
-    gap = (best_upper - best_lower) / max(best_upper, 1e-300)
-    return CapacityResult(best_upper, best_lower, best_upper, gap, False,
-                          iterations, mask, params, optimizer=best_f,
-                          potential=best_u, dual_measure=best_mu / s)
-
-
-def _momentum_point(problem: CapacityProblem, E: np.ndarray,
-                    mu_new: np.ndarray, a_new: np.ndarray,
-                    mu_prev: np.ndarray, a_prev: np.ndarray, beta: float):
-    """Extrapolated dual point y = P(mu_new + beta (mu_new - mu_prev)) and K y.
-
-    P projects onto the measures that are nonnegative and vanish off E.  Both
-    iterates vanish off E, so P is inactive exactly when the extrapolation
-    has no negative entry; then y is the extrapolation itself and, by
-    linearity, K y = a_new + beta (a_new - a_prev) with no kernel apply.
-    Otherwise y is projected and its potential applied.
-    """
-    z = mu_new + beta * (mu_new - mu_prev)
-    if z.min() >= 0.0:
-        return z, a_new + beta * (a_new - a_prev)
-    y = np.where(E, np.maximum(z, 0.0), 0.0)
-    return y, problem.potential_of_measure(y)
+        last = iterations == params.max_iter
+        if iterations % 5 and not last:
+            continue
+        mu_r, a_r, lower = ray_rescale(mu_new, a_new)
+        upper, f_up, u_up = primal_upper(a_r)
+        better = lower > best_lower
+        best_lower = np.where(better, lower, best_lower)
+        best_mu = np.where(better[:, None], mu_r, best_mu)
+        better = upper < best_upper
+        best_upper = np.where(better, upper, best_upper)
+        best_f = np.where(better[:, None], f_up, best_f)
+        best_u = np.where(better[:, None], u_up, best_u)
+        gap = (best_upper - best_lower) / np.maximum(best_upper, 1e-300)
+        done = gap <= params.tol
+        retire = done | last
+        if not retire.any():
+            continue
+        for r in retire.nonzero()[0]:
+            i = live[r]
+            finite = bool(np.isfinite(best_upper[r]))
+            results[i] = CapacityResult(
+                float(best_upper[r]), float(best_lower[r]), float(best_upper[r]),
+                float(gap[r]), bool(done[r]), iterations, masks[i], params,
+                optimizer=best_f[r].copy() if finite else None,
+                potential=best_u[r].copy() if finite else None,
+                dual_measure=best_mu[r] / s)
+        keep = (~retire).nonzero()[0]
+        if not keep.size:
+            break
+        live, E, on, since, step, Fy = (live[keep], E[keep], on[keep],
+                                        since[keep], step[keep], Fy[keep])
+        y, ay, mu_prev, a_prev = y[keep], ay[keep], mu_prev[keep], a_prev[keep]
+        best_lower, best_upper = best_lower[keep], best_upper[keep]
+        best_mu, best_f, best_u = best_mu[keep], best_f[keep], best_u[keep]
+    return results
 
 
 class CapacityOracle:
@@ -437,7 +536,9 @@ class CapacityOracle:
 
     Results are memoized by the mask bit pattern, so identical sets seen by
     different estimators share one certified value exactly (several
-    inequality chains rely on that cancellation).
+    inequality chains rely on that cancellation).  `prefetch` solves the
+    uncached sets of a family in one batch; a caller that will query every
+    set of a known family calls it first.
     """
 
     def __init__(self, problem: CapacityProblem, params: CapacityParams):
@@ -447,12 +548,30 @@ class CapacityOracle:
         self.params = params
         self._cache: dict = {}
 
+    def _check_space(self, mask: SetMask) -> None:
+        # the memo key is the bit pattern alone, which another space of the
+        # same size shares
+        if mask.space is not self.problem.space:
+            raise ValueError("mask lives on a different space than the oracle")
+
     def result(self, mask: SetMask) -> CapacityResult:
+        self._check_space(mask)
         hit = self._cache.get(mask.key)
         if hit is None:
             hit = capacity(self.problem, mask, self.params)
             self._cache[mask.key] = hit
         return hit
+
+    def prefetch(self, masks: Iterable[SetMask]) -> None:
+        """Solve the uncached non-empty masks in one batch and memoize them."""
+        todo: dict = {}
+        for mask in masks:
+            self._check_space(mask)
+            if not mask.is_empty and mask.key not in self._cache:
+                todo.setdefault(mask.key, mask)
+        if todo:
+            batch = capacity_batch(self.problem, list(todo.values()), self.params)
+            self._cache.update(zip(todo, batch))
 
     def value(self, mask: SetMask) -> float:
         return self.result(mask).value
@@ -571,6 +690,8 @@ def l1c_norm(omega: Field, oracle: CapacityOracle,
     vals = omega.values
     if np.any(vals < 0.0):
         raise ValueError("l1c norm requires a nonnegative field")
+    if max_levels is not None and max_levels < 1:
+        raise ValueError(f"max_levels must be None or at least 1, got {max_levels}")
     levels = _distinct_desc(vals)
     if levels.size == 0:
         return NormEstimate(0.0, "exact", witness=None, lo=0.0, hi=0.0)
@@ -580,13 +701,16 @@ def l1c_norm(omega: Field, oracle: CapacityOracle,
         levels = levels[idx]
 
     knots = np.concatenate([levels, [0.0]])
+    lo_sets = [_superlevel(vals, omega.space, t, strict=False) for t in knots[:-1]]
+    hi_sets = [_superlevel(vals, omega.space, t, strict=True) for t in knots[1:]]
+    oracle.prefetch(lo_sets + hi_sets)
     up_sum = lo_sum = 0.0
     val_sum = 0.0
     worst = 0.0
     for i in range(levels.size):
         width = knots[i] - knots[i + 1]
-        r_lo = oracle.result(_superlevel(vals, omega.space, knots[i], strict=False))
-        r_hi = oracle.result(_superlevel(vals, omega.space, knots[i + 1], strict=True))
+        r_lo = oracle.result(lo_sets[i])
+        r_hi = oracle.result(hi_sets[i])
         lo_sum += r_lo.lower * width
         up_sum += r_hi.upper * width
         val_sum += r_hi.value * width
@@ -611,8 +735,9 @@ def capacitary_lorentz_norm(f: Field, e: LorentzExponents,
     if levels.size == 0:
         return NormEstimate(0.0, "exact", lo=0.0, hi=0.0)
     p = e.p
-    results = [oracle.result(_superlevel(vals, f.space, u, strict=False))
-               for u in levels]
+    sets = [_superlevel(vals, f.space, u, strict=False) for u in levels]
+    oracle.prefetch(sets)
+    results = [oracle.result(m) for m in sets]
     worst = max(r.gap for r in results)
     caps = np.array([r.value for r in results])
     caps_lo = np.array([r.lower for r in results])
@@ -685,12 +810,11 @@ def strichartz_check(oracle: CapacityOracle, mask: SetMask) -> StrichartzReport:
     grid = oracle.space
     if not isinstance(grid, Grid):
         raise ValueError("localization check needs a grid model")
+    parts = [p for p in (mask.intersect(box) for box in unit_cover(grid))
+             if not p.is_empty]
+    oracle.prefetch([mask] + parts)
     whole = oracle.result(mask)
-    pieces = []
-    for box in unit_cover(grid):
-        piece = mask.intersect(box)
-        if not piece.is_empty:
-            pieces.append(oracle.result(piece))
+    pieces = [oracle.result(p) for p in parts]
     total = sum(r.value for r in pieces)
     total_upper = sum(r.upper for r in pieces)
     worst = max([whole.gap] + [r.gap for r in pieces])

@@ -221,13 +221,25 @@ def convolve(grid: Grid, kernel: KernelSpec, f: Field) -> Field:
 
 
 def _convolve_values(grid: Grid, kernel: KernelSpec, values: np.ndarray) -> np.ndarray:
-    v = values.reshape(grid.shape)
-    out = np.fft.irfftn(np.fft.rfftn(v) * kernel.transfer, s=grid.shape,
-                        axes=range(grid.n)).ravel()
+    """Convolve a (size,) field or each row of a (B, size) stack of fields.
+
+    The transforms run over the trailing grid axes, so a row's output does
+    not depend on the other rows (on the line, `rfft` is what `rfftn` runs,
+    without its dispatch).  The tiny-negative clip is decided per row: only
+    rows whose input is nonnegative and whose output went negative are
+    clipped, each against its own floor.
+    """
+    if grid.n == 1:
+        out = np.fft.irfft(np.fft.rfft(values) * kernel.transfer, n=grid.N)
+    else:
+        v = values.reshape(values.shape[:-1] + grid.shape)
+        out = np.fft.irfftn(np.fft.rfftn(v, axes=(-2, -1)) * kernel.transfer,
+                            s=grid.shape, axes=(-2, -1)).reshape(values.shape)
     # one reduction per test; the mask is built only when roundoff went negative
-    if values.min() >= 0.0:
-        low = float(out.min())
-        if low < 0.0:
-            floor = -1e-12 * max(float(out.max()), -low)
-            out[(out < 0.0) & (out >= floor)] = 0.0
+    low = np.minimum.reduce(out, -1)
+    clip = (np.minimum.reduce(values, -1) >= 0.0) & (low < 0.0)
+    if np.count_nonzero(clip):
+        top = np.maximum(np.maximum.reduce(out, -1), -low)
+        floor = np.where(clip, -1e-12 * top, 0.0)[..., None]  # 0: no clip
+        out[(out < 0.0) & (out >= floor)] = 0.0
     return out

@@ -200,6 +200,7 @@ def _sup_over_family(f: Field, e: LorentzExponents, family: TestSetFamily,
     sets = family.sets(oracle.space, f)
     if not sets:
         raise ValueError("empty effective test-set family")
+    oracle.prefetch(sets)
     best = -1.0
     lo_sup = 0.0   # certified lower bound of the family supremum
     hi_sup = 0.0   # certified upper bound of the family supremum
@@ -309,6 +310,7 @@ def m_norm_local(f: Field, e: LorentzExponents, oracle: CapacityOracle,
                 local_masks.append(m.intersect(t))
     local_fam = TestSetFamily.explicit(local_masks)
     global_fam = TestSetFamily.explicit(list(base) + local_masks)
+    oracle.prefetch(global_fam.sets(grid, f))   # one batch for both estimates
     loc = m_norm(f, e, local_fam, oracle)
     glo = m_norm(f, e, global_fam, oracle)
     ratio = glo.value / loc.value if loc.value > 0 else math.inf

@@ -101,6 +101,11 @@ class CapflowConfig:
         ("scale", "l1c_levels"): ("l1c_levels", int),
     }
 
+    def __post_init__(self):
+        if self.l1c_levels < 1:
+            raise ValueError(
+                f"[scale] l1c_levels must be at least 1, got {self.l1c_levels}")
+
     @staticmethod
     def from_file(path) -> "CapflowConfig":
         parser = configparser.ConfigParser()
@@ -618,13 +623,15 @@ def check_sobolev_bounds(ctx: RunContext) -> List[Verdict]:
         coarse = ctx.grid_oracle(n, alpha=alpha, s=s)
         fine = ctx.grid_oracle(n, alpha=alpha, s=s, N=cfg.grid_N * 2)
         sets = _grid_set_corpus(rng, coarse.space, cfg.scale_grid_sets)
-        for mask in sets:
+        refined = [_refine_mask(coarse.space, fine.space, m) for m in sets]
+        coarse.prefetch(sets)
+        fine.prefetch(refined)
+        for mask, fine_mask in zip(sets, refined):
             for eps in eps_list:
                 rep = lebesgue_lower_bound_check(coarse, mask, eps)
                 if not math.isfinite(rep.ratio):
                     failures.append("ratio infinite")
-                rep_f = lebesgue_lower_bound_check(
-                    fine, _refine_mask(coarse.space, fine.space, mask), eps)
+                rep_f = lebesgue_lower_bound_check(fine, fine_mask, eps)
                 drift = rep_f.ratio / rep.ratio if rep.ratio > 0 else math.inf
                 if not (0.5 <= drift <= 2.0):
                     failures.append(f"drift {drift:.3f} (eps={eps})")

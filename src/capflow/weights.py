@@ -149,6 +149,9 @@ class WeightConfig:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
         if self.slack < 1.0:
             raise ValueError(f"slack multiplier must be >= 1, got {self.slack}")
+        if self.l1c_levels is not None and self.l1c_levels < 1:
+            raise ValueError(
+                f"l1c_levels must be None or at least 1, got {self.l1c_levels}")
 
 
 def potential_weight(oracle: CapacityOracle, mask: SetMask,
@@ -307,15 +310,15 @@ def level_sum_check(omega: Field, oracle: CapacityOracle,
         return LevelSumReport(0.0, 0.0, 0.0, 0, 0.0)
     k_hi = int(math.ceil(math.log2(top)))
     k_lo = int(math.floor(math.log2(top * level_cutoff)))
-    total = 0.0
-    count = 0
-    for k in range(k_hi, k_lo - 1, -1):
-        band = SetMask(omega.space, (vals > 2.0 ** (k - 1)) & (vals <= 2.0 ** k))
-        if band.is_empty:
-            continue
-        total += 2.0 ** k * oracle.value(band)
-        count += 1
+    bands = {k: SetMask(omega.space, (vals > 2.0 ** (k - 1)) & (vals <= 2.0 ** k))
+             for k in range(k_hi, k_lo - 1, -1)}
+    bands = {k: band for k, band in bands.items() if not band.is_empty}
     support = SetMask(omega.space, vals > 0.0)
+    oracle.prefetch(list(bands.values()) + [support])
+    total = 0.0
+    for k, band in bands.items():
+        total += 2.0 ** k * oracle.value(band)
+    count = len(bands)
     truncated = 2.0 ** (k_lo) * oracle.value(support)
     est = l1c_norm(omega, oracle, max_levels=l1c_levels)
     ratio = total / est.value if est.value > 0 else math.inf

@@ -1,5 +1,4 @@
 """Capacity solver certificates, analytic instances, and capacitary integrals."""
-import importlib
 import math
 
 import numpy as np
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from capflow.capacity import (CapacityOracle, CapacityParams,
                               CapacityProblem, SetMask,
                               capacitary_lorentz_norm, capacity,
+                              capacity_batch,
                               equilibrium_checks, finite_problem,
                               grid_problem, identity_problem, l1c_norm,
                               lebesgue_lower_bound_check, nonlinear_potential,
@@ -29,6 +29,8 @@ def test_params_guards():
         CapacityParams(alpha=1.0, s=1.0)
     with pytest.raises(ValueError):
         CapacityParams(alpha=0.0, s=2.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        CapacityParams(alpha=1.0, s=2.0, max_iter=0)
     p = CapacityParams(alpha=0.5, s=2.0)
     assert p.s_conj == 2.0
     p.validate_for_dimension(1)
@@ -273,6 +275,81 @@ def _counted(problem):
     return CapacityProblem(problem.space, apply_fn, kernel=problem.kernel), calls
 
 
+def _scalar_reference(problem, mask, params, on_momentum=None):
+    """The one-set solver loop `capacity_batch` vectorizes, kept as the
+    reference: the same arithmetic on 1-D arrays and Python floats.
+    `on_momentum(y, ay, applied)` sees every momentum point."""
+    w = problem.space.weights
+    E = mask.bools
+    s, sp = params.s, params.s_conj
+
+    def neg_dual(mu, a):
+        return (s - 1.0) * s ** (-sp) * float(
+            (w * np.maximum(a, 0.0) ** sp).sum()) - float(mu.sum())
+
+    def ray_rescale(mu, a):
+        total = float(mu.sum())
+        na = float((w * np.maximum(a, 0.0) ** sp).sum()) ** (1.0 / sp)
+        if total <= 0.0 or na <= 0.0:
+            return mu, a, 0.0
+        t = s * (total / na ** sp) ** (s - 1.0)
+        return mu * t, a * t, (total / na) ** s
+
+    def primal_upper(a):
+        f = (np.maximum(a, 0.0) / s) ** (sp - 1.0)
+        u = problem.apply(f)
+        floor = float(u[E].min())
+        f = f / (floor * (1.0 - 1e-9))
+        return float((w * f ** s).sum())
+
+    mu = np.where(E, w, 0.0)
+    a = problem.potential_of_measure(mu)
+    mu, a, best_lower = ray_rescale(mu, a)
+    best_upper = primal_upper(a)
+    y, ay = mu.copy(), a.copy()
+    Fy = neg_dual(y, ay)
+    mu_prev, a_prev = mu.copy(), a
+    momentum, step = 1.0, 1.0
+    for iterations in range(1, params.max_iter + 1):
+        u = problem.apply((np.maximum(ay, 0.0) / s) ** (sp - 1.0))
+        grad = np.where(E, u - 1.0, 0.0)
+        while True:
+            cand = np.where(E, np.maximum(y - step * grad, 0.0), 0.0)
+            a_cand = problem.potential_of_measure(cand)
+            F_cand = neg_dual(cand, a_cand)
+            d = cand - y
+            bound = Fy + float((grad * d).sum()) + float((d * d).sum()) / (2 * step)
+            if F_cand <= bound + 1e-18 or step < 1e-18:
+                break
+            step *= 0.5
+        momentum_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum ** 2))
+        beta = (momentum - 1.0) / momentum_next
+        z = cand + beta * (cand - mu_prev)
+        applied = z.min() < 0.0
+        if applied:
+            y = np.where(E, np.maximum(z, 0.0), 0.0)
+            ay = problem.potential_of_measure(y)
+        else:
+            y, ay = z, a_cand + beta * (a_cand - a_prev)
+        if on_momentum is not None:
+            on_momentum(y, ay, applied)
+        F_next = neg_dual(y, ay)
+        if F_next > Fy:
+            y, ay = cand.copy(), a_cand.copy()
+            momentum_next = 1.0
+            F_next = neg_dual(y, ay)
+        Fy, momentum = F_next, momentum_next
+        mu_prev, a_prev = cand, a_cand
+        step *= 1.5
+        if iterations % 5 == 0 or iterations == params.max_iter:
+            mu_r, a_r, lo = ray_rescale(cand, a_cand)
+            best_lower = max(best_lower, lo)
+            best_upper = min(best_upper, primal_upper(a_r))
+            if (best_upper - best_lower) / best_upper <= params.tol:
+                break
+    return best_upper, best_lower, iterations
+
+
 @pytest.mark.parametrize("n, N, L, alpha, parent_applies, fallbacks", [
     # two intervals on the line: the extrapolated measure never goes
     # negative, so every momentum potential comes from linearity
@@ -280,8 +357,8 @@ def _counted(problem):
     # unit square on the plane: the projection clips some momentum points
     (2, 128, 12.0, 1.0, 440, True),
 ])
-def test_momentum_potentials_by_linearity(monkeypatch, n, N, L, alpha,
-                                          parent_applies, fallbacks):
+def test_momentum_potentials_by_linearity(n, N, L, alpha, parent_applies,
+                                          fallbacks):
     # `parent_applies` is the apply count of the solver that applied the
     # kernel at every momentum point and computed K 1 in every solve:
     # 250 applies in 65 iterations (3.85 per iteration) on the line and
@@ -297,42 +374,172 @@ def test_momentum_potentials_by_linearity(monkeypatch, n, N, L, alpha,
         E = np.all(np.abs(c) <= 0.5, axis=1)
     mask = SetMask(grid, E)
 
-    # the package re-exports the function `capacity` under the module's name
-    solver = importlib.import_module("capflow.capacity")
-    inner = solver._momentum_point
-    step_applies = []
-
-    def momentum_point(problem, *args):
-        before = calls[0]
-        y, ay = inner(problem, *args)
-        step_applies.append(calls[0] - before)
-        # the combined potential is the potential of y, up to roundoff
-        fresh = base.potential_of_measure(y)
-        assert np.abs(ay - fresh).max() <= 1e-12 * np.abs(fresh).max()
-        return y, ay
-
-    monkeypatch.setattr(solver, "_momentum_point", momentum_point)
     res = capacity(prob, mask, params)
     first = calls[0]
     assert res.converged and not res.infeasible
     assert first / res.iterations < 3.0 < parent_applies / res.iterations
-    assert len(step_applies) == res.iterations
-    assert any(step_applies) == fallbacks
+    _audit(base, res)
 
-    # full certificate, recomputed from the reported optimizers
-    assert res.lower <= res.value <= res.upper and res.gap <= params.tol
-    assert np.all(res.dual_measure[~E] == 0.0)
-    w = grid.weights
-    assert float((w * res.optimizer ** 2).sum()) == pytest.approx(res.upper, rel=1e-12)
-    assert base.apply(res.optimizer)[E].min() >= 1.0 - 1e-9
-    a = base.potential_of_measure(res.dual_measure)
-    lower = res.dual_measure.sum() ** 2 / float((w * a ** 2).sum())
-    assert lower <= res.value * (1.0 + 1e-9)
+    # the reference loop: every combined potential is the potential of its
+    # momentum point up to roundoff, and the solver repeats it bit for bit
+    projected = []
+
+    def check(y, ay, applied):
+        projected.append(applied)
+        fresh = base.potential_of_measure(y)
+        assert np.abs(ay - fresh).max() <= 1e-12 * np.abs(fresh).max()
+
+    ref = _scalar_reference(base, mask, params, on_momentum=check)
+    assert ref == (res.value, res.lower, res.iterations)
+    assert any(projected) == fallbacks
 
     # K 1 is applied in the first solve only: a repeat costs one apply less
     again = capacity(prob, mask, params)
     assert again.iterations == res.iterations
     assert calls[0] - first == first - 1
+
+
+def _audit(problem, res):
+    """Certificate audit from the reported optimizers alone."""
+    params = res.params
+    s, sp = params.s, params.s_conj
+    w = problem.space.weights
+    E = res.mask.bools
+    assert res.converged and not res.infeasible and res.gap <= params.tol
+    assert res.lower <= res.value <= res.upper
+    mu = res.dual_measure
+    assert np.all(mu >= 0.0) and np.all(mu[~E] == 0.0)
+    # weak duality, (mu(E) / ||K mu||_{s'})^s, which is scale invariant
+    a = np.maximum(problem.potential_of_measure(mu), 0.0)
+    lower = (mu.sum() / float((w * a ** sp).sum()) ** (1.0 / sp)) ** s
+    assert lower == pytest.approx(res.lower, rel=1e-9)
+    assert lower <= res.value * (1.0 + 1e-9)
+    # primal side: the optimizer is feasible and has the reported objective
+    f = res.optimizer
+    assert np.all(f >= 0.0)
+    assert problem.apply(f)[E].min() >= 1.0 - 1e-9
+    assert float((w * f ** s).sum()) == pytest.approx(res.upper, rel=1e-12)
+    assert (res.upper - lower) / res.upper <= params.tol * (1.0 + 1e-6)
+
+
+def _interval_pairs(grid, count, seed):
+    x = grid.coords()[:, 0]
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        c = rng.uniform(-5.0, 5.0, size=2)
+        h = rng.uniform(0.1, 1.5, size=2)
+        out.append(SetMask(grid, (np.abs(x - c[0]) <= h[0])
+                           | (np.abs(x - c[1]) <= h[1])))
+    return out
+
+
+def test_batch_rows_match_single_solves_on_the_line():
+    # the apply and every reduction act row by row, so each row of a batch
+    # repeats its batch of one bit for bit
+    grid = make_grid(1, 16.0, 256)
+    params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
+    prob = grid_problem(grid, params)
+    masks = _interval_pairs(grid, 40, seed=1)
+    batch = capacity_batch(prob, masks, params)
+    assert len({r.iterations for r in batch}) > 1  # rows retire at different times
+    for i, (mask, row) in enumerate(zip(masks, batch)):
+        assert row.mask is mask
+        one = capacity(prob, mask, params)
+        assert (row.value, row.lower, row.upper, row.iterations) == \
+            (one.value, one.lower, one.upper, one.iterations)
+        _audit(prob, row)
+        if i % 8 == 0:
+            assert _scalar_reference(prob, mask, params) == \
+                (row.value, row.lower, row.iterations)
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+def test_batch_certificates_on_a_finite_model(s):
+    # a batched finite apply is a matrix product, which differs from the
+    # matrix-vector product of a single row at roundoff: the certified
+    # intervals must overlap
+    rng = np.random.default_rng(int(10 * s))
+    m = 24
+    B = rng.random((m, m))
+    sp = DiscreteMeasureSpace(rng.random(m) + 0.25)
+    prob = finite_problem(sp, (B + B.T) / 2 + np.diag(rng.random(m) + 0.5))
+    params = CapacityParams(1.0, s, tol=1e-6)
+    masks = [SetMask(sp, rng.random(m) < p) for p in np.linspace(0.1, 0.9, 30)]
+    masks = [mk for mk in masks if not mk.is_empty]
+    for mask, row in zip(masks, capacity_batch(prob, masks, params)):
+        _audit(prob, row)
+        one = capacity(prob, mask, params)
+        assert max(row.lower, one.lower) <= min(row.upper, one.upper) * (1 + 1e-12)
+
+
+def test_mixed_batch_keeps_row_flags_independent():
+    sp = uspace(8)
+    rng = np.random.default_rng(3)
+    B = rng.random((8, 8))
+    M = (B + B.T) / 2 + np.eye(8)
+    M[7, :] = M[:, 7] = 0.0   # atom 7 is unreachable
+    prob = finite_problem(sp, M)
+    params = CapacityParams(1.0, 2.0, tol=1e-8, max_iter=12)
+    masks = [SetMask.empty(sp),
+             SetMask.from_indices(sp, [2, 7]),          # infeasible
+             SetMask.from_indices(sp, [4]),             # converges early
+             SetMask.from_indices(sp, range(7))]        # runs out of budget
+    rows = capacity_batch(prob, masks, params)
+    empty, infeasible, easy, hard = rows
+    assert empty.value == 0.0 and empty.converged and empty.iterations == 0
+    assert infeasible.infeasible and not infeasible.converged
+    assert infeasible.value == math.inf and infeasible.optimizer is None
+    assert easy.converged and easy.iterations < params.max_iter
+    _audit(prob, easy)
+    assert not hard.converged and not hard.infeasible
+    assert hard.iterations == params.max_iter and hard.gap > params.tol
+    assert 0.0 < hard.lower <= hard.value <= hard.upper
+    for mask, row in zip(masks, rows):
+        one = capacity(prob, mask, params)
+        assert (one.converged, one.infeasible, one.iterations) == \
+            (row.converged, row.infeasible, row.iterations)
+        # finite rows of a batch differ from a batch of one at roundoff
+        assert one.value == pytest.approx(row.value, rel=1e-12)
+
+
+def test_prefetch_dedups_skips_empty_and_serves_later_queries():
+    grid = make_grid(1, 16.0, 256)
+    params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
+    prob, calls = _counted(grid_problem(grid, params))
+    oracle = CapacityOracle(prob, params)
+    a, b = _interval_pairs(grid, 2, seed=4)
+    again = SetMask(grid, a.bools)   # the same set, another mask object
+    empty = SetMask.empty(grid)
+    oracle.prefetch([a, again, empty, b])
+    assert oracle.cache_size == 2
+    solved = calls[0]
+    results = [oracle.result(m) for m in (a, again, b)]
+    assert calls[0] == solved   # served from the memo, no kernel apply
+    assert results[0] is results[1]
+    assert oracle.result(empty).value == 0.0 and calls[0] == solved
+    oracle.prefetch([a, b])   # all cached: nothing to solve
+    assert calls[0] == solved and oracle.cache_size == 3
+    # the batch made fewer applies than the two solves one at a time
+    single, single_calls = _counted(grid_problem(grid, params))
+    for m in (a, b):
+        capacity(single, m, params)
+    assert solved < single_calls[0]
+    for m, r in zip((a, b), (results[0], results[2])):
+        assert r.value == capacity(single, m, params).value
+
+
+def test_oracle_rejects_masks_of_another_space():
+    # the memo key is the bit pattern, which a space of the same size shares
+    small, large = (DiscreteMeasureSpace(np.full(3, v)) for v in (1.0, 5.0))
+    oracle = CapacityOracle(identity_problem(small), PARAMS)
+    assert oracle.value(SetMask.full(small)) == 3.0
+    assert CapacityOracle(identity_problem(large), PARAMS).value(
+        SetMask.full(large)) == 15.0
+    with pytest.raises(ValueError, match="different space"):
+        oracle.result(SetMask.full(large))
+    with pytest.raises(ValueError, match="different space"):
+        oracle.prefetch([SetMask.full(large)])
 
 
 def test_geometry_guards_on_finite_models():
@@ -387,6 +594,17 @@ def test_l1c_layer_cake_examples():
     assert est.value == pytest.approx(2.5 * 1.0)
     with pytest.raises(ValueError):
         l1c_norm(Field.of(sp, [-1.0, 0.0]), oracle)
+
+
+@pytest.mark.parametrize("levels", [0, -3])
+def test_l1c_rejects_level_caps_below_one(levels):
+    # a zero cap once certified the bound 0 for a field whose norm is 11
+    sp = uspace(4)
+    oracle = CapacityOracle(identity_problem(sp), PARAMS)
+    f = Field.of(sp, np.array([1.0, 2.0, 3.0, 5.0]))
+    assert l1c_norm(f, oracle).value == pytest.approx(11.0)
+    with pytest.raises(ValueError, match="max_levels"):
+        l1c_norm(f, oracle, max_levels=levels)
 
 
 def test_l1c_quantized_bracket():

@@ -158,6 +158,26 @@ def test_half_spectrum_convolution_matches_complex_reference(n, N, L, alpha):
             assert out.min() >= 0.0
 
 
+@pytest.mark.parametrize("n, N, L, alpha", [(1, 256, 16.0, 0.5),
+                                             (2, 128, 12.0, 1.0)])
+def test_batched_convolution_matches_each_row(n, N, L, alpha):
+    # a (B, size) stack is convolved row by row: the same bits as one row at
+    # a time, with the tiny-negative clip decided per row
+    g = make_grid(n, L, N)
+    k = bessel_kernel(g, alpha)
+    rng = np.random.default_rng(N)
+    spike = np.zeros(g.size)
+    spike[rng.integers(g.size)] = 1.0 / g.cell_measure
+    sparse = rng.random(g.size) * (rng.random(g.size) < 0.05)
+    rows = np.stack([rng.standard_normal(g.size), sparse, spike,
+                     rng.random(g.size)])
+    batch = _convolve_values(g, k, rows)
+    assert batch.shape == rows.shape
+    for v, out in zip(rows, batch):
+        assert np.array_equal(out, _convolve_values(g, k, v))
+    assert batch[1:].min() >= 0.0 and batch[0].min() < 0.0
+
+
 def test_grid_mismatch_errors():
     g = make_grid(1, 16.0, 256)
     other = make_grid(1, 16.0, 128)

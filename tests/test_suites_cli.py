@@ -33,6 +33,14 @@ def test_config_file_roundtrip(tmp_path):
         CapflowConfig.from_file(bad)
 
 
+def test_config_rejects_level_cap_below_one(tmp_path):
+    # a zero level cap would certify l1c bounds of 0
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[scale]\nl1c_levels = 0\n")
+    with pytest.raises(ValueError, match="l1c_levels"):
+        CapflowConfig.from_file(bad)
+
+
 def test_unknown_and_empty_suite():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite(SuiteSpec("no-such-suite"))

@@ -136,6 +136,13 @@ def test_average_weights(fine_oracle):
         average_weights([(0.0, w1)], fine_oracle, cfg)
 
 
+@pytest.mark.parametrize("levels", [0, -1])
+def test_weight_config_rejects_level_caps_below_one(levels):
+    assert WeightConfig(l1c_levels=None).l1c_levels is None
+    with pytest.raises(ValueError, match="l1c_levels"):
+        WeightConfig(l1c_levels=levels)
+
+
 def test_n_norm_upper_properties(fine_oracle):
     g = fine_oracle.space
     x = g.coords()[:, 0]
