@@ -13,6 +13,14 @@ crossed with unit annuli around the origin (finite models carry no
 geometry, so there the annulus index collapses to a single band); every
 emitted block is tight by construction and reconstruction is exact on the
 covered cells.
+
+The trace class is a supremum over sets of |mu|(K)/cap(K), so `trace_norm`
+is a caller of the multiplier module's one supremum engine, with the
+variations of a whole family taken as one product of its boolean matrix
+with |mu|; the threshold form and the all-subsets multiplier norm read
+their capacities from the same batched gather.  The row-wise Lorentz norm
+of the integral-dual oracle is the measure module's layer-cake closed form
+applied to sorted rows.
 """
 from __future__ import annotations
 
@@ -22,11 +30,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .capacity import CapacityOracle, NormEstimate, SetMask
+from .capacity import CapacityOracle, NormEstimate, SetMask, _gather
 from .grid import Grid
-from .measure import (DiscreteMeasureSpace, Field, LorentzExponents,
-                      lorentz_norm, pairing)
-from .multiplier import TestSetFamily
+from .measure import Field, LorentzExponents, _layer_cake, lorentz_norm, pairing
+from .multiplier import TestSetFamily, _sup_over_sets
 from .weights import Weight
 
 __all__ = [
@@ -91,6 +98,14 @@ def validate_block(b: Field, support: SetMask, e: LorentzExponents,
     return Block(b, support, e, norm_type, norm)
 
 
+def _combine(terms: list, space) -> np.ndarray:
+    """sum_k lambda_k block_k."""
+    acc = np.zeros(space.size)
+    for lam, blk in terms:
+        acc += lam * blk.values
+    return acc
+
+
 @dataclass
 class BlockDecomposition:
     """Terms (lambda_k, block_k) with the reconstruction residual recorded."""
@@ -102,9 +117,7 @@ class BlockDecomposition:
 
     @staticmethod
     def build(terms: list, target: Field) -> "BlockDecomposition":
-        acc = np.zeros(target.space.size)
-        for lam, blk in terms:
-            acc += lam * blk.values
+        acc = _combine(terms, target.space)
         residual = float(np.abs(target.values - acc).max(initial=0.0))
         scale = float(np.abs(target.values).max(initial=0.0))
         if residual > 1e-9 * max(scale, 1e-300) and scale > 0.0:
@@ -112,6 +125,22 @@ class BlockDecomposition:
                 f"reconstruction residual {residual:.3e} exceeds 1e-9*scale")
         sum_lambda = float(sum(abs(lam) for lam, _ in terms))
         return BlockDecomposition(terms, target, residual, sum_lambda)
+
+
+def _tight_terms(pieces: list, e: LorentzExponents, norm_type: str,
+                 oracle: CapacityOracle) -> list:
+    """One term per (support, piece): lambda is the piece's Lorentz norm
+    times the capacity factor and the block is piece / lambda, so its
+    normalization is exactly 1.  Pieces with lambda = 0 are dropped."""
+    oracle.prefetch([mask for mask, _ in pieces])
+    terms = []
+    for mask, piece in pieces:
+        lam = lorentz_norm(Field(mask.space, piece), e) * \
+            oracle.value(mask) ** _capacity_exponent(e, norm_type)
+        if lam != 0.0:
+            terms.append((lam, validate_block(Field(mask.space, piece / lam),
+                                              mask, e, norm_type, oracle)))
+    return terms
 
 
 def _annulus_index(space) -> np.ndarray:
@@ -143,21 +172,8 @@ def block_norm_upper_constructive(f: Field, e: LorentzExponents, omega: Weight,
     keys = sorted({(int(k), int(l)) for k, l in zip(levels, ann[live])})
     level_of = np.ceil(np.log2(w)).astype(int)
     masks = [SetMask(f.space, (level_of == k) & (ann == l) & live) for k, l in keys]
-    masks = [m for m in masks if not m.is_empty]
-    oracle.prefetch(masks)
-    terms = []
-    for mask in masks:
-        cap = oracle.value(mask)
-        if cap <= 0.0:
-            continue
-        fpiece = Field(f.space, np.where(mask.bools, vals, 0.0))
-        lam = lorentz_norm(fpiece, e) * cap ** (1.0 / e.q_conj)
-        if lam == 0.0:
-            continue
-        blk = validate_block(Field(f.space, fpiece.values / lam), mask, e,
-                             "B", oracle)
-        terms.append((lam, blk))
-    return BlockDecomposition.build(terms, f)
+    pieces = [(m, np.where(m.bools, vals, 0.0)) for m in masks if not m.is_empty]
+    return BlockDecomposition.build(_tight_terms(pieces, e, "B", oracle), f)
 
 
 def block_norm_upper_greedy(f: Field, e: LorentzExponents,
@@ -192,16 +208,7 @@ def block_norm_upper_greedy(f: Field, e: LorentzExponents,
         mask = sets[i]
         peels.append((mask, np.where(mask.bools, residual, 0.0)))
         residual = np.where(mask.bools, 0.0, residual)
-    oracle.prefetch([mask for mask, _ in peels])
-    terms = []
-    for mask, piece in peels:
-        cap = oracle.value(mask)
-        lam = lorentz_norm(Field(f.space, piece), e) * \
-            cap ** _capacity_exponent(e, norm_type)
-        blk = validate_block(Field(f.space, piece / lam), mask, e, norm_type,
-                             oracle)
-        terms.append((lam, blk))
-    greedy = BlockDecomposition.build(terms, f)
+    greedy = BlockDecomposition.build(_tight_terms(peels, e, norm_type, oracle), f)
     if omega is not None and norm_type == "B":
         constructive = block_norm_upper_constructive(f, e, omega, oracle)
         if constructive.sum_lambda < greedy.sum_lambda:
@@ -246,19 +253,13 @@ class PairingReport:
     def block_max(self) -> float:
         return max(self.block_ratios) if self.block_ratios else 0.0
 
-    @property
-    def weak_max(self) -> float:
-        return max(self.weak_ratios) if self.weak_ratios else 0.0
 
-    @property
-    def nnorm_max(self) -> float:
-        return max(self.nnorm_ratios) if self.nnorm_ratios else 0.0
+def _supports(decomp: BlockDecomposition) -> TestSetFamily:
+    return TestSetFamily.explicit([blk.support for _lam, blk in decomp.terms])
 
 
-def _family_with_supports(decomp: BlockDecomposition,
-                          family: Optional[TestSetFamily]) -> TestSetFamily:
-    supports = TestSetFamily.explicit([blk.support for _lam, blk in decomp.terms])
-    return supports if family is None else family + supports
+def _reconstruct(decomp: BlockDecomposition) -> Field:
+    return Field(decomp.target.space, _combine(decomp.terms, decomp.target.space))
 
 
 def pairing_inequality_suite(block_pairs: Sequence, e: LorentzExponents,
@@ -277,44 +278,25 @@ def pairing_inequality_suite(block_pairs: Sequence, e: LorentzExponents,
     against the weak estimate; nnorm_pairs pairs (f, g, n_upper_estimate).
     Zero denominators are skipped and counted.
     """
-    block_ratios, weak_ratios, nnorm_ratios = [], [], []
-    skipped = 0
-    worst_gap = 0.0
+    report = PairingReport([], [], [], 0)
+
+    def record(ratios: list, f: Field, g: Field, est: NormEstimate, other: float):
+        report.max_gap = max(report.max_gap, est.max_gap)
+        denom = est.value * other
+        if denom <= 0.0:
+            report.skipped += 1
+        else:
+            ratios.append(pairing(f, g, absolute=True) / denom)
+
     for f, decomp in block_pairs:
-        g = _reconstruct(decomp)
-        est = m_estimator(f, _family_with_supports(decomp, None))
-        worst_gap = max(worst_gap, est.max_gap)
-        denom = est.value * decomp.sum_lambda
-        if denom <= 0.0:
-            skipped += 1
-            continue
-        block_ratios.append(pairing(f, g, absolute=True) / denom)
+        record(report.block_ratios, f, _reconstruct(decomp),
+               m_estimator(f, _supports(decomp)), decomp.sum_lambda)
     for f, decomp in weak_pairs:
-        g = _reconstruct(decomp)
-        est = weak_estimator(f, _family_with_supports(decomp, None))
-        worst_gap = max(worst_gap, est.max_gap)
-        denom = est.value * decomp.sum_lambda
-        if denom <= 0.0:
-            skipped += 1
-            continue
-        weak_ratios.append(pairing(f, g, absolute=True) / denom)
+        record(report.weak_ratios, f, _reconstruct(decomp),
+               weak_estimator(f, _supports(decomp)), decomp.sum_lambda)
     for f, g, n_est in nnorm_pairs:
-        est = m_estimator(f, None)
-        worst_gap = max(worst_gap, est.max_gap)
-        denom = est.value * n_est.value
-        if denom <= 0.0:
-            skipped += 1
-            continue
-        nnorm_ratios.append(pairing(f, g, absolute=True) / denom)
-    return PairingReport(block_ratios, weak_ratios, nnorm_ratios, skipped,
-                         worst_gap)
-
-
-def _reconstruct(decomp: BlockDecomposition) -> Field:
-    acc = np.zeros(decomp.target.space.size)
-    for lam, blk in decomp.terms:
-        acc += lam * blk.values
-    return Field(decomp.target.space, acc)
+        record(report.nnorm_ratios, f, g, m_estimator(f, None), n_est.value)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +324,11 @@ class AtomicMeasure:
     def total_variation(self) -> np.ndarray:
         return np.abs(self.masses)
 
-    def variation_of(self, mask: SetMask) -> float:
-        return float(self.total_variation[mask.bools].sum())
+
+def _variations(mu: AtomicMeasure, masks: Sequence[SetMask]) -> np.ndarray:
+    """|mu|(K) for every set K of a family: one matrix-vector product."""
+    bits = np.array([m.bools for m in masks], dtype=float)
+    return bits.reshape(len(masks), mu.space.size) @ mu.total_variation
 
 
 def trace_norm(mu: AtomicMeasure, family: TestSetFamily,
@@ -351,26 +336,7 @@ def trace_norm(mu: AtomicMeasure, family: TestSetFamily,
     """sup over test sets of |mu|(K)/cap(K); exact for all-subsets on a
     finite model."""
     sets = family.sets(oracle.space)
-    oracle.prefetch(sets)
-    best, witness, worst = -1.0, None, 0.0
-    lo = hi = 0.0
-    for mask in sets:
-        res = oracle.result(mask)
-        if res.value <= 0.0:
-            continue
-        ratio = mu.variation_of(mask) / res.value
-        if ratio > best:
-            best = ratio
-            witness = mask
-        lo = max(lo, mu.variation_of(mask) / res.upper)
-        hi = max(hi, mu.variation_of(mask) / max(res.lower, 1e-300))
-        worst = max(worst, res.gap)
-    if best < 0.0:
-        raise ValueError("every set in the family has zero capacity")
-    exact = (family.kind == "all-subsets"
-             and isinstance(oracle.space, DiscreteMeasureSpace))
-    return NormEstimate(best, "exact" if exact else "lower-bound",
-                        witness=witness, lo=lo, hi=hi, max_gap=worst)
+    return _sup_over_sets(family, sets, _variations(mu, sets), oracle, 1.0)
 
 
 def trace_norm_inf_form(mu: AtomicMeasure, oracle: CapacityOracle,
@@ -387,9 +353,8 @@ def trace_norm_inf_form(mu: AtomicMeasure, oracle: CapacityOracle,
     if family is None:
         family = TestSetFamily.all_subsets()
     sets = family.sets(oracle.space)
-    oracle.prefetch(sets)
-    caps = np.array([oracle.value(m) for m in sets])
-    variations = np.array([mu.variation_of(m) for m in sets])
+    caps = _gather(oracle, sets)[0]
+    variations = _variations(mu, sets)
     keep = caps > 0.0
     caps, variations = caps[keep], variations[keep]
     if variations.max(initial=0.0) <= 0.0:
@@ -409,21 +374,16 @@ def trace_norm_inf_form(mu: AtomicMeasure, oracle: CapacityOracle,
 # ---------------------------------------------------------------------------
 
 def lorentz_norm_batch(space, e: LorentzExponents) -> Callable:
-    """Vectorized Lorentz norm over rows of a candidate matrix."""
+    """Vectorized Lorentz norm over rows of a candidate matrix: the layer
+    cake over each row's values sorted in decreasing order, with the
+    cumulative atom weights as masses."""
     w = space.weights
-    p, q = e.p, e.q
 
     def norm_rows(G: np.ndarray) -> np.ndarray:
         A = np.abs(G)
         order = np.argsort(-A, axis=1, kind="stable")
-        vals = np.take_along_axis(A, order, axis=1)
-        ws = np.broadcast_to(w, A.shape)
-        ws = np.take_along_axis(ws, order, axis=1)
-        mass = np.cumsum(ws, axis=1)
-        vq = vals ** q
-        drops = vq - np.concatenate([vq[:, 1:], np.zeros((A.shape[0], 1))], axis=1)
-        tot = np.sum(np.where(vals > 0.0, mass ** (q / p) * drops, 0.0), axis=1)
-        return (p / q) ** (1.0 / q) * tot ** (1.0 / q)
+        return _layer_cake(np.take_along_axis(A, order, axis=1),
+                           np.cumsum(w[order], axis=1), e)
 
     return norm_rows
 
@@ -431,18 +391,16 @@ def lorentz_norm_batch(space, e: LorentzExponents) -> Callable:
 def m_norm_batch(space, e: LorentzExponents, oracle: CapacityOracle) -> Callable:
     """Vectorized all-subsets multiplier norm over rows (small models)."""
     fam = TestSetFamily.all_subsets().sets(space)
-    oracle.prefetch(fam)
+    caps = _gather(oracle, fam)[0]
+    keep = caps > 0.0
+    masks, caps = np.stack([m.bools for m in fam])[keep], caps[keep]
     lor = lorentz_norm_batch(space, e)
-    caps = np.array([oracle.value(m) for m in fam])
-    masks = np.stack([m.bools for m in fam])
 
     def norm_rows(G: np.ndarray) -> np.ndarray:
         out = np.zeros(G.shape[0])
         for mask, cap in zip(masks, caps):
-            if cap <= 0.0:
-                continue
-            restricted = np.where(mask, G, 0.0)
-            np.maximum(out, lor(restricted) / cap ** (1.0 / e.q), out=out)
+            np.maximum(out, lor(np.where(mask, G, 0.0)) / cap ** (1.0 / e.q),
+                       out=out)
         return out
 
     return norm_rows

@@ -30,7 +30,8 @@ of sets to one batch.
 Layer-cake functionals over capacities (the L1-capacity norm and the
 capacitary Lorentz norms) are evaluated exactly over the finitely many
 superlevel sets, with optional certified level quantization for fields with
-very many distinct values.
+very many distinct values; the capacitary Lorentz norms are the measure
+module's one layer-cake closed form with cap in place of the measure.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .grid import Grid, KernelSpec, bessel_kernel, _convolve_values
-from .measure import DiscreteMeasureSpace, Field, LorentzExponents
+from .measure import DiscreteMeasureSpace, Field, LorentzExponents, _layer_cake
 
 __all__ = [
     "CapacityParams",
@@ -91,6 +92,13 @@ class CapacityParams:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not (0.0 < self.tol < 1.0):
             raise ValueError(f"tolerance must lie in (0, 1), got {self.tol}")
+        # the primal candidate is rescaled by 1/(1 - _FEAS_MARGIN), so no
+        # certificate closes a relative gap below this floor
+        floor = 1.0 - (1.0 - _FEAS_MARGIN) ** self.s
+        if self.tol <= floor:
+            raise ValueError(
+                f"tolerance {self.tol} is not above the gap floor {floor:.3g} "
+                f"of the feasibility margin at s={self.s}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
@@ -195,13 +203,11 @@ class CapacityProblem:
     """
 
     def __init__(self, space, apply_fn: Callable[[np.ndarray], np.ndarray],
-                 is_identity: bool = False, kernel: Optional[KernelSpec] = None,
-                 label: str = ""):
+                 is_identity: bool = False, kernel: Optional[KernelSpec] = None):
         self.space = space
         self._apply = apply_fn
         self.is_identity = is_identity
         self.kernel = kernel
-        self.label = label
         self._reach: Optional[np.ndarray] = None
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -245,15 +251,13 @@ def finite_problem(space: DiscreteMeasureSpace, matrix) -> CapacityProblem:
     ident = bool(np.allclose(Mw, np.eye(m), rtol=0.0, atol=1e-14))
     # f @ Mw.T maps a (size,) field and each row of a (B, size) stack alike
     MwT = Mw.T
-    return CapacityProblem(space, lambda f: f @ MwT, is_identity=ident,
-                           label="finite")
+    return CapacityProblem(space, lambda f: f @ MwT, is_identity=ident)
 
 
 def identity_problem(space: DiscreteMeasureSpace) -> CapacityProblem:
     """The kernel whose application is the identity map (counting capacity:
     cap(E) equals the measure of E, exactly)."""
-    return CapacityProblem(space, lambda f: f.copy(), is_identity=True,
-                           label="identity")
+    return CapacityProblem(space, lambda f: f.copy(), is_identity=True)
 
 
 def grid_problem(grid: Grid, params: CapacityParams) -> CapacityProblem:
@@ -261,8 +265,7 @@ def grid_problem(grid: Grid, params: CapacityParams) -> CapacityProblem:
     params.validate_for_dimension(grid.n)
     spec = bessel_kernel(grid, params.alpha)
     return CapacityProblem(
-        grid, lambda v: _convolve_values(grid, spec, v), kernel=spec,
-        label=f"grid(alpha={params.alpha})")
+        grid, lambda v: _convolve_values(grid, spec, v), kernel=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +588,14 @@ class CapacityOracle:
         return len(self._cache)
 
 
+def _gather(oracle: CapacityOracle, masks: Sequence[SetMask]) -> np.ndarray:
+    """Certified (value, lower, upper, gap) of every set of a family, as the
+    four rows of a (4, len(masks)) array; the family is solved in one batch."""
+    oracle.prefetch(masks)
+    return np.array([(r.value, r.lower, r.upper, r.gap)
+                     for r in map(oracle.result, masks)]).reshape(-1, 4).T
+
+
 # ---------------------------------------------------------------------------
 # Nonlinear potential and equilibrium identities
 # ---------------------------------------------------------------------------
@@ -703,65 +714,41 @@ def l1c_norm(omega: Field, oracle: CapacityOracle,
     knots = np.concatenate([levels, [0.0]])
     lo_sets = [_superlevel(vals, omega.space, t, strict=False) for t in knots[:-1]]
     hi_sets = [_superlevel(vals, omega.space, t, strict=True) for t in knots[1:]]
-    oracle.prefetch(lo_sets + hi_sets)
-    up_sum = lo_sum = 0.0
-    val_sum = 0.0
-    worst = 0.0
-    for i in range(levels.size):
-        width = knots[i] - knots[i + 1]
-        r_lo = oracle.result(lo_sets[i])
-        r_hi = oracle.result(hi_sets[i])
-        lo_sum += r_lo.lower * width
-        up_sum += r_hi.upper * width
-        val_sum += r_hi.value * width
-        worst = max(worst, r_lo.gap, r_hi.gap)
-    if exact:
-        return NormEstimate(val_sum, "exact", witness=None,
-                            lo=lo_sum, hi=up_sum, max_gap=worst)
-    return NormEstimate(up_sum, "upper-bound", witness=None,
-                        lo=lo_sum, hi=up_sum, max_gap=worst)
+    value, lower, upper, gap = _gather(oracle, lo_sets + hi_sets)
+    k, widths = levels.size, knots[:-1] - knots[1:]
+    # running sums, so the rounding follows the level order
+    lo_sum, up_sum, val_sum = (float(np.cumsum(c * widths)[-1])
+                               for c in (lower[:k], upper[k:], value[k:]))
+    return NormEstimate(val_sum if exact else up_sum,
+                        "exact" if exact else "upper-bound",
+                        lo=lo_sum, hi=up_sum, max_gap=float(gap.max()))
 
 
 def capacitary_lorentz_norm(f: Field, e: LorentzExponents,
                             oracle: CapacityOracle) -> NormEstimate:
     """Lorentz layer cake with the capacity replacing the measure.
 
-    Same closed form as the measure-based norm, evaluated over the distinct
-    levels u_i with cap({|f| >= u_i}); the q = inf case is the breakpoint
-    supremum sup_i u_i cap({|f| >= u_i})^(1/p).
+    The measure norms' closed form (`measure._layer_cake`) over the distinct
+    levels u_i with cap({|f| >= u_i}) in place of the masses; the q = inf
+    case is the breakpoint supremum sup_i u_i cap({|f| >= u_i})^(1/p), with
+    the level that attains it as witness.
     """
     vals = np.abs(f.values)
     levels = _distinct_desc(vals)
     if levels.size == 0:
         return NormEstimate(0.0, "exact", lo=0.0, hi=0.0)
-    p = e.p
     sets = [_superlevel(vals, f.space, u, strict=False) for u in levels]
-    oracle.prefetch(sets)
-    results = [oracle.result(m) for m in sets]
-    worst = max(r.gap for r in results)
-    caps = np.array([r.value for r in results])
-    caps_lo = np.array([r.lower for r in results])
-    caps_hi = np.array([r.upper for r in results])
-
+    caps, caps_lo, caps_hi, gaps = _gather(oracle, sets)
+    witness = None
     if e.q == math.inf:
-        vals_mid = levels * caps ** (1.0 / p)
-        i = int(np.argmax(vals_mid))
-        return NormEstimate(float(vals_mid[i]), "exact", witness=levels[i],
-                            lo=float(np.max(levels * caps_lo ** (1.0 / p))),
-                            hi=float(np.max(levels * caps_hi ** (1.0 / p))),
-                            max_gap=worst)
-
-    q = e.q
-    uq = levels ** q
-    drops = uq - np.concatenate([uq[1:], [0.0]])
-    pref = (p / q) ** (1.0 / q)
-
-    def closed_form(c):
-        return pref * float(np.sum(c ** (q / p) * drops)) ** (1.0 / q)
-
-    return NormEstimate(closed_form(caps), "exact",
-                        lo=closed_form(caps_lo), hi=closed_form(caps_hi),
-                        max_gap=worst)
+        # one single-level layer cake per level: the terms of the supremum
+        terms = _layer_cake(levels[:, None], caps[:, None], e)
+        witness = levels[int(np.argmax(terms))]
+    return NormEstimate(float(_layer_cake(levels, caps, e)), "exact",
+                        witness=witness,
+                        lo=float(_layer_cake(levels, caps_lo, e)),
+                        hi=float(_layer_cake(levels, caps_hi, e)),
+                        max_gap=float(gaps.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -812,15 +799,12 @@ def strichartz_check(oracle: CapacityOracle, mask: SetMask) -> StrichartzReport:
         raise ValueError("localization check needs a grid model")
     parts = [p for p in (mask.intersect(box) for box in unit_cover(grid))
              if not p.is_empty]
-    oracle.prefetch([mask] + parts)
-    whole = oracle.result(mask)
-    pieces = [oracle.result(p) for p in parts]
-    total = sum(r.value for r in pieces)
-    total_upper = sum(r.upper for r in pieces)
-    worst = max([whole.gap] + [r.gap for r in pieces])
-    ok = whole.lower <= total_upper * (1.0 + 1e-12) + 1e-300
-    ratio = total / whole.value if whole.value > 0 else math.inf
-    return StrichartzReport(whole.value, total, ratio, len(pieces), ok, worst)
+    value, lower, upper, gap = _gather(oracle, [mask] + parts)
+    total, total_upper = sum(value[1:]), sum(upper[1:])
+    ok = lower[0] <= total_upper * (1.0 + 1e-12) + 1e-300
+    ratio = total / value[0] if value[0] > 0 else math.inf
+    return StrichartzReport(float(value[0]), float(total), float(ratio),
+                            len(parts), bool(ok), float(gap.max()))
 
 
 @dataclass

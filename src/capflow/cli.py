@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -23,8 +24,7 @@ from . import modelio
 from . import multiplier as mn
 from . import weights as wt
 from .capacity import (CapacityOracle, CapacityParams, SetMask, capacity,
-                       finite_problem, grid_problem, identity_problem,
-                       l1c_norm)
+                       finite_problem, grid_problem, identity_problem)
 from .grid import make_grid
 from .measure import Field, LorentzExponents
 from .suites import CapflowConfig, SuiteSpec, any_failures, emit_report, run_suite
@@ -105,6 +105,15 @@ def _parse_family(specs, space) -> mn.TestSetFamily:
     return fam
 
 
+def _emit(report: dict, out: Optional[str]) -> None:
+    """Write a JSON report to `out`, or to stdout when no path is given."""
+    text = json.dumps(report, indent=2) + "\n"
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_capacity(args) -> int:
     problem, params, space, _fields = _load_problem(args)
     mask = _mask_from(args, space)
@@ -123,11 +132,7 @@ def _cmd_capacity(args) -> int:
         "s": params.s,
         "tol": params.tol,
     }
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report, args.out)
     return 0 if res.converged else 1
 
 
@@ -153,11 +158,7 @@ def _cmd_mnorm(args) -> int:
         "max_capacity_gap": est.max_gap,
         "witness_cardinality": est.witness.cardinality if est.witness else 0,
     }
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report, args.out)
     return 0
 
 
@@ -174,11 +175,8 @@ def _cmd_nnorm(args) -> int:
             cands.append(wt.potential_weight(oracle, mask, cfg))
     elif kind == "file":
         for wfile in rest.split(","):
-            field = modelio.field_from_file(wfile, space)
-            floored = Field(space, np.maximum(field.values, wt.WEIGHT_FLOOR))
-            cands.append(wt.Weight(
-                floored, wt.a1loc_constant(space, floored),
-                l1c_norm(floored, oracle, max_levels=cfg.l1c_levels)))
+            cands.append(wt._certified_weight(
+                oracle, modelio.field_from_file(wfile, space).values, cfg))
     else:
         raise SystemExit("candidates grammar: potentials:<mask,...> | file:<field,...>")
     est = wt.n_norm_upper(f, LorentzExponents(args.p, args.q), cands,
@@ -190,11 +188,7 @@ def _cmd_nnorm(args) -> int:
         "candidates": len(cands),
         "witness_a1": est.witness.a1_constant if est.witness else None,
     }
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report, args.out)
     return 0
 
 
@@ -217,9 +211,7 @@ def _cmd_block(args) -> int:
             raw = modelio.field_from_file(args.weight, space).values
         else:
             raw = modelio.read_finite_model(args.weight)[1][args.weight_field]
-        wfield = Field(space, np.maximum(raw, wt.WEIGHT_FLOOR))
-        omega = wt.Weight(wfield, wt.a1loc_constant(space, wfield),
-                          l1c_norm(wfield, oracle, max_levels=cfg.l1c_levels))
+        omega = wt._certified_weight(oracle, raw, cfg)
     if args.mode == "constructive":
         if omega is None:
             raise SystemExit("constructive mode needs --weight")

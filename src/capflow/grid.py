@@ -66,7 +66,6 @@ class Grid:
         self.L = float(L)
         self.N = int(N)
         self.h = h
-        self.periodic = True
         self._weights = np.full(self.size, self.cell_measure)
         self._weights.setflags(write=False)
 
@@ -146,9 +145,6 @@ class KernelSpec:
     kernel: np.ndarray = field(repr=False)
     transfer: np.ndarray = field(repr=False)
     clipped_mass: float = 0.0
-
-    def kernel_field(self) -> Field:
-        return Field(self.grid, self.kernel.ravel())
 
 
 _kernel_cache: dict = {}

@@ -9,6 +9,10 @@ consumes the metrology defined here:
                            distribution function t -> mu({|f| > t}).
   * lorentz_norm        -- exact closed-form evaluation of the layer-cake
                            quasi-norm  p^(1/q) (int mu({|f|>t})^(q/p) t^q dt/t)^(1/q).
+  * _layer_cake         -- that closed form over given levels and masses, the
+                           one copy shared by the measure norms, the
+                           capacitary norms (capacity in place of mu) and
+                           the row-wise norms of the integral-dual oracle.
   * gamma_norm          -- the maximal-average renorming that sandwiches the
                            Lorentz quasi-norm between explicit constants.
 
@@ -98,10 +102,6 @@ class Field:
     @staticmethod
     def of(space, values) -> "Field":
         return Field(space, np.asarray(values, dtype=float))
-
-    def like(self, values) -> "Field":
-        """Field on the same space with new values."""
-        return Field(self.space, np.asarray(values, dtype=float))
 
     def restrict(self, mask) -> "Field":
         """Pointwise product with an indicator (mask broadcastable to values)."""
@@ -237,24 +237,37 @@ def distribution_function(f: Field) -> StepFunction:
 # Lorentz quasi-norms
 # ---------------------------------------------------------------------------
 
-def lorentz_norm(f: Field, e: LorentzExponents) -> float:
-    """Exact closed-form Lorentz quasi-norm for q < inf.
+def _layer_cake(levels: np.ndarray, masses: np.ndarray,
+                e: LorentzExponents) -> np.ndarray:
+    """The layer-cake closed form along the last axis.
 
-    With distinct levels u_1 > ... > u_k, cumulative masses m_i and
-    u_{k+1} = 0, the layer-cake integral evaluates piece by piece to
+    With levels u_1 >= ... >= u_k >= 0, masses m_i of {|f| >= u_i} and
+    u_{k+1} = 0, the integral evaluates piece by piece to
 
-        (p/q)^(1/q) * ( sum_i m_i^(q/p) (u_i^q - u_{i+1}^q) )^(1/q).
+        (p/q)^(1/q) * ( sum_i m_i^(q/p) (u_i^q - u_{i+1}^q) )^(1/q)
+
+    for q < inf, and to max_i u_i m_i^(1/p) for q = inf.  Repeated levels
+    add nothing.  On 1-D input the sum is reduced to a scalar before its
+    root, so the root is libm's, not numpy's vector kernel's.
     """
+    p, q = e.p, e.q
+    if q == math.inf:
+        return np.max(levels * masses ** (1.0 / p), axis=-1)
+    uq = levels ** q
+    drops = uq - np.concatenate([uq[..., 1:], np.zeros_like(uq[..., :1])], axis=-1)
+    total = np.sum(masses ** (q / p) * drops, axis=-1)
+    return (p / q) ** (1.0 / q) * total ** (1.0 / q)
+
+
+def lorentz_norm(f: Field, e: LorentzExponents) -> float:
+    """Exact closed-form Lorentz quasi-norm for q < inf (see _layer_cake),
+    over the distinct levels of |f| and their cumulative masses."""
     if e.q == math.inf:
         raise ValueError("q = inf is a distinct code path; use weak_lorentz_norm")
     u, m = _levels(f)
     if u.size == 0:
         return 0.0
-    p, q = e.p, e.q
-    uq = u ** q
-    drops = uq - np.concatenate([uq[1:], [0.0]])
-    total = float(np.sum(m ** (q / p) * drops))
-    return (p / q) ** (1.0 / q) * total ** (1.0 / q)
+    return float(_layer_cake(u, m, e))
 
 
 def weak_lorentz_norm(f: Field, p: float) -> float:
@@ -264,7 +277,7 @@ def weak_lorentz_norm(f: Field, p: float) -> float:
     u, m = _levels(f)
     if u.size == 0:
         return 0.0
-    return float(np.max(u * m ** (1.0 / p)))
+    return float(_layer_cake(u, m, LorentzExponents(p, math.inf)))
 
 
 def pairing(f: Field, g: Field, absolute: bool = False) -> float:

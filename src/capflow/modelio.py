@@ -35,23 +35,19 @@ __all__ = [
 ]
 
 
-def _tokens(text: str) -> list:
-    return text.split()
-
-
 def read_finite_model(path) -> Tuple[DiscreteMeasureSpace, Dict[str, np.ndarray]]:
     lines = Path(path).read_text().splitlines()
     pos = 0
     while pos < len(lines) and not lines[pos].strip():
         pos += 1
-    head = _tokens(lines[pos])
+    head = lines[pos].split()
     if len(head) != 2 or head[0] != "atoms":
         raise ValueError(f"{path}: expected 'atoms <m>' header, got {lines[pos]!r}")
     m = int(head[1])
     pos += 1
     toks: list = []
     while pos < len(lines) and len(toks) < m:
-        toks.extend(_tokens(lines[pos]))
+        toks.extend(lines[pos].split())
         pos += 1
     if len(toks) < m:
         raise ValueError(f"{path}: expected {m} weights")
@@ -60,7 +56,7 @@ def read_finite_model(path) -> Tuple[DiscreteMeasureSpace, Dict[str, np.ndarray]
     name = None
     buf: list = []
     for line in lines[pos:]:
-        parts = _tokens(line)
+        parts = line.split()
         if parts and parts[0] == "field":
             if name is not None:
                 fields[name] = _finish_field(path, name, buf, m)
@@ -90,7 +86,7 @@ def write_finite_model(path, space: DiscreteMeasureSpace,
 
 
 def _parse_grid_header(path, line: str) -> Tuple[int, int, float]:
-    parts = _tokens(line)
+    parts = line.split()
     if len(parts) < 4 or parts[0] != "field" or parts[1] != "v1":
         raise ValueError(f"{path}: expected 'field v1 ...' header, got {line!r}")
     kv = {}
@@ -125,7 +121,7 @@ def read_grid_field(path, grid: Optional[Grid] = None) -> Tuple[Grid, np.ndarray
                          f"the bound grid {grid!r}")
     toks: list = []
     for line in lines[pos + 1:]:
-        toks.extend(_tokens(line))
+        toks.extend(line.split())
     if len(toks) != grid.size:
         raise ValueError(f"{path}: expected {grid.size} values, got {len(toks)}")
     return grid, np.array([float(t) for t in toks])
@@ -154,7 +150,7 @@ def read_mask_values(path, space) -> np.ndarray:
             raise ValueError(f"{path}: grid-format mask for a non-grid space")
         _, vals = read_grid_field(path, space)
     else:
-        toks = _tokens(text)
+        toks = text.split()
         if len(toks) != space.size:
             raise ValueError(f"{path}: expected {space.size} entries, got {len(toks)}")
         vals = np.array([float(t) for t in toks])

@@ -10,6 +10,12 @@ compact and measurable-set and compact suprema coincide).
 Families are generated deterministically from a fixed seed; enlarging a
 family never decreases an estimate, and the all-subsets family dominates
 every other family on the same finite model.
+
+Every supremum over a family here and in `blocks` (the multiplier norms,
+both forms of the weak norm, the trace class) runs through one engine,
+`_sup_over_sets`: the caller supplies the sets and one numerator per set,
+the engine solves the family's capacities in one batch and returns the
+certified estimate with its witness.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import CapacityOracle, NormEstimate, SetMask, unit_cover
+from .capacity import CapacityOracle, NormEstimate, SetMask, _gather, unit_cover
 from .grid import Grid
 from .measure import (DiscreteMeasureSpace, Field, LorentzExponents,
                       lorentz_norm, weak_lorentz_norm)
@@ -118,9 +124,9 @@ class TestSetFamily:
                 raise ValueError(
                     f"all-subsets family limited to {_ALL_SUBSETS_LIMIT} atoms, "
                     f"space has {m}")
-            return [SetMask(space, np.array(
-                [(b >> i) & 1 for i in range(m)], dtype=bool))
-                for b in range(1, 1 << m)]
+            # row b - 1 holds the bits of b, atom i being bit i
+            bits = (np.arange(1, 1 << m)[:, None] >> np.arange(m)) & 1
+            return [SetMask(space, row) for row in bits.astype(bool)]
         if self.kind == "dyadic-cubes":
             if not isinstance(space, Grid):
                 raise ValueError("dyadic cubes need a grid model")
@@ -194,42 +200,46 @@ def default_grid_family(f: Optional[Field] = None,
 # Supremum estimates
 # ---------------------------------------------------------------------------
 
-def _sup_over_family(f: Field, e: LorentzExponents, family: TestSetFamily,
-                     oracle: CapacityOracle, cap_exponent: float,
-                     weak: bool = False) -> NormEstimate:
-    sets = family.sets(oracle.space, f)
-    if not sets:
+def _sup_over_sets(family: TestSetFamily, masks: Sequence[SetMask], numerators,
+                   oracle: CapacityOracle, cap_exponent: float) -> NormEstimate:
+    """sup over the family's sets K of numerators[K] / cap(K)^cap_exponent.
+
+    The one supremum engine.  Zero-capacity sets are skipped, the witness is
+    the first set attaining the maximum, lo and hi put the certified upper
+    and lower capacity bounds in place of cap(K), and max_gap is the worst
+    gap among the counted sets.
+    """
+    if not masks:
         raise ValueError("empty effective test-set family")
-    oracle.prefetch(sets)
-    best = -1.0
-    lo_sup = 0.0   # certified lower bound of the family supremum
-    hi_sup = 0.0   # certified upper bound of the family supremum
-    witness = None
-    worst_gap = 0.0
-    seen_positive = False
-    for mask in sets:
-        res = oracle.result(mask)
-        if res.value <= 0.0:
-            continue  # zero-capacity sets are skipped
-        seen_positive = True
-        if weak:
-            num = weak_lorentz_norm(f.restrict(mask), e.p)
-        else:
-            num = lorentz_norm(f.restrict(mask), e)
-        ratio = num / res.value ** cap_exponent
-        if ratio > best:
-            best = ratio
-            witness = mask
-        lo_sup = max(lo_sup, num / res.upper ** cap_exponent)
-        hi_sup = max(hi_sup, num / max(res.lower, 1e-300) ** cap_exponent)
-        worst_gap = max(worst_gap, res.gap)
-    if not seen_positive:
+    value, lower, upper, gap = _gather(oracle, masks)
+    keep = np.flatnonzero(value > 0.0)
+    if keep.size == 0:
         raise ValueError("every set in the family has zero capacity")
+    num = np.asarray(numerators, dtype=float)[keep]
+
+    def ratios(caps):
+        # scalar powers: libm's last bit, not numpy's vector kernel's
+        return num / np.array([c ** cap_exponent for c in caps[keep].tolist()])
+
+    ratio = ratios(value)
+    i = int(np.argmax(ratio))
     exact = (family.kind == "all-subsets"
              and isinstance(oracle.space, DiscreteMeasureSpace))
-    mode = "exact" if exact else "lower-bound"
-    return NormEstimate(max(best, 0.0), mode, witness=witness,
-                        lo=lo_sup, hi=hi_sup, max_gap=worst_gap)
+    return NormEstimate(float(ratio[i]), "exact" if exact else "lower-bound",
+                        witness=masks[keep[i]], lo=float(ratios(upper).max()),
+                        hi=float(ratios(np.maximum(lower, 1e-300)).max()),
+                        max_gap=max(0.0, float(gap[keep].max())))
+
+
+def _restricted_sup(f: Field, e: LorentzExponents, family: TestSetFamily,
+                    oracle: CapacityOracle, cap_exponent: float) -> NormEstimate:
+    """The engine with numerators ||f chi_K||_{p,q} (weak when q = inf)."""
+    sets = family.sets(oracle.space, f)
+    if e.q == math.inf:
+        nums = [weak_lorentz_norm(f.restrict(m), e.p) for m in sets]
+    else:
+        nums = [lorentz_norm(f.restrict(m), e) for m in sets]
+    return _sup_over_sets(family, sets, nums, oracle, cap_exponent)
 
 
 def m_norm(f: Field, e: LorentzExponents, family: TestSetFamily,
@@ -237,7 +247,7 @@ def m_norm(f: Field, e: LorentzExponents, family: TestSetFamily,
     """sup over test sets of ||f chi_K||_{p,q} / cap(K)^(1/q)."""
     if not (1.0 < e.p < math.inf) or not (1.0 < e.q < math.inf):
         raise ValueError("multiplier norm needs 1 < p, q < inf")
-    return _sup_over_family(f, e, family, oracle, 1.0 / e.q)
+    return _restricted_sup(f, e, family, oracle, 1.0 / e.q)
 
 
 def script_m_norm(f: Field, e: LorentzExponents, family: TestSetFamily,
@@ -246,7 +256,7 @@ def script_m_norm(f: Field, e: LorentzExponents, family: TestSetFamily,
     with m_norm when p = q)."""
     if not (1.0 < e.p < math.inf) or not (1.0 < e.q < math.inf):
         raise ValueError("multiplier norm needs 1 < p, q < inf")
-    return _sup_over_family(f, e, family, oracle, 1.0 / e.p)
+    return _restricted_sup(f, e, family, oracle, 1.0 / e.p)
 
 
 def weak_script_m_norm(f: Field, p: float, family: TestSetFamily,
@@ -262,14 +272,15 @@ def weak_script_m_norm(f: Field, p: float, family: TestSetFamily,
     if not (1.0 < p < math.inf):
         raise ValueError("weak multiplier norm needs 1 < p < inf")
     e = LorentzExponents(p, p)
-    form_a = _sup_over_family(f, e, family, oracle, 1.0 / p, weak=True)
+    form_a = _restricted_sup(f, LorentzExponents(p, math.inf), family, oracle,
+                             1.0 / p)
 
     vals = np.abs(f.values)
     levels = np.unique(vals[vals > 0.0])[::-1]
     form_b = 0.0
     for u in levels:
         ind = Field(f.space, (vals >= u).astype(float))
-        est = _sup_over_family(ind, e, family, oracle, 1.0 / p)
+        est = _restricted_sup(ind, e, family, oracle, 1.0 / p)
         form_b = max(form_b, u * est.value)
     scale = max(form_a.value, form_b, 1e-300)
     if abs(form_a.value - form_b) > 1e-9 * scale:

@@ -168,13 +168,12 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 class RunContext:
-    """Per-run caches: oracles, corpora, and calibration constants."""
+    """Per-run caches: oracles and corpora."""
 
     def __init__(self, cfg: CapflowConfig):
         self.cfg = cfg
         self._oracles: Dict = {}
         self._finite_corpus = None
-        self.calibration: Dict[str, float] = {}
 
     def rng(self, tag: str) -> np.random.Generator:
         # crc32, not hash(): stable across processes for byte-identical reruns
@@ -201,6 +200,10 @@ class RunContext:
             oracle = CapacityOracle(grid_problem(grid, params), params)
             self._oracles[key] = oracle
         return oracle
+
+    def finite_oracle(self, problem: CapacityProblem) -> CapacityOracle:
+        """Oracle on a finite model at alpha=1, s=2 and the run's tolerance."""
+        return CapacityOracle(problem, CapacityParams(1.0, 2.0, tol=self.cfg.tol))
 
     def finite_corpus(self) -> List:
         """Deterministic corpus of random finite-model capacity instances."""
@@ -302,8 +305,7 @@ def check_capacity_certificates(ctx: RunContext) -> List[Verdict]:
     # analytic: counting capacity on a weighted identity model
     rng = ctx.rng("c01-analytic")
     space = DiscreteMeasureSpace(rng.random(5) + 0.5)
-    oracle = CapacityOracle(identity_problem(space),
-                               CapacityParams(1.0, 2.0, tol=cfg.tol))
+    oracle = ctx.finite_oracle(identity_problem(space))
     for _ in range(5):
         mask = _random_mask(rng, space)
         if abs(oracle.value(mask) - mask.measure) > 1e-12:
@@ -529,8 +531,7 @@ def check_capacitary_embeddings(ctx: RunContext) -> List[Verdict]:
     for _ in range(10):
         m = int(rng.integers(2, 17))
         space = DiscreteMeasureSpace(rng.random(m) + 0.2)
-        oracle = CapacityOracle(identity_problem(space),
-                                   CapacityParams(1.0, 2.0, tol=cfg.tol))
+        oracle = ctx.finite_oracle(identity_problem(space))
         cases.append((oracle, _random_field(rng, space, levels=6)))
     g1 = ctx.grid_oracle(1)
     grid = g1.space
@@ -702,8 +703,7 @@ def check_pairing(ctx: RunContext) -> List[Verdict]:
                 problem = _random_finite_problem(rng, m)
             group_index += 1
             space = problem.space
-            oracle = CapacityOracle(problem,
-                                    CapacityParams(1.0, 2.0, tol=cfg.tol))
+            oracle = ctx.finite_oracle(problem)
             pairs = []
             for _ in range(batch):
                 f = _random_field(rng, space)
@@ -759,8 +759,7 @@ def check_pairing(ctx: RunContext) -> List[Verdict]:
     for _ in range(max(cfg.scale_pairs // 25, 2)):
         m = int(rng.integers(4, 13))
         space = DiscreteMeasureSpace(rng.random(m) + 0.2)
-        oracle = CapacityOracle(identity_problem(space),
-                                   CapacityParams(1.0, 2.0, tol=cfg.tol))
+        oracle = ctx.finite_oracle(identity_problem(space))
         e_blocks = LorentzExponents(p / (p - 1.0), qb)
         pairs = []
         for _ in range(5):
@@ -791,7 +790,7 @@ def check_pairing(ctx: RunContext) -> List[Verdict]:
         # positive kernels keep the potentials off the weight floor
         problem = _random_finite_problem(rng, m)
         space = problem.space
-        oracle = CapacityOracle(problem, CapacityParams(1.0, 2.0, tol=cfg.tol))
+        oracle = ctx.finite_oracle(problem)
         e = LorentzExponents(2.0, 2.0)
         cands = [wt.potential_weight(oracle, _random_mask(rng, space),
                                      wt.WeightConfig(delta=cfg.delta))
@@ -847,8 +846,7 @@ def check_block_decomposition(ctx: RunContext) -> List[Verdict]:
     for _ in range(8):
         m = int(rng.integers(6, 25))
         space = DiscreteMeasureSpace(rng.random(m) + 0.2)
-        oracle = CapacityOracle(identity_problem(space),
-                                   CapacityParams(1.0, 2.0, tol=cfg.tol))
+        oracle = ctx.finite_oracle(identity_problem(space))
         wgt = wt.potential_weight(oracle, _random_mask(rng, space), wcfg)
         f = _random_field(rng, space)
         e = LorentzExponents(1.5, 2.5)   # p < q: the guaranteed window
@@ -878,8 +876,7 @@ def check_block_decomposition(ctx: RunContext) -> List[Verdict]:
 
     # greedy route: a tight block in the dictionary peels in one step
     space = DiscreteMeasureSpace(np.ones(8))
-    oracle = CapacityOracle(identity_problem(space),
-                               CapacityParams(1.0, 2.0, tol=cfg.tol))
+    oracle = ctx.finite_oracle(identity_problem(space))
     e = LorentzExponents(2.0, 2.0)
     support = SetMask.from_indices(space, [1, 2, 3])
     b = np.zeros(8)
@@ -1003,7 +1000,7 @@ def check_trace_formula(ctx: RunContext) -> List[Verdict]:
             m = int(rng.integers(2, 13))
             problem = identity_problem(
                 DiscreteMeasureSpace(rng.random(m) + 0.2))
-        oracle = CapacityOracle(problem, CapacityParams(1.0, 2.0, tol=cfg.tol))
+        oracle = ctx.finite_oracle(problem)
         masses = rng.standard_normal(problem.space.size) * 3.0
         mu = bl.AtomicMeasure(problem.space, masses)
         sup_form = bl.trace_norm(mu, mn.TestSetFamily.all_subsets(), oracle)
@@ -1105,7 +1102,6 @@ def check_maximal(ctx: RunContext) -> List[Verdict]:
     cands = [wt.potential_weight(g1, m, wcfg)
              for m in _grid_set_corpus(ctx.rng("c14-weights"), grid, 3)]
     a1_max = max(w.a1_constant for w in cands)
-    ctx.calibration["a1_corpus_max"] = a1_max
 
     e = LorentzExponents(2.0, 2.0)
     probe_max = {}
@@ -1172,8 +1168,7 @@ def check_multiplier_invariants(ctx: RunContext) -> List[Verdict]:
     rng = ctx.rng("c16")
     failures = []
     space = DiscreteMeasureSpace(rng.random(6) + 0.3)
-    oracle = CapacityOracle(identity_problem(space),
-                               CapacityParams(1.0, 2.0, tol=cfg.tol))
+    oracle = ctx.finite_oracle(identity_problem(space))
     allfam = mn.TestSetFamily.all_subsets()
 
     # counting model: the sup of mass ratios for an indicator is one
@@ -1249,7 +1244,6 @@ def check_multiplier_invariants(ctx: RunContext) -> List[Verdict]:
         denom = lorentz_norm(f1, e2) + lorentz_norm(f2, e2)
         if denom > 0:
             kappa = max(kappa, s12 / denom)
-    ctx.calibration["quasi_triangle_kappa"] = kappa
 
     # monotone limits commute with the closed form
     fpos = Field(space, np.abs(_random_field(rng, space).values))
@@ -1600,8 +1594,7 @@ def _render_csv(verdicts: List[Verdict]) -> bytes:
 
 
 def emit_report(verdicts: List[Verdict], fmt: str, path,
-                spec: Optional[SuiteSpec] = None,
-                calibration: Optional[Dict] = None) -> None:
+                spec: Optional[SuiteSpec] = None) -> None:
     """Write the verdict table; field order is stable and reruns with the
     same config and seeds are byte-identical."""
     if fmt == "csv":
@@ -1612,7 +1605,6 @@ def emit_report(verdicts: List[Verdict], fmt: str, path,
     doc = {
         "suite": spec.suite if spec else None,
         "config": spec.config.to_dict() if spec else None,
-        "calibration": calibration or {},
         "verdicts": [
             {"check_id": v.check_id, "status": v.status,
              "measured": _fmt(v.measured), "claim": v.claim,

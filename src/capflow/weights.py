@@ -154,6 +154,14 @@ class WeightConfig:
                 f"l1c_levels must be None or at least 1, got {self.l1c_levels}")
 
 
+def _certified_weight(oracle: CapacityOracle, values: np.ndarray,
+                      cfg: WeightConfig, provenance: str = "user") -> Weight:
+    """The weight max(values, WEIGHT_FLOOR) with both certificates."""
+    f = Field(oracle.space, np.maximum(values, WEIGHT_FLOOR))
+    return Weight(f, a1loc_constant(oracle.space, f),
+                  l1c_norm(f, oracle, max_levels=cfg.l1c_levels), provenance)
+
+
 def potential_weight(oracle: CapacityOracle, mask: SetMask,
                      cfg: WeightConfig = WeightConfig()) -> Weight:
     """Weight (V^E)^delta / cap(E) from the equilibrium potential of E.
@@ -170,11 +178,7 @@ def potential_weight(oracle: CapacityOracle, mask: SetMask,
         raise ValueError("potential weight of the empty set is undefined")
     pot = nonlinear_potential(oracle.problem, oracle.params, res.dual_measure)
     powered = np.maximum(pot.field.values, 0.0) ** cfg.delta
-    omega = np.maximum(powered / res.value, WEIGHT_FLOOR)
-    f = Field(oracle.space, omega)
-    a1 = a1loc_constant(oracle.space, f)
-    est = l1c_norm(f, oracle, max_levels=cfg.l1c_levels)
-    return Weight(f, a1, est, provenance="potential")
+    return _certified_weight(oracle, powered / res.value, cfg, "potential")
 
 
 def average_weights(terms: Sequence, oracle: CapacityOracle,
@@ -198,11 +202,7 @@ def average_weights(terms: Sequence, oracle: CapacityOracle,
         if wgt.field.space is not space:
             raise ValueError("weights live on different spaces")
         acc += coeff * wgt.values
-    omega = np.maximum(acc / lam.sum(), WEIGHT_FLOOR)
-    f = Field(space, omega)
-    a1 = a1loc_constant(space, f)
-    est = l1c_norm(f, oracle, max_levels=cfg.l1c_levels)
-    return Weight(f, a1, est, provenance="average")
+    return _certified_weight(oracle, acc / lam.sum(), cfg, "average")
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,13 @@ def test_params_guards():
         CapacityParams(alpha=0.0, s=2.0)
     with pytest.raises(ValueError, match="max_iter"):
         CapacityParams(alpha=1.0, s=2.0, max_iter=0)
+    # the primal rescaling by 1/(1 - 1e-9) keeps every relative gap above
+    # 1 - (1 - 1e-9)^s, so a tolerance at or below it is unreachable
+    for s, tol in ((2.0, 1.0 - (1.0 - 1e-9) ** 2), (2.0, 1e-9), (3.0, 2.9e-9),
+                   (1.5, 1e-12)):
+        with pytest.raises(ValueError, match="gap floor"):
+            CapacityParams(alpha=1.0, s=s, tol=tol)
+    assert CapacityParams(alpha=1.0, s=3.0, tol=1e-8).tol == 1e-8
     p = CapacityParams(alpha=0.5, s=2.0)
     assert p.s_conj == 2.0
     p.validate_for_dimension(1)
@@ -220,7 +227,7 @@ def test_against_external_constrained_solver():
         if mask.is_empty:
             mask = SetMask.from_indices(sp, [0])
         s = float(rng.choice([1.5, 2.0, 3.0]))
-        res = capacity(prob, mask, CapacityParams(1.0, s, tol=1e-9))
+        res = capacity(prob, mask, CapacityParams(1.0, s, tol=1e-8))
         Mw = M * w[None, :]
         rows = Mw[mask.bools]
         ext = minimize(
@@ -256,7 +263,7 @@ def test_budget_exhaustion_keeps_certificates():
     sp = DiscreteMeasureSpace(rng.random(m) + 0.25)
     prob = finite_problem(sp, (B + B.T) / 2 + np.diag(rng.random(m) + 0.5))
     mask = SetMask(sp, rng.random(m) < 0.5)
-    starved = capacity(prob, mask, CapacityParams(1.0, 2.0, tol=1e-12,
+    starved = capacity(prob, mask, CapacityParams(1.0, 2.0, tol=1e-8,
                                                   max_iter=3))
     assert not starved.converged and not starved.infeasible
     assert 0.0 < starved.lower <= starved.value <= starved.upper * (1 + 1e-15)

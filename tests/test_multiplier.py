@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from capflow.capacity import (CapacityOracle, CapacityParams, SetMask,
-                              grid_problem, identity_problem)
+from capflow.blocks import AtomicMeasure, trace_norm
+from capflow.capacity import (CapacityOracle, CapacityParams, NormEstimate,
+                              SetMask, finite_problem, grid_problem,
+                              identity_problem)
 from capflow.grid import make_grid
-from capflow.measure import DiscreteMeasureSpace, Field, LorentzExponents
+from capflow.measure import (DiscreteMeasureSpace, Field, LorentzExponents,
+                             lorentz_norm, weak_lorentz_norm)
 from capflow.multiplier import (TestSetFamily, char_m_via_weights,
                                 default_grid_family, m_norm, m_norm_local,
                                 script_m_norm, weak_script_m_norm)
@@ -28,6 +31,10 @@ def test_family_determinism_and_cap(counting):
     b = [m.key for m in fam.sets(sp)]
     assert a == b
     assert len(TestSetFamily.all_subsets().sets(sp)) == 15
+    # row b - 1 is the bit pattern of b = 1, 2, ..., 15, atom i being bit i
+    rows = [m.bools for m in TestSetFamily.all_subsets().sets(sp)]
+    for b, row in enumerate(rows, start=1):
+        assert [bool(x) for x in row] == [bool(b & (1 << i)) for i in range(4)]
     with pytest.raises(ValueError):
         TestSetFamily.all_subsets().sets(DiscreteMeasureSpace(np.ones(21)))
 
@@ -159,3 +166,96 @@ def test_default_grid_family_contents():
     f = Field.of(grid, np.exp(-grid.coords()[:, 0] ** 2))
     sets = default_grid_family(f).sets(grid, f)
     assert len(sets) > 31  # dyadic generations 0..4 plus superlevel sets
+
+
+def _per_set_reference(sets, numerator, oracle, cap_exponent, exact):
+    """The one-set-at-a-time supremum loop, kept as the reference for the
+    engine: a strict `>` keeps the first set attaining the maximum."""
+    oracle.prefetch(sets)
+    best, lo, hi, worst, witness, ratios = -1.0, 0.0, 0.0, 0.0, None, []
+    for k, mask in enumerate(sets):
+        res = oracle.result(mask)
+        if res.value <= 0.0:
+            continue
+        num = numerator(k, mask)
+        ratio = num / res.value ** cap_exponent
+        ratios.append(ratio)
+        if ratio > best:
+            best, witness = ratio, mask
+        lo = max(lo, num / res.upper ** cap_exponent)
+        hi = max(hi, num / max(res.lower, 1e-300) ** cap_exponent)
+        worst = max(worst, res.gap)
+    assert witness is not None
+    est = NormEstimate(max(best, 0.0), "exact" if exact else "lower-bound",
+                       witness=witness, lo=lo, hi=hi, max_gap=worst)
+    return est, ratios.count(best)
+
+
+def _assert_same(est, ref):
+    assert (est.value, est.lo, est.hi, est.max_gap, est.mode) == \
+        (ref.value, ref.lo, ref.hi, ref.max_gap, ref.mode)
+    assert est.witness.key == ref.witness.key
+
+
+def _engine_case(case):
+    """(oracle, f, mu, family, fixed family, exhaustive) for one case.  The
+    fixed family does not depend on the field: the weak norm's breakpoint
+    form and the trace class need one."""
+    if case == "grid":
+        grid = make_grid(1, 16.0, 256)
+        params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
+        oracle = CapacityOracle(grid_problem(grid, params), params)
+        x = grid.coords()[:, 0]
+        f = Field.of(grid, np.exp(-x ** 2) - 0.5 * np.exp(-(x - 2.0) ** 2 / 0.3))
+        mu = AtomicMeasure(grid, np.exp(-(x + 1.0) ** 2) * grid.cell_measure)
+        return oracle, f, mu, default_grid_family(f), default_grid_family(), False
+    every = TestSetFamily.all_subsets()
+    if case == "tie":
+        # f = chi_{0,1} gives ratio 1 on each nonempty subset of {0, 1}, and
+        # |mu|(K) / |K| = 2 on them too: three sets attain each maximum
+        sp = DiscreteMeasureSpace(np.ones(4))
+        return (CapacityOracle(identity_problem(sp), PARAMS),
+                Field.of(sp, [1.0, 1.0, 0.0, 0.0]),
+                AtomicMeasure(sp, [2.0, -2.0, 1.0, 0.5]), every, every, True)
+    rng = np.random.default_rng(7)
+    B = rng.random((6, 6))
+    sp = DiscreteMeasureSpace(rng.random(6) + 0.3)
+    oracle = CapacityOracle(finite_problem(sp, (B + B.T) / 2 + np.eye(6)), PARAMS)
+    return (oracle, Field.of(sp, rng.standard_normal(6)),
+            AtomicMeasure(sp, rng.standard_normal(6) * 3.0), every, every, True)
+
+
+@pytest.mark.parametrize("case", ["finite", "tie", "grid"])
+def test_sup_engine_matches_per_set_reference(case):
+    oracle, f, mu, family, fixed_family, exact = _engine_case(case)
+    space = oracle.space
+    first = SetMask.from_indices(space, [0]).key
+    for p, q in ((2.0, 2.0), (3.0, 1.5)):
+        e = LorentzExponents(p, q)
+        sets = family.sets(space, f)
+        for fn, expo in ((m_norm, 1.0 / q), (script_m_norm, 1.0 / p)):
+            ref, n_top = _per_set_reference(
+                sets, lambda k, mask: lorentz_norm(f.restrict(mask), e),
+                oracle, expo, exact)
+            _assert_same(fn(f, e, family, oracle), ref)
+            if case == "tie" and p == q:
+                assert n_top == 3 and ref.witness.key == first
+        fixed = fixed_family.sets(space, f)
+        ref, _ = _per_set_reference(
+            fixed, lambda k, mask: weak_lorentz_norm(f.restrict(mask), p),
+            oracle, 1.0 / p, exact)
+        _assert_same(weak_script_m_norm(f, p, fixed_family, oracle), ref)
+
+    sets = fixed_family.sets(space)
+    # |mu|(K) over the whole family is one matrix product; its sum order
+    # differs from a per-set sum, which bounds the difference by size * eps
+    variations = np.array([m.bools for m in sets], dtype=float) @ np.abs(mu.masses)
+    for k, mask in enumerate(sets):
+        assert variations[k] == pytest.approx(
+            np.abs(mu.masses)[mask.bools].sum(),
+            rel=space.size * np.finfo(float).eps, abs=0.0)
+    ref, n_top = _per_set_reference(sets, lambda k, mask: variations[k],
+                                    oracle, 1.0, exact)
+    _assert_same(trace_norm(mu, fixed_family, oracle), ref)
+    if case == "tie":
+        assert n_top == 3 and ref.witness.key == first
