@@ -242,7 +242,7 @@ def _cmd_verify(args) -> int:
     cfg = CapflowConfig.from_file(args.config) if args.config else CapflowConfig()
     if args.quick:
         cfg = cfg.quick()
-    spec = SuiteSpec(args.suite, cfg, out=args.out)
+    spec = SuiteSpec(args.suite, cfg)
     verdicts = run_suite(spec)
     if args.out:
         emit_report(verdicts, "json", args.out, spec=spec)

@@ -232,9 +232,12 @@ def _sup_over_sets(family: TestSetFamily, masks: Sequence[SetMask], numerators,
 
 
 def _restricted_sup(f: Field, e: LorentzExponents, family: TestSetFamily,
-                    oracle: CapacityOracle, cap_exponent: float) -> NormEstimate:
-    """The engine with numerators ||f chi_K||_{p,q} (weak when q = inf)."""
-    sets = family.sets(oracle.space, f)
+                    oracle: CapacityOracle, cap_exponent: float,
+                    sets: Optional[list] = None) -> NormEstimate:
+    """The engine with numerators ||f chi_K||_{p,q} (weak when q = inf),
+    over `sets` when given, else over the family's sets for f."""
+    if sets is None:
+        sets = family.sets(oracle.space, f)
     if e.q == math.inf:
         nums = [weak_lorentz_norm(f.restrict(m), e.p) for m in sets]
     else:
@@ -267,20 +270,23 @@ def weak_script_m_norm(f: Field, p: float, family: TestSetFamily,
     breakpoints t and takes t times the (p, p)-estimate of the indicator of
     {|f| > t}.  Both reduce to the same double supremum over (set, level)
     pairs, so they must agree to roundoff given identical cached
-    capacities; disagreement raises.
+    capacities; disagreement raises.  Both forms range over the family's
+    sets for f, generated once: a family built from f (superlevels) would
+    give the indicators of form B other sets.
     """
     if not (1.0 < p < math.inf):
         raise ValueError("weak multiplier norm needs 1 < p < inf")
     e = LorentzExponents(p, p)
+    sets = family.sets(oracle.space, f)
     form_a = _restricted_sup(f, LorentzExponents(p, math.inf), family, oracle,
-                             1.0 / p)
+                             1.0 / p, sets)
 
     vals = np.abs(f.values)
     levels = np.unique(vals[vals > 0.0])[::-1]
     form_b = 0.0
     for u in levels:
         ind = Field(f.space, (vals >= u).astype(float))
-        est = _restricted_sup(ind, e, family, oracle, 1.0 / p)
+        est = _restricted_sup(ind, e, family, oracle, 1.0 / p, sets)
         form_b = max(form_b, u * est.value)
     scale = max(form_a.value, form_b, 1e-300)
     if abs(form_a.value - form_b) > 1e-9 * scale:

@@ -1,20 +1,28 @@
 """Named, reproducible verification campaigns with machine-readable verdicts.
 
 Every campaign binds the computational modules to a finitely checkable
-inequality or constructive procedure and emits one verdict per check:
-'pass'/'fail' for contracts with explicit constants, 'recorded' for
-finiteness-only claims whose measured constant is reported but not bounded.
-Determinism is part of the contract: identical config and seeds reproduce
-identical verdict tables, byte for byte.
+inequality or constructive procedure and emits verdict rows: 'pass'/'fail'
+for contracts with explicit constants, 'recorded' for finiteness-only claims
+whose measured constant is reported but not bounded.  Determinism is part of
+the contract: identical config and seeds reproduce identical verdict tables,
+byte for byte.
 
-A static claims registry names every finitely checkable statement the
-artifact covers; the self-audit check fails if any registered claim is not
-exercised by at least one check.
+Each check is declared once, by `@_check(cid, *claims)` on a body
+`body(ctx, rows)`.  The decorator appends `(cid, claims, fn)` to `CHECKS`
+and returns `fn(ctx) -> List[Verdict]`.  The body records failures with
+`rows.fail` and emits its rows with `rows.row`, which prefixes the row id
+with `cid` and takes the row status from the failures recorded so far;
+`rows.summary` renders the one failure summary.  The declared claims are a
+contract: a row naming an undeclared claim raises, and so does a declared
+claim that gets no row.  `REQUIRED_CLAIMS` names every finitely checkable
+statement the artifact covers; the C00 audit fails if a check declares
+none of them, so each one is exercised whenever the checks run.
 """
 from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import io
 import json
 import math
@@ -135,11 +143,10 @@ class CapflowConfig:
 
 @dataclass(frozen=True)
 class SuiteSpec:
-    """A named campaign bound to a config and an output location."""
+    """A named campaign bound to a config."""
 
     suite: str
     config: CapflowConfig = CapflowConfig()
-    out: Optional[str] = None
 
 
 @dataclass
@@ -161,6 +168,67 @@ def _fmt(x: float) -> str:
     if x == math.inf:
         return "inf"
     return f"{x:.12g}"
+
+
+# ---------------------------------------------------------------------------
+# Check registry
+# ---------------------------------------------------------------------------
+
+CHECKS: List = []  # (cid, claims, fn) in registration order, C01..C18
+
+
+class _Tally:
+    """Failures recorded by a check, or by one group of its rows."""
+
+    def __init__(self):
+        self.failures: List[str] = []
+
+    def fail(self, what: str) -> None:
+        self.failures.append(what)
+
+    def status(self) -> str:
+        return "fail" if self.failures else "pass"
+
+    def summary(self, otherwise: str) -> str:
+        """The first four distinct failures in sorted order, or `otherwise`."""
+        return "; ".join(sorted(set(self.failures))[:4]) or otherwise
+
+
+class _Rows(_Tally):
+    """The verdict rows of one check, held to the claims it declared."""
+
+    def __init__(self, cid: str, claims: tuple):
+        super().__init__()
+        self.cid = cid
+        self.claims = claims
+        self.verdicts: List[Verdict] = []
+
+    def row(self, suffix: str, measured: float, claim: str, details: str,
+            status: Optional[str] = None) -> None:
+        """Append row `cid + suffix`; its status is `status` when given,
+        else 'fail' iff a failure has been recorded so far."""
+        if claim not in self.claims:
+            raise ValueError(f"{self.cid} did not declare claim {claim!r}")
+        self.verdicts.append(Verdict(self.cid + suffix, status or self.status(),
+                                     measured, claim, details))
+
+
+def _check(cid: str, *claims: str):
+    """Register the decorated `body(ctx, rows)` as check `cid` testing
+    `claims`; it becomes `fn(ctx) -> List[Verdict]`."""
+    def register(body):
+        @functools.wraps(body)
+        def fn(ctx: RunContext) -> List[Verdict]:
+            rows = _Rows(cid, claims)
+            body(ctx, rows)
+            missing = set(claims) - {v.claim for v in rows.verdicts}
+            if missing:
+                raise ValueError(f"{cid} emitted no row for claims "
+                                 f"{sorted(missing)}")
+            return rows.verdicts
+        CHECKS.append((cid, claims, fn))
+        return fn
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +295,13 @@ def _random_finite_problem(rng, m: int) -> CapacityProblem:
     M = (B + B.T) / 2.0 + np.diag(rng.random(m) + 0.5)
     w = rng.random(m) + 0.25
     return finite_problem(DiscreteMeasureSpace(w), M)
+
+
+def _random_space(rng, lo: int, hi: int,
+                  floor: float = 0.2) -> DiscreteMeasureSpace:
+    """Atom space of a random size in [lo, hi), weights uniform above floor."""
+    m = int(rng.integers(lo, hi))
+    return DiscreteMeasureSpace(rng.random(m) + floor)
 
 
 def _random_mask(rng, space) -> SetMask:
@@ -296,11 +371,10 @@ def _bump_field(grid: Grid, center: float, width: float,
 # Checks
 # ---------------------------------------------------------------------------
 
-def check_capacity_certificates(ctx: RunContext) -> List[Verdict]:
-    cid = "C01-capacity-certificates"
+@_check("C01-capacity-certificates", "capacity-definition",
+        "capacity-duality-certificate")
+def check_capacity_certificates(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
-    verdicts = []
-    failures = []
 
     # analytic: counting capacity on a weighted identity model
     rng = ctx.rng("c01-analytic")
@@ -309,7 +383,7 @@ def check_capacity_certificates(ctx: RunContext) -> List[Verdict]:
     for _ in range(5):
         mask = _random_mask(rng, space)
         if abs(oracle.value(mask) - mask.measure) > 1e-12:
-            failures.append("identity-counting")
+            rows.fail("identity-counting")
     # analytic: uniform optimum under the all-ones kernel
     for m, s in ((4, 2.0), (4, 3.0), (6, 1.5)):
         sp = DiscreteMeasureSpace(np.ones(m))
@@ -317,44 +391,39 @@ def check_capacity_certificates(ctx: RunContext) -> List[Verdict]:
         res = capacity(prob, SetMask.from_indices(sp, [0, 1]),
                           CapacityParams(1.0, s, tol=cfg.tol))
         if abs(res.value - m ** (1.0 - s)) > 1e-6 * m ** (1.0 - s):
-            failures.append(f"all-ones m={m} s={s}")
+            rows.fail(f"all-ones m={m} s={s}")
     # analytic: the symmetric strictly convex 2x2 instance
     sp2 = DiscreteMeasureSpace([1.0, 1.0])
     prob2 = finite_problem(sp2, [[1.0, 0.5], [0.5, 1.0]])
     res2 = capacity(prob2, SetMask.full(sp2),
                        CapacityParams(1.0, 2.0, tol=cfg.tol))
     if abs(res2.value - 8.0 / 9.0) > 1e-6:
-        failures.append("2x2 value")
+        rows.fail("2x2 value")
     if np.abs(res2.optimizer - 2.0 / 3.0).max() > 1e-4:
-        failures.append("2x2 optimizer")
+        rows.fail("2x2 optimizer")
 
     worst_gap = 0.0
     for problem, params, mask in ctx.finite_corpus():
         res = capacity(problem, mask, params)
         worst_gap = max(worst_gap, res.gap)
         if not res.converged or res.gap > params.tol:
-            failures.append(f"gap {res.gap:.2e}")
+            rows.fail(f"gap {res.gap:.2e}")
         if not (res.lower <= res.value <= res.upper * (1 + 1e-15)):
-            failures.append("certificate ordering")
+            rows.fail("certificate ordering")
         if res.dual_measure is not None and \
                 np.any(res.dual_measure[~mask.bools] != 0.0):
-            failures.append("dual mass off the set")
-    status = "fail" if failures else "pass"
-    verdicts.append(Verdict(cid, status, worst_gap, "capacity-definition",
-                            "; ".join(failures[:4]) or
-                            f"{cfg.scale_models} models, max gap"))
-    verdicts.append(Verdict(cid + "/certificates", status, worst_gap,
-                            "capacity-duality-certificate",
-                            "lower <= value <= upper with relative gap"))
-    return verdicts
+            rows.fail("dual mass off the set")
+    rows.row("", worst_gap, "capacity-definition",
+             rows.summary(f"{cfg.scale_models} models, max gap"))
+    rows.row("/certificates", worst_gap, "capacity-duality-certificate",
+             "lower <= value <= upper with relative gap")
 
 
-def check_equilibrium(ctx: RunContext) -> List[Verdict]:
-    cid = "C02-equilibrium-identities"
-    cfg = ctx.cfg
+@_check("C02-equilibrium-identities", "equilibrium-identities",
+        "nonlinear-potential")
+def check_equilibrium(ctx: RunContext, rows: _Rows) -> None:
     worst = 0.0
     worst_band = 0.0
-    failures = []
     instances = []
     for problem, params, mask in ctx.finite_corpus():
         instances.append((problem, params, mask))
@@ -367,12 +436,12 @@ def check_equilibrium(ctx: RunContext) -> List[Verdict]:
     for problem, params, mask in instances:
         res = capacity(problem, mask, params)
         if not res.converged:
-            failures.append("non-convergence")
+            rows.fail("non-convergence")
             continue
         resid = equilibrium_checks(problem, res)
         worst = max(worst, *resid.values())
         if max(resid.values()) > 50.0 * params.tol:
-            failures.append(f"residual {max(resid.values()):.2e}")
+            rows.fail(f"residual {max(resid.values()):.2e}")
         pot = nonlinear_potential(problem, params, res.dual_measure).field
         band = 10.0 * params.tol
         low = float(pot.values[mask.bools].min())
@@ -380,23 +449,19 @@ def check_equilibrium(ctx: RunContext) -> List[Verdict]:
         high = float(pot.values[supp].max()) if supp.any() else 1.0
         worst_band = max(worst_band, abs(1.0 - low), abs(high - 1.0))
         if low < 1.0 - band:
-            failures.append(f"potential floor {low:.8f}")
+            rows.fail(f"potential floor {low:.8f}")
         if high > 1.0 + band:
-            failures.append(f"potential ceiling {high:.8f}")
-    status = "fail" if failures else "pass"
-    return [
-        Verdict(cid, status, worst, "equilibrium-identities",
-                "; ".join(failures[:4]) or "mass/energy/self-pairing residuals"),
-        Verdict(cid + "/potential-band", status, worst_band,
-                "nonlinear-potential", "potential within band on E and supp"),
-    ]
+            rows.fail(f"potential ceiling {high:.8f}")
+    rows.row("", worst, "equilibrium-identities",
+             rows.summary("mass/energy/self-pairing residuals"))
+    rows.row("/potential-band", worst_band, "nonlinear-potential",
+             "potential within band on E and supp")
 
 
-def check_set_function_axioms(ctx: RunContext) -> List[Verdict]:
-    cid = "C03-monotone-subadditive"
+@_check("C03-monotone-subadditive", "capacity-set-function-axioms")
+def check_set_function_axioms(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c03")
-    failures = []
     prob = _random_finite_problem(rng, 24)
     params = CapacityParams(1.0, 2.0, tol=cfg.tol)
     oracle = CapacityOracle(prob, params)
@@ -406,27 +471,24 @@ def check_set_function_axioms(ctx: RunContext) -> List[Verdict]:
         grow = small.bools | (rng.random(space.size) < 0.3)
         big = SetMask(space, grow)
         if oracle.result(small).lower > oracle.result(big).upper * (1 + 1e-12):
-            failures.append("monotonicity")
+            rows.fail("monotonicity")
     for _ in range(cfg.scale_pairs):
         a = _random_mask(rng, space)
         b = _random_mask(rng, space)
         u = oracle.result(a.union(b))
         if u.lower > (oracle.result(a).upper + oracle.result(b).upper) * (1 + 1e-12):
-            failures.append("subadditivity")
+            rows.fail("subadditivity")
     # absolute continuity on the discrete model: zero capacity iff empty
     if capacity(prob, SetMask.empty(space), params).value != 0.0:
-        failures.append("empty set")
+        rows.fail("empty set")
     if oracle.value(SetMask.from_indices(space, [0])) <= 0.0:
-        failures.append("null nonempty set")
-    status = "fail" if failures else "pass"
-    return [Verdict(cid, status, float(len(failures)),
-                    "capacity-set-function-axioms",
-                    "; ".join(sorted(set(failures))) or
-                    f"{2 * cfg.scale_pairs} certified comparisons")]
+        rows.fail("null nonempty set")
+    rows.row("", float(len(rows.failures)), "capacity-set-function-axioms",
+             rows.summary(f"{2 * cfg.scale_pairs} certified comparisons"))
 
 
-def check_lorentz_engine(ctx: RunContext) -> List[Verdict]:
-    cid = "C04-lorentz-engine"
+@_check("C04-lorentz-engine", "lorentz-norm-definition", "power-identity")
+def check_lorentz_engine(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c04")
     from scipy.integrate import quad
@@ -434,10 +496,8 @@ def check_lorentz_engine(ctx: RunContext) -> List[Verdict]:
     worst_quad = 0.0
     worst_pq = 0.0
     worst_power = 0.0
-    failures = []
     for i in range(cfg.scale_fields):
-        m = int(rng.integers(2, 65))
-        space = DiscreteMeasureSpace(rng.random(m) + 0.1)
+        space = _random_space(rng, 2, 65, floor=0.1)
         f = _random_field(rng, space)
         p, q = lattice[i % len(lattice)]
         e = LorentzExponents(p, q)
@@ -453,7 +513,7 @@ def check_lorentz_engine(ctx: RunContext) -> List[Verdict]:
         rel = abs(closed - oracle_val) / max(oracle_val, 1e-300)
         worst_quad = max(worst_quad, rel)
         if rel > 1e-9:
-            failures.append(f"quadrature {rel:.2e}")
+            rows.fail(f"quadrature {rel:.2e}")
         # p = q collapses to the plain integral norm
         pp = float(rng.uniform(1.0, 3.0))
         plain = float((space.weights * np.abs(f.values) ** pp).sum()) ** (1 / pp)
@@ -461,25 +521,21 @@ def check_lorentz_engine(ctx: RunContext) -> List[Verdict]:
         relpq = abs(got - plain) / max(plain, 1e-300)
         worst_pq = max(worst_pq, relpq)
         if relpq > 1e-12:
-            failures.append("p=q reduction")
+            rows.fail("p=q reduction")
         r = (0.5, 2.0, 1.0 / 3.0)[i % 3]
         resid = power_identity_check(f, e, r)
         scale = max(lorentz_norm(Field(space, np.abs(f.values) ** r), e), 1.0)
         worst_power = max(worst_power, resid / scale)
         if resid > 1e-12 * scale:
-            failures.append("power identity")
-    status = "fail" if failures else "pass"
-    return [
-        Verdict(cid, status, worst_quad, "lorentz-norm-definition",
-                "; ".join(sorted(set(failures))) or
-                f"{cfg.scale_fields} fields vs layer-cake quadrature"),
-        Verdict(cid + "/power-identity", status, worst_power, "power-identity",
-                "|||f|^r|| = ||f||^r in closed form"),
-    ]
+            rows.fail("power identity")
+    rows.row("", worst_quad, "lorentz-norm-definition",
+             rows.summary(f"{cfg.scale_fields} fields vs layer-cake quadrature"))
+    rows.row("/power-identity", worst_power, "power-identity",
+             "|||f|^r|| = ||f||^r in closed form")
 
 
-def check_gamma_sandwich(ctx: RunContext) -> List[Verdict]:
-    cid = "C05-gamma-sandwich"
+@_check("C05-gamma-sandwich", "gamma-normability")
+def check_gamma_sandwich(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c05")
     lattice = [(2.0, 2.0, 1.0), (2.0, 1.0, 1.0), (3.0, 1.5, 0.5),
@@ -487,10 +543,8 @@ def check_gamma_sandwich(ctx: RunContext) -> List[Verdict]:
     worst_low = 0.0   # how far Gamma dips below the norm (should be <= 0)
     worst_up = 0.0
     worst_tri = 0.0
-    failures = []
     for i in range(cfg.scale_gamma):
-        m = int(rng.integers(2, 33))
-        space = DiscreteMeasureSpace(rng.random(m) + 0.2)
+        space = _random_space(rng, 2, 33)
         f = _random_field(rng, space)
         for p, q, r in lattice:
             e = LorentzExponents(p, q)
@@ -502,35 +556,29 @@ def check_gamma_sandwich(ctx: RunContext) -> List[Verdict]:
             worst_low = max(worst_low, low_gap)
             worst_up = max(worst_up, up_gap)
             if low_gap > slack or up_gap > slack:
-                failures.append(f"(p,q,r)=({p},{q},{r})")
+                rows.fail(f"(p,q,r)=({p},{q},{r})")
         # r = 1 renorming is a genuine norm: triangle inequality holds
         g = _random_field(rng, space)
         e1 = LorentzExponents(2.0, 1.5)
         both = gamma_norm(Field(space, f.values + g.values), e1, 1.0)
         apart = gamma_norm(f, e1, 1.0) + gamma_norm(g, e1, 1.0)
-        worst_tri = max(worst_tri, both / apart if apart > 0 else 0.0)
+        worst_tri = max(worst_tri, both / apart)
         if both > apart * (1 + 1e-7):
-            failures.append("triangle r=1")
-    status = "fail" if failures else "pass"
-    return [
-        Verdict(cid, status, max(worst_low, worst_up), "gamma-normability",
-                "; ".join(sorted(set(failures))) or
-                f"{cfg.scale_gamma} fields x {len(lattice)} exponent triples"),
-        Verdict(cid + "/triangle", status, worst_tri, "gamma-normability",
-                "r=1 renorming satisfies the triangle inequality"),
-    ]
+            rows.fail("triangle r=1")
+    rows.row("", max(worst_low, worst_up), "gamma-normability", rows.summary(
+        f"{cfg.scale_gamma} fields x {len(lattice)} exponent triples"))
+    rows.row("/triangle", worst_tri, "gamma-normability",
+             "r=1 renorming satisfies the triangle inequality")
 
 
-def check_capacitary_embeddings(ctx: RunContext) -> List[Verdict]:
-    cid = "C06-capacitary-embeddings"
-    cfg = ctx.cfg
+@_check("C06-capacitary-embeddings", "capacitary-embedding-constants",
+        "capacitary-lorentz-spaces", "l1c-norm")
+def check_capacitary_embeddings(ctx: RunContext, rows: _Rows) -> None:
     rng = ctx.rng("c06")
     worst = -math.inf
-    failures = []
     cases = []
     for _ in range(10):
-        m = int(rng.integers(2, 17))
-        space = DiscreteMeasureSpace(rng.random(m) + 0.2)
+        space = _random_space(rng, 2, 17)
         oracle = ctx.finite_oracle(identity_problem(space))
         cases.append((oracle, _random_field(rng, space, levels=6)))
     g1 = ctx.grid_oracle(1)
@@ -549,57 +597,44 @@ def check_capacitary_embeddings(ctx: RunContext) -> List[Verdict]:
             slack = 1.0 + 50.0 * max(strong.max_gap, weak.max_gap, l1c.max_gap)
             bound_weak = q ** (1.0 / q) * strong.value * slack + 1e-30
             bound_l1 = q ** ((1.0 - q) / q) * strong.value * slack + 1e-30
-            worst = max(worst,
-                        weak.value / bound_weak if bound_weak else 0.0,
-                        l1c.value / bound_l1 if bound_l1 else 0.0)
+            worst = max(worst, weak.value / bound_weak, l1c.value / bound_l1)
             if weak.value > bound_weak:
-                failures.append(f"weak q={q}")
+                rows.fail(f"weak q={q}")
             if l1c.value > bound_l1:
-                failures.append(f"l1c q={q}")
-    status = "fail" if failures else "pass"
-    return [
-        Verdict(cid, status, worst, "capacitary-embedding-constants",
-                "; ".join(sorted(set(failures))) or
-                "q^(1/q) and q^((1-q)/q) constants, q in {1/2, 3/4, 1}"),
-        Verdict(cid + "/spaces", status, worst, "capacitary-lorentz-spaces",
-                "capacitary layer cakes over nested superlevel sets"),
-        Verdict(cid + "/l1c", status, worst, "l1c-norm",
-                "layer-cake capacity integral"),
-    ]
+                rows.fail(f"l1c q={q}")
+    rows.row("", worst, "capacitary-embedding-constants", rows.summary(
+        "q^(1/q) and q^((1-q)/q) constants, q in {1/2, 3/4, 1}"))
+    rows.row("/spaces", worst, "capacitary-lorentz-spaces",
+             "capacitary layer cakes over nested superlevel sets")
+    rows.row("/l1c", worst, "l1c-norm", "layer-cake capacity integral")
 
 
-def check_strichartz(ctx: RunContext) -> List[Verdict]:
-    cid = "C07-strichartz-localization"
+@_check("C07-strichartz-localization", "strichartz-localization")
+def check_strichartz(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c07")
     coarse = ctx.grid_oracle(1)
     fine = ctx.grid_oracle(1, N=cfg.grid_N * 2)
-    failures = []
     max_ratio = 0.0
     max_drift = 0.0
     sets = _grid_set_corpus(rng, coarse.space, cfg.scale_grid_sets + 2)
     for mask in sets:
         rep = strichartz_check(coarse, mask)
         if not rep.subadditive_ok:
-            failures.append("subadditivity")
+            rows.fail("subadditivity")
         if not math.isfinite(rep.ratio):
-            failures.append("ratio infinite")
+            rows.fail("ratio infinite")
         max_ratio = max(max_ratio, rep.ratio)
         fine_mask = _refine_mask(coarse.space, fine.space, mask)
         rep_f = strichartz_check(fine, fine_mask)
         drift = rep_f.ratio / rep.ratio if rep.ratio > 0 else math.inf
         max_drift = max(max_drift, drift, 1.0 / drift)
         if not (0.5 <= drift <= 2.0):
-            failures.append(f"refinement drift {drift:.3f}")
-    status = "fail" if failures else "pass"
-    return [
-        Verdict(cid, status, max_ratio, "strichartz-localization",
-                "; ".join(sorted(set(failures))) or
-                "cap(E) <= sum over unit cover; reverse ratio recorded"),
-        Verdict(cid + "/reverse-constant", "recorded", max_ratio,
-                "strichartz-localization",
-                f"max localized-sum ratio; drift {max_drift:.3f}"),
-    ]
+            rows.fail(f"refinement drift {drift:.3f}")
+    rows.row("", max_ratio, "strichartz-localization", rows.summary(
+        "cap(E) <= sum over unit cover; reverse ratio recorded"))
+    rows.row("/reverse-constant", max_ratio, "strichartz-localization",
+             f"max localized-sum ratio; drift {max_drift:.3f}", "recorded")
 
 
 def _refine_mask(coarse: Grid, fine: Grid, mask: SetMask) -> SetMask:
@@ -610,11 +645,10 @@ def _refine_mask(coarse: Grid, fine: Grid, mask: SetMask) -> SetMask:
     return SetMask(fine, np.kron(b, np.ones((factor, factor), dtype=bool)).ravel())
 
 
-def check_sobolev_bounds(ctx: RunContext) -> List[Verdict]:
-    cid = "C08-sobolev-lower-bounds"
+@_check("C08-sobolev-lower-bounds", "sobolev-lower-bounds")
+def check_sobolev_bounds(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c08")
-    failures = []
     recorded = []
     configs = [
         (1, cfg.alpha, 2.0, (0.5, 1.0)),            # alpha*s = n
@@ -631,17 +665,17 @@ def check_sobolev_bounds(ctx: RunContext) -> List[Verdict]:
             for eps in eps_list:
                 rep = lebesgue_lower_bound_check(coarse, mask, eps)
                 if not math.isfinite(rep.ratio):
-                    failures.append("ratio infinite")
+                    rows.fail("ratio infinite")
                 rep_f = lebesgue_lower_bound_check(fine, fine_mask, eps)
                 drift = rep_f.ratio / rep.ratio if rep.ratio > 0 else math.inf
                 if not (0.5 <= drift <= 2.0):
-                    failures.append(f"drift {drift:.3f} (eps={eps})")
+                    rows.fail(f"drift {drift:.3f} (eps={eps})")
                 recorded.append(rep.ratio)
     # window enforcement: epsilon below the admissible floor must be rejected
     o = ctx.grid_oracle(1, alpha=cfg.alpha, s=1.5)
     try:
         lebesgue_lower_bound_check(o, _interval_mask(o.space, 0.0, 1.0), 0.1)
-        failures.append("window not enforced")
+        rows.fail("window not enforced")
     except ValueError:
         pass
     # square set on the plane: ratio recorded with one refinement
@@ -653,16 +687,11 @@ def check_sobolev_bounds(ctx: RunContext) -> List[Verdict]:
         o2f, _refine_mask(o2.space, o2f.space, sq), 0.5)
     drift2 = rep2f.ratio / rep2.ratio if rep2.ratio > 0 else math.inf
     if not (0.5 <= drift2 <= 2.0):
-        failures.append(f"plane drift {drift2:.3f}")
-    status = "fail" if failures else "pass"
-    return [
-        Verdict(cid, status, max(recorded) if recorded else 0.0,
-                "sobolev-lower-bounds",
-                "; ".join(sorted(set(failures))) or
-                "|E|^eps / cap(E) finite and refinement-stable"),
-        Verdict(cid + "/plane", status, rep2.ratio, "sobolev-lower-bounds",
-                f"unit square, eps=1/2, drift {drift2:.3f}"),
-    ]
+        rows.fail(f"plane drift {drift2:.3f}")
+    rows.row("", max(recorded, default=0.0), "sobolev-lower-bounds",
+             rows.summary("|E|^eps / cap(E) finite and refinement-stable"))
+    rows.row("/plane", rep2.ratio, "sobolev-lower-bounds",
+             f"unit square, eps=1/2, drift {drift2:.3f}")
 
 
 def _square_mask(grid: Grid, side: float) -> SetMask:
@@ -677,11 +706,10 @@ def _covering_dictionary(space, seed: int) -> mn.TestSetFamily:
     return mn.TestSetFamily.random_unions(6, seed=seed) + singles
 
 
-def check_pairing(ctx: RunContext) -> List[Verdict]:
-    cid = "C09-pairing-inequalities"
+@_check("C09-pairing-inequalities", "pairing-estimate",
+        "pairing-direction-weak", "pairing-direction-n")
+def check_pairing(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
-    failures = []
-    verdicts = []
 
     def corpus_ratios(seed_tag: str, p: float, q: float, count: int):
         """Grouped corpora drive the pairing harness, one oracle per group."""
@@ -695,12 +723,10 @@ def check_pairing(ctx: RunContext) -> List[Verdict]:
         while remaining > 0:
             batch = min(10, remaining)
             remaining -= batch
-            m = int(rng.integers(4, 17))
             if group_index % 2 == 0:
-                problem = identity_problem(
-                    DiscreteMeasureSpace(rng.random(m) + 0.2))
+                problem = identity_problem(_random_space(rng, 4, 17))
             else:
-                problem = _random_finite_problem(rng, m)
+                problem = _random_finite_problem(rng, int(rng.integers(4, 17)))
             group_index += 1
             space = problem.space
             oracle = ctx.finite_oracle(problem)
@@ -723,42 +749,34 @@ def check_pairing(ctx: RunContext) -> List[Verdict]:
 
     ratios22, gap22 = corpus_ratios("c09-22-a", 2.0, 2.0, cfg.scale_pairs)
     if not ratios22:
-        failures.append("empty corpus")
+        rows.fail("empty corpus")
     bound = 1.0 + 10.0 * max(gap22, 1e-12)
     bad = [r for r in ratios22 if r > bound]
     if bad:
-        failures.append(f"p=q=2 ratio {max(bad):.6f}")
-    verdicts.append(Verdict(cid, "fail" if failures else "pass",
-                            max(ratios22, default=0.0), "pairing-estimate",
-                            "; ".join(failures[:3]) or
-                            f"{len(ratios22)} pairs at p=q=2, bound 1+10*gap"))
+        rows.fail(f"p=q=2 ratio {max(bad):.6f}")
+    rows.row("", max(ratios22, default=0.0), "pairing-estimate", rows.summary(
+        f"{len(ratios22)} pairs at p=q=2, bound 1+10*gap"))
 
-    stab_fail = []
+    unstable = _Tally()
     for (p, q) in ((3.0, 2.0), (2.0, 3.0)):
         r_a, _ = corpus_ratios(f"c09-{p}-{q}-a", p, q, max(cfg.scale_pairs // 4, 5))
         r_b, _ = corpus_ratios(f"c09-{p}-{q}-b", p, q, max(cfg.scale_pairs // 4, 5))
         hi_a, hi_b = max(r_a), max(r_b)
         ratio = hi_a / hi_b if hi_b > 0 else math.inf
         if not (0.5 <= ratio <= 2.0):
-            stab_fail.append(f"(p,q)=({p},{q})")
-        verdicts.append(Verdict(f"{cid}/recorded-p{p}-q{q}", "recorded",
-                                max(hi_a, hi_b), "pairing-estimate",
-                                f"corpus maxima {hi_a:.4f}/{hi_b:.4f}"))
-    if stab_fail:
-        verdicts.append(Verdict(cid + "/seed-stability", "fail",
-                                float(len(stab_fail)), "pairing-estimate",
-                                "; ".join(stab_fail)))
-    else:
-        verdicts.append(Verdict(cid + "/seed-stability", "pass", 1.0,
-                                "pairing-estimate", "maxima within 2x across seeds"))
+            unstable.fail(f"(p,q)=({p},{q})")
+        rows.row(f"/recorded-p{p}-q{q}", max(hi_a, hi_b), "pairing-estimate",
+                 f"corpus maxima {hi_a:.4f}/{hi_b:.4f}", "recorded")
+    rows.row("/seed-stability", float(len(unstable.failures)) or 1.0,
+             "pairing-estimate", unstable.summary("maxima within 2x across seeds"),
+             unstable.status())
 
     # weak route: script blocks with q <= 1 against the weak estimate
     rng = ctx.rng("c09-weak")
     p, qb = 2.0, 1.0
     weak_ratios = []
     for _ in range(max(cfg.scale_pairs // 25, 2)):
-        m = int(rng.integers(4, 13))
-        space = DiscreteMeasureSpace(rng.random(m) + 0.2)
+        space = _random_space(rng, 4, 13)
         oracle = ctx.finite_oracle(identity_problem(space))
         e_blocks = LorentzExponents(p / (p - 1.0), qb)
         pairs = []
@@ -777,10 +795,9 @@ def check_pairing(ctx: RunContext) -> List[Verdict]:
             [], LorentzExponents(p, p), oracle,
             weak_pairs=pairs, weak_estimator=weak_est)
         weak_ratios.extend(rep.weak_ratios)
-    verdicts.append(Verdict(cid + "/weak-blocks", "recorded",
-                            max(weak_ratios) if weak_ratios else 0.0,
-                            "pairing-direction-weak",
-                            f"{len(weak_ratios)} script-block pairs, q=1"))
+    rows.row("/weak-blocks", max(weak_ratios, default=0.0),
+             "pairing-direction-weak",
+             f"{len(weak_ratios)} script-block pairs, q=1", "recorded")
 
     # weighted-infimum route: pair against the upper estimate of the dual norm
     rng = ctx.rng("c09-n")
@@ -811,18 +828,15 @@ def check_pairing(ctx: RunContext) -> List[Verdict]:
         rep = bl.pairing_inequality_suite([], e, oracle, m_est,
                                           nnorm_pairs=triples)
         n_ratios.extend(rep.nnorm_ratios)
-    verdicts.append(Verdict(cid + "/n-route", "recorded",
-                            max(n_ratios) if n_ratios else 0.0,
-                            "pairing-direction-n",
-                            f"{len(n_ratios)} pairs vs weighted upper bounds"))
-    return verdicts
+    rows.row("/n-route", max(n_ratios, default=0.0), "pairing-direction-n",
+             f"{len(n_ratios)} pairs vs weighted upper bounds", "recorded")
 
 
-def check_block_decomposition(ctx: RunContext) -> List[Verdict]:
-    cid = "C10-block-decomposition"
+@_check("C10-block-decomposition", "block-decomposition-constructive",
+        "block-space-definitions", "level-sum-bound", "block-solidity")
+def check_block_decomposition(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c10")
-    failures = []
     worst_norm_dev = 0.0
     worst_resid = 0.0
     sum_ratios = []
@@ -835,17 +849,16 @@ def check_block_decomposition(ctx: RunContext) -> List[Verdict]:
         for lam, blk in decomp.terms:
             worst_norm_dev = max(worst_norm_dev, abs(blk.normalization - 1.0))
             if abs(blk.normalization - 1.0) > 1e-12:
-                failures.append("block not tight")
+                rows.fail("block not tight")
         scale = float(np.abs(f.values).max(initial=0.0))
         worst_resid = max(worst_resid, decomp.residual / max(scale, 1e-300))
         if decomp.residual > 1e-9 * max(scale, 1e-300):
-            failures.append("reconstruction")
+            rows.fail("reconstruction")
         return decomp
 
     # finite models
     for _ in range(8):
-        m = int(rng.integers(6, 25))
-        space = DiscreteMeasureSpace(rng.random(m) + 0.2)
+        space = _random_space(rng, 6, 25)
         oracle = ctx.finite_oracle(identity_problem(space))
         wgt = wt.potential_weight(oracle, _random_mask(rng, space), wcfg)
         f = _random_field(rng, space)
@@ -861,7 +874,7 @@ def check_block_decomposition(ctx: RunContext) -> List[Verdict]:
         slack = 1.0 + 50.0 * max(oracle.params.tol, 1e-12)
         level_ratios.append(rep.ratio)
         if rep.ratio > 4.0 * slack:
-            failures.append(f"level sum {rep.ratio:.3f}")
+            rows.fail(f"level sum {rep.ratio:.3f}")
 
     # grid instance
     g1 = ctx.grid_oracle(1)
@@ -872,7 +885,7 @@ def check_block_decomposition(ctx: RunContext) -> List[Verdict]:
     rep = wt.level_sum_check(wgt.field, g1, l1c_levels=cfg.l1c_levels)
     level_ratios.append(rep.ratio)
     if rep.ratio > 4.0 * (1.0 + 50.0 * cfg.tol):
-        failures.append(f"grid level sum {rep.ratio:.3f}")
+        rows.fail(f"grid level sum {rep.ratio:.3f}")
 
     # greedy route: a tight block in the dictionary peels in one step
     space = DiscreteMeasureSpace(np.ones(8))
@@ -887,7 +900,7 @@ def check_block_decomposition(ctx: RunContext) -> List[Verdict]:
     dictionary = mn.TestSetFamily.explicit([support, SetMask.full(space)])
     gdec = bl.block_norm_upper_greedy(tight, e, dictionary, oracle)
     if gdec.sum_lambda > 1.0 + 1e-9:
-        failures.append("greedy tight block")
+        rows.fail("greedy tight block")
 
     # solidity transport
     f = _random_field(rng, space)
@@ -897,31 +910,25 @@ def check_block_decomposition(ctx: RunContext) -> List[Verdict]:
     g = Field(space, f.values * damp)
     moved = bl.transport_decomposition(decomp_f, g, oracle)
     if moved.sum_lambda > decomp_f.sum_lambda * (1.0 + 1e-12):
-        failures.append("transport coefficients")
+        rows.fail("transport coefficients")
 
-    status = "fail" if failures else "pass"
-    return [
-        Verdict(cid, status, worst_norm_dev, "block-decomposition-constructive",
-                "; ".join(sorted(set(failures))) or
-                "tight blocks, exact reconstruction"),
-        Verdict(cid + "/definitions", status, worst_resid,
-                "block-space-definitions",
-                "support and normalization validated per block"),
-        Verdict(cid + "/sum-ratio", "recorded",
-                max(sum_ratios) if sum_ratios else 0.0, "block-decomposition-constructive",
-                "sum|lambda| / weighted norm, p < q corpus"),
-        Verdict(cid + "/level-sum", status,
-                max(level_ratios) if level_ratios else 0.0, "level-sum-bound",
-                "dyadic level sum <= 4x the layer-cake norm"),
-        Verdict(cid + "/solidity", status, 0.0, "block-solidity",
-                "transported decompositions keep coefficients"),
-    ]
+    rows.row("", worst_norm_dev, "block-decomposition-constructive",
+             rows.summary("tight blocks, exact reconstruction"))
+    rows.row("/definitions", worst_resid, "block-space-definitions",
+             "support and normalization validated per block")
+    rows.row("/sum-ratio", max(sum_ratios, default=0.0),
+             "block-decomposition-constructive",
+             "sum|lambda| / weighted norm, p < q corpus", "recorded")
+    rows.row("/level-sum", max(level_ratios), "level-sum-bound",
+             "dyadic level sum <= 4x the layer-cake norm")
+    rows.row("/solidity", 0.0, "block-solidity",
+             "transported decompositions keep coefficients")
 
 
-def check_weight_characterization(ctx: RunContext) -> List[Verdict]:
-    cid = "C11-weight-characterization"
+@_check("C11-weight-characterization", "weight-characterization",
+        "weight-averaging")
+def check_weight_characterization(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
-    failures = []
     worst_margin = math.inf
     ratios = {}
     wcfg = wt.WeightConfig(delta=cfg.delta, slack=cfg.slack,
@@ -947,17 +954,17 @@ def check_weight_characterization(ctx: RunContext) -> List[Verdict]:
                                         wcfg, weight_for=cached_weight)
             worst_margin = min(worst_margin, rep.per_set_margin)
             if rep.per_set_margin < -1e-9 * max(rep.sets_form, 1.0):
-                failures.append(f"margin (p,q)=({p},{q})")
+                rows.fail(f"margin (p,q)=({p},{q})")
             ratios.setdefault((p, q), []).append(rep.ratio_ws)
             ratios_back.setdefault((p, q), []).append(rep.ratio_sw)
     for key, pair in ratios.items():
         r = pair[0] / pair[1] if pair[1] > 0 else math.inf
         if not (0.5 <= r <= 2.0):
-            failures.append(f"seed stability {key}")
+            rows.fail(f"seed stability {key}")
 
     # averaging keeps the sublinearity bound on the local-A1 constant
     rng = ctx.rng("c11-avg")
-    avg_fail = 0
+    averaging = _Tally()
     for _ in range(6):
         m1 = _grid_set_corpus(rng, grid, 1)[0]
         m2 = _grid_set_corpus(rng, grid, 1)[0]
@@ -966,40 +973,30 @@ def check_weight_characterization(ctx: RunContext) -> List[Verdict]:
         lam = float(rng.uniform(0.2, 0.8))
         mixed = wt.average_weights([(lam, w1), (1.0 - lam, w2)], g1, wcfg)
         if mixed.a1_constant > max(w1.a1_constant, w2.a1_constant) + 1e-10:
-            avg_fail += 1
-    if avg_fail:
-        failures.append("averaging constant")
-    status = "fail" if failures else "pass"
+            averaging.fail("averaging constant")
+    rows.failures.extend(averaging.failures)
     sup_ratio = max(max(v) for v in ratios.values())
-    return [
-        Verdict(cid, status, worst_margin, "weight-characterization",
-                "; ".join(sorted(set(failures))) or
-                "per-set potential-weight lower bound, banded"),
-        Verdict(cid + "/forms-ratio", "recorded", sup_ratio,
-                "weight-characterization",
-                "two-sided: w/s max "
-                f"{sup_ratio:.4f}, s/w max "
-                f"{max(max(v) for v in ratios_back.values()):.4f}"),
-        Verdict(cid + "/averaging", "pass" if not avg_fail else "fail",
-                float(avg_fail), "weight-averaging",
-                "a1 of convex averages below the max of the parts"),
-    ]
+    rows.row("", worst_margin, "weight-characterization",
+             rows.summary("per-set potential-weight lower bound, banded"))
+    rows.row("/forms-ratio", sup_ratio, "weight-characterization",
+             "two-sided: w/s max "
+             f"{sup_ratio:.4f}, s/w max "
+             f"{max(max(v) for v in ratios_back.values()):.4f}", "recorded")
+    rows.row("/averaging", float(len(averaging.failures)), "weight-averaging",
+             "a1 of convex averages below the max of the parts",
+             averaging.status())
 
 
-def check_trace_formula(ctx: RunContext) -> List[Verdict]:
-    cid = "C12-trace-formula"
+@_check("C12-trace-formula", "trace-threshold-equality", "trace-class")
+def check_trace_formula(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c12")
-    failures = []
     worst = 0.0
     for i in range(cfg.scale_trace):
         if i % 5 == 4:
-            m = int(rng.integers(3, 8))
-            problem = _random_finite_problem(rng, m)
+            problem = _random_finite_problem(rng, int(rng.integers(3, 8)))
         else:
-            m = int(rng.integers(2, 13))
-            problem = identity_problem(
-                DiscreteMeasureSpace(rng.random(m) + 0.2))
+            problem = identity_problem(_random_space(rng, 2, 13))
         oracle = ctx.finite_oracle(problem)
         masses = rng.standard_normal(problem.space.size) * 3.0
         mu = bl.AtomicMeasure(problem.space, masses)
@@ -1009,32 +1006,24 @@ def check_trace_formula(ctx: RunContext) -> List[Verdict]:
         dev = abs(sup_form.value - inf_form)
         worst = max(worst, dev)
         if dev > 1e-9 * max(sup_form.value, 1.0) + gap_slack:
-            failures.append(f"dev {dev:.2e}")
-    status = "fail" if failures else "pass"
-    return [
-        Verdict(cid, status, worst, "trace-threshold-equality",
-                "; ".join(failures[:3]) or
-                f"{cfg.scale_trace} measures, sup form vs threshold form"),
-        Verdict(cid + "/class", status, worst, "trace-class",
-                "total-variation-to-capacity suprema"),
-    ]
+            rows.fail(f"dev {dev:.2e}")
+    rows.row("", worst, "trace-threshold-equality", rows.summary(
+        f"{cfg.scale_trace} measures, sup form vs threshold form"))
+    rows.row("/class", worst, "trace-class",
+             "total-variation-to-capacity suprema")
 
 
-def check_kothe_oracle(ctx: RunContext) -> List[Verdict]:
-    cid = "C13-kothe-oracle"
+@_check("C13-kothe-oracle", "kothe-duality")
+def check_kothe_oracle(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
-    failures = []
     worst = 0.0
     ratio_stats = []
     for tag in ("a", "b"):
         rng = ctx.rng(f"c13-{tag}")
         ratios = []
         for i in range(max(cfg.scale_kothe // 2, 2)):
-            m = int(rng.integers(2, 7))
-            space = DiscreteMeasureSpace(rng.random(m) + 0.2)
+            space = _random_space(rng, 2, 7)
             f = _random_field(rng, space)
-            if float(np.abs(f.values).max()) == 0.0:
-                continue
             p = (2.0, 3.0)[i % 2]
             e = LorentzExponents(p, p)
             dual = bl.kothe_dual_norm_bruteforce(
@@ -1044,35 +1033,28 @@ def check_kothe_oracle(ctx: RunContext) -> List[Verdict]:
             dev = abs(dual.value - target) / max(target, 1e-300)
             worst = max(worst, dev)
             if dev > 1e-6:
-                failures.append(f"sharpness {dev:.2e}")
+                rows.fail(f"sharpness {dev:.2e}")
             # p != q: two-sided comparison constants are recorded
             pq = LorentzExponents(2.5, 1.5)
             dual2 = bl.kothe_dual_norm_bruteforce(
                 f, bl.lorentz_norm_batch(space, LorentzExponents(
                     pq.p_conj, pq.q_conj)), seed=int(rng.integers(2**31)))
-            base = lorentz_norm(f, pq)
-            if base > 0:
-                ratios.append(dual2.value / base)
-        if not ratios:
-            ratios = [1.0]
+            ratios.append(dual2.value / lorentz_norm(f, pq))
         ratio_stats.append((min(ratios), max(ratios)))
     (lo_a, hi_a), (lo_b, hi_b) = ratio_stats
     if not (0.5 <= hi_a / hi_b <= 2.0) or not (0.5 <= lo_a / lo_b <= 2.0):
-        failures.append("ratio stability")
-    status = "fail" if failures else "pass"
-    return [
-        Verdict(cid, status, worst, "kothe-duality",
-                "; ".join(failures[:3]) or
-                "p=q sharpness 1e-6; p!=q constants recorded"),
-        Verdict(cid + "/ratio-band", "recorded", hi_a, "kothe-duality",
-                f"p!=q two-sided band [{min(lo_a, lo_b):.4f}, {max(hi_a, hi_b):.4f}]"),
-    ]
+        rows.fail("ratio stability")
+    rows.row("", worst, "kothe-duality",
+             rows.summary("p=q sharpness 1e-6; p!=q constants recorded"))
+    rows.row("/ratio-band", hi_a, "kothe-duality",
+             f"p!=q two-sided band [{min(lo_a, lo_b):.4f}, {max(hi_a, hi_b):.4f}]",
+             "recorded")
 
 
-def check_maximal(ctx: RunContext) -> List[Verdict]:
-    cid = "C14-maximal-probes"
+@_check("C14-maximal-probes", "maximal-boundedness-probe",
+        "local-maximal-operator", "a1loc-class", "n-space-definition")
+def check_maximal(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
-    failures = []
     g1 = ctx.grid_oracle(1)
     grid = g1.space
     rng = ctx.rng("c14")
@@ -1081,20 +1063,20 @@ def check_maximal(ctx: RunContext) -> List[Verdict]:
     for c in (0.7, 1.0, 3.5):
         out = wt.local_maximal(grid, Field(grid, np.full(grid.size, c)))
         if np.abs(out.values - c).max() > 1e-12:
-            failures.append("constant not fixed")
+            rows.fail("constant not fixed")
     for _ in range(20):
         f = _random_field(rng, grid)
         mf = wt.local_maximal(grid, f)
         if mf.values.max() > np.abs(f.values).max() * (1.0 + 1e-12) + 1e-15:
-            failures.append("sup bound")
+            rows.fail("sup bound")
         g = _random_field(rng, grid)
         both = wt.local_maximal(grid, Field(grid, f.values + g.values))
         apart = wt.local_maximal(grid, f).values + wt.local_maximal(grid, g).values
         if np.any(both.values > apart + 1e-12):
-            failures.append("sublinearity")
+            rows.fail("sublinearity")
 
     if abs(wt.a1loc_constant(grid, Field(grid, np.ones(grid.size))) - 1.0) > 1e-12:
-        failures.append("a1 of constant")
+        rows.fail("a1 of constant")
 
     # local-A1 calibration over potential weights
     wcfg = wt.WeightConfig(delta=cfg.delta, slack=cfg.slack,
@@ -1121,12 +1103,12 @@ def check_maximal(ctx: RunContext) -> List[Verdict]:
 
         rep = wt.maximal_boundedness_probe(grid, corpus, m_est, n_est)
         if not (math.isfinite(rep.m_max) and math.isfinite(rep.n_max)):
-            failures.append("probe infinite")
+            rows.fail("probe infinite")
         probe_max[tag] = rep
     stab = probe_max["a"].m_max / probe_max["b"].m_max \
         if probe_max["b"].m_max > 0 else math.inf
     if not (0.5 <= stab <= 2.0):
-        failures.append(f"probe stability {stab:.3f}")
+        rows.fail(f"probe stability {stab:.3f}")
 
     # sweep the exponent ratio p/q and record where the ratios sit; no
     # window boundary is claimed, only the measured degradation profile
@@ -1142,31 +1124,38 @@ def check_maximal(ctx: RunContext) -> List[Verdict]:
             lambda f, es=es: mn.m_norm(f, es, mn.default_grid_family(f), g1))
         sweep[p_over_q] = rep.m_max
         if not math.isfinite(rep.m_max):
-            failures.append(f"sweep p/q={p_over_q}")
-    status = "fail" if failures else "pass"
-    return [
-        Verdict(cid, status, probe_max["a"].m_max, "maximal-boundedness-probe",
-                "; ".join(sorted(set(failures))) or
-                "multiplier-estimate ratios under the maximal operator"),
-        Verdict(cid + "/window-sweep", "recorded", max(sweep.values()),
-                "maximal-boundedness-probe",
-                "ratios at p/q in {1, 1.25, 1.5}: " +
-                ", ".join(f"{k}:{v:.4f}" for k, v in sweep.items())),
-        Verdict(cid + "/operator", status, 0.0, "local-maximal-operator",
-                "constants fixed, sup bound, sublinearity"),
-        Verdict(cid + "/a1-calibration", "recorded", a1_max, "a1loc-class",
-                "corpus maximum of potential-weight constants"),
-        Verdict(cid + "/n-upper", status, probe_max["a"].n_max,
-                "n-space-definition",
-                "weighted-infimum upper bounds under the maximal operator"),
-    ]
+            rows.fail(f"sweep p/q={p_over_q}")
+    rows.row("", probe_max["a"].m_max, "maximal-boundedness-probe",
+             rows.summary("multiplier-estimate ratios under the maximal operator"))
+    rows.row("/window-sweep", max(sweep.values()), "maximal-boundedness-probe",
+             "ratios at p/q in {1, 1.25, 1.5}: " +
+             ", ".join(f"{k}:{v:.4f}" for k, v in sweep.items()), "recorded")
+    rows.row("/operator", 0.0, "local-maximal-operator",
+             "constants fixed, sup bound, sublinearity")
+    rows.row("/a1-calibration", a1_max, "a1loc-class",
+             "corpus maximum of potential-weight constants", "recorded")
+    rows.row("/n-upper", probe_max["a"].n_max, "n-space-definition",
+             "weighted-infimum upper bounds under the maximal operator")
 
 
-def check_multiplier_invariants(ctx: RunContext) -> List[Verdict]:
-    cid = "C16-multiplier-invariants"
+@_check("C15-determinism", "artifact-determinism")
+def check_determinism(ctx: RunContext, rows: _Rows) -> None:
+    spec = SuiteSpec("determinism-core", ctx.cfg.quick())
+    first = _render_csv(run_suite(spec))
+    if _render_csv(run_suite(spec)) != first:
+        rows.fail("verdict CSV differs between runs")
+    rows.row("", float(len(first)), "artifact-determinism",
+             "bytewise-identical verdict CSV across two runs")
+
+
+@_check("C16-multiplier-invariants", "multiplier-norm-definitions",
+        "script-multiplier-coincidence", "weak-multiplier-identity",
+        "norm-switching-suprema", "linf-embedding",
+        "lorentz-embedding-r-le-q", "quasi-norm-axioms", "fatou-monotone",
+        "r-convexity")
+def check_multiplier_invariants(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c16")
-    failures = []
     space = DiscreteMeasureSpace(rng.random(6) + 0.3)
     oracle = ctx.finite_oracle(identity_problem(space))
     allfam = mn.TestSetFamily.all_subsets()
@@ -1176,16 +1165,16 @@ def check_multiplier_invariants(ctx: RunContext) -> List[Verdict]:
     chiA = Field(space, A.bools.astype(float))
     est = mn.m_norm(chiA, LorentzExponents(2.0, 2.0), allfam, oracle)
     if abs(est.value - 1.0) > 1e-12 or not est.witness.issubset(A):
-        failures.append("counting exactness")
+        rows.fail("counting exactness")
     if est.mode != "exact":
-        failures.append("exactness tag")
+        rows.fail("exactness tag")
 
     # p = q: both multiplier norms coincide
     f = _random_field(rng, space)
     e = LorentzExponents(2.0, 2.0)
     if abs(mn.m_norm(f, e, allfam, oracle).value -
            mn.script_m_norm(f, e, allfam, oracle).value) > 1e-15:
-        failures.append("p=q coincidence")
+        rows.fail("p=q coincidence")
 
     # weak two-form identity (raises internally on disagreement)
     mn.weak_script_m_norm(f, 2.0, allfam, oracle)
@@ -1194,10 +1183,10 @@ def check_multiplier_invariants(ctx: RunContext) -> List[Verdict]:
     sub = mn.TestSetFamily.random_unions(6, seed=cfg.master_seed)
     est_sub = mn.m_norm(f, e, sub, oracle)
     if est_sub.value > mn.m_norm(f, e, allfam, oracle).value * (1 + 1e-15):
-        failures.append("all-subsets domination")
+        rows.fail("all-subsets domination")
     bigger = sub + mn.TestSetFamily.superlevels()
     if mn.m_norm(f, e, bigger, oracle).value < est_sub.value * (1 - 1e-15):
-        failures.append("family monotonicity")
+        rows.fail("family monotonicity")
 
     # bounded fields: per-set domination by the sup norm
     for mask in allfam.sets(space):
@@ -1205,7 +1194,7 @@ def check_multiplier_invariants(ctx: RunContext) -> List[Verdict]:
         rhs = (e.p / e.q) ** (1.0 / e.q) * np.abs(f.values).max() * \
             mask.measure ** (1.0 / e.p)
         if lhs > rhs * (1 + 1e-12):
-            failures.append("sup-norm domination")
+            rows.fail("sup-norm domination")
             break
 
     # embedding across secondary exponents: ratios below the explicit
@@ -1218,32 +1207,25 @@ def check_multiplier_invariants(ctx: RunContext) -> List[Verdict]:
         rnge = ctx.rng(f"c16-emb-{tag}")
         hi = 0.0
         for _ in range(cfg.scale_fields):
-            m = int(rnge.integers(2, 33))
-            sp = DiscreteMeasureSpace(rnge.random(m) + 0.2)
-            ff = _random_field(rnge, sp)
-            a = lorentz_norm(ff, LorentzExponents(pe, qe))
-            b = lorentz_norm(ff, LorentzExponents(pe, re_))
-            if b > 0:
-                hi = max(hi, a / b)
+            ff = _random_field(rnge, _random_space(rnge, 2, 33))
+            hi = max(hi, lorentz_norm(ff, LorentzExponents(pe, qe)) /
+                     lorentz_norm(ff, LorentzExponents(pe, re_)))
         emb[tag] = hi
         if hi > emb_cap * (1 + 1e-12):
-            failures.append(f"embedding constant exceeded ({hi:.6f})")
+            rows.fail(f"embedding constant exceeded ({hi:.6f})")
     if not (0.5 <= emb["a"] / emb["b"] <= 2.0):
-        failures.append("embedding stability")
+        rows.fail("embedding stability")
 
     # quasi-triangle constant, measured
     kappa = 0.0
     rngk = ctx.rng("c16-kappa")
     for _ in range(cfg.scale_fields):
-        m = int(rngk.integers(2, 17))
-        sp = DiscreteMeasureSpace(rngk.random(m) + 0.2)
+        sp = _random_space(rngk, 2, 17)
         f1, f2 = _random_field(rngk, sp), _random_field(rngk, sp)
         p, q = (2.0, 0.5) if rngk.random() < 0.5 else (2.0, 2.0)
         e2 = LorentzExponents(p, q)
         s12 = lorentz_norm(Field(sp, f1.values + f2.values), e2)
-        denom = lorentz_norm(f1, e2) + lorentz_norm(f2, e2)
-        if denom > 0:
-            kappa = max(kappa, s12 / denom)
+        kappa = max(kappa, s12 / (lorentz_norm(f1, e2) + lorentz_norm(f2, e2)))
 
     # monotone limits commute with the closed form
     fpos = Field(space, np.abs(_random_field(rng, space).values))
@@ -1251,7 +1233,7 @@ def check_multiplier_invariants(ctx: RunContext) -> List[Verdict]:
     norms = [lorentz_norm(Field(space, np.minimum(fpos.values, c)), e)
              for c in cuts] + [lorentz_norm(fpos, e)]
     if np.any(np.diff(norms) < -1e-12) or abs(norms[-2] - norms[-1]) > 1e-12:
-        failures.append("monotone convergence")
+        rows.fail("monotone convergence")
 
     # r-convexity transfers from the norm level to the estimates
     rconv_fail = 0
@@ -1268,9 +1250,8 @@ def check_multiplier_invariants(ctx: RunContext) -> List[Verdict]:
                      for g in fs]
             mix = Field(space, sum(p_.values for p_ in parts))
             e_low = LorentzExponents(p / r, q / r)
-            denom = sum(lorentz_norm(p_, e_low) for p_ in parts)
-            if denom > 0:
-                kap_r = max(kap_r, lorentz_norm(mix, e_low) / denom)
+            kap_r = max(kap_r, lorentz_norm(mix, e_low) /
+                        sum(lorentz_norm(p_, e_low) for p_ in parts))
     kappa_est = kap_r ** (1.0 / r) * (1.0 + 1e-9)
     for fs in tuples:
         mix = Field(space, (sum(np.abs(g.values) ** r for g in fs)) ** (1.0 / r))
@@ -1280,39 +1261,33 @@ def check_multiplier_invariants(ctx: RunContext) -> List[Verdict]:
         if lhs > rhs * (1 + 1e-12):
             rconv_fail += 1
     if rconv_fail:
-        failures.append(f"r-convexity ({rconv_fail})")
+        rows.fail(f"r-convexity ({rconv_fail})")
 
-    status = "fail" if failures else "pass"
-    return [
-        Verdict(cid, status, float(len(failures)), "multiplier-norm-definitions",
-                "; ".join(sorted(set(failures))) or "finite-model estimator laws"),
-        Verdict(cid + "/script", status, 0.0, "script-multiplier-coincidence",
-                "p=q collapse of the two capacity exponents"),
-        Verdict(cid + "/weak-identity", status, 0.0, "weak-multiplier-identity",
-                "breakpoint form equals per-set weak form"),
-        Verdict(cid + "/norm-switching", status, 0.0, "norm-switching-suprema",
-                "all-subsets supremum dominates every family"),
-        Verdict(cid + "/linf", status, 0.0, "linf-embedding",
-                "per-set sup-norm domination"),
-        Verdict(cid + "/embedding", status, max(emb.values()),
-                "lorentz-embedding-r-le-q",
-                f"norm ratio maxima vs constant {emb_cap:.6f}"),
-        Verdict(cid + "/kappa", "recorded", kappa, "quasi-norm-axioms",
-                "measured quasi-triangle constant"),
-        Verdict(cid + "/fatou", status, 0.0, "fatou-monotone",
-                "norms of increasing truncations converge upward"),
-        Verdict(cid + "/r-convex", status, float(rconv_fail), "r-convexity",
-                f"{cfg.scale_tuples} tuples with measured kappa"),
-    ]
+    rows.row("", float(len(rows.failures)), "multiplier-norm-definitions",
+             rows.summary("finite-model estimator laws"))
+    rows.row("/script", 0.0, "script-multiplier-coincidence",
+             "p=q collapse of the two capacity exponents")
+    rows.row("/weak-identity", 0.0, "weak-multiplier-identity",
+             "breakpoint form equals per-set weak form")
+    rows.row("/norm-switching", 0.0, "norm-switching-suprema",
+             "all-subsets supremum dominates every family")
+    rows.row("/linf", 0.0, "linf-embedding", "per-set sup-norm domination")
+    rows.row("/embedding", max(emb.values()), "lorentz-embedding-r-le-q",
+             f"norm ratio maxima vs constant {emb_cap:.6f}")
+    rows.row("/kappa", kappa, "quasi-norm-axioms",
+             "measured quasi-triangle constant", "recorded")
+    rows.row("/fatou", 0.0, "fatou-monotone",
+             "norms of increasing truncations converge upward")
+    rows.row("/r-convex", float(rconv_fail), "r-convexity",
+             f"{cfg.scale_tuples} tuples with measured kappa")
 
 
-def check_localization_diam1(ctx: RunContext) -> List[Verdict]:
-    cid = "C17-diam1-localization"
+@_check("C17-diam1-localization", "diam1-localization")
+def check_localization_diam1(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c17")
     g1 = ctx.grid_oracle(1)
     grid = g1.space
-    failures = []
     ratios = []
     e = LorentzExponents(2.0, 2.0)
     # a field inside one cover tile localizes with ratio one (up to gaps)
@@ -1321,29 +1296,26 @@ def check_localization_diam1(ctx: RunContext) -> List[Verdict]:
     vals = np.where(np.abs(x - 0.5) <= 0.4, f_in.values, 0.0)
     rep = mn.m_norm_local(Field(grid, vals), e, g1)
     if rep.local.value > rep.global_.value * (1 + 1e-12):
-        failures.append("local exceeds global")
+        rows.fail("local exceeds global")
     if not (1.0 - 1e-9 <= rep.ratio <= 1.0 + 1e-3):
-        failures.append(f"single-tile ratio {rep.ratio:.6f}")
+        rows.fail(f"single-tile ratio {rep.ratio:.6f}")
     for _ in range(cfg.scale_grid_sets):
         f = Field(grid, _bump_field(grid, rng.uniform(-3, 0), 0.5).values +
                   _bump_field(grid, rng.uniform(1, 3), 0.4).values)
         rep = mn.m_norm_local(f, e, g1)
         if rep.local.value > rep.global_.value * (1 + 1e-12):
-            failures.append("local exceeds global")
+            rows.fail("local exceeds global")
         if not math.isfinite(rep.ratio):
-            failures.append("ratio infinite")
+            rows.fail("ratio infinite")
         ratios.append(rep.ratio)
-    status = "fail" if failures else "pass"
-    return [Verdict(cid, status, max(ratios) if ratios else 1.0,
-                    "diam1-localization",
-                    "; ".join(sorted(set(failures))) or
-                    "unit-diameter suprema against unrestricted ones")]
+    rows.row("", max(ratios, default=1.0), "diam1-localization",
+             rows.summary("unit-diameter suprema against unrestricted ones"))
 
 
-def check_kernel_diagnostics(ctx: RunContext) -> List[Verdict]:
-    cid = "C18-kernel-diagnostics"
+@_check("C18-kernel-diagnostics", "bessel-kernel-spectral",
+        "convolution-pairing-symmetry")
+def check_kernel_diagnostics(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
-    failures = []
     from scipy.integrate import quad as _quad
     grids = [(1, cfg.grid_L, cfg.grid_N, cfg.alpha),
              (1, cfg.grid_L, cfg.grid_N, 1.0),
@@ -1353,19 +1325,19 @@ def check_kernel_diagnostics(ctx: RunContext) -> List[Verdict]:
         spec = bessel_kernel(grid, alpha)
         mass = spec.kernel.sum() * grid.cell_measure
         if abs(mass - 1.0) > 1e-10:
-            failures.append("mass")
+            rows.fail("mass")
         ker = spec.kernel.reshape(grid.shape)
         if n == 1:
             flipped = np.roll(ker[::-1], 1)
         else:
             flipped = np.roll(ker[::-1, ::-1], (1, 1), axis=(0, 1))
         if np.abs(ker - flipped).max() > 1e-15 * np.abs(ker).max():
-            failures.append("evenness")
+            rows.fail("evenness")
 
     # a too-coarse plane grid must be rejected with a clipped-mass diagnostic
     try:
         bessel_kernel(make_grid(2, 12.0, 64), 1.0)
-        failures.append("coarse grid accepted")
+        rows.fail("coarse grid accepted")
     except ValueError:
         pass
 
@@ -1381,7 +1353,7 @@ def check_kernel_diagnostics(ctx: RunContext) -> List[Verdict]:
         dev = abs(spec.kernel[j] - ref) / abs(ref)
         worst_quad = max(worst_quad, dev)
         if dev > 1e-4:
-            failures.append(f"quadrature x={x}")
+            rows.fail(f"quadrature x={x}")
 
     # pairing symmetry and monotonicity of the convolution
     rng = ctx.rng("c18")
@@ -1391,15 +1363,15 @@ def check_kernel_diagnostics(ctx: RunContext) -> List[Verdict]:
     rhs = pairing(f, convolve(grid, spec, g))
     scale = max(abs(lhs), abs(rhs), 1.0)
     if abs(lhs - rhs) > 1e-10 * scale:
-        failures.append("pairing symmetry")
+        rows.fail("pairing symmetry")
     a = Field(grid, np.abs(f.values))
     b = Field(grid, np.abs(f.values) + np.abs(g.values))
     if np.any(convolve(grid, spec, a).values >
               convolve(grid, spec, b).values + 1e-12):
-        failures.append("monotonicity")
+        rows.fail("monotonicity")
     ones = Field(grid, np.ones(grid.size))
     if np.abs(convolve(grid, spec, ones).values - 1.0).max() > 1e-10:
-        failures.append("unit response")
+        rows.fail("unit response")
 
     # refinement stability of smoothed indicators at fixed probes
     fine = make_grid(1, cfg.grid_L, cfg.grid_N * 2)
@@ -1415,32 +1387,16 @@ def check_kernel_diagnostics(ctx: RunContext) -> List[Verdict]:
         c0, f0 = conv_c.values[jc], conv_f.values[jf]
         drift = max(drift, abs(c0 - f0) / max(abs(c0), 1e-300))
     if drift > 0.05:
-        failures.append(f"refinement drift {drift:.3f}")
+        rows.fail(f"refinement drift {drift:.3f}")
 
-    status = "fail" if failures else "pass"
-    return [
-        Verdict(cid, status, worst_quad, "bessel-kernel-spectral",
-                "; ".join(sorted(set(failures))) or
-                "mass, evenness, quadrature oracle, clip rejection"),
-        Verdict(cid + "/symmetry", status, drift, "convolution-pairing-symmetry",
-                "self-adjoint pairing and refinement drift"),
-    ]
-
-
-def check_determinism(ctx: RunContext) -> List[Verdict]:
-    cid = "C15-determinism"
-    cfg = ctx.cfg.quick()
-    spec = SuiteSpec("determinism-core", cfg)
-    first = _render_csv(run_suite(spec))
-    second = _render_csv(run_suite(spec))
-    ok = first == second
-    return [Verdict(cid, "pass" if ok else "fail", float(len(first)),
-                    "artifact-determinism",
-                    "bytewise-identical verdict CSV across two runs")]
+    rows.row("", worst_quad, "bessel-kernel-spectral",
+             rows.summary("mass, evenness, quadrature oracle, clip rejection"))
+    rows.row("/symmetry", drift, "convolution-pairing-symmetry",
+             "self-adjoint pairing and refinement drift")
 
 
 # ---------------------------------------------------------------------------
-# Registry, suites, runner
+# Claims, suites, runner
 # ---------------------------------------------------------------------------
 
 REQUIRED_CLAIMS = [
@@ -1488,50 +1444,6 @@ REQUIRED_CLAIMS = [
     "weight-characterization",
 ]
 
-CHECKS: List = [
-    ("C01-capacity-certificates",
-     ("capacity-definition", "capacity-duality-certificate"),
-     check_capacity_certificates),
-    ("C02-equilibrium-identities",
-     ("equilibrium-identities", "nonlinear-potential"), check_equilibrium),
-    ("C03-monotone-subadditive",
-     ("capacity-set-function-axioms",), check_set_function_axioms),
-    ("C04-lorentz-engine",
-     ("lorentz-norm-definition", "power-identity"), check_lorentz_engine),
-    ("C05-gamma-sandwich", ("gamma-normability",), check_gamma_sandwich),
-    ("C06-capacitary-embeddings",
-     ("capacitary-embedding-constants", "capacitary-lorentz-spaces",
-      "l1c-norm"), check_capacitary_embeddings),
-    ("C07-strichartz-localization",
-     ("strichartz-localization",), check_strichartz),
-    ("C08-sobolev-lower-bounds", ("sobolev-lower-bounds",), check_sobolev_bounds),
-    ("C09-pairing-inequalities",
-     ("pairing-estimate", "pairing-direction-weak", "pairing-direction-n"),
-     check_pairing),
-    ("C10-block-decomposition",
-     ("block-decomposition-constructive", "block-space-definitions",
-      "level-sum-bound", "block-solidity"), check_block_decomposition),
-    ("C11-weight-characterization",
-     ("weight-characterization", "weight-averaging"),
-     check_weight_characterization),
-    ("C12-trace-formula",
-     ("trace-threshold-equality", "trace-class"), check_trace_formula),
-    ("C13-kothe-oracle", ("kothe-duality",), check_kothe_oracle),
-    ("C14-maximal-probes",
-     ("maximal-boundedness-probe", "local-maximal-operator", "a1loc-class",
-      "n-space-definition"), check_maximal),
-    ("C15-determinism", ("artifact-determinism",), check_determinism),
-    ("C16-multiplier-invariants",
-     ("multiplier-norm-definitions", "script-multiplier-coincidence",
-      "weak-multiplier-identity", "norm-switching-suprema", "linf-embedding",
-      "lorentz-embedding-r-le-q", "quasi-norm-axioms", "fatou-monotone",
-      "r-convexity"), check_multiplier_invariants),
-    ("C17-diam1-localization", ("diam1-localization",), check_localization_diam1),
-    ("C18-kernel-diagnostics",
-     ("bessel-kernel-spectral", "convolution-pairing-symmetry"),
-     check_kernel_diagnostics),
-]
-
 SUITES: Dict[str, List[str]] = {
     "all": [cid for cid, _claims, _fn in CHECKS],
     "lorentz-core": ["C04-lorentz-engine", "C05-gamma-sandwich",
@@ -1569,8 +1481,6 @@ def run_suite(spec: SuiteSpec) -> List[Verdict]:
         raise ValueError(f"unknown suite {spec.suite!r}; "
                          f"choose from {sorted(SUITES)}")
     wanted = SUITES[spec.suite]
-    if not wanted:
-        raise ValueError("empty suite")
     ctx = RunContext(spec.config)
     verdicts: List[Verdict] = [_audit_verdict()]
     verdicts.append(Verdict("C00-seeds", "recorded",

@@ -199,8 +199,10 @@ def _assert_same(est, ref):
 
 def _engine_case(case):
     """(oracle, f, mu, family, fixed family, exhaustive) for one case.  The
-    fixed family does not depend on the field: the weak norm's breakpoint
-    form and the trace class need one."""
+    fixed family does not depend on the field: the trace class needs one.
+    On the grid the family holds the superlevel sets of f, so the weak
+    norm's breakpoint form must range over the sets built for f, not for
+    its indicators."""
     if case == "grid":
         grid = make_grid(1, 16.0, 256)
         params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
@@ -240,11 +242,10 @@ def test_sup_engine_matches_per_set_reference(case):
             _assert_same(fn(f, e, family, oracle), ref)
             if case == "tie" and p == q:
                 assert n_top == 3 and ref.witness.key == first
-        fixed = fixed_family.sets(space, f)
         ref, _ = _per_set_reference(
-            fixed, lambda k, mask: weak_lorentz_norm(f.restrict(mask), p),
+            sets, lambda k, mask: weak_lorentz_norm(f.restrict(mask), p),
             oracle, 1.0 / p, exact)
-        _assert_same(weak_script_m_norm(f, p, fixed_family, oracle), ref)
+        _assert_same(weak_script_m_norm(f, p, family, oracle), ref)
 
     sets = fixed_family.sets(space)
     # |mu|(K) over the whole family is one matrix product; its sum order

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from capflow import modelio
+from capflow import suites
 from capflow.grid import make_grid
 from capflow.measure import DiscreteMeasureSpace
 from capflow.suites import (CHECKS, REQUIRED_CLAIMS, CapflowConfig, SuiteSpec,
@@ -51,6 +52,67 @@ def test_registry_covers_claims():
     for _cid, claims, _fn in CHECKS:
         covered.update(claims)
     assert set(REQUIRED_CLAIMS) <= covered
+    ids = [cid for cid, _claims, _fn in CHECKS]
+    assert ids == sorted(ids) and len(ids) == 18
+
+
+@pytest.fixture()
+def scratch_registry(monkeypatch):
+    """An empty CHECKS list, so test checks never reach the real registry."""
+    monkeypatch.setattr(suites, "CHECKS", [])
+    return suites.CHECKS
+
+
+def test_check_registration_and_row_ids(scratch_registry):
+    @suites._check("X01-demo", "claim-a", "claim-b")
+    def demo(ctx, rows):
+        rows.row("", 1.0, "claim-a", "main")
+        rows.row("/side", 2.0, "claim-b", "side", "recorded")
+
+    assert scratch_registry == [("X01-demo", ("claim-a", "claim-b"), demo)]
+    assert demo.__name__ == "demo"
+    out = demo(None)
+    assert [(v.check_id, v.status, v.claim) for v in out] == [
+        ("X01-demo", "pass", "claim-a"), ("X01-demo/side", "recorded", "claim-b")]
+
+
+def test_check_rejects_undeclared_claim(scratch_registry):
+    @suites._check("X02-undeclared", "claim-a")
+    def bad(ctx, rows):
+        rows.row("", 0.0, "claim-a", "")
+        rows.row("/extra", 0.0, "claim-z", "")
+
+    with pytest.raises(ValueError, match="claim-z"):
+        bad(None)
+
+
+def test_check_rejects_declared_claim_without_row(scratch_registry):
+    @suites._check("X03-missing", "claim-a", "claim-b")
+    def bad(ctx, rows):
+        rows.row("", 0.0, "claim-a", "")
+
+    with pytest.raises(ValueError, match="claim-b"):
+        bad(None)
+
+
+def test_check_summary_and_status(scratch_registry):
+    @suites._check("X04-tally", "claim-a")
+    def tally(ctx, rows):
+        rows.row("/before", 0.0, "claim-a", rows.summary("clean"))
+        for what in ("e", "b", "e", "d", "a", "c", "b"):
+            rows.fail(what)
+        rows.row("", 0.0, "claim-a", rows.summary("clean"))
+        rows.row("/recorded", 0.0, "claim-a", "", "recorded")
+        rows.row("/forced", 0.0, "claim-a", "", "pass")
+
+    out = {v.check_id: v for v in tally(None)}
+    assert (out["X04-tally/before"].status, out["X04-tally/before"].details) \
+        == ("pass", "clean")
+    # sorted, de-duplicated, first four
+    assert (out["X04-tally"].status, out["X04-tally"].details) \
+        == ("fail", "a; b; c; d")
+    assert out["X04-tally/recorded"].status == "recorded"
+    assert out["X04-tally/forced"].status == "pass"
 
 
 def test_verdict_status_guard():
@@ -264,3 +326,19 @@ def test_cli_mnorm_weak_space(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["space"] == "weakM" and doc["value"] > 0
+
+
+def test_cli_mnorm_weak_space_levels_on_grid(tmp_path, capsys):
+    # superlevel sets of f in the family: both weak-norm forms use them
+    g = make_grid(1, 16.0, 256)
+    x = g.axis_coords()
+    field_file = tmp_path / "f.txt"
+    modelio.write_grid_field(
+        field_file, g, np.exp(-x ** 2) - 0.5 * np.exp(-(x - 2.0) ** 2 / 0.3))
+    rc = cli_main(["mnorm", "--grid", "256", "--L", "16", "--space", "weakM",
+                   "--p", "2", "--family", "dyadic:4", "--family", "levels",
+                   "--field-file", str(field_file)])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["space"] == "weakM" and doc["value"] > 0
+    assert doc["bracket"][0] <= doc["value"] <= doc["bracket"][1]
