@@ -16,11 +16,12 @@ covered cells.
 
 The trace class is a supremum over sets of |mu|(K)/cap(K), so `trace_norm`
 is a caller of the multiplier module's one supremum engine, with the
-variations of a whole family taken as one product of its boolean matrix
-with |mu|; the threshold form and the all-subsets multiplier norm read
-their capacities from the same batched gather.  The row-wise Lorentz norm
-of the integral-dual oracle is the measure module's layer-cake closed form
-applied to sorted rows.
+variations of a whole family taken as one product of its boolean set
+matrix with |mu|; the threshold form and the all-subsets multiplier norm
+read their capacities from one `CapacityOracle.gather` of the same matrix,
+and the block supports of a decomposition are gathered in one batch too.
+The row-wise Lorentz norm of the integral-dual oracle is the measure
+module's layer-cake closed form applied to sorted rows.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .capacity import CapacityOracle, NormEstimate, SetMask, _gather
+from .capacity import CapacityOracle, NormEstimate, SetMask
 from .grid import Grid
 from .measure import Field, LorentzExponents, _layer_cake, lorentz_norm, pairing
 from .multiplier import TestSetFamily, _sup_over_sets
@@ -132,11 +133,12 @@ def _tight_terms(pieces: list, e: LorentzExponents, norm_type: str,
     """One term per (support, piece): lambda is the piece's Lorentz norm
     times the capacity factor and the block is piece / lambda, so its
     normalization is exactly 1.  Pieces with lambda = 0 are dropped."""
-    oracle.prefetch([mask for mask, _ in pieces])
+    bits = np.array([mask.bools for mask, _ in pieces], dtype=bool)
+    caps = oracle.gather(bits.reshape(-1, oracle.space.size))[0].tolist()
     terms = []
-    for mask, piece in pieces:
+    for (mask, piece), cap in zip(pieces, caps):
         lam = lorentz_norm(Field(mask.space, piece), e) * \
-            oracle.value(mask) ** _capacity_exponent(e, norm_type)
+            cap ** _capacity_exponent(e, norm_type)
         if lam != 0.0:
             terms.append((lam, validate_block(Field(mask.space, piece / lam),
                                               mask, e, norm_type, oracle)))
@@ -166,13 +168,10 @@ def block_norm_upper_constructive(f: Field, e: LorentzExponents, omega: Weight,
     vals = f.values
     ann = _annulus_index(f.space)
     live = vals != 0.0
-    if not live.any():
-        return BlockDecomposition.build([], f)
-    levels = np.ceil(np.log2(w[live])).astype(int)
-    keys = sorted({(int(k), int(l)) for k, l in zip(levels, ann[live])})
     level_of = np.ceil(np.log2(w)).astype(int)
+    keys = sorted({(int(k), int(l)) for k, l in zip(level_of[live], ann[live])})
     masks = [SetMask(f.space, (level_of == k) & (ann == l) & live) for k, l in keys]
-    pieces = [(m, np.where(m.bools, vals, 0.0)) for m in masks if not m.is_empty]
+    pieces = [(m, np.where(m.bools, vals, 0.0)) for m in masks]
     return BlockDecomposition.build(_tight_terms(pieces, e, "B", oracle), f)
 
 
@@ -195,19 +194,16 @@ def block_norm_upper_greedy(f: Field, e: LorentzExponents,
     # known before any capacity is needed
     peels = []
     while np.any(residual != 0.0):
-        energies = []
-        for i, mask in enumerate(sets):
-            en = float((w * residual ** 2)[mask.bools].sum())
-            energies.append((en, i))
-        en, i = max(energies, key=lambda t: (t[0], -t[1]))
-        if en <= 0.0:
+        energies = [float((w * residual ** 2)[row].sum()) for row in sets]
+        i = int(np.argmax(energies))   # the first set of the largest energy
+        if energies[i] <= 0.0:
             leftover = int((residual != 0.0).sum())
             raise ValueError(
                 f"dictionary does not cover the field support "
                 f"({leftover} cells uncovered)")
-        mask = sets[i]
-        peels.append((mask, np.where(mask.bools, residual, 0.0)))
-        residual = np.where(mask.bools, 0.0, residual)
+        peels.append((SetMask(oracle.space, sets[i]),
+                      np.where(sets[i], residual, 0.0)))
+        residual = np.where(sets[i], 0.0, residual)
     greedy = BlockDecomposition.build(_tight_terms(peels, e, norm_type, oracle), f)
     if omega is not None and norm_type == "B":
         constructive = block_norm_upper_constructive(f, e, omega, oracle)
@@ -325,18 +321,13 @@ class AtomicMeasure:
         return np.abs(self.masses)
 
 
-def _variations(mu: AtomicMeasure, masks: Sequence[SetMask]) -> np.ndarray:
-    """|mu|(K) for every set K of a family: one matrix-vector product."""
-    bits = np.array([m.bools for m in masks], dtype=float)
-    return bits.reshape(len(masks), mu.space.size) @ mu.total_variation
-
-
 def trace_norm(mu: AtomicMeasure, family: TestSetFamily,
                oracle: CapacityOracle) -> NormEstimate:
     """sup over test sets of |mu|(K)/cap(K); exact for all-subsets on a
     finite model."""
     sets = family.sets(oracle.space)
-    return _sup_over_sets(family, sets, _variations(mu, sets), oracle, 1.0)
+    return _sup_over_sets(family, sets, sets.astype(float) @ mu.total_variation,
+                          oracle, 1.0)
 
 
 def trace_norm_inf_form(mu: AtomicMeasure, oracle: CapacityOracle,
@@ -353,8 +344,8 @@ def trace_norm_inf_form(mu: AtomicMeasure, oracle: CapacityOracle,
     if family is None:
         family = TestSetFamily.all_subsets()
     sets = family.sets(oracle.space)
-    caps = _gather(oracle, sets)[0]
-    variations = _variations(mu, sets)
+    caps = oracle.gather(sets)[0]
+    variations = sets.astype(float) @ mu.total_variation
     keep = caps > 0.0
     caps, variations = caps[keep], variations[keep]
     if variations.max(initial=0.0) <= 0.0:
@@ -390,10 +381,10 @@ def lorentz_norm_batch(space, e: LorentzExponents) -> Callable:
 
 def m_norm_batch(space, e: LorentzExponents, oracle: CapacityOracle) -> Callable:
     """Vectorized all-subsets multiplier norm over rows (small models)."""
-    fam = TestSetFamily.all_subsets().sets(space)
-    caps = _gather(oracle, fam)[0]
+    sets = TestSetFamily.all_subsets().sets(space)
+    caps = oracle.gather(sets)[0]
     keep = caps > 0.0
-    masks, caps = np.stack([m.bools for m in fam])[keep], caps[keep]
+    masks, caps = sets[keep], caps[keep]
     lor = lorentz_norm_batch(space, e)
 
     def norm_rows(G: np.ndarray) -> np.ndarray:

@@ -24,8 +24,8 @@ state arrays are compacted.  Large batches are split into chunks of at most
 2^20 / size rows.  The kernel apply and every reduction act row by row and
 each certificate is computed from its own row's freshly applied potentials,
 so batching changes neither a row's certificate nor, on spectral grids, a
-single bit of its iterates.  `CapacityOracle.prefetch` feeds a whole family
-of sets to one batch.
+single bit of its iterates.  `CapacityOracle.gather` answers a family of
+sets, a (B, size) boolean matrix, from one batch.
 
 Layer-cake functionals over capacities (the L1-capacity norm and the
 capacitary Lorentz norms) are evaluated exactly over the finitely many
@@ -37,12 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .grid import Grid, KernelSpec, bessel_kernel, _convolve_values
-from .measure import DiscreteMeasureSpace, Field, LorentzExponents, _layer_cake
+from .measure import (DiscreteMeasureSpace, Field, LorentzExponents, _layer_cake,
+                      _levels)
 
 __all__ = [
     "CapacityParams",
@@ -166,30 +167,46 @@ class SetMask:
 
     def diameter(self) -> float:
         """Largest pairwise distance of member cell centers (grids only)."""
-        if not isinstance(self.space, Grid):
-            raise ValueError("diameter needs grid geometry")
-        if self.is_empty:
-            return 0.0
-        pts = self.space.coords()[self.bools]
-        if self.space.n == 1 or len(pts) <= 2:
-            span = pts.max(axis=0) - pts.min(axis=0)
-            return float(np.sqrt((span ** 2).sum()))
-        try:
-            from scipy.spatial import ConvexHull
-            pts = pts[ConvexHull(pts).vertices]
-        except Exception:
-            # degenerate (collinear) sets: extremes along a few directions
-            # are enough to realize the maximal pair
-            cand = []
-            for d in ((1, 0), (0, 1), (1, 1), (1, -1)):
-                proj = pts @ np.array(d, dtype=float)
-                cand.extend([pts[proj.argmin()], pts[proj.argmax()]])
-            pts = np.array(cand)
-        diff = pts[:, None, :] - pts[None, :, :]
-        return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+        return _diameter(self.space, self.bools)
 
     def __repr__(self) -> str:
         return f"SetMask(|E|={self.cardinality} of {self.space.size})"
+
+
+def _diameter(space, bools: np.ndarray) -> float:
+    """Largest pairwise distance of the centers of the cells in `bools`."""
+    if not isinstance(space, Grid):
+        raise ValueError("diameter needs grid geometry")
+    if not bools.any():
+        return 0.0
+    pts = space.coords()[bools]
+    if space.n == 1 or len(pts) <= 2:
+        span = pts.max(axis=0) - pts.min(axis=0)
+        return float(np.sqrt((span ** 2).sum()))
+    try:
+        from scipy.spatial import ConvexHull
+        pts = pts[ConvexHull(pts).vertices]
+    except Exception:
+        # degenerate (collinear) sets: extremes along a few directions
+        # are enough to realize the maximal pair
+        cand = []
+        for d in ((1, 0), (0, 1), (1, 1), (1, -1)):
+            proj = pts @ np.array(d, dtype=float)
+            cand.extend([pts[proj.argmin()], pts[proj.argmax()]])
+        pts = np.array(cand)
+    diff = pts[:, None, :] - pts[None, :, :]
+    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+
+
+def _measures(weights: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """`SetMask.measure` of every row of a bool matrix, bit for bit: the rows
+    of one cardinality, compacted, are summed as 1-D sums are."""
+    counts = bits.sum(axis=1)
+    out = np.zeros(len(bits))
+    for c in np.unique(counts[counts > 0]):
+        rows = counts == c
+        out[rows] = weights[bits[rows].nonzero()[1].reshape(-1, c)].sum(axis=1)
+    return out
 
 
 class CapacityProblem:
@@ -370,9 +387,11 @@ def capacity_batch(problem: CapacityProblem, masks: Sequence[SetMask],
     rows = []
     size = problem.space.size
     w = problem.space.weights
+    if any(mask.space is not problem.space for mask in masks):
+        raise ValueError("mask lives on a different space than the problem")
+    if problem.is_identity:
+        measures = _measures(w, np.array([m.bools for m in masks]).reshape(-1, size))
     for i, mask in enumerate(masks):
-        if mask.space is not problem.space:
-            raise ValueError("mask lives on a different space than the problem")
         E = mask.bools
         if mask.is_empty:
             results[i] = CapacityResult(0.0, 0.0, 0.0, 0.0, True, 0, mask, params,
@@ -380,7 +399,7 @@ def capacity_batch(problem: CapacityProblem, masks: Sequence[SetMask],
                                         potential=np.zeros(size),
                                         dual_measure=np.zeros(size))
         elif problem.is_identity:
-            val = mask.measure
+            val = float(measures[i])
             f = E.astype(float)
             results[i] = CapacityResult(val, val, val, 0.0, True, 0, mask, params,
                                         optimizer=f, potential=f.copy(),
@@ -539,9 +558,8 @@ class CapacityOracle:
 
     Results are memoized by the mask bit pattern, so identical sets seen by
     different estimators share one certified value exactly (several
-    inequality chains rely on that cancellation).  `prefetch` solves the
-    uncached sets of a family in one batch; a caller that will query every
-    set of a known family calls it first.
+    inequality chains rely on that cancellation).  `gather` answers a
+    whole family, sharing the memo and its keys with `result`.
     """
 
     def __init__(self, problem: CapacityProblem, params: CapacityParams):
@@ -551,30 +569,47 @@ class CapacityOracle:
         self.params = params
         self._cache: dict = {}
 
-    def _check_space(self, mask: SetMask) -> None:
+    @staticmethod
+    def _keys(bits: np.ndarray) -> list:
+        """Memo keys of the rows of a (B, size) bool matrix: the packed bits."""
+        return [row.tobytes() for row in np.packbits(bits, axis=1)]
+
+    def result(self, mask: SetMask) -> CapacityResult:
         # the memo key is the bit pattern alone, which another space of the
         # same size shares
         if mask.space is not self.problem.space:
             raise ValueError("mask lives on a different space than the oracle")
+        key = self._keys(mask.bools[None])[0]
+        if key not in self._cache:
+            self._cache[key] = capacity(self.problem, mask, self.params)
+        return self._cache[key]
 
-    def result(self, mask: SetMask) -> CapacityResult:
-        self._check_space(mask)
-        hit = self._cache.get(mask.key)
-        if hit is None:
-            hit = capacity(self.problem, mask, self.params)
-            self._cache[mask.key] = hit
-        return hit
-
-    def prefetch(self, masks: Iterable[SetMask]) -> None:
-        """Solve the uncached non-empty masks in one batch and memoize them."""
+    def gather(self, bits) -> np.ndarray:
+        """Certified (value, lower, upper, gap) of every row of a (B, size)
+        bool matrix, as a (4, B) array.  Identity kernels are answered in
+        closed form; otherwise the uncached non-empty rows are solved in one
+        batch, each distinct set once, in row order."""
+        bits = np.asarray(bits, dtype=bool)
+        if bits.ndim != 2 or bits.shape[1] != self.space.size:
+            raise ValueError(f"set matrix has shape {bits.shape}, "
+                             f"space has {self.space.size} atoms")
+        out = np.zeros((4, len(bits)))
+        if self.problem.is_identity:
+            out[:3] = _measures(self.space.weights, bits)
+            return out
+        live = np.flatnonzero(bits.any(axis=1))
+        keys = self._keys(bits[live])
         todo: dict = {}
-        for mask in masks:
-            self._check_space(mask)
-            if not mask.is_empty and mask.key not in self._cache:
-                todo.setdefault(mask.key, mask)
+        for key, i in zip(keys, live):
+            if key not in self._cache:
+                todo.setdefault(key, i)
         if todo:
-            batch = capacity_batch(self.problem, list(todo.values()), self.params)
-            self._cache.update(zip(todo, batch))
+            masks = [SetMask(self.space, bits[i]) for i in todo.values()]
+            self._cache.update(zip(todo, capacity_batch(self.problem, masks,
+                                                        self.params)))
+        out[:, live] = np.array([(r.value, r.lower, r.upper, r.gap) for r in
+                                 map(self._cache.get, keys)]).reshape(-1, 4).T
+        return out
 
     def value(self, mask: SetMask) -> float:
         return self.result(mask).value
@@ -586,14 +621,6 @@ class CapacityOracle:
     @property
     def cache_size(self) -> int:
         return len(self._cache)
-
-
-def _gather(oracle: CapacityOracle, masks: Sequence[SetMask]) -> np.ndarray:
-    """Certified (value, lower, upper, gap) of every set of a family, as the
-    four rows of a (4, len(masks)) array; the family is solved in one batch."""
-    oracle.prefetch(masks)
-    return np.array([(r.value, r.lower, r.upper, r.gap)
-                     for r in map(oracle.result, masks)]).reshape(-1, 4).T
 
 
 # ---------------------------------------------------------------------------
@@ -674,20 +701,6 @@ class NormEstimate:
             raise ValueError(f"unknown estimate mode {self.mode!r}")
 
 
-def _superlevel(values: np.ndarray, space, threshold: float,
-                strict: bool = True) -> SetMask:
-    if strict:
-        return SetMask(space, values > threshold)
-    return SetMask(space, values >= threshold)
-
-
-def _distinct_desc(values: np.ndarray) -> np.ndarray:
-    pos = values[values > 0.0]
-    if pos.size == 0:
-        return np.empty(0)
-    return np.unique(pos)[::-1]
-
-
 def l1c_norm(omega: Field, oracle: CapacityOracle,
              max_levels: Optional[int] = None) -> NormEstimate:
     """Layer-cake capacity integral int_0^inf cap({omega > t}) dt.
@@ -703,7 +716,7 @@ def l1c_norm(omega: Field, oracle: CapacityOracle,
         raise ValueError("l1c norm requires a nonnegative field")
     if max_levels is not None and max_levels < 1:
         raise ValueError(f"max_levels must be None or at least 1, got {max_levels}")
-    levels = _distinct_desc(vals)
+    levels = _levels(omega)[0]
     if levels.size == 0:
         return NormEstimate(0.0, "exact", witness=None, lo=0.0, hi=0.0)
     exact = max_levels is None or levels.size <= max_levels
@@ -712,9 +725,9 @@ def l1c_norm(omega: Field, oracle: CapacityOracle,
         levels = levels[idx]
 
     knots = np.concatenate([levels, [0.0]])
-    lo_sets = [_superlevel(vals, omega.space, t, strict=False) for t in knots[:-1]]
-    hi_sets = [_superlevel(vals, omega.space, t, strict=True) for t in knots[1:]]
-    value, lower, upper, gap = _gather(oracle, lo_sets + hi_sets)
+    # {omega >= t} at the upper knots, then {omega > t} at the lower ones
+    value, lower, upper, gap = oracle.gather(np.concatenate(
+        [vals >= knots[:-1, None], vals > knots[1:, None]]))
     k, widths = levels.size, knots[:-1] - knots[1:]
     # running sums, so the rounding follows the level order
     lo_sum, up_sum, val_sum = (float(np.cumsum(c * widths)[-1])
@@ -734,11 +747,10 @@ def capacitary_lorentz_norm(f: Field, e: LorentzExponents,
     the level that attains it as witness.
     """
     vals = np.abs(f.values)
-    levels = _distinct_desc(vals)
+    levels = _levels(f)[0]
     if levels.size == 0:
         return NormEstimate(0.0, "exact", lo=0.0, hi=0.0)
-    sets = [_superlevel(vals, f.space, u, strict=False) for u in levels]
-    caps, caps_lo, caps_hi, gaps = _gather(oracle, sets)
+    caps, caps_lo, caps_hi, gaps = oracle.gather(vals >= levels[:, None])
     witness = None
     if e.q == math.inf:
         # one single-level layer cake per level: the terms of the supremum
@@ -755,8 +767,9 @@ def capacitary_lorentz_norm(f: Field, e: LorentzExponents,
 # Localization and lower-bound diagnostics
 # ---------------------------------------------------------------------------
 
-def unit_cover(grid: Grid) -> list:
-    """Partition of the box into axis-aligned cubes of unit diameter.
+def unit_cover(grid: Grid) -> np.ndarray:
+    """Partition of the box into axis-aligned cubes of unit diameter, one
+    tile per row of a read-only (tiles, size) bool matrix.
 
     Cube side is 1/sqrt(n) so the diagonal is exactly 1; cells are assigned
     by center, so the cover is a partition (multiplicity one).
@@ -764,15 +777,9 @@ def unit_cover(grid: Grid) -> list:
     side = 1.0 / math.sqrt(grid.n)
     coords = grid.coords() + grid.L / 2.0  # shift to [0, L)
     idx = np.floor(coords / side).astype(int)
-    if grid.n == 1:
-        labels = idx[:, 0]
-    else:
-        per_axis = int(math.ceil(grid.L / side))
-        labels = idx[:, 0] * per_axis + idx[:, 1]
-    masks = []
-    for lab in np.unique(labels):
-        masks.append(SetMask(grid, labels == lab))
-    return masks
+    tiles = (np.unique(idx, axis=0)[:, None] == idx).all(axis=2)
+    tiles.setflags(write=False)
+    return tiles
 
 
 @dataclass
@@ -797,9 +804,9 @@ def strichartz_check(oracle: CapacityOracle, mask: SetMask) -> StrichartzReport:
     grid = oracle.space
     if not isinstance(grid, Grid):
         raise ValueError("localization check needs a grid model")
-    parts = [p for p in (mask.intersect(box) for box in unit_cover(grid))
-             if not p.is_empty]
-    value, lower, upper, gap = _gather(oracle, [mask] + parts)
+    parts = mask.bools & unit_cover(grid)
+    parts = parts[parts.any(axis=1)]
+    value, lower, upper, gap = oracle.gather(np.vstack([mask.bools, parts]))
     total, total_upper = sum(value[1:]), sum(upper[1:])
     ok = lower[0] <= total_upper * (1.0 + 1e-12) + 1e-300
     ratio = total / value[0] if value[0] > 0 else math.inf

@@ -11,11 +11,16 @@ Families are generated deterministically from a fixed seed; enlarging a
 family never decreases an estimate, and the all-subsets family dominates
 every other family on the same finite model.
 
+A family's sets for a space are one read-only (B, size) boolean matrix,
+one set per row, built directly for every family kind: rows in generation
+order, the first of any duplicate kept, empty rows dropped.
+
 Every supremum over a family here and in `blocks` (the multiplier norms,
 both forms of the weak norm, the trace class) runs through one engine,
-`_sup_over_sets`: the caller supplies the sets and one numerator per set,
-the engine solves the family's capacities in one batch and returns the
-certified estimate with its witness.
+`_sup_over_sets`: the caller supplies the set matrix and one numerator per
+row, the engine reads all capacities from one `CapacityOracle.gather` and
+returns the certified estimate, with a `SetMask` built for the witness
+only.
 """
 from __future__ import annotations
 
@@ -25,9 +30,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import CapacityOracle, NormEstimate, SetMask, _gather, unit_cover
+from .capacity import CapacityOracle, NormEstimate, SetMask, _diameter, unit_cover
 from .grid import Grid
-from .measure import (DiscreteMeasureSpace, Field, LorentzExponents,
+from .measure import (DiscreteMeasureSpace, Field, LorentzExponents, _levels,
                       lorentz_norm, weak_lorentz_norm)
 from .weights import Weight, WeightConfig, potential_weight
 
@@ -92,32 +97,29 @@ class TestSetFamily:
         return TestSetFamily("explicit", members=tuple(masks))
 
     def __add__(self, other: "TestSetFamily") -> "TestSetFamily":
-        return TestSetFamily("union", members=(self, other),
-                             diam_cap=None)
+        return TestSetFamily("union", members=(self, other))
 
     def with_diameter_cap(self, cap: float) -> "TestSetFamily":
         return replace(self, diam_cap=cap)
 
     # -- generation ----------------------------------------------------------
-    def sets(self, space, f: Optional[Field] = None) -> list:
-        out = self._raw_sets(space, f)
+    def sets(self, space, f: Optional[Field] = None) -> np.ndarray:
+        """The family's sets as a read-only (B, space.size) bool matrix: rows
+        in generation order, the first of any duplicate kept, none empty."""
+        bits = self._rows(space, f)
         if self.diam_cap is not None:
-            out = [m for m in out if m.diameter() <= self.diam_cap + 1e-12]
-        seen, unique = set(), []
-        for m in out:
-            if not m.is_empty and m.key not in seen:
-                seen.add(m.key)
-                unique.append(m)
-        return unique
+            bits = bits[[_diameter(space, row) <= self.diam_cap + 1e-12
+                         for row in bits]]
+        return _distinct_rows(bits)
 
-    def _raw_sets(self, space, f) -> list:
+    def _rows(self, space, f) -> np.ndarray:
         if self.kind == "union":
-            out = []
-            for fam in self.members:
-                out.extend(fam._raw_sets(space, f))
-            return out
+            return np.concatenate([fam._rows(space, f) for fam in self.members])
         if self.kind == "explicit":
-            return list(self.members)
+            if any(m.space is not space for m in self.members):
+                raise ValueError("explicit member lives on a different space")
+            return np.array([m.bools for m in self.members],
+                            dtype=bool).reshape(-1, space.size)
         if self.kind == "all-subsets":
             m = space.size
             if m > _ALL_SUBSETS_LIMIT:
@@ -125,8 +127,7 @@ class TestSetFamily:
                     f"all-subsets family limited to {_ALL_SUBSETS_LIMIT} atoms, "
                     f"space has {m}")
             # row b - 1 holds the bits of b, atom i being bit i
-            bits = (np.arange(1, 1 << m)[:, None] >> np.arange(m)) & 1
-            return [SetMask(space, row) for row in bits.astype(bool)]
+            return ((np.arange(1, 1 << m)[:, None] >> np.arange(m)) & 1).astype(bool)
         if self.kind == "dyadic-cubes":
             if not isinstance(space, Grid):
                 raise ValueError("dyadic cubes need a grid model")
@@ -134,63 +135,59 @@ class TestSetFamily:
         if self.kind == "superlevels":
             if f is None:
                 raise ValueError("superlevel family needs the base field")
-            vals = np.abs(f.values)
-            levels = np.unique(vals[vals > 0.0])[::-1]
+            levels = _levels(f)[0]
             if self.size_cap is not None and levels.size > self.size_cap:
                 idx = np.unique(np.linspace(0, levels.size - 1,
                                             self.size_cap).round().astype(int))
                 levels = levels[idx]
-            return [SetMask(space, vals >= u) for u in levels]
+            return np.abs(f.values) >= levels[:, None]
         if self.kind == "random-unions":
             return self._random_unions(space)
         raise ValueError(f"unknown family kind {self.kind!r}")
 
-    def _dyadic(self, grid: Grid) -> list:
-        out = []
-        idx = np.arange(grid.size)
-        if grid.n == 1:
-            rows = idx
-            cols = np.zeros_like(idx)
-        else:
-            rows, cols = divmod(idx, grid.N)
+    def _dyadic(self, grid: Grid) -> np.ndarray:
+        """The cubes of each generation, generation by generation and in
+        row-major block order within one."""
+        cell = np.indices(grid.shape).reshape(grid.n, -1)   # axis indices
+        out = [np.zeros((0, grid.size), dtype=bool)]
         for g in self.generations:
-            blocks = 2 ** g
-            if blocks > grid.N:
+            if 2 ** g > grid.N:
                 continue
-            width = grid.N // blocks
-            bi, bj = rows // width, cols // width
-            for a in range(blocks):
-                for b in range(blocks if grid.n == 2 else 1):
-                    out.append(SetMask(grid, (bi == a) & (bj == b)))
-        return out
+            cube = np.ravel_multi_index(cell // (grid.N >> g), (2 ** g,) * grid.n)
+            out.append(np.arange(2 ** (g * grid.n))[:, None] == cube)
+        return np.concatenate(out)
 
-    def _random_unions(self, space) -> list:
+    def _random_unions(self, space) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
-        out = []
+        out = np.zeros((self.count, space.size), dtype=bool)
         if isinstance(space, Grid):
             pool = TestSetFamily.dyadic((1, 2, 3, 4))._dyadic(space)
-            for _ in range(self.count):
+            for row in out:
                 k = int(rng.integers(1, 5))
-                picks = rng.integers(0, len(pool), size=k)
-                acc = np.zeros(space.size, dtype=bool)
-                for p in picks:
-                    acc |= pool[p].bools
-                out.append(SetMask(space, acc))
+                row[:] = pool[rng.integers(0, len(pool), size=k)].any(axis=0)
         else:
-            for _ in range(self.count):
+            for row in out:
                 density = rng.uniform(0.1, 0.6)
-                b = rng.random(space.size) < density
-                if not b.any():
-                    b[int(rng.integers(0, space.size))] = True
-                out.append(SetMask(space, b))
+                row[:] = rng.random(space.size) < density
+                if not row.any():
+                    row[int(rng.integers(0, space.size))] = True
         return out
 
 
-def default_grid_family(f: Optional[Field] = None,
-                        seed: int = DEFAULT_SEED) -> TestSetFamily:
+def _distinct_rows(bits: np.ndarray) -> np.ndarray:
+    """The non-empty rows of a bool matrix in order, the first of any
+    duplicate kept, as a read-only matrix."""
+    bits = bits[bits.any(axis=1)]
+    packed = np.packbits(bits, axis=1)
+    rows = packed.view(f"V{packed.shape[1]}").ravel()   # one opaque item per row
+    out = bits[np.sort(np.unique(rows, return_index=True)[1])]
+    out.setflags(write=False)
+    return out
+
+
+def default_grid_family(f: Optional[Field] = None) -> TestSetFamily:
     """Dyadic cubes of generations 0..4 plus the superlevel sets of |f|."""
     fam = TestSetFamily.dyadic((0, 1, 2, 3, 4))
-    fam = replace(fam, seed=seed)
     if f is not None:
         fam = fam + TestSetFamily.superlevels(size_cap=16)
     return fam
@@ -200,18 +197,19 @@ def default_grid_family(f: Optional[Field] = None,
 # Supremum estimates
 # ---------------------------------------------------------------------------
 
-def _sup_over_sets(family: TestSetFamily, masks: Sequence[SetMask], numerators,
+def _sup_over_sets(family: TestSetFamily, bits: np.ndarray, numerators,
                    oracle: CapacityOracle, cap_exponent: float) -> NormEstimate:
-    """sup over the family's sets K of numerators[K] / cap(K)^cap_exponent.
+    """sup over the rows K of the set matrix `bits` (the family's sets) of
+    numerators[K] / cap(K)^cap_exponent.
 
     The one supremum engine.  Zero-capacity sets are skipped, the witness is
     the first set attaining the maximum, lo and hi put the certified upper
     and lower capacity bounds in place of cap(K), and max_gap is the worst
     gap among the counted sets.
     """
-    if not masks:
+    if not len(bits):
         raise ValueError("empty effective test-set family")
-    value, lower, upper, gap = _gather(oracle, masks)
+    value, lower, upper, gap = oracle.gather(bits)
     keep = np.flatnonzero(value > 0.0)
     if keep.size == 0:
         raise ValueError("every set in the family has zero capacity")
@@ -226,30 +224,36 @@ def _sup_over_sets(family: TestSetFamily, masks: Sequence[SetMask], numerators,
     exact = (family.kind == "all-subsets"
              and isinstance(oracle.space, DiscreteMeasureSpace))
     return NormEstimate(float(ratio[i]), "exact" if exact else "lower-bound",
-                        witness=masks[keep[i]], lo=float(ratios(upper).max()),
+                        witness=SetMask(oracle.space, bits[keep[i]]),
+                        lo=float(ratios(upper).max()),
                         hi=float(ratios(np.maximum(lower, 1e-300)).max()),
                         max_gap=max(0.0, float(gap[keep].max())))
 
 
 def _restricted_sup(f: Field, e: LorentzExponents, family: TestSetFamily,
                     oracle: CapacityOracle, cap_exponent: float,
-                    sets: Optional[list] = None) -> NormEstimate:
+                    sets: Optional[np.ndarray] = None) -> NormEstimate:
     """The engine with numerators ||f chi_K||_{p,q} (weak when q = inf),
-    over `sets` when given, else over the family's sets for f."""
+    over the set matrix `sets` when given, else over the family's sets
+    for f."""
     if sets is None:
         sets = family.sets(oracle.space, f)
     if e.q == math.inf:
-        nums = [weak_lorentz_norm(f.restrict(m), e.p) for m in sets]
+        nums = [weak_lorentz_norm(f.restrict(row), e.p) for row in sets]
     else:
-        nums = [lorentz_norm(f.restrict(m), e) for m in sets]
+        nums = [lorentz_norm(f.restrict(row), e) for row in sets]
     return _sup_over_sets(family, sets, nums, oracle, cap_exponent)
+
+
+def _check_strong(e: LorentzExponents) -> None:
+    if not (1.0 < e.p < math.inf) or not (1.0 < e.q < math.inf):
+        raise ValueError("multiplier norm needs 1 < p, q < inf")
 
 
 def m_norm(f: Field, e: LorentzExponents, family: TestSetFamily,
            oracle: CapacityOracle) -> NormEstimate:
     """sup over test sets of ||f chi_K||_{p,q} / cap(K)^(1/q)."""
-    if not (1.0 < e.p < math.inf) or not (1.0 < e.q < math.inf):
-        raise ValueError("multiplier norm needs 1 < p, q < inf")
+    _check_strong(e)
     return _restricted_sup(f, e, family, oracle, 1.0 / e.q)
 
 
@@ -257,8 +261,7 @@ def script_m_norm(f: Field, e: LorentzExponents, family: TestSetFamily,
                   oracle: CapacityOracle) -> NormEstimate:
     """sup over test sets of ||f chi_K||_{p,q} / cap(K)^(1/p) (coincides
     with m_norm when p = q)."""
-    if not (1.0 < e.p < math.inf) or not (1.0 < e.q < math.inf):
-        raise ValueError("multiplier norm needs 1 < p, q < inf")
+    _check_strong(e)
     return _restricted_sup(f, e, family, oracle, 1.0 / e.p)
 
 
@@ -282,9 +285,8 @@ def weak_script_m_norm(f: Field, p: float, family: TestSetFamily,
                              1.0 / p, sets)
 
     vals = np.abs(f.values)
-    levels = np.unique(vals[vals > 0.0])[::-1]
     form_b = 0.0
-    for u in levels:
+    for u in _levels(f)[0]:
         ind = Field(f.space, (vals >= u).astype(float))
         est = _restricted_sup(ind, e, family, oracle, 1.0 / p, sets)
         form_b = max(form_b, u * est.value)
@@ -312,6 +314,7 @@ def m_norm_local(f: Field, e: LorentzExponents, oracle: CapacityOracle,
     exactly.  The reverse ratio is recorded (finite over the suites'
     corpora, no constant asserted).
     """
+    _check_strong(e)
     grid = oracle.space
     if not isinstance(grid, Grid):
         raise ValueError("localization needs a grid model")
@@ -319,17 +322,14 @@ def m_norm_local(f: Field, e: LorentzExponents, oracle: CapacityOracle,
         family = default_grid_family(f)
     base = family.sets(grid, f)
     tiles = unit_cover(grid)
-    local_masks = [m for m in base if m.diameter() <= 1.0 + 1e-12]
-    local_masks.extend(t for t in tiles)
-    for m in base:
-        if m.diameter() > 1.0:
-            for t in tiles:
-                local_masks.append(m.intersect(t))
-    local_fam = TestSetFamily.explicit(local_masks)
-    global_fam = TestSetFamily.explicit(list(base) + local_masks)
-    oracle.prefetch(global_fam.sets(grid, f))   # one batch for both estimates
-    loc = m_norm(f, e, local_fam, oracle)
-    glo = m_norm(f, e, global_fam, oracle)
+    diam = np.array([_diameter(grid, row) for row in base])
+    pieces = base[diam > 1.0, None, :] & tiles
+    local = _distinct_rows(np.concatenate(
+        [base[diam <= 1.0 + 1e-12], tiles, pieces.reshape(-1, grid.size)]))
+    glob = _distinct_rows(np.concatenate([base, local]))
+    oracle.gather(glob)   # one batch for both estimates
+    loc = _restricted_sup(f, e, family, oracle, 1.0 / e.q, local)
+    glo = _restricted_sup(f, e, family, oracle, 1.0 / e.q, glob)
     ratio = glo.value / loc.value if loc.value > 0 else math.inf
     return LocalizationReport(loc, glo, ratio)
 

@@ -310,16 +310,15 @@ def level_sum_check(omega: Field, oracle: CapacityOracle,
         return LevelSumReport(0.0, 0.0, 0.0, 0, 0.0)
     k_hi = int(math.ceil(math.log2(top)))
     k_lo = int(math.floor(math.log2(top * level_cutoff)))
-    bands = {k: SetMask(omega.space, (vals > 2.0 ** (k - 1)) & (vals <= 2.0 ** k))
+    bands = {k: (vals > 2.0 ** (k - 1)) & (vals <= 2.0 ** k)
              for k in range(k_hi, k_lo - 1, -1)}
-    bands = {k: band for k, band in bands.items() if not band.is_empty}
-    support = SetMask(omega.space, vals > 0.0)
-    oracle.prefetch(list(bands.values()) + [support])
+    bands = {k: band for k, band in bands.items() if band.any()}
+    caps = oracle.gather(list(bands.values()) + [vals > 0.0])[0].tolist()
     total = 0.0
-    for k, band in bands.items():
-        total += 2.0 ** k * oracle.value(band)
+    for k, cap in zip(bands, caps):
+        total += 2.0 ** k * cap
     count = len(bands)
-    truncated = 2.0 ** (k_lo) * oracle.value(support)
+    truncated = 2.0 ** (k_lo) * caps[-1]
     est = l1c_norm(omega, oracle, max_levels=l1c_levels)
     ratio = total / est.value if est.value > 0 else math.inf
     return LevelSumReport(total, est.value, ratio, count, truncated)

@@ -16,6 +16,7 @@ from capflow.capacity import (CapacityOracle, CapacityParams,
                               strichartz_check, unit_cover)
 from capflow.grid import make_grid
 from capflow.measure import DiscreteMeasureSpace, Field, LorentzExponents
+from capflow.multiplier import TestSetFamily
 
 PARAMS = CapacityParams(alpha=1.0, s=2.0, tol=1e-6)
 
@@ -510,7 +511,7 @@ def test_mixed_batch_keeps_row_flags_independent():
         assert one.value == pytest.approx(row.value, rel=1e-12)
 
 
-def test_prefetch_dedups_skips_empty_and_serves_later_queries():
+def test_gather_dedups_skips_empty_and_serves_later_queries():
     grid = make_grid(1, 16.0, 256)
     params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
     prob, calls = _counted(grid_problem(grid, params))
@@ -518,14 +519,17 @@ def test_prefetch_dedups_skips_empty_and_serves_later_queries():
     a, b = _interval_pairs(grid, 2, seed=4)
     again = SetMask(grid, a.bools)   # the same set, another mask object
     empty = SetMask.empty(grid)
-    oracle.prefetch([a, again, empty, b])
+    rows = oracle.gather([m.bools for m in (a, again, empty, b)])
     assert oracle.cache_size == 2
     solved = calls[0]
     results = [oracle.result(m) for m in (a, again, b)]
     assert calls[0] == solved   # served from the memo, no kernel apply
     assert results[0] is results[1]
     assert oracle.result(empty).value == 0.0 and calls[0] == solved
-    oracle.prefetch([a, b])   # all cached: nothing to solve
+    assert rows.shape == (4, 4) and rows[:, 2].tolist() == [0.0] * 4
+    for k, r in zip((0, 1, 3), results):
+        assert rows[:, k].tolist() == [r.value, r.lower, r.upper, r.gap]
+    oracle.gather([a.bools, b.bools])   # all cached: nothing to solve
     assert calls[0] == solved and oracle.cache_size == 3
     # the batch made fewer applies than the two solves one at a time
     single, single_calls = _counted(grid_problem(grid, params))
@@ -545,8 +549,63 @@ def test_oracle_rejects_masks_of_another_space():
         SetMask.full(large)) == 15.0
     with pytest.raises(ValueError, match="different space"):
         oracle.result(SetMask.full(large))
+    # a family is checked where its matrix is built: gather sees bits only
     with pytest.raises(ValueError, match="different space"):
-        oracle.prefetch([SetMask.full(large)])
+        TestSetFamily.explicit([SetMask.full(large)]).sets(small)
+    with pytest.raises(ValueError, match="shape"):
+        oracle.gather(np.ones((1, 4), dtype=bool))
+    with pytest.raises(ValueError, match="shape"):
+        oracle.gather(np.ones(3, dtype=bool))
+
+
+@pytest.mark.parametrize("size", range(2, 25))
+def test_identity_gather_is_the_measure_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    sp = DiscreteMeasureSpace(rng.lognormal(0.0, 1.0, size))
+    bits = rng.random((64, size)) < rng.uniform(0.05, 0.95, (64, 1))
+    bits[0] = False
+    value, lower, upper, gap = CapacityOracle(identity_problem(sp), PARAMS).gather(bits)
+    measures = [SetMask(sp, row).measure for row in bits]
+    assert value.tolist() == measures
+    assert lower.tolist() == measures and upper.tolist() == measures
+    assert not gap.any()
+    # capacity_batch's identity branch takes the same closed form
+    batch = capacity_batch(identity_problem(sp), [SetMask(sp, r) for r in bits], PARAMS)
+    assert [r.value for r in batch] == measures
+
+
+def _finite_oracle(seed, m):
+    rng = np.random.default_rng(seed)
+    B = rng.random((m, m))
+    sp = DiscreteMeasureSpace(rng.random(m) + 0.25)
+    return CapacityOracle(finite_problem(sp, (B + B.T) / 2 + np.eye(m)), PARAMS)
+
+
+def test_gather_and_result_share_one_memo():
+    oracle = _finite_oracle(5, 7)
+    sp = oracle.space
+    bits = TestSetFamily.all_subsets().sets(sp)[::9]
+    first = [oracle.result(SetMask(sp, row)) for row in bits[:4]]
+    size = oracle.cache_size
+    rows = oracle.gather(bits)   # the first four rows are served from the memo
+    assert oracle.cache_size == len(bits) and size == 4
+    for k, row in enumerate(bits):
+        r = oracle.result(SetMask(sp, row))
+        assert rows[:, k].tolist() == [r.value, r.lower, r.upper, r.gap]
+    assert all(oracle.result(SetMask(sp, row)) is r for row, r in zip(bits, first))
+    assert oracle.cache_size == len(bits)
+
+
+def test_gather_rows_match_single_results_on_the_line():
+    grid = make_grid(1, 16.0, 256)
+    params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
+    masks = _interval_pairs(grid, 3, seed=8)
+    rows = CapacityOracle(grid_problem(grid, params), params).gather(
+        [m.bools for m in masks])
+    single = CapacityOracle(grid_problem(grid, params), params)
+    for k, m in enumerate(masks):
+        r = single.result(m)
+        assert rows[:, k].tolist() == [r.value, r.lower, r.upper, r.gap]
 
 
 def test_geometry_guards_on_finite_models():
@@ -677,12 +736,11 @@ def interval(grid, center, half):
 
 def test_unit_cover_partitions(grid_oracle):
     grid = grid_oracle.space
-    masks = unit_cover(grid)
-    total = np.zeros(grid.size, dtype=int)
-    for m in masks:
-        total += m.bools
-        assert m.diameter() <= 1.0 + 1e-12
-    assert np.all(total == 1)
+    tiles = unit_cover(grid)
+    assert tiles.shape[1] == grid.size and not tiles.flags.writeable
+    for row in tiles:
+        assert SetMask(grid, row).diameter() <= 1.0 + 1e-12
+    assert np.all(tiles.sum(axis=0) == 1)
 
 
 def test_strichartz_single_and_split(grid_oracle):

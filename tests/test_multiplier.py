@@ -8,7 +8,7 @@ from capflow.blocks import AtomicMeasure, trace_norm
 from capflow.capacity import (CapacityOracle, CapacityParams, NormEstimate,
                               SetMask, finite_problem, grid_problem,
                               identity_problem)
-from capflow.grid import make_grid
+from capflow.grid import Grid, make_grid
 from capflow.measure import (DiscreteMeasureSpace, Field, LorentzExponents,
                              lorentz_norm, weak_lorentz_norm)
 from capflow.multiplier import (TestSetFamily, char_m_via_weights,
@@ -27,12 +27,12 @@ def counting():
 def test_family_determinism_and_cap(counting):
     sp, _ = counting
     fam = TestSetFamily.random_unions(8, seed=123)
-    a = [m.key for m in fam.sets(sp)]
-    b = [m.key for m in fam.sets(sp)]
-    assert a == b
+    a = fam.sets(sp)
+    b = fam.sets(sp)
+    assert np.array_equal(a, b)
     assert len(TestSetFamily.all_subsets().sets(sp)) == 15
     # row b - 1 is the bit pattern of b = 1, 2, ..., 15, atom i being bit i
-    rows = [m.bools for m in TestSetFamily.all_subsets().sets(sp)]
+    rows = TestSetFamily.all_subsets().sets(sp)
     for b, row in enumerate(rows, start=1):
         assert [bool(x) for x in row] == [bool(b & (1 << i)) for i in range(4)]
     with pytest.raises(ValueError):
@@ -126,8 +126,8 @@ def test_family_monotone_and_diam_cap(counting):
 
     grid = make_grid(1, 16.0, 256)
     fam = TestSetFamily.dyadic((0, 4)).with_diameter_cap(1.0)
-    for mask in fam.sets(grid):
-        assert mask.diameter() <= 1.0 + 1e-12
+    for row in fam.sets(grid):
+        assert SetMask(grid, row).diameter() <= 1.0 + 1e-12
 
 
 def test_local_vs_global_on_grid():
@@ -168,12 +168,141 @@ def test_default_grid_family_contents():
     assert len(sets) > 31  # dyadic generations 0..4 plus superlevel sets
 
 
+def _reference_dyadic(generations, grid):
+    idx = np.arange(grid.size)
+    rows, cols = (idx, np.zeros_like(idx)) if grid.n == 1 else divmod(idx, grid.N)
+    out = []
+    for g in generations:
+        blocks = 2 ** g
+        if blocks > grid.N:
+            continue
+        width = grid.N // blocks
+        bi, bj = rows // width, cols // width
+        for a in range(blocks):
+            for b in range(blocks if grid.n == 2 else 1):
+                out.append(SetMask(grid, (bi == a) & (bj == b)))
+    return out
+
+
+def _reference_raw(fam, space, f):
+    if fam.kind == "union":
+        return [m for member in fam.members
+                for m in _reference_raw(member, space, f)]
+    if fam.kind == "explicit":
+        return list(fam.members)
+    if fam.kind == "all-subsets":
+        bits = (np.arange(1, 1 << space.size)[:, None] >> np.arange(space.size)) & 1
+        return [SetMask(space, row) for row in bits.astype(bool)]
+    if fam.kind == "dyadic-cubes":
+        return _reference_dyadic(fam.generations, space)
+    if fam.kind == "superlevels":
+        vals = np.abs(f.values)
+        levels = np.unique(vals[vals > 0.0])[::-1]
+        if fam.size_cap is not None and levels.size > fam.size_cap:
+            idx = np.unique(np.linspace(0, levels.size - 1,
+                                        fam.size_cap).round().astype(int))
+            levels = levels[idx]
+        return [SetMask(space, vals >= u) for u in levels]
+    assert fam.kind == "random-unions"
+    rng = np.random.default_rng(fam.seed)
+    out = []
+    if isinstance(space, Grid):
+        pool = _reference_dyadic((1, 2, 3, 4), space)
+        for _ in range(fam.count):
+            k = int(rng.integers(1, 5))
+            acc = np.zeros(space.size, dtype=bool)
+            for p in rng.integers(0, len(pool), size=k):
+                acc |= pool[p].bools
+            out.append(SetMask(space, acc))
+    else:
+        for _ in range(fam.count):
+            density = rng.uniform(0.1, 0.6)
+            b = rng.random(space.size) < density
+            if not b.any():
+                b[int(rng.integers(0, space.size))] = True
+            out.append(SetMask(space, b))
+    return out
+
+
+def _reference_sets(fam, space, f=None):
+    """The per-set generator the matrix families replaced, kept as the
+    reference: SetMask objects in generation order, screened by the
+    diameter cap, empty sets dropped and the first of any duplicate kept.
+    A union ignores its members' diameter caps."""
+    out = _reference_raw(fam, space, f)
+    if fam.diam_cap is not None:
+        out = [m for m in out if m.diameter() <= fam.diam_cap + 1e-12]
+    seen, unique = set(), []
+    for m in out:
+        if not m.is_empty and m.key not in seen:
+            seen.add(m.key)
+            unique.append(m)
+    return unique
+
+
+def _family_cases():
+    sp = DiscreteMeasureSpace(np.ones(5))
+    rng = np.random.default_rng(11)
+    A = SetMask.from_indices(sp, [0, 3])
+    # ties and zeros: 9 distinct positive levels among 12 values
+    ties = Field.of(sp, [2.0, -2.0, 0.0, 1.0, 0.5])
+    many = Field.of(DiscreteMeasureSpace(np.ones(12)),
+                    np.round(rng.standard_normal(12), 1))
+    line, plane = make_grid(1, 16.0, 256), make_grid(2, 8.0, 32)
+    bump = Field.of(line, np.round(np.exp(-line.coords()[:, 0] ** 2) * 40) / 40)
+    hill = Field.of(plane, np.exp(-(plane.coords() ** 2).sum(axis=1)))
+    every = TestSetFamily.all_subsets()
+    return [
+        (sp, None, every),
+        (sp, None, TestSetFamily.random_unions(40, seed=3)),
+        (sp, None, every + TestSetFamily.random_unions(12)),   # duplicates
+        (sp, None, TestSetFamily.explicit([A, SetMask.empty(sp), A,
+                                           SetMask.full(sp)])),
+        (sp, ties, TestSetFamily.superlevels()),
+        (sp, ties, TestSetFamily.superlevels(size_cap=2)),
+        (many.space, many, TestSetFamily.superlevels(size_cap=5)),
+        (many.space, many, every + TestSetFamily.superlevels(size_cap=4)),
+        (line, bump, default_grid_family(bump)),
+        (line, None, default_grid_family()),
+        (line, None, TestSetFamily.dyadic((0, 4)).with_diameter_cap(1.0)),
+        (line, bump, (TestSetFamily.dyadic((2, 3))
+                      + TestSetFamily.superlevels(size_cap=7)).with_diameter_cap(2.0)),
+        (line, bump, TestSetFamily.dyadic().with_diameter_cap(1.0)
+         + TestSetFamily.superlevels()),
+        (line, None, TestSetFamily.random_unions(10, seed=9)),
+        (plane, hill, TestSetFamily.dyadic((0, 1, 2, 6))
+         + TestSetFamily.superlevels(size_cap=6)),
+        (plane, None, TestSetFamily.dyadic((2, 3)).with_diameter_cap(2.5)),
+        (plane, None, TestSetFamily.random_unions(6)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(17))
+def test_family_matrix_matches_per_set_reference(case):
+    space, f, fam = _family_cases()[case]
+    bits = fam.sets(space, f)
+    ref = _reference_sets(fam, space, f)
+    assert bits.dtype == bool and bits.shape == (len(ref), space.size)
+    assert [row.tobytes() for row in bits] == [m.key for m in ref]
+    assert not bits.flags.writeable
+
+
+def test_explicit_members_of_another_space_raise():
+    small, other = DiscreteMeasureSpace(np.ones(3)), DiscreteMeasureSpace(np.ones(3))
+    fam = TestSetFamily.explicit([SetMask.full(small), SetMask.full(other)])
+    with pytest.raises(ValueError, match="different space"):
+        fam.sets(small)
+    with pytest.raises(ValueError, match="different space"):
+        (TestSetFamily.all_subsets() + fam).sets(other)
+
+
 def _per_set_reference(sets, numerator, oracle, cap_exponent, exact):
     """The one-set-at-a-time supremum loop, kept as the reference for the
     engine: a strict `>` keeps the first set attaining the maximum."""
-    oracle.prefetch(sets)
+    oracle.gather(sets)
     best, lo, hi, worst, witness, ratios = -1.0, 0.0, 0.0, 0.0, None, []
-    for k, mask in enumerate(sets):
+    for k, row in enumerate(sets):
+        mask = SetMask(oracle.space, row)
         res = oracle.result(mask)
         if res.value <= 0.0:
             continue
@@ -250,10 +379,10 @@ def test_sup_engine_matches_per_set_reference(case):
     sets = fixed_family.sets(space)
     # |mu|(K) over the whole family is one matrix product; its sum order
     # differs from a per-set sum, which bounds the difference by size * eps
-    variations = np.array([m.bools for m in sets], dtype=float) @ np.abs(mu.masses)
-    for k, mask in enumerate(sets):
+    variations = sets.astype(float) @ np.abs(mu.masses)
+    for k, row in enumerate(sets):
         assert variations[k] == pytest.approx(
-            np.abs(mu.masses)[mask.bools].sum(),
+            np.abs(mu.masses)[row].sum(),
             rel=space.size * np.finfo(float).eps, abs=0.0)
     ref, n_top = _per_set_reference(sets, lambda k, mask: variations[k],
                                     oracle, 1.0, exact)

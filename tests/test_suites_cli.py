@@ -1,4 +1,5 @@
 """Verification-suite plumbing and the command-line interface."""
+import dataclasses
 import json
 import subprocess
 import sys
@@ -40,6 +41,33 @@ def test_config_rejects_level_cap_below_one(tmp_path):
     bad.write_text("[scale]\nl1c_levels = 0\n")
     with pytest.raises(ValueError, match="l1c_levels"):
         CapflowConfig.from_file(bad)
+
+
+SCALE = {name: key for (section, key), (name, _conv)
+         in CapflowConfig._FILE_KEYS.items() if section == "scale"}
+
+
+def test_every_scale_field_is_a_scale_key():
+    names = {f.name for f in dataclasses.fields(CapflowConfig)}
+    assert set(SCALE) == {n for n in names if n.startswith("scale_")} | {"l1c_levels"}
+
+
+@pytest.mark.parametrize("name", sorted(SCALE))
+def test_config_rejects_scale_below_one(name):
+    # fields = 0 divided by zero in C16; trace = 0 passed C12 on no measures
+    for bad in (0, -3):
+        with pytest.raises(ValueError,
+                           match=rf"\[scale\] {SCALE[name]} must be at least 1"):
+            CapflowConfig(**{name: bad})
+    assert getattr(CapflowConfig(**{name: 1}), name) == 1
+
+
+def test_config_file_rejects_zero_scale(tmp_path):
+    for key in ("fields", "trace"):
+        bad = tmp_path / f"{key}.cfg"
+        bad.write_text(f"[seeds]\nmaster = 7\n[scale]\n{key} = 0\n")
+        with pytest.raises(ValueError, match=f"{key} must be at least 1"):
+            CapflowConfig.from_file(bad)
 
 
 def test_unknown_and_empty_suite():
