@@ -9,7 +9,8 @@ campaigns over every finitely checkable inequality the estimates satisfy.
 from .measure import (DiscreteMeasureSpace, Field, LorentzExponents,
                       StepFunction, decreasing_rearrangement,
                       distribution_function, gamma_norm, lorentz_norm,
-                      pairing, power_identity_check, weak_lorentz_norm)
+                      lorentz_norms, pairing, power_identity_check,
+                      weak_lorentz_norm)
 from .grid import Grid, KernelSpec, bessel_kernel, convolve, make_grid
 from .capacity import (CapacityOracle, CapacityParams, CapacityProblem,
                        CapacityResult, NormEstimate, SetMask, capacity,

@@ -20,8 +20,8 @@ variations of a whole family taken as one product of its boolean set
 matrix with |mu|; the threshold form and the all-subsets multiplier norm
 read their capacities from one `CapacityOracle.gather` of the same matrix,
 and the block supports of a decomposition are gathered in one batch too.
-The row-wise Lorentz norm of the integral-dual oracle is the measure
-module's layer-cake closed form applied to sorted rows.
+Lorentz norms of whole families (the block coefficients of a decomposition,
+the restricted rows of `m_norm_batch`) come from one `lorentz_norms` stack.
 """
 from __future__ import annotations
 
@@ -31,9 +31,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .capacity import CapacityOracle, NormEstimate, SetMask
+from .capacity import CapacityOracle, NormEstimate, SetMask, _measures
 from .grid import Grid
-from .measure import Field, LorentzExponents, _layer_cake, lorentz_norm, pairing
+from .measure import (Field, LorentzExponents, _levels, lorentz_norm,
+                      lorentz_norms, pairing)
 from .multiplier import TestSetFamily, _sup_over_sets
 from .weights import Weight
 
@@ -85,14 +86,14 @@ def _capacity_exponent(e: LorentzExponents, norm_type: str) -> float:
 def validate_block(b: Field, support: SetMask, e: LorentzExponents,
                    norm_type: str, oracle: CapacityOracle) -> Block:
     """Check support and normalization; reject anything above 1 + 1e-12."""
-    if b.space is not support.space:
-        raise ValueError("block and support live on different spaces")
+    if not (b.space is support.space is oracle.space):
+        raise ValueError("block, support and oracle live on different spaces")
     off = ~support.bools
     if np.any(b.values[off] != 0.0):
         raise ValueError("block does not vanish off its support")
     if float(np.abs(b.values).max(initial=0.0)) == 0.0:
         return Block(b, support, e, norm_type, 0.0)
-    cap = oracle.value(support)
+    cap = float(oracle.gather(support.bools[None])[0][0])
     norm = cap ** _capacity_exponent(e, norm_type) * lorentz_norm(b, e)
     if norm > 1.0 + _NORMALIZATION_SLACK:
         raise ValueError(f"block normalization {norm} exceeds 1")
@@ -133,12 +134,14 @@ def _tight_terms(pieces: list, e: LorentzExponents, norm_type: str,
     """One term per (support, piece): lambda is the piece's Lorentz norm
     times the capacity factor and the block is piece / lambda, so its
     normalization is exactly 1.  Pieces with lambda = 0 are dropped."""
-    bits = np.array([mask.bools for mask, _ in pieces], dtype=bool)
-    caps = oracle.gather(bits.reshape(-1, oracle.space.size))[0].tolist()
+    size = oracle.space.size
+    caps = oracle.gather(np.array([mask.bools for mask, _ in pieces],
+                                  dtype=bool).reshape(-1, size))[0].tolist()
+    norms = lorentz_norms(np.reshape([piece for _, piece in pieces], (-1, size)),
+                          oracle.space.weights, e).tolist()
     terms = []
-    for (mask, piece), cap in zip(pieces, caps):
-        lam = lorentz_norm(Field(mask.space, piece), e) * \
-            cap ** _capacity_exponent(e, norm_type)
+    for (mask, piece), cap, norm in zip(pieces, caps, norms):
+        lam = norm * cap ** _capacity_exponent(e, norm_type)
         if lam != 0.0:
             terms.append((lam, validate_block(Field(mask.space, piece / lam),
                                               mask, e, norm_type, oracle)))
@@ -189,12 +192,11 @@ def block_norm_upper_greedy(f: Field, e: LorentzExponents,
     """
     sets = dictionary.sets(oracle.space, f)
     residual = f.values.copy()
-    w = f.space.weights
     # the peel order depends on the residual alone, so the supports are
     # known before any capacity is needed
     peels = []
     while np.any(residual != 0.0):
-        energies = [float((w * residual ** 2)[row].sum()) for row in sets]
+        energies = _measures(f.space.weights * residual ** 2, sets)
         i = int(np.argmax(energies))   # the first set of the largest energy
         if energies[i] <= 0.0:
             leftover = int((residual != 0.0).sum())
@@ -364,35 +366,19 @@ def trace_norm_inf_form(mu: AtomicMeasure, oracle: CapacityOracle,
 # Brute-force integral dual
 # ---------------------------------------------------------------------------
 
-def lorentz_norm_batch(space, e: LorentzExponents) -> Callable:
-    """Vectorized Lorentz norm over rows of a candidate matrix: the layer
-    cake over each row's values sorted in decreasing order, with the
-    cumulative atom weights as masses."""
-    w = space.weights
-
-    def norm_rows(G: np.ndarray) -> np.ndarray:
-        A = np.abs(G)
-        order = np.argsort(-A, axis=1, kind="stable")
-        return _layer_cake(np.take_along_axis(A, order, axis=1),
-                           np.cumsum(w[order], axis=1), e)
-
-    return norm_rows
-
-
 def m_norm_batch(space, e: LorentzExponents, oracle: CapacityOracle) -> Callable:
-    """Vectorized all-subsets multiplier norm over rows (small models)."""
+    """Vectorized all-subsets multiplier norm over rows (small models): the
+    norms of every row restricted to every set, in one stack."""
     sets = TestSetFamily.all_subsets().sets(space)
     caps = oracle.gather(sets)[0]
     keep = caps > 0.0
-    masks, caps = sets[keep], caps[keep]
-    lor = lorentz_norm_batch(space, e)
+    masks = sets[keep]
+    roots = np.array([c ** (1.0 / e.q) for c in caps[keep].tolist()])
 
     def norm_rows(G: np.ndarray) -> np.ndarray:
-        out = np.zeros(G.shape[0])
-        for mask, cap in zip(masks, caps):
-            np.maximum(out, lor(np.where(mask, G, 0.0)) / cap ** (1.0 / e.q),
-                       out=out)
-        return out
+        restricted = np.where(masks[:, None, :], G, 0.0).reshape(-1, space.size)
+        norms = lorentz_norms(restricted, space.weights, e).reshape(len(masks), -1)
+        return np.max(norms / roots[:, None], axis=0, initial=0.0)
 
     return norm_rows
 
@@ -427,15 +413,11 @@ def kothe_dual_norm_bruteforce(f: Field, norm_rows: Callable,
         norms = np.where(norms > 0.0, norms, 1.0)
         return G / norms[:, None]
 
-    seeds = [np.abs(rng.standard_normal((n_starts, m)))]
-    powers = [a ** t for t in (0.5, 1.0, 2.0, 3.0)]
-    for i in range(m):
-        e_i = np.zeros(m)
-        e_i[i] = 1.0
-        powers.append(e_i)
-    for u in np.unique(a[a > 0.0]):
-        powers.append((a >= u).astype(float))
-    seeds.append(np.array(powers))
+    # random starts, powers of |f|, unit vectors and the superlevel
+    # indicators of |f|, lowest level first
+    seeds = [np.abs(rng.standard_normal((n_starts, m))),
+             np.array([a ** t for t in (0.5, 1.0, 2.0, 3.0)]), np.eye(m),
+             (a >= _levels(f)[0][::-1, None]).astype(float)]
     G = normalize(np.concatenate(seeds))
 
     best_vals = objective(G)

@@ -7,12 +7,14 @@ consumes the metrology defined here:
   * Field               -- one finite real value per atom/cell of a space.
   * StepFunction        -- right-continuous step representation of the
                            distribution function t -> mu({|f| > t}).
-  * lorentz_norm        -- exact closed-form evaluation of the layer-cake
-                           quasi-norm  p^(1/q) (int mu({|f|>t})^(q/p) t^q dt/t)^(1/q).
-  * _layer_cake         -- that closed form over given levels and masses, the
-                           one copy shared by the measure norms, the
-                           capacitary norms (capacity in place of mu) and
-                           the row-wise norms of the integral-dual oracle.
+  * lorentz_norms       -- exact closed-form evaluation of the layer-cake
+                           quasi-norm  p^(1/q) (int mu({|f|>t})^(q/p) t^q dt/t)^(1/q)
+                           (the weak norm at q = inf) of every field of a
+                           (B, size) stack; lorentz_norm and weak_lorentz_norm
+                           are its batch of one.
+  * _stack_levels       -- the one extraction of levels and tie masses.
+  * _layer_cake         -- the closed form over given levels and masses, shared
+                           with the capacitary norms (capacity in place of mu).
   * gamma_norm          -- the maximal-average renorming that sandwiches the
                            Lorentz quasi-norm between explicit constants.
 
@@ -36,6 +38,7 @@ __all__ = [
     "distribution_function",
     "decreasing_rearrangement",
     "lorentz_norm",
+    "lorentz_norms",
     "weak_lorentz_norm",
     "gamma_norm",
     "power_identity_check",
@@ -112,11 +115,6 @@ class Field:
         return f"Field(n={self.space.size}, max|.|={np.abs(self.values).max():.6g})"
 
 
-def _same_space(f: Field, g: Field) -> None:
-    if f.space is not g.space:
-        raise ValueError("fields live on different spaces")
-
-
 # ---------------------------------------------------------------------------
 # Exponents
 # ---------------------------------------------------------------------------
@@ -185,30 +183,32 @@ class StepFunction:
         return self.plateaus[idx]
 
 
-def _levels(f: Field):
-    """Distinct positive levels of |f| (descending) with cumulative masses.
+def _stack_levels(a: np.ndarray, w: np.ndarray):
+    """Distinct positive levels of each row of a (B, size) stack of |f|,
+    strictly descending, with g[i] = mu({|f| = u[i]}) and counts[b] levels
+    in row b; u and g run row after row.  The row sort is stable, so tied
+    weights are summed in atom order."""
+    neg = -a
+    order = np.argsort(neg, axis=1, kind="stable")
+    neg.sort(axis=1)
+    live = neg < 0.0
+    new = live.copy()   # a new level where a positive value changes...
+    new.ravel()[1:] &= neg.ravel()[1:] != neg.ravel()[:-1]
+    new[:, 0] = live[:, 0]   # ...and at the first positive value of a row
+    starts = new[live].nonzero()[0]
+    g = np.add.reduceat(w[order][live], starts) if starts.size else np.empty(0)
+    return -neg[new], g, new.sum(axis=1)
 
-    Ties are merged into one plateau; the sort is deterministic because
-    distinct values admit a unique descending order.
+
+def _levels(f: Field):
+    """Distinct positive levels of |f| (descending) with cumulative masses:
+    the one-row case of `_stack_levels`.
 
     Returns (u, m): u[0] > u[1] > ... > u[k-1] > 0 and
     m[i] = mu({|f| >= u[i]}).
     """
-    a = np.abs(f.values)
-    w = f.space.weights
-    pos = a > 0.0
-    if not pos.any():
-        return np.empty(0), np.empty(0)
-    vals = a[pos]
-    ws = w[pos]
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    ws = ws[order]
-    u, start = np.unique(-vals, return_index=True)
-    u = -u                            # distinct values, descending
-    group_mass = np.add.reduceat(ws, start)
-    m = np.cumsum(group_mass)         # mu({|f| >= u[i]})
-    return u, m
+    u, g, _ = _stack_levels(np.abs(f.values)[None], f.space.weights)
+    return u, np.cumsum(g)
 
 
 def decreasing_rearrangement(f: Field) -> StepFunction:
@@ -247,42 +247,66 @@ def _layer_cake(levels: np.ndarray, masses: np.ndarray,
         (p/q)^(1/q) * ( sum_i m_i^(q/p) (u_i^q - u_{i+1}^q) )^(1/q)
 
     for q < inf, and to max_i u_i m_i^(1/p) for q = inf.  Repeated levels
-    add nothing.  On 1-D input the sum is reduced to a scalar before its
-    root, so the root is libm's, not numpy's vector kernel's.
+    add nothing.  The roots are taken by np.float_power, which has no
+    vector kernel: each is libm's pow, as a scalar root is, not numpy's
+    vector `**`, which differs in the last bit.
     """
     p, q = e.p, e.q
     if q == math.inf:
         return np.max(levels * masses ** (1.0 / p), axis=-1)
     uq = levels ** q
-    drops = uq - np.concatenate([uq[..., 1:], np.zeros_like(uq[..., :1])], axis=-1)
-    total = np.sum(masses ** (q / p) * drops, axis=-1)
-    return (p / q) ** (1.0 / q) * total ** (1.0 / q)
+    drops = uq.copy()   # u_i^q - u_{i+1}^q, with u_{k+1} = 0 in the last column
+    drops.ravel()[:-1] -= uq.ravel()[1:]
+    drops[..., -1] = uq[..., -1]
+    total = np.add.reduce(masses ** (q / p) * drops, axis=-1)
+    return (p / q) ** (1.0 / q) * np.float_power(total, 1.0 / q)
+
+
+def lorentz_norms(values: np.ndarray, weights: np.ndarray,
+                  e: LorentzExponents) -> np.ndarray:
+    """||f||_{p,q} (weak when q = inf) of every row f of a (B, size) stack
+    of fields on atoms of the given weights.  Rows with equal level counts
+    are compacted and evaluated together, so each row's sums reduce as 1-D
+    sums do and every row gets the bits of its own batch of one."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != weights.size:
+        raise ValueError(f"need a (B, {weights.size}) stack of fields, "
+                         f"got shape {values.shape}")
+    step = max(1, 2 ** 20 // weights.size)    # rows per chunk of temporaries
+    if len(values) > step:
+        return np.concatenate([lorentz_norms(values[i:i + step], weights, e)
+                               for i in range(0, len(values), step)])
+    u, g, counts = _stack_levels(np.abs(values), weights)
+    out = np.zeros(len(values))
+    kinds = set(counts.tolist())
+    for c in kinds - {0}:
+        rows = mine = slice(None)           # every row has c levels
+        if len(kinds) > 1:
+            rows = counts == c
+            mine = np.repeat(rows, counts)  # the levels of those rows
+        out[rows] = _layer_cake(u[mine].reshape(-1, c),
+                                np.cumsum(g[mine].reshape(-1, c), axis=1), e)
+    return out
 
 
 def lorentz_norm(f: Field, e: LorentzExponents) -> float:
-    """Exact closed-form Lorentz quasi-norm for q < inf (see _layer_cake),
-    over the distinct levels of |f| and their cumulative masses."""
+    """Exact closed-form Lorentz quasi-norm for q < inf: `lorentz_norms`
+    of the one field."""
     if e.q == math.inf:
         raise ValueError("q = inf is a distinct code path; use weak_lorentz_norm")
-    u, m = _levels(f)
-    if u.size == 0:
-        return 0.0
-    return float(_layer_cake(u, m, e))
+    return float(lorentz_norms(f.values[None], f.space.weights, e)[0])
 
 
 def weak_lorentz_norm(f: Field, p: float) -> float:
     """sup_t t * mu({|f| > t})^(1/p); attained at some level from below."""
-    if not (0.0 < p < math.inf):
-        raise ValueError(f"p must lie in (0, inf), got {p}")
-    u, m = _levels(f)
-    if u.size == 0:
-        return 0.0
-    return float(_layer_cake(u, m, LorentzExponents(p, math.inf)))
+    return float(lorentz_norms(f.values[None], f.space.weights,
+                               LorentzExponents(p, math.inf))[0])
 
 
 def pairing(f: Field, g: Field, absolute: bool = False) -> float:
     """Integral pairing sum_i f_i g_i w_i (absolute variant on request)."""
-    _same_space(f, g)
+    if f.space is not g.space:
+        raise ValueError("fields live on different spaces")
     prod = f.values * g.values
     if absolute:
         prod = np.abs(prod)

@@ -20,7 +20,8 @@ both forms of the weak norm, the trace class) runs through one engine,
 `_sup_over_sets`: the caller supplies the set matrix and one numerator per
 row, the engine reads all capacities from one `CapacityOracle.gather` and
 returns the certified estimate, with a `SetMask` built for the witness
-only.
+only.  The numerators ||f chi_K|| of a family are one `lorentz_norms` call
+on the stack of restricted fields, strong and weak alike.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import numpy as np
 from .capacity import CapacityOracle, NormEstimate, SetMask, _diameter, unit_cover
 from .grid import Grid
 from .measure import (DiscreteMeasureSpace, Field, LorentzExponents, _levels,
-                      lorentz_norm, weak_lorentz_norm)
+                      lorentz_norm, lorentz_norms)
 from .weights import Weight, WeightConfig, potential_weight
 
 __all__ = [
@@ -238,10 +239,7 @@ def _restricted_sup(f: Field, e: LorentzExponents, family: TestSetFamily,
     for f."""
     if sets is None:
         sets = family.sets(oracle.space, f)
-    if e.q == math.inf:
-        nums = [weak_lorentz_norm(f.restrict(row), e.p) for row in sets]
-    else:
-        nums = [lorentz_norm(f.restrict(row), e) for row in sets]
+    nums = lorentz_norms(np.where(sets, f.values, 0.0), f.space.weights, e)
     return _sup_over_sets(family, sets, nums, oracle, cap_exponent)
 
 

@@ -209,10 +209,6 @@ def average_weights(terms: Sequence, oracle: CapacityOracle,
 # Weighted-infimum upper bounds
 # ---------------------------------------------------------------------------
 
-def _weighted_norm(f: Field, power: np.ndarray, e: LorentzExponents) -> float:
-    return lorentz_norm(Field(f.space, f.values * power), e)
-
-
 def n_norm_upper(f: Field, e: LorentzExponents, candidates: Sequence[Weight],
                  a1_cap: Optional[float] = None,
                  cfg: WeightConfig = WeightConfig(),
@@ -244,8 +240,8 @@ def n_norm_upper(f: Field, e: LorentzExponents, candidates: Sequence[Weight],
     def score(w: Weight) -> float:
         scale = max(w.l1c_estimate.hi if math.isfinite(w.l1c_estimate.hi)
                     else w.l1c_estimate.value, WEIGHT_FLOOR)
-        normalized = w.values / scale
-        return _weighted_norm(f, normalized ** (-1.0 / qc), e)
+        weighted = f.values * (w.values / scale) ** (-1.0 / qc)
+        return lorentz_norm(Field(f.space, weighted), e)
 
     admissible = [w for w in cands if w.a1_constant <= a1_cap * (1.0 + 1e-12)]
     if not admissible:

@@ -10,7 +10,8 @@ from scipy.integrate import quad
 from capflow.measure import (DiscreteMeasureSpace, Field, LorentzExponents,
                              decreasing_rearrangement, distribution_function,
                              gamma_norm, gamma_sandwich_bound, lorentz_norm,
-                             pairing, power_identity_check, weak_lorentz_norm)
+                             lorentz_norms, pairing, power_identity_check,
+                             weak_lorentz_norm)
 
 
 def space(*weights):
@@ -171,6 +172,91 @@ def test_weak_below_strong_small_q():
             weak = weak_lorentz_norm(f, p)
             strong = lorentz_norm(f, LorentzExponents(p, q))
             assert weak <= (q / p) ** (1 / q) * strong * (1 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Stacked Lorentz norms against the per-field path they replaced
+# ---------------------------------------------------------------------------
+
+def reference_levels(f):
+    """Per-field levels: one np.unique per field, ties merged."""
+    a = np.abs(f.values)
+    pos = a > 0.0
+    if not pos.any():
+        return np.empty(0), np.empty(0)
+    vals, ws = a[pos], f.space.weights[pos]
+    order = np.argsort(-vals, kind="stable")
+    vals, ws = vals[order], ws[order]
+    u, start = np.unique(-vals, return_index=True)
+    return -u, np.cumsum(np.add.reduceat(ws, start))
+
+
+def reference_norm(f, e):
+    """Per-field layer cake on 1-D levels, rooted as a scalar."""
+    u, m = reference_levels(f)
+    if u.size == 0:
+        return 0.0
+    p, q = e.p, e.q
+    if q == math.inf:
+        return float(np.max(u * m ** (1.0 / p)))
+    uq = u ** q
+    drops = uq - np.concatenate([uq[1:], [0.0]])
+    total = np.sum(m ** (q / p) * drops)
+    return float((p / q) ** (1.0 / q) * total ** (1.0 / q))
+
+
+def stacks():
+    """(weights, stack) cases: ties, zeros, all-zero rows, batches of one,
+    rows of up to 256 cells, and level counts that mix with empty rows."""
+    rng = np.random.default_rng(20)
+    out = [(np.ones(4), np.array([[1.0, 2.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0],
+                                  [0.0, 0.0, 0.0, 0.0]])),
+           (np.ones(3), np.zeros((2, 3)))]
+    for size in (1, 3, 8, 17, 33, 256):
+        w = rng.random(size) + 0.1
+        V = rng.lognormal(0.0, 1.0, (24, size)) * rng.choice([-1.0, 1.0], (24, size))
+        V[::3] = np.round(V[::3] * 2.0) / 2.0
+        V[1::4] *= rng.random((6, size)) < 0.5
+        V[5] = 0.0
+        out += [(w, V), (np.ones(size), np.round(V)), (w, V[:1]),
+                (w, np.concatenate([np.tile(V[0], (3, 1)), V[5:6]]))]
+    return out
+
+
+PAIRS = [(2.0, 2.0), (2.0, 1.0), (3.0, 1.5), (1.5, 2.0), (0.8, 1.3),
+         (2.0, 0.5), (2.5, math.inf)]
+
+
+@pytest.mark.parametrize("p,q", PAIRS)
+def test_stacked_norms_match_per_field_reference_bit_for_bit(p, q):
+    e = LorentzExponents(p, q)
+    for w, V in stacks():
+        sp = DiscreteMeasureSpace(w)
+        want = [reference_norm(Field.of(sp, row), e) for row in V]
+        assert lorentz_norms(V, w, e).tolist() == want
+        single = [weak_lorentz_norm(Field.of(sp, row), p) if q == math.inf
+                  else lorentz_norm(Field.of(sp, row), e) for row in V]
+        assert single == want
+
+
+def test_stacked_norms_taller_than_one_chunk():
+    rng = np.random.default_rng(21)
+    size = 2 ** 14
+    w = rng.random(size) + 0.1
+    V = np.round(rng.lognormal(0.0, 1.0, (2 ** 20 // size + 3, size)), 2)
+    e = LorentzExponents(1.5, 2.5)
+    sp = DiscreteMeasureSpace(w)
+    assert lorentz_norms(V, w, e).tolist() == \
+        [reference_norm(Field.of(sp, row), e) for row in V]
+
+
+def test_stacked_norms_reject_a_stack_of_another_width():
+    w = np.ones(4)
+    e = LorentzExponents(2.0, 2.0)
+    for bad in (np.ones((2, 3)), np.ones(4), np.ones((1, 2, 4))):
+        with pytest.raises(ValueError, match="stack"):
+            lorentz_norms(bad, w, e)
+    assert lorentz_norms(np.ones((0, 4)), w, e).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
