@@ -27,8 +27,8 @@ from .weights import (Weight, WeightConfig, a1loc_constant, average_weights,
                       potential_weight)
 from .blocks import (AtomicMeasure, Block, BlockDecomposition,
                      block_norm_upper_constructive, block_norm_upper_greedy,
-                     kothe_dual_norm_bruteforce, pairing_inequality_suite,
-                     trace_norm, trace_norm_inf_form, transport_decomposition,
+                     kothe_dual_norm_bruteforce, trace_norm,
+                     trace_norm_inf_form, transport_decomposition,
                      validate_block)
 from .suites import (CapflowConfig, SuiteSpec, Verdict, emit_report,
                      run_suite)

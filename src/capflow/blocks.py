@@ -1,5 +1,5 @@
-"""Block decompositions, pairing inequalities, the trace class, and a
-brute-force integral-dual oracle.
+"""Block decompositions, the trace class, and a brute-force integral-dual
+oracle.
 
 A block is a field supported in a bounded set E whose Lorentz norm is
 normalized against a power of cap(E): exponent 1/q' for B-type blocks and
@@ -14,6 +14,12 @@ geometry, so there the annulus index collapses to a single band); every
 emitted block is tight by construction and reconstruction is exact on the
 covered cells.
 
+A decomposition is paired against a multiplier-space function through its
+two views: `supports()`, the block supports as an explicit test-set family
+over which the multiplier norm is taken, and `reconstruction()`, the field
+sum_k lambda_k b_k, so that |int f g| <= ||f||_M * sum_k |lambda_k| can be
+checked with the multiplier module's estimates and `measure.pairing`.
+
 The trace class is a supremum over sets of |mu|(K)/cap(K), so `trace_norm`
 is a caller of the multiplier module's one supremum engine, with the
 variations of a whole family taken as one product of its boolean set
@@ -27,14 +33,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .capacity import CapacityOracle, NormEstimate, SetMask, _measures
 from .grid import Grid
 from .measure import (Field, LorentzExponents, _levels, lorentz_norm,
-                      lorentz_norms, pairing)
+                      lorentz_norms)
 from .multiplier import TestSetFamily, _sup_over_sets
 from .weights import Weight
 
@@ -46,8 +52,6 @@ __all__ = [
     "block_norm_upper_constructive",
     "block_norm_upper_greedy",
     "transport_decomposition",
-    "PairingReport",
-    "pairing_inequality_suite",
     "trace_norm",
     "trace_norm_inf_form",
     "kothe_dual_norm_bruteforce",
@@ -127,6 +131,14 @@ class BlockDecomposition:
                 f"reconstruction residual {residual:.3e} exceeds 1e-9*scale")
         sum_lambda = float(sum(abs(lam) for lam, _ in terms))
         return BlockDecomposition(terms, target, residual, sum_lambda)
+
+    def supports(self) -> TestSetFamily:
+        """The block supports, as an explicit test-set family."""
+        return TestSetFamily.explicit([blk.support for _lam, blk in self.terms])
+
+    def reconstruction(self) -> Field:
+        """sum_k lambda_k block_k."""
+        return Field(self.target.space, _combine(self.terms, self.target.space))
 
 
 def _tight_terms(pieces: list, e: LorentzExponents, norm_type: str,
@@ -236,68 +248,6 @@ def transport_decomposition(decomp: BlockDecomposition,
 
 
 # ---------------------------------------------------------------------------
-# Pairing inequality harness
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PairingReport:
-    block_ratios: list
-    weak_ratios: list
-    nnorm_ratios: list
-    skipped: int
-    max_gap: float = 0.0
-
-    @property
-    def block_max(self) -> float:
-        return max(self.block_ratios) if self.block_ratios else 0.0
-
-
-def _supports(decomp: BlockDecomposition) -> TestSetFamily:
-    return TestSetFamily.explicit([blk.support for _lam, blk in decomp.terms])
-
-
-def _reconstruct(decomp: BlockDecomposition) -> Field:
-    return Field(decomp.target.space, _combine(decomp.terms, decomp.target.space))
-
-
-def pairing_inequality_suite(block_pairs: Sequence, e: LorentzExponents,
-                             oracle: CapacityOracle,
-                             m_estimator: Optional[Callable] = None,
-                             weak_pairs: Sequence = (),
-                             weak_estimator: Optional[Callable] = None,
-                             nnorm_pairs: Sequence = ()) -> PairingReport:
-    """Ratios of integral pairings against the product of dual-side norms.
-
-    block_pairs: (f, decomposition) with B-type blocks; ratio
-        int |f g| / (m_est(f) * sum |lambda|),
-    where the estimator family is enlarged by the block supports so the
-    per-set chain applies.  At p = q = 2 the chain has constant one, so the
-    ratio stays within solver slack of 1.  weak_pairs uses script blocks
-    against the weak estimate; nnorm_pairs pairs (f, g, n_upper_estimate).
-    Zero denominators are skipped and counted.
-    """
-    report = PairingReport([], [], [], 0)
-
-    def record(ratios: list, f: Field, g: Field, est: NormEstimate, other: float):
-        report.max_gap = max(report.max_gap, est.max_gap)
-        denom = est.value * other
-        if denom <= 0.0:
-            report.skipped += 1
-        else:
-            ratios.append(pairing(f, g, absolute=True) / denom)
-
-    for f, decomp in block_pairs:
-        record(report.block_ratios, f, _reconstruct(decomp),
-               m_estimator(f, _supports(decomp)), decomp.sum_lambda)
-    for f, decomp in weak_pairs:
-        record(report.weak_ratios, f, _reconstruct(decomp),
-               weak_estimator(f, _supports(decomp)), decomp.sum_lambda)
-    for f, g, n_est in nnorm_pairs:
-        record(report.nnorm_ratios, f, g, m_estimator(f, None), n_est.value)
-    return report
-
-
-# ---------------------------------------------------------------------------
 # Trace class
 # ---------------------------------------------------------------------------
 
@@ -332,20 +282,15 @@ def trace_norm(mu: AtomicMeasure, family: TestSetFamily,
                           oracle, 1.0)
 
 
-def trace_norm_inf_form(mu: AtomicMeasure, oracle: CapacityOracle,
-                        family: Optional[TestSetFamily] = None) -> float:
+def trace_norm_inf_form(mu: AtomicMeasure, oracle: CapacityOracle) -> float:
     """Threshold form: the least a with |mu|(E) <= a cap(E) for all E.
 
     Evaluated from the opposite side of the supremum form: bisection on the
-    threshold a, where feasibility scans every enumerated set for a
-    violated comparison.  On finite models (<= 20 atoms) the enumeration
-    brute-forces every nonempty subset and the result must agree with the
-    supremum form to roundoff plus capacity gaps; on grids a family
-    approximation is used (a lower bound, like the supremum form there).
+    threshold a, where feasibility scans every nonempty subset of the
+    finite model (<= 20 atoms) for a violated comparison.  The result must
+    agree with the all-subsets supremum form to roundoff plus capacity gaps.
     """
-    if family is None:
-        family = TestSetFamily.all_subsets()
-    sets = family.sets(oracle.space)
+    sets = TestSetFamily.all_subsets().sets(oracle.space)
     caps = oracle.gather(sets)[0]
     variations = sets.astype(float) @ mu.total_variation
     keep = caps > 0.0
@@ -373,7 +318,7 @@ def m_norm_batch(space, e: LorentzExponents, oracle: CapacityOracle) -> Callable
     caps = oracle.gather(sets)[0]
     keep = caps > 0.0
     masks = sets[keep]
-    roots = np.array([c ** (1.0 / e.q) for c in caps[keep].tolist()])
+    roots = np.float_power(caps[keep], 1.0 / e.q)
 
     def norm_rows(G: np.ndarray) -> np.ndarray:
         restricted = np.where(masks[:, None, :], G, 0.0).reshape(-1, space.size)

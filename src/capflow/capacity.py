@@ -43,7 +43,7 @@ import numpy as np
 
 from .grid import Grid, KernelSpec, bessel_kernel, _convolve_values
 from .measure import (DiscreteMeasureSpace, Field, LorentzExponents, _layer_cake,
-                      _levels)
+                      _levels, _thinned)
 
 __all__ = [
     "CapacityParams",
@@ -720,9 +720,7 @@ def l1c_norm(omega: Field, oracle: CapacityOracle,
     if levels.size == 0:
         return NormEstimate(0.0, "exact", witness=None, lo=0.0, hi=0.0)
     exact = max_levels is None or levels.size <= max_levels
-    if not exact:
-        idx = np.unique(np.linspace(0, levels.size - 1, max_levels).round().astype(int))
-        levels = levels[idx]
+    levels = _thinned(levels, max_levels)
 
     knots = np.concatenate([levels, [0.0]])
     # {omega >= t} at the upper knots, then {omega > t} at the lower ones

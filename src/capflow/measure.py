@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -209,6 +209,14 @@ def _levels(f: Field):
     """
     u, g, _ = _stack_levels(np.abs(f.values)[None], f.space.weights)
     return u, np.cumsum(g)
+
+
+def _thinned(levels: np.ndarray, cap: Optional[int]) -> np.ndarray:
+    """At most `cap` of the levels, evenly spread from first to last."""
+    if cap is None or levels.size <= cap:
+        return levels
+    idx = np.linspace(0, levels.size - 1, cap).round().astype(int)
+    return levels[np.unique(idx)]
 
 
 def decreasing_rearrangement(f: Field) -> StepFunction:

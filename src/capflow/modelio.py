@@ -35,11 +35,17 @@ __all__ = [
 ]
 
 
+def _header(path, lines: list) -> int:
+    """Index of the first non-blank line, the header line of every format."""
+    for pos, line in enumerate(lines):
+        if line.strip():
+            return pos
+    raise ValueError(f"{path}: empty file")
+
+
 def read_finite_model(path) -> Tuple[DiscreteMeasureSpace, Dict[str, np.ndarray]]:
     lines = Path(path).read_text().splitlines()
-    pos = 0
-    while pos < len(lines) and not lines[pos].strip():
-        pos += 1
+    pos = _header(path, lines)
     head = lines[pos].split()
     if len(head) != 2 or head[0] != "atoms":
         raise ValueError(f"{path}: expected 'atoms <m>' header, got {lines[pos]!r}")
@@ -87,7 +93,7 @@ def write_finite_model(path, space: DiscreteMeasureSpace,
 
 def _parse_grid_header(path, line: str) -> Tuple[int, int, float]:
     parts = line.split()
-    if len(parts) < 4 or parts[0] != "field" or parts[1] != "v1":
+    if parts[:2] != ["field", "v1"]:
         raise ValueError(f"{path}: expected 'field v1 ...' header, got {line!r}")
     kv = {}
     for p in parts[2:]:
@@ -97,6 +103,8 @@ def _parse_grid_header(path, line: str) -> Tuple[int, int, float]:
         kv[k] = v
     if kv.get("layout", "row-major") != "row-major":
         raise ValueError(f"{path}: unsupported layout {kv.get('layout')!r}")
+    if not {"grid", "L"} <= kv.keys():
+        raise ValueError(f"{path}: header {line!r} needs grid= and L=")
     gspec = kv["grid"]
     if "x" in gspec:
         a, b = gspec.split("x")
@@ -110,9 +118,7 @@ def read_grid_field(path, grid: Optional[Grid] = None) -> Tuple[Grid, np.ndarray
     """Read a grid field; when `grid` is supplied the header must match it
     and the returned values bind to that instance."""
     lines = Path(path).read_text().splitlines()
-    pos = 0
-    while pos < len(lines) and not lines[pos].strip():
-        pos += 1
+    pos = _header(path, lines)
     n, N, L = _parse_grid_header(path, lines[pos])
     if grid is None:
         grid = Grid(n, L, N)
@@ -144,8 +150,8 @@ def write_grid_field(path, grid: Grid, values) -> None:
 def read_mask_values(path, space) -> np.ndarray:
     """Read a 0/1 mask bound to `space` (grid header or bare token list)."""
     text = Path(path).read_text()
-    first = text.split("\n", 1)[0]
-    if first.lstrip().startswith("field"):
+    lines = text.splitlines()
+    if lines[_header(path, lines)].lstrip().startswith("field"):
         if not isinstance(space, Grid):
             raise ValueError(f"{path}: grid-format mask for a non-grid space")
         _, vals = read_grid_field(path, space)

@@ -34,7 +34,7 @@ import numpy as np
 from .capacity import CapacityOracle, NormEstimate, SetMask, _diameter, unit_cover
 from .grid import Grid
 from .measure import (DiscreteMeasureSpace, Field, LorentzExponents, _levels,
-                      lorentz_norm, lorentz_norms)
+                      _thinned, lorentz_norm, lorentz_norms)
 from .weights import Weight, WeightConfig, potential_weight
 
 __all__ = [
@@ -136,11 +136,7 @@ class TestSetFamily:
         if self.kind == "superlevels":
             if f is None:
                 raise ValueError("superlevel family needs the base field")
-            levels = _levels(f)[0]
-            if self.size_cap is not None and levels.size > self.size_cap:
-                idx = np.unique(np.linspace(0, levels.size - 1,
-                                            self.size_cap).round().astype(int))
-                levels = levels[idx]
+            levels = _thinned(_levels(f)[0], self.size_cap)
             return np.abs(f.values) >= levels[:, None]
         if self.kind == "random-unions":
             return self._random_unions(space)
@@ -217,8 +213,8 @@ def _sup_over_sets(family: TestSetFamily, bits: np.ndarray, numerators,
     num = np.asarray(numerators, dtype=float)[keep]
 
     def ratios(caps):
-        # scalar powers: libm's last bit, not numpy's vector kernel's
-        return num / np.array([c ** cap_exponent for c in caps[keep].tolist()])
+        # libm's pow, as a scalar power; numpy's vector ** differs in the last bit
+        return num / np.float_power(caps[keep], cap_exponent)
 
     ratio = ratios(value)
     i = int(np.argmax(ratio))
@@ -302,22 +298,21 @@ class LocalizationReport:
     ratio: float
 
 
-def m_norm_local(f: Field, e: LorentzExponents, oracle: CapacityOracle,
-                 family: Optional[TestSetFamily] = None) -> LocalizationReport:
+def m_norm_local(f: Field, e: LorentzExponents,
+                 oracle: CapacityOracle) -> LocalizationReport:
     """Unit-diameter-localized estimate against the unrestricted one.
 
-    The local family is the unrestricted family screened to diameter <= 1,
-    enlarged with the unit-cover tiles and the tile pieces of each test
-    set; the global family contains the local one, so local <= global holds
-    exactly.  The reverse ratio is recorded (finite over the suites'
-    corpora, no constant asserted).
+    The unrestricted family is `default_grid_family(f)`.  The local family
+    is that family screened to diameter <= 1, enlarged with the unit-cover
+    tiles and the tile pieces of each test set; the global family contains
+    the local one, so local <= global holds exactly.  The reverse ratio is
+    recorded (finite over the suites' corpora, no constant asserted).
     """
     _check_strong(e)
     grid = oracle.space
     if not isinstance(grid, Grid):
         raise ValueError("localization needs a grid model")
-    if family is None:
-        family = default_grid_family(f)
+    family = default_grid_family(f)
     base = family.sets(grid, f)
     tiles = unit_cover(grid)
     diam = np.array([_diameter(grid, row) for row in base])

@@ -252,17 +252,14 @@ class RunContext:
                                       zlib.crc32(tag.encode())])
 
     def grid_oracle(self, n: int = 1, alpha: Optional[float] = None,
-                    s: Optional[float] = None, N: Optional[int] = None,
-                    L: Optional[float] = None) -> CapacityOracle:
+                    s: Optional[float] = None,
+                    N: Optional[int] = None) -> CapacityOracle:
         cfg = self.cfg
         alpha = cfg.alpha if alpha is None else alpha
         s = cfg.s if s is None else s
-        if n == 1:
-            N = cfg.grid_N if N is None else N
-            L = cfg.grid_L if L is None else L
-        else:
-            N = cfg.grid2_N if N is None else N
-            L = cfg.grid2_L if L is None else L
+        L = cfg.grid_L if n == 1 else cfg.grid2_L
+        if N is None:
+            N = cfg.grid_N if n == 1 else cfg.grid2_N
         key = (n, L, N, alpha, s, cfg.tol)
         oracle = self._oracles.get(key)
         if oracle is None:
@@ -720,7 +717,8 @@ def check_pairing(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
 
     def corpus_ratios(seed_tag: str, p: float, q: float, count: int):
-        """Grouped corpora drive the pairing harness, one oracle per group."""
+        """Block-route ratios over grouped corpora, one oracle per group; a
+        group's decompositions are all built before its estimates."""
         rng = ctx.rng(seed_tag)
         e = LorentzExponents(p, q)
         e_dual = LorentzExponents(e.p_conj, e.q_conj)
@@ -746,13 +744,11 @@ def check_pairing(ctx: RunContext, rows: _Rows) -> None:
                                                   int(rng.integers(2**31)))
                 pairs.append((f, bl.block_norm_upper_greedy(
                     g, e_dual, dictionary, oracle)))
-
-            def m_est(f, fam, _oracle=oracle, _e=e):
-                return mn.m_norm(f, _e, fam, _oracle)
-
-            rep = bl.pairing_inequality_suite(pairs, e, oracle, m_est)
-            ratios.extend(rep.block_ratios)
-            worst_gap = max(worst_gap, rep.max_gap)
+            for f, decomp in pairs:
+                est = mn.m_norm(f, e, decomp.supports(), oracle)
+                worst_gap = max(worst_gap, est.max_gap)
+                ratios.append(pairing(f, decomp.reconstruction(), absolute=True)
+                              / (est.value * decomp.sum_lambda))
         return ratios, worst_gap
 
     ratios22, gap22 = corpus_ratios("c09-22-a", 2.0, 2.0, cfg.scale_pairs)
@@ -795,14 +791,10 @@ def check_pairing(ctx: RunContext, rows: _Rows) -> None:
                 g, e_blocks,
                 _covering_dictionary(space, int(rng.integers(2**31))),
                 oracle, norm_type="scriptB")))
-
-        def weak_est(f, fam, _oracle=oracle):
-            return mn.weak_script_m_norm(f, p, fam, _oracle)
-
-        rep = bl.pairing_inequality_suite(
-            [], LorentzExponents(p, p), oracle,
-            weak_pairs=pairs, weak_estimator=weak_est)
-        weak_ratios.extend(rep.weak_ratios)
+        for f, decomp in pairs:
+            est = mn.weak_script_m_norm(f, p, decomp.supports(), oracle)
+            weak_ratios.append(pairing(f, decomp.reconstruction(), absolute=True)
+                               / (est.value * decomp.sum_lambda))
     rows.row("/weak-blocks", max(weak_ratios, default=0.0),
              "pairing-direction-weak",
              f"{len(weak_ratios)} script-block pairs, q=1", "recorded")
@@ -820,22 +812,15 @@ def check_pairing(ctx: RunContext, rows: _Rows) -> None:
         cands = [wt.potential_weight(oracle, _random_mask(rng, space),
                                      wt.WeightConfig(delta=cfg.delta))
                  for _ in range(3)]
-        triples = []
+        fam = (mn.TestSetFamily.all_subsets() if m <= 10
+               else mn.TestSetFamily.random_unions(8))
         for _ in range(5):
             f = _random_field(rng, space)
             g = _random_field(rng, space)
-            n_est = wt.n_norm_upper(Field(space, np.abs(g.values)), e, cands,
-                                    oracle=oracle, refine=False)
-            triples.append((f, g, n_est))
-        fam = (mn.TestSetFamily.all_subsets() if m <= 10
-               else mn.TestSetFamily.random_unions(8))
-
-        def m_est(f, _fam, _oracle=oracle, _family=fam):
-            return mn.m_norm(f, e, _family, _oracle)
-
-        rep = bl.pairing_inequality_suite([], e, oracle, m_est,
-                                          nnorm_pairs=triples)
-        n_ratios.extend(rep.nnorm_ratios)
+            n_est = wt.n_norm_upper(Field(space, np.abs(g.values)), e, cands)
+            est = mn.m_norm(f, e, fam, oracle)
+            n_ratios.append(pairing(f, g, absolute=True)
+                            / (est.value * n_est.value))
     rows.row("/n-route", max(n_ratios, default=0.0), "pairing-direction-n",
              f"{len(n_ratios)} pairs vs weighted upper bounds", "recorded")
 
@@ -1106,8 +1091,7 @@ def check_maximal(ctx: RunContext, rows: _Rows) -> None:
             return mn.m_norm(f, e, mn.default_grid_family(f), g1)
 
         def n_est(f):
-            return wt.n_norm_upper(f, e, cands, a1_cap=a1_max * cfg.slack,
-                                   refine=False)
+            return wt.n_norm_upper(f, e, cands, a1_cap=a1_max * cfg.slack)
 
         rep = wt.maximal_boundedness_probe(grid, corpus, m_est, n_est)
         if not (math.isfinite(rep.m_max) and math.isfinite(rep.n_max)):
@@ -1199,8 +1183,8 @@ def check_multiplier_invariants(ctx: RunContext, rows: _Rows) -> None:
     # bounded fields: per-set domination by the sup norm
     sets = allfam.sets(space)
     lhs = lorentz_norms(np.where(sets, f.values, 0.0), space.weights, e)
-    rhs = (e.p / e.q) ** (1.0 / e.q) * np.abs(f.values).max() * np.array(
-        [mass ** (1.0 / e.p) for mass in _measures(space.weights, sets).tolist()])
+    rhs = (e.p / e.q) ** (1.0 / e.q) * np.abs(f.values).max() * np.float_power(
+        _measures(space.weights, sets), 1.0 / e.p)
     if np.any(lhs > rhs * (1 + 1e-12)):
         rows.fail("sup-norm domination")
 

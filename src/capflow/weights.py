@@ -212,18 +212,18 @@ def average_weights(terms: Sequence, oracle: CapacityOracle,
 def n_norm_upper(f: Field, e: LorentzExponents, candidates: Sequence[Weight],
                  a1_cap: Optional[float] = None,
                  cfg: WeightConfig = WeightConfig(),
-                 oracle: Optional[CapacityOracle] = None,
-                 refine: bool = True) -> NormEstimate:
+                 oracle: Optional[CapacityOracle] = None) -> NormEstimate:
     """Upper bound of the weighted infimum norm over admissible candidates.
 
     Each candidate is rescaled by (the upper end of) its L1-capacity
     estimate, which makes the rescaled norm at most one, then screened
     against the local-A1 cap (calibrated corpus maximum times slack; by
     default the corpus is the candidate list itself).  The estimate is the
-    minimum of ||f w^(-1/q')|| over survivors, with optional convex
-    re-averaging of the two best candidates until the improvement falls
-    below 1e-4 relative.  Strictly an upper bound: no lower certificate for
-    the infimum exists at this level.
+    minimum of ||f w^(-1/q')|| over survivors.  When an oracle is given
+    (the mixtures' certificates need it), the two best candidates are then
+    convexly re-averaged until the improvement falls below 1e-4 relative.
+    Strictly an upper bound: no lower certificate for the infimum exists at
+    this level.
     """
     if not (1.0 < e.p < math.inf) or not (1.0 < e.q < math.inf):
         raise ValueError("weighted-infimum norm needs 1 < p, q < inf")
@@ -250,7 +250,7 @@ def n_norm_upper(f: Field, e: LorentzExponents, candidates: Sequence[Weight],
                     key=lambda t: (t[0], t[1]))
     best_val, _i, best_w = scored[0]
 
-    if refine and len(scored) >= 2 and oracle is not None:
+    if oracle is not None and len(scored) >= 2:
         second_w = scored[1][2]
         current = best_val
         for _round in range(8):
@@ -287,14 +287,13 @@ class LevelSumReport:
 
 
 def level_sum_check(omega: Field, oracle: CapacityOracle,
-                    l1c_levels: Optional[int] = None,
-                    level_cutoff: float = 2.0 ** -20) -> LevelSumReport:
+                    l1c_levels: Optional[int] = None) -> LevelSumReport:
     """Compare sum_k 2^k cap({2^(k-1) < w <= 2^k}) with the L1-capacity norm.
 
     Contract checked by the suites: the dyadic sum is at most 4 times the
     norm (each band E_k sits inside {w > t} for t <= 2^(k-1), and
-    2^k = 4 * |(2^(k-2), 2^(k-1)]|).  Dyadic levels below level_cutoff times
-    the maximum are dropped; the dropped contribution is bounded by twice
+    2^k = 4 * |(2^(k-2), 2^(k-1)]|).  Dyadic levels below 2^-20 times the
+    maximum are dropped; the dropped contribution is bounded by twice
     the largest dropped band value times the capacity of the support and
     recorded.
     """
@@ -305,7 +304,7 @@ def level_sum_check(omega: Field, oracle: CapacityOracle,
     if top == 0.0:
         return LevelSumReport(0.0, 0.0, 0.0, 0, 0.0)
     k_hi = int(math.ceil(math.log2(top)))
-    k_lo = int(math.floor(math.log2(top * level_cutoff)))
+    k_lo = int(math.floor(math.log2(top * 2.0 ** -20)))
     bands = {k: (vals > 2.0 ** (k - 1)) & (vals <= 2.0 ** k)
              for k in range(k_hi, k_lo - 1, -1)}
     bands = {k: band for k, band in bands.items() if band.any()}

@@ -255,3 +255,35 @@ def test_mask_readers(tmp_path):
     bad.write_text("0 2 1\n")
     with pytest.raises(ValueError):
         modelio.read_mask_values(bad, sp)
+
+
+_MASK16 = " ".join(["0"] * 12 + ["1"] * 4)
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    ("finite", "", "empty file"),
+    ("finite", "\n   \n\n", "empty file"),
+    ("grid", "", "empty file"),
+    ("grid", f"field v1 L=4.0 layout=row-major\n{_MASK16}\n", "needs grid= and L="),
+    ("grid", f"\nfield v1 grid=16\n{_MASK16}\n", "needs grid= and L="),
+    ("mask", "\n\n", "empty file"),
+    ("mask", f"field v1 layout=row-major\n{_MASK16}\n", "needs grid= and L="),
+    ("mask", f"\nfield v1 grid=16 L=4.0 layout=row-major\n{_MASK16}\n", None),
+    ("mask", f"\n  \nfield v1 grid=16 L=4.0\n{_MASK16}\n", None),
+])
+def test_readers_share_the_header_rule(tmp_path, reader, text, message):
+    # every reader takes the first non-blank line as its header and names
+    # the file in its errors; a grid-format mask after blank lines is read
+    # as the grid reader reads it
+    g = make_grid(1, 4.0, 16)
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    read = {"finite": modelio.read_finite_model,
+            "grid": modelio.read_grid_field,
+            "mask": lambda p: modelio.read_mask_values(p, g)}[reader]
+    if message is None:
+        assert np.array_equal(read(path), modelio.read_grid_field(path, g)[1] == 1.0)
+        return
+    with pytest.raises(ValueError) as err:
+        read(path)
+    assert str(path) in str(err.value) and message in str(err.value)

@@ -151,14 +151,14 @@ def test_n_norm_upper_properties(fine_oracle):
              for c in (0.0, 1.5)]
     e = LorentzExponents(2.0, 2.0)
     zero = Field.of(g, np.zeros(g.size))
-    assert n_norm_upper(zero, e, cands, refine=False).value == 0.0
+    assert n_norm_upper(zero, e, cands).value == 0.0
     f = Field.of(g, np.exp(-x ** 2))
-    est = n_norm_upper(f, e, cands, refine=False)
+    est = n_norm_upper(f, e, cands)
     assert est.mode == "upper-bound"
     # the estimate is a minimum: adding candidates never increases it
     more = cands + [potential_weight(
         fine_oracle, SetMask(g, np.abs(x + 2) <= 0.6), cfg)]
-    est2 = n_norm_upper(f, e, more, refine=False)
+    est2 = n_norm_upper(f, e, more)
     assert est2.value <= est.value * (1 + 1e-15)
     # every individually admissible candidate dominates the minimum
     for w in cands:
@@ -168,9 +168,9 @@ def test_n_norm_upper_properties(fine_oracle):
         single = lorentz_norm(Field.of(g, f.values * normalized ** (-0.5)), e)
         assert est.value <= single * (1 + 1e-12)
     with pytest.raises(ValueError):
-        n_norm_upper(f, e, [], refine=False)
+        n_norm_upper(f, e, [])
     with pytest.raises(ValueError):
-        n_norm_upper(f, LorentzExponents(2.0, math.inf), cands, refine=False)
+        n_norm_upper(f, LorentzExponents(2.0, math.inf), cands)
 
 
 def test_n_norm_refinement_never_worse():
@@ -187,8 +187,8 @@ def test_n_norm_refinement_never_worse():
              for idx in ([0, 1, 2], [4, 5], [2, 3, 6])]
     f = Field.of(sp, np.abs(rng.standard_normal(8)) + 0.1)
     e = LorentzExponents(2.0, 2.0)
-    plain = n_norm_upper(f, e, cands, refine=False)
-    refined = n_norm_upper(f, e, cands, oracle=oracle, refine=True)
+    plain = n_norm_upper(f, e, cands)
+    refined = n_norm_upper(f, e, cands, oracle=oracle)
     assert refined.value <= plain.value * (1 + 1e-12)
 
 
@@ -202,7 +202,7 @@ def test_n_norm_bound_for_supported_field(fine_oracle):
     wgt = potential_weight(fine_oracle, E, cfg)
     f = Field.of(g, np.where(E.bools, np.exp(-x ** 2), 0.0))
     e = LorentzExponents(2.0, 2.0)
-    est = n_norm_upper(f, e, [wgt], refine=False)
+    est = n_norm_upper(f, e, [wgt])
     from capflow.measure import lorentz_norm
     cap = fine_oracle.value(E)
     scale = wgt.l1c_estimate.hi
