@@ -38,8 +38,8 @@ def _load_problem(args) -> tuple:
     if args.model:
         space, fields = modelio.read_finite_model(args.model)
         if args.kernel:
-            M = np.loadtxt(args.kernel).reshape(space.size, space.size)
-            problem = finite_problem(space, M)
+            problem = finite_problem(
+                space, modelio.read_kernel_matrix(args.kernel, space.size))
         else:
             problem = identity_problem(space)
         return problem, params, space, fields

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,8 +148,25 @@ class KernelSpec:
     clipped_mass: float = 0.0
 
 
-_kernel_cache: dict = {}
+CACHE_GEOMETRIES = 16  # entries kept by the kernel and ball-transfer caches
+
+_kernel_cache: OrderedDict = OrderedDict()
 _kernel_lock = threading.Lock()
+
+
+def _cache_get(cache: OrderedDict, key):
+    """Entry of a bounded cache, marked most recently used; None if absent."""
+    hit = cache.get(key)
+    if hit is not None:
+        cache.move_to_end(key)
+    return hit
+
+
+def _cache_put(cache: OrderedDict, key, value) -> None:
+    """Store an entry, evicting the least recently used beyond the bound."""
+    cache[key] = value
+    if len(cache) > CACHE_GEOMETRIES:
+        cache.popitem(last=False)
 
 
 def _frequency_grid(grid: Grid) -> np.ndarray:
@@ -167,14 +185,15 @@ def bessel_kernel(grid: Grid, alpha: float) -> KernelSpec:
     realized kernel is even by construction (real even symbol), so the
     induced convolution is symmetric in the integral pairing.
 
-    Construction is cached per (grid geometry, alpha); concurrent readers
-    are safe and the lock enforces a single construction per key.
+    Construction is cached per (grid geometry, alpha), for the
+    CACHE_GEOMETRIES most recently used keys; concurrent readers are safe
+    and the lock enforces a single construction per cached key.
     """
     if not (0.0 < alpha <= grid.n):
         raise ValueError(f"alpha must lie in (0, n]={grid.n}, got {alpha}")
     key = (grid.n, grid.L, grid.N, float(alpha))
     with _kernel_lock:
-        spec = _kernel_cache.get(key)
+        spec = _cache_get(_kernel_cache, key)
         if spec is not None:
             return spec
         sym = (1.0 + _frequency_grid(grid)) ** (-alpha / 2.0)
@@ -193,7 +212,7 @@ def bessel_kernel(grid: Grid, alpha: float) -> KernelSpec:
         sym.setflags(write=False)
         spec = KernelSpec(grid=grid, alpha=float(alpha), symbol=sym,
                           kernel=ker, transfer=transfer, clipped_mass=clipped)
-        _kernel_cache[key] = spec
+        _cache_put(_kernel_cache, key, spec)
         return spec
 
 

@@ -19,7 +19,9 @@ consumes the metrology defined here:
                            Lorentz quasi-norm between explicit constants.
 
 All operations are pure functions over immutable inputs; there is no shared
-mutable state, so unrestricted concurrent invocation is safe.
+mutable state, so unrestricted concurrent invocation is safe.  Importing the
+module loads numpy only: gamma_norm imports scipy's quadrature on its first
+call.
 """
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "DiscreteMeasureSpace",
@@ -334,6 +335,8 @@ def gamma_norm(f: Field, e: LorentzExponents, r: float) -> float:
 
     by an exact first piece, adaptive quadrature on the interior pieces, and
     the exact analytic tail beyond the support mass.  Relative error <= 1e-7.
+    scipy's `quad` is imported here, on the first call, so that importing
+    capflow does not load scipy.
     """
     p, q = e.p, e.q
     if not (1.0 < p < math.inf):
@@ -344,6 +347,8 @@ def gamma_norm(f: Field, e: LorentzExponents, r: float) -> float:
         raise ValueError(f"gamma norm requires 0 < r <= 1, got r={r}")
     if not (r < p):
         raise ValueError(f"gamma norm requires r < p (divergent otherwise)")
+
+    from scipy.integrate import quad
 
     u, m = _levels(f)
     if u.size == 0:

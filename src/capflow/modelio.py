@@ -15,6 +15,9 @@ Grid field file::
 
 Mask files reuse the field layouts with 0/1 entries; for finite models a
 bare whitespace-separated 0/1 list (no header) is also accepted.
+
+Kernel matrix file (finite models): the m*m entries, row-major, whitespace
+separated, no header.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ __all__ = [
     "read_grid_field",
     "write_grid_field",
     "read_mask_values",
+    "read_kernel_matrix",
 ]
 
 
@@ -156,14 +160,24 @@ def read_mask_values(path, space) -> np.ndarray:
             raise ValueError(f"{path}: grid-format mask for a non-grid space")
         _, vals = read_grid_field(path, space)
     else:
-        toks = text.split()
-        if len(toks) != space.size:
-            raise ValueError(f"{path}: expected {space.size} entries, got {len(toks)}")
-        vals = np.array([float(t) for t in toks])
+        vals = _entries(path, text, space.size)
     bad = ~np.isin(vals, (0.0, 1.0))
     if bad.any():
         raise ValueError(f"{path}: mask entries must be 0 or 1")
     return vals.astype(bool)
+
+
+def read_kernel_matrix(path, m: int) -> np.ndarray:
+    """Read the m*m kernel matrix of a finite model (row-major entries)."""
+    return _entries(path, Path(path).read_text(), m * m).reshape(m, m)
+
+
+def _entries(path, text: str, want: int) -> np.ndarray:
+    """The `want` whitespace-separated numbers of a headerless file."""
+    toks = text.split()
+    if len(toks) != want:
+        raise ValueError(f"{path}: expected {want} entries, got {len(toks)}")
+    return np.array([float(t) for t in toks])
 
 
 def field_from_file(path, space) -> Field:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .capacity import (CapacityOracle, NormEstimate, SetMask, l1c_norm,
                        nonlinear_potential)
-from .grid import Grid
+from .grid import Grid, _cache_get, _cache_put
 from .measure import Field, LorentzExponents, lorentz_norm
 
 __all__ = [
@@ -47,16 +48,17 @@ WEIGHT_FLOOR = 1e-12
 # Local maximal operator
 # ---------------------------------------------------------------------------
 
-_ball_cache: dict = {}
+_ball_cache: OrderedDict = OrderedDict()
 _ball_lock = threading.Lock()
 
 
 def _ball_transfers(grid: Grid) -> list:
     """FFT transfer functions of the normalized ball indicators, one per
-    radius in {h, 2h, ..., floor(1/h) h}; cached per grid geometry."""
+    radius in {h, 2h, ..., floor(1/h) h}; cached per grid geometry, for the
+    grid.CACHE_GEOMETRIES most recently used geometries."""
     key = (grid.n, grid.L, grid.N)
     with _ball_lock:
-        hit = _ball_cache.get(key)
+        hit = _cache_get(_ball_cache, key)
         if hit is not None:
             return hit
         h = grid.h
@@ -72,7 +74,7 @@ def _ball_transfers(grid: Grid) -> list:
             ball = (dist <= r + 1e-12).astype(float)
             count = ball.sum()
             transfers.append((np.fft.fftn(ball / count), r, int(count)))
-        _ball_cache[key] = transfers
+        _cache_put(_ball_cache, key, transfers)
         return transfers
 
 

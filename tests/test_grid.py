@@ -1,12 +1,14 @@
 """Periodic grids, spectral kernels, convolution, and the file formats."""
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from capflow.grid import (CLIP_TOLERANCE, _convolve_values, bessel_kernel,
-                          convolve, make_grid)
+from capflow import grid as grid_mod
+from capflow.grid import (CACHE_GEOMETRIES, CLIP_TOLERANCE, _convolve_values,
+                          bessel_kernel, convolve, make_grid)
 from capflow.measure import DiscreteMeasureSpace, Field, pairing
 from capflow import modelio
 
@@ -58,6 +60,26 @@ def test_kernel_mass_and_evenness():
 def test_kernel_cache_single_construction():
     g = make_grid(1, 16.0, 256)
     assert bessel_kernel(g, 0.5) is bessel_kernel(g, 0.5)
+
+
+def test_kernel_cache_is_bounded_lru(monkeypatch):
+    # more keys than the bound: the cache stays at the bound, a key in use
+    # is kept, and an evicted key is rebuilt equal to its first build
+    monkeypatch.setattr(grid_mod, "_kernel_cache", OrderedDict())
+    g = make_grid(1, 16.0, 256)
+    first = bessel_kernel(g, 0.5)
+    kept = bessel_kernel(g, 0.55)
+    for k in range(CACHE_GEOMETRIES + 4):
+        bessel_kernel(g, 0.6 + 0.02 * k)
+        assert bessel_kernel(g, 0.55) is kept          # recently used: kept
+        assert len(grid_mod._kernel_cache) <= CACHE_GEOMETRIES
+    assert len(grid_mod._kernel_cache) == CACHE_GEOMETRIES
+    again = bessel_kernel(g, 0.5)
+    assert again is not first                          # evicted, rebuilt
+    for name in ("symbol", "kernel", "transfer"):
+        assert np.array_equal(getattr(again, name), getattr(first, name))
+    assert again.clipped_mass == first.clipped_mass
+    assert bessel_kernel(g, 0.5) is again
 
 
 def test_coarse_plane_grid_rejected():

@@ -1,5 +1,10 @@
 """Lorentz metrology: hand-checked examples, independent oracles, properties."""
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import capflow
 from capflow.measure import (DiscreteMeasureSpace, Field, LorentzExponents,
                              decreasing_rearrangement, distribution_function,
                              gamma_norm, gamma_sandwich_bound, lorentz_norm,
@@ -354,6 +360,34 @@ def test_gamma_rejects_bad_exponents():
         gamma_norm(f, LorentzExponents(0.9, 2), 0.5)  # p <= 1 (also p <= r edge)
     with pytest.raises(ValueError):
         gamma_norm(f, LorentzExponents(2, 0.5), 1.0)  # q < 1
+
+
+COLD_IMPORT = """
+import json, sys
+import capflow, capflow.cli
+cold = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+f = capflow.Field.of(capflow.DiscreteMeasureSpace([0.5, 1.0, 0.25, 2.0]),
+                     [3.0, -1.5, 0.75, 2.0])
+g = capflow.gamma_norm(f, capflow.LorentzExponents(2.5, 1.5), 0.5)
+print(json.dumps({"cold": cold, "gamma": float(g).hex(),
+                  "quad": "scipy.integrate" in sys.modules}))
+"""
+
+
+def test_cold_import_loads_no_scipy_and_gamma_is_unchanged():
+    # a fresh interpreter: importing the package and its CLI loads no scipy
+    # module; gamma_norm loads the quadrature on first use and returns the
+    # value it returned when scipy was imported with the module
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(Path(capflow.__file__).parents[1]),
+                   os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env,
+                         capture_output=True, text=True, check=True)
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got["cold"] == []
+    assert got["gamma"] == "0x1.a9815467b6d5bp+2"   # 6.6485186589082685
+    assert got["quad"]
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,35 @@ def test_cli_capacity(tmp_path, capsys):
     assert doc["converged"] is True
 
 
+def test_cli_capacity_with_kernel_file(tmp_path):
+    model, mask = _write_model(tmp_path)
+    kernel = tmp_path / "kernel.txt"
+    kernel.write_text("1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    out = tmp_path / "report.json"
+    rc = cli_main(["capacity", "--model", str(model), "--kernel", str(kernel),
+                   "--set", str(mask), "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["value"] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("text, got", [
+    ("1 0 0 0\n0 1 0 0\n", 8),
+    ("", 0),
+    ("1 0 0 0 " * 4 + "\n1\n", 17),
+], ids=["short", "empty", "long"])
+def test_cli_kernel_file_with_wrong_entry_count(tmp_path, text, got):
+    # the kernel file is read by modelio: a wrong entry count names the
+    # file and both counts, where numpy's reshape named neither
+    model, mask = _write_model(tmp_path)
+    kernel = tmp_path / "kernel.txt"
+    kernel.write_text(text)
+    with pytest.raises(ValueError) as err:
+        cli_main(["capacity", "--model", str(model), "--kernel", str(kernel),
+                  "--set", str(mask)])
+    assert str(kernel) in str(err.value)
+    assert f"expected 16 entries, got {got}" in str(err.value)
+
+
 def test_cli_mnorm(tmp_path, capsys):
     model, _ = _write_model(tmp_path)
     rc = cli_main(["mnorm", "--model", str(model), "--space", "M",

@@ -1,12 +1,14 @@
 """Local maximal operator, A1 constants, weight constructors, N-norm bounds."""
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from capflow.capacity import (CapacityOracle, CapacityParams, SetMask,
                               grid_problem, identity_problem, l1c_norm)
-from capflow.grid import make_grid
+from capflow import weights as weights_mod
+from capflow.grid import CACHE_GEOMETRIES, make_grid
 from capflow.measure import DiscreteMeasureSpace, Field, LorentzExponents
 from capflow.weights import (WEIGHT_FLOOR, WeightConfig,
                              a1loc_constant, average_weights, level_sum_check,
@@ -40,6 +42,24 @@ def test_single_cell_average(grid):
     f[7] = 1.0
     out = local_maximal(grid, Field.of(grid, f))
     assert out.values[7] == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+def test_ball_cache_is_bounded_lru(monkeypatch):
+    # more geometries than the bound: the cache stays at the bound, a
+    # repeated geometry returns the same transfers, and an evicted one is
+    # rebuilt equal to its first build
+    monkeypatch.setattr(weights_mod, "_ball_cache", OrderedDict())
+    g = make_grid(1, 4.0, 16)
+    first = weights_mod._ball_transfers(g)
+    assert weights_mod._ball_transfers(make_grid(1, 4.0, 16)) is first
+    for k in range(CACHE_GEOMETRIES + 2):
+        weights_mod._ball_transfers(make_grid(1, 4.0 + 0.25 * k, 64))
+        assert len(weights_mod._ball_cache) <= CACHE_GEOMETRIES
+    assert len(weights_mod._ball_cache) == CACHE_GEOMETRIES
+    again = weights_mod._ball_transfers(g)
+    assert again is not first and len(again) == len(first)
+    for (t1, r1, c1), (t2, r2, c2) in zip(first, again):
+        assert np.array_equal(t1, t2) and (r1, c1) == (r2, c2)
 
 
 def test_sup_bound_and_sublinearity(grid):
