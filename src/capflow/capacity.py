@@ -27,6 +27,15 @@ so batching changes neither a row's certificate nor, on spectral grids, a
 single bit of its iterates.  `CapacityOracle.gather` answers a family of
 sets, a (B, size) boolean matrix, from one batch.
 
+On the plane a chunk holds its dual state (measures, momentum points,
+gradients, descent differences), which vanishes off the sets, on its row
+window: the band of whole grid rows that the chunk's sets touch.  Measures
+are given to the kernel apply on the window and gradients are wanted on it,
+so those last-axis transforms run on the window's rows only; potentials
+stay whole.  Sums of dual arrays run over zero-padded full-width rows, so a
+windowed solve keeps every bit of the whole-grid one.  On the line and on
+finite models the window is the whole space.
+
 Layer-cake functionals over capacities (the L1-capacity norm and the
 capacitary Lorentz norms) are evaluated exactly over the finitely many
 superlevel sets, with optional certified level quantization for fields with
@@ -37,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -55,6 +65,7 @@ __all__ = [
     "CapacityResult",
     "capacity",
     "capacity_batch",
+    "audit_certificate",
     "CapacityOracle",
     "NonlinearPotential",
     "nonlinear_potential",
@@ -217,21 +228,33 @@ class CapacityProblem:
     symmetric the same map serves as the adjoint, and measures given by
     masses are handled by dividing out the atom weights.  `reach` is K 1,
     applied once on first use and kept for later solves.
+
+    When `row_cells` is set (grid problems), `apply_fn` also takes row
+    windows, flat-cell slices of whole rows of that many cells: masses
+    `given` on a window and potentials `wanted` on one hold those cells
+    only (see `grid._convolve_values`).
     """
 
-    def __init__(self, space, apply_fn: Callable[[np.ndarray], np.ndarray],
-                 is_identity: bool = False, kernel: Optional[KernelSpec] = None):
+    def __init__(self, space, apply_fn: Callable[..., np.ndarray],
+                 is_identity: bool = False, kernel: Optional[KernelSpec] = None,
+                 row_cells: Optional[int] = None):
         self.space = space
         self._apply = apply_fn
         self.is_identity = is_identity
         self.kernel = kernel
+        self.row_cells = row_cells
         self._reach: Optional[np.ndarray] = None
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return self._apply(values)
+    def apply(self, values: np.ndarray, wanted: Optional[slice] = None) -> np.ndarray:
+        if wanted is None:
+            return self._apply(values)
+        return self._apply(values, wanted=wanted)
 
-    def potential_of_measure(self, masses: np.ndarray) -> np.ndarray:
-        return self._apply(masses / self.space.weights)
+    def potential_of_measure(self, masses: np.ndarray,
+                             given: Optional[slice] = None) -> np.ndarray:
+        if given is None:
+            return self._apply(masses / self.space.weights)
+        return self._apply(masses / self.space.weights[given], given=given)
 
     @property
     def reach(self) -> np.ndarray:
@@ -282,7 +305,9 @@ def grid_problem(grid: Grid, params: CapacityParams) -> CapacityProblem:
     params.validate_for_dimension(grid.n)
     spec = bessel_kernel(grid, params.alpha)
     return CapacityProblem(
-        grid, lambda v: _convolve_values(grid, spec, v), kernel=spec)
+        grid, lambda v, given=None, wanted=None:
+        _convolve_values(grid, spec, v, given, wanted),
+        kernel=spec, row_cells=grid.N)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +407,13 @@ def capacity_batch(problem: CapacityProblem, masks: Sequence[SetMask],
     freshly applied potentials, never from the combination, and each is a
     function of its own row, so the certificate does not depend on the
     batch.
+
+    On grid problems each chunk's measures, momentum points, gradients and
+    descent differences are held on the chunk's row window, the band of
+    whole grid rows [r0, r1) its sets touch (the whole grid when they touch
+    rows 0 and N-1 across the periodic seam).  Measures go to the apply on
+    the window and gradients come back on it, so those transforms skip the
+    other rows; every bit of every row is that of the whole-grid solve.
     """
     results: list = [None] * len(masks)
     rows = []
@@ -420,29 +452,57 @@ def capacity_batch(problem: CapacityProblem, masks: Sequence[SetMask],
     return results
 
 
+def _row_window(problem: CapacityProblem, E: np.ndarray) -> slice:
+    """The cells of the band of whole grid rows [r0, r1) that the sets of a
+    (B, size) bool matrix touch; every cell when the problem's applies take
+    no windows (finite models) or the space is one row (the line)."""
+    row = problem.row_cells
+    if row is None:
+        return slice(0, E.shape[1])
+    touched = np.flatnonzero(E.reshape(len(E), -1, row).any(axis=(0, 2)))
+    return slice(int(touched[0]) * row, (int(touched[-1]) + 1) * row)
+
+
 def _solve_rows(problem: CapacityProblem, masks: list,
                 params: CapacityParams) -> list:
     """The accelerated dual ascent of `capacity_batch` on feasible rows.
 
     Row-wise reductions go through `np.add.reduce` and friends: on the
-    short rows of small models the per-call overhead is the cost.
+    short rows of small models the per-call overhead is the cost.  Dual
+    arrays live on the row window; each of their sums runs over full-width
+    rows of a scratch buffer that is zero off the window, so numpy's
+    pairwise summation, and every bit, is that of the whole-grid solve.
     """
     w = problem.space.weights
     s = params.s
     sp = params.s_conj
     energy_coef = (s - 1.0) * s ** (-sp)
     rowsum, rowmin = np.add.reduce, np.minimum.reduce
-    apply, potential = problem.apply, problem.potential_of_measure
+    apply = problem.apply
     E = np.stack([m.bools for m in masks])
+    size = E.shape[1]
+    win = _row_window(problem, E)
+    if win == slice(0, size):
+        dual_sum, gradient, potential = rowsum, apply, problem.potential_of_measure
+    else:
+        scratch = np.zeros(E.shape)
+        gradient = partial(apply, wanted=win)
+        potential = partial(problem.potential_of_measure, given=win)
+
+        def dual_sum(x, axis):
+            rows = scratch[:len(x)]
+            rows[:, win] = x
+            return rowsum(rows, axis)
+    E = E[:, win]
     on = E.astype(float)   # 1 on E, 0 off E
     live = np.arange(len(masks))   # mask index of each state row
     results: list = [None] * len(masks)
 
     def neg_dual(mu, a):
-        return energy_coef * rowsum(w * np.maximum(a, 0.0) ** sp, 1) - rowsum(mu, 1)
+        return energy_coef * rowsum(w * np.maximum(a, 0.0) ** sp, 1) - dual_sum(mu, 1)
 
     def ray_rescale(mu, a):
-        total = rowsum(mu, 1)
+        total = dual_sum(mu, 1)
         na = rowsum(w * np.maximum(a, 0.0) ** sp, 1) ** (1.0 / sp)
         ok = (total > 0.0) & (na > 0.0)
         t = np.where(ok, s * (total / na ** sp) ** (s - 1.0), 1.0)
@@ -452,7 +512,7 @@ def _solve_rows(problem: CapacityProblem, masks: list,
     def primal_upper(a):
         f = (np.maximum(a, 0.0) / s) ** (sp - 1.0)
         u = apply(f)
-        floor = rowmin(np.where(E, u, np.inf), 1)
+        floor = rowmin(np.where(E, u[:, win], np.inf), 1)
         scale = (floor * (1.0 - _FEAS_MARGIN))[:, None]
         f = f / scale
         u = u / scale
@@ -467,13 +527,13 @@ def _solve_rows(problem: CapacityProblem, masks: list,
         a = potential(mu)
         F = neg_dual(mu, a)
         d = mu - y
-        bound = Fy + rowsum(grad * d, 1) + rowsum(d * d, 1) / (2 * step)
+        bound = Fy + dual_sum(grad * d, 1) + dual_sum(d * d, 1) / (2 * step)
         failed = (F > bound + 1e-18).nonzero()[0]
         if failed.size:   # a step below 1e-18 is taken as it is
             failed = failed[step[failed] >= 1e-18]
         return mu, a, F, failed
 
-    mu = w * on
+    mu = w[win] * on
     a = potential(mu)
     mu, a, best_lower = ray_rescale(mu, a)
     best_upper, best_f, best_u = primal_upper(a)
@@ -486,7 +546,7 @@ def _solve_rows(problem: CapacityProblem, masks: list,
     betas = _betas(64)
 
     for iterations in range(1, params.max_iter + 1):
-        grad = (apply((np.maximum(ay, 0.0) / s) ** (sp - 1.0)) - 1.0) * on
+        grad = (gradient((np.maximum(ay, 0.0) / s) ** (sp - 1.0)) - 1.0) * on
         mu_new, a_new, F_new, retry = descend(y, grad, step, Fy)
         while retry.size:   # backtrack the rows that failed the test
             rows = retry if retry.size < step.size else slice(None)  # no gather
@@ -536,12 +596,14 @@ def _solve_rows(problem: CapacityProblem, masks: list,
         for r in retire.nonzero()[0]:
             i = live[r]
             finite = bool(np.isfinite(best_upper[r]))
+            dual = np.zeros(size)
+            dual[win] = best_mu[r] / s
             results[i] = CapacityResult(
                 float(best_upper[r]), float(best_lower[r]), float(best_upper[r]),
                 float(gap[r]), bool(done[r]), iterations, masks[i], params,
                 optimizer=best_f[r].copy() if finite else None,
                 potential=best_u[r].copy() if finite else None,
-                dual_measure=best_mu[r] / s)
+                dual_measure=dual)
         keep = (~retire).nonzero()[0]
         if not keep.size:
             break
@@ -551,6 +613,45 @@ def _solve_rows(problem: CapacityProblem, masks: list,
         best_lower, best_upper = best_lower[keep], best_upper[keep]
         best_mu, best_f, best_u = best_mu[keep], best_f[keep], best_u[keep]
     return results
+
+
+def audit_certificate(problem: CapacityProblem, result: CapacityResult) -> float:
+    """Recheck a converged certificate from its reported optimizers alone.
+
+    The weak-duality lower bound (mu(E) / ||K mu||_{s'})^s (Adams &
+    Hedberg, ch. 2), scale invariant in mu, is recomputed from
+    `dual_measure` and must match the reported one; the optimizer must be
+    feasible and its objective the reported upper bound.  Returns the
+    recomputed lower bound; raises ValueError naming the failed condition.
+    """
+    def need(ok, what):
+        if not ok:
+            raise ValueError(f"certificate audit failed: {what} ({result.mask!r})")
+
+    params = result.params
+    s, sp = params.s, params.s_conj
+    w = problem.space.weights
+    E = result.mask.bools
+    need(result.converged and not result.infeasible and result.gap <= params.tol,
+         "not a converged certificate")
+    need(result.lower <= result.value <= result.upper, "value outside its bounds")
+    mu = result.dual_measure
+    need(np.all(mu >= 0.0) and np.all(mu[~E] == 0.0),
+         "dual measure negative or charging cells off the set")
+    a = np.maximum(problem.potential_of_measure(mu), 0.0)
+    lower = float((mu.sum() / float((w * a ** sp).sum()) ** (1.0 / sp)) ** s)
+    need(math.isclose(lower, result.lower, rel_tol=1e-9, abs_tol=1e-12),
+         f"recomputed lower bound {lower!r} against {result.lower!r}")
+    need(lower <= result.value * (1.0 + 1e-9), "lower bound above the value")
+    f = result.optimizer
+    need(np.all(f >= 0.0), "negative optimizer")
+    need(problem.apply(f)[E].min() >= 1.0 - 1e-9, "optimizer infeasible")
+    need(math.isclose(float((w * f ** s).sum()), result.upper,
+                      rel_tol=1e-12, abs_tol=1e-12),
+         "optimizer objective is not the upper bound")
+    need((result.upper - lower) / result.upper <= params.tol * (1.0 + 1e-6),
+         "recomputed gap above tolerance")
+    return lower
 
 
 class CapacityOracle:
@@ -802,14 +903,19 @@ def strichartz_check(oracle: CapacityOracle, mask: SetMask) -> StrichartzReport:
     grid = oracle.space
     if not isinstance(grid, Grid):
         raise ValueError("localization check needs a grid model")
-    parts = mask.bools & unit_cover(grid)
-    parts = parts[parts.any(axis=1)]
-    value, lower, upper, gap = oracle.gather(np.vstack([mask.bools, parts]))
+    value, lower, upper, gap = oracle.gather(_cover_rows(grid, mask.bools))
     total, total_upper = sum(value[1:]), sum(upper[1:])
     ok = lower[0] <= total_upper * (1.0 + 1e-12) + 1e-300
     ratio = total / value[0] if value[0] > 0 else math.inf
     return StrichartzReport(float(value[0]), float(total), float(ratio),
-                            len(parts), bool(ok), float(gap.max()))
+                            len(value) - 1, bool(ok), float(gap.max()))
+
+
+def _cover_rows(grid: Grid, bools: np.ndarray) -> np.ndarray:
+    """The set, then its non-empty pieces E n B over the unit cover: the
+    rows `strichartz_check` gathers, which a caller can gather ahead."""
+    parts = bools & unit_cover(grid)
+    return np.vstack([bools, parts[parts.any(axis=1)]])
 
 
 @dataclass

@@ -235,21 +235,48 @@ def convolve(grid: Grid, kernel: KernelSpec, f: Field) -> Field:
     return Field(grid, out)
 
 
-def _convolve_values(grid: Grid, kernel: KernelSpec, values: np.ndarray) -> np.ndarray:
+def _convolve_values(grid: Grid, kernel: KernelSpec, values: np.ndarray,
+                     given: slice | None = None,
+                     wanted: slice | None = None) -> np.ndarray:
     """Convolve a (size,) field or each row of a (B, size) stack of fields.
 
     The transforms run over the trailing grid axes, so a row's output does
-    not depend on the other rows (on the line, `rfft` is what `rfftn` runs,
-    without its dispatch).  The tiny-negative clip is decided per row: only
-    rows whose input is nonnegative and whose output went negative are
-    clipped, each against its own floor.
+    not depend on the other rows.  They are the steps of `rfftn`/`irfftn`,
+    spelled out and bit for bit: `rfft` along the last axis, on the plane
+    `fft` along the first, the product with the half-spectrum transfer,
+    then `ifft` along the first axis and `irfft` along the last.
+
+    On the plane either side may be a row window, a flat-cell slice of whole
+    grid rows.  A field `given` on a window holds those cells only (it is
+    zero elsewhere) and a potential `wanted` on one is returned as those
+    cells only; the last-axis `rfft`, or `irfft`, then runs on the window's
+    rows only.  Each returned cell has the bits of the whole-grid apply.
+    The line is one grid row, whose only window is the whole grid.
+
+    The tiny-negative clip is decided per row: only rows whose input is
+    nonnegative and whose output went negative are clipped, each against
+    its own floor -1e-12 max|output| over the returned cells.  Input given
+    on a window is zero off it, so the sign test is the whole-grid one.
+    Output wanted on a window takes its floor from the window, which is the
+    whole-grid floor when the row's largest |output| lies in the window.
+    The capacity solver wants only gradients on a window; their outputs
+    small enough to clip lie off the set, where it multiplies them by zero,
+    so its iterates keep their bits either way.
     """
     if grid.n == 1:
         out = np.fft.irfft(np.fft.rfft(values) * kernel.transfer, n=grid.N)
     else:
-        v = values.reshape(values.shape[:-1] + grid.shape)
-        out = np.fft.irfftn(np.fft.rfftn(v, axes=(-2, -1)) * kernel.transfer,
-                            s=grid.shape, axes=(-2, -1)).reshape(values.shape)
+        N = grid.N
+        lead = values.shape[:-1]
+        spec = np.fft.rfft(values.reshape(lead + (-1, N)))
+        if given is not None:   # place the window's rows among zero rows
+            full = np.zeros(lead + kernel.transfer.shape, dtype=complex)
+            full[..., given.start // N:given.stop // N, :] = spec
+            spec = full
+        spec = np.fft.ifft(np.fft.fft(spec, axis=-2) * kernel.transfer, axis=-2)
+        if wanted is not None:
+            spec = spec[..., wanted.start // N:wanted.stop // N, :]
+        out = np.fft.irfft(spec, n=N).reshape(lead + (-1,))
     # one reduction per test; the mask is built only when roundoff went negative
     low = np.minimum.reduce(out, -1)
     clip = (np.minimum.reduce(values, -1) >= 0.0) & (low < 0.0)

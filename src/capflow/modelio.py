@@ -61,7 +61,7 @@ def read_finite_model(path) -> Tuple[DiscreteMeasureSpace, Dict[str, np.ndarray]
         pos += 1
     if len(toks) < m:
         raise ValueError(f"{path}: expected {m} weights")
-    space = DiscreteMeasureSpace([float(t) for t in toks[:m]])
+    space = DiscreteMeasureSpace(_numbers(path, toks[:m]))
     fields: Dict[str, np.ndarray] = {}
     name = None
     buf: list = []
@@ -83,7 +83,7 @@ def read_finite_model(path) -> Tuple[DiscreteMeasureSpace, Dict[str, np.ndarray]
 def _finish_field(path, name, buf, m) -> np.ndarray:
     if len(buf) != m:
         raise ValueError(f"{path}: field {name!r} has {len(buf)} values, want {m}")
-    return np.array([float(t) for t in buf])
+    return _numbers(path, buf)
 
 
 def write_finite_model(path, space: DiscreteMeasureSpace,
@@ -134,7 +134,7 @@ def read_grid_field(path, grid: Optional[Grid] = None) -> Tuple[Grid, np.ndarray
         toks.extend(line.split())
     if len(toks) != grid.size:
         raise ValueError(f"{path}: expected {grid.size} values, got {len(toks)}")
-    return grid, np.array([float(t) for t in toks])
+    return grid, _numbers(path, toks)
 
 
 def write_grid_field(path, grid: Grid, values) -> None:
@@ -177,7 +177,19 @@ def _entries(path, text: str, want: int) -> np.ndarray:
     toks = text.split()
     if len(toks) != want:
         raise ValueError(f"{path}: expected {want} entries, got {len(toks)}")
-    return np.array([float(t) for t in toks])
+    return _numbers(path, toks)
+
+
+def _numbers(path, toks: list) -> np.ndarray:
+    """The tokens as floats; a token that is not a number is named, with
+    the file, in a ValueError."""
+    vals = []
+    for t in toks:
+        try:
+            vals.append(float(t))
+        except ValueError:
+            raise ValueError(f"{path}: entry {t!r} is not a number") from None
+    return np.array(vals)
 
 
 def field_from_file(path, space) -> Field:

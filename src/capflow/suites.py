@@ -37,7 +37,8 @@ from . import blocks as bl
 from . import multiplier as mn
 from . import weights as wt
 from .capacity import (CapacityOracle, CapacityParams, CapacityProblem,
-                       SetMask, _measures, capacitary_lorentz_norm, capacity,
+                       SetMask, _cover_rows, _measures,
+                       capacitary_lorentz_norm, capacity,
                        equilibrium_checks, finite_problem, grid_problem,
                        identity_problem, l1c_norm,
                        lebesgue_lower_bound_check, nonlinear_potential,
@@ -622,14 +623,18 @@ def check_strichartz(ctx: RunContext, rows: _Rows) -> None:
     max_ratio = 0.0
     max_drift = 0.0
     sets = _grid_set_corpus(rng, coarse.space, cfg.scale_grid_sets + 2)
-    for mask in sets:
+    refined = [_refine_mask(coarse.space, fine.space, m) for m in sets]
+    # one batch per grid; the checks below are served from the memo
+    for oracle, masks in ((coarse, sets), (fine, refined)):
+        oracle.gather(np.vstack([_cover_rows(oracle.space, m.bools)
+                                 for m in masks]))
+    for mask, fine_mask in zip(sets, refined):
         rep = strichartz_check(coarse, mask)
         if not rep.subadditive_ok:
             rows.fail("subadditivity")
         if not math.isfinite(rep.ratio):
             rows.fail("ratio infinite")
         max_ratio = max(max_ratio, rep.ratio)
-        fine_mask = _refine_mask(coarse.space, fine.space, mask)
         rep_f = strichartz_check(fine, fine_mask)
         drift = rep_f.ratio / rep.ratio if rep.ratio > 0 else math.inf
         max_drift = max(max_drift, drift, 1.0 / drift)

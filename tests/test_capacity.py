@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capflow.capacity import (CapacityOracle, CapacityParams,
-                              CapacityProblem, SetMask,
-                              capacitary_lorentz_norm, capacity,
-                              capacity_batch,
+                              CapacityProblem, SetMask, _row_window,
+                              audit_certificate, capacitary_lorentz_norm,
+                              capacity, capacity_batch,
                               equilibrium_checks, finite_problem,
                               grid_problem, identity_problem, l1c_norm,
                               lebesgue_lower_bound_check, nonlinear_potential,
@@ -386,7 +386,7 @@ def test_momentum_potentials_by_linearity(n, N, L, alpha, parent_applies,
     first = calls[0]
     assert res.converged and not res.infeasible
     assert first / res.iterations < 3.0 < parent_applies / res.iterations
-    _audit(base, res)
+    audit_certificate(base, res)
 
     # the reference loop: every combined potential is the potential of its
     # momentum point up to roundoff, and the solver repeats it bit for bit
@@ -405,29 +405,6 @@ def test_momentum_potentials_by_linearity(n, N, L, alpha, parent_applies,
     again = capacity(prob, mask, params)
     assert again.iterations == res.iterations
     assert calls[0] - first == first - 1
-
-
-def _audit(problem, res):
-    """Certificate audit from the reported optimizers alone."""
-    params = res.params
-    s, sp = params.s, params.s_conj
-    w = problem.space.weights
-    E = res.mask.bools
-    assert res.converged and not res.infeasible and res.gap <= params.tol
-    assert res.lower <= res.value <= res.upper
-    mu = res.dual_measure
-    assert np.all(mu >= 0.0) and np.all(mu[~E] == 0.0)
-    # weak duality, (mu(E) / ||K mu||_{s'})^s, which is scale invariant
-    a = np.maximum(problem.potential_of_measure(mu), 0.0)
-    lower = (mu.sum() / float((w * a ** sp).sum()) ** (1.0 / sp)) ** s
-    assert lower == pytest.approx(res.lower, rel=1e-9)
-    assert lower <= res.value * (1.0 + 1e-9)
-    # primal side: the optimizer is feasible and has the reported objective
-    f = res.optimizer
-    assert np.all(f >= 0.0)
-    assert problem.apply(f)[E].min() >= 1.0 - 1e-9
-    assert float((w * f ** s).sum()) == pytest.approx(res.upper, rel=1e-12)
-    assert (res.upper - lower) / res.upper <= params.tol * (1.0 + 1e-6)
 
 
 def _interval_pairs(grid, count, seed):
@@ -456,7 +433,7 @@ def test_batch_rows_match_single_solves_on_the_line():
         one = capacity(prob, mask, params)
         assert (row.value, row.lower, row.upper, row.iterations) == \
             (one.value, one.lower, one.upper, one.iterations)
-        _audit(prob, row)
+        audit_certificate(prob, row)
         if i % 8 == 0:
             assert _scalar_reference(prob, mask, params) == \
                 (row.value, row.lower, row.iterations)
@@ -476,7 +453,7 @@ def test_batch_certificates_on_a_finite_model(s):
     masks = [SetMask(sp, rng.random(m) < p) for p in np.linspace(0.1, 0.9, 30)]
     masks = [mk for mk in masks if not mk.is_empty]
     for mask, row in zip(masks, capacity_batch(prob, masks, params)):
-        _audit(prob, row)
+        audit_certificate(prob, row)
         one = capacity(prob, mask, params)
         assert max(row.lower, one.lower) <= min(row.upper, one.upper) * (1 + 1e-12)
 
@@ -499,7 +476,7 @@ def test_mixed_batch_keeps_row_flags_independent():
     assert infeasible.infeasible and not infeasible.converged
     assert infeasible.value == math.inf and infeasible.optimizer is None
     assert easy.converged and easy.iterations < params.max_iter
-    _audit(prob, easy)
+    audit_certificate(prob, easy)
     assert not hard.converged and not hard.infeasible
     assert hard.iterations == params.max_iter and hard.gap > params.tol
     assert 0.0 < hard.lower <= hard.value <= hard.upper
@@ -509,6 +486,52 @@ def test_mixed_batch_keeps_row_flags_independent():
             (row.converged, row.infeasible, row.iterations)
         # finite rows of a batch differ from a batch of one at roundoff
         assert one.value == pytest.approx(row.value, rel=1e-12)
+
+
+def _plane_sets(grid):
+    """Sets on the plane told apart by the grid rows they touch."""
+    x, y = grid.coords().T
+
+    def square(cx, cy, r):
+        return (np.abs(x - cx) <= r) & (np.abs(y - cy) <= r)
+
+    return {
+        "rectangle": (np.abs(x - 2.4) <= 0.4) & (np.abs(y + 0.9) <= 0.6),
+        "two squares": square(-4.0, 1.0, 0.3) | square(4.2, -2.0, 0.3),
+        # rows 0 and N-1 meet across the periodic boundary
+        "seam": (np.abs(x) >= 5.9) & (np.abs(y) <= 0.3),
+    }
+
+
+@pytest.mark.parametrize("kinds, band", [
+    (["rectangle"], (85, 94)),
+    (["two squares"], (18, 112)),
+    (["seam"], (0, 128)),
+    (["rectangle", "two squares"], (18, 112)),
+    (["two squares", "seam", "rectangle"], (0, 128)),
+], ids=["rectangle", "two-squares", "seam", "mixed-band", "mixed-whole"])
+def test_plane_solves_on_row_windows(kinds, band):
+    # the dual state lives on the band of grid rows the batch's sets touch;
+    # every row repeats its batch of one and the scalar loop bit for bit,
+    # whatever band it was solved on
+    grid = make_grid(2, 12.0, 128)
+    params = CapacityParams(alpha=1.0, s=2.0, tol=1e-6)
+    prob = grid_problem(grid, params)
+    sets = _plane_sets(grid)
+    masks = [SetMask(grid, sets[k]) for k in kinds]
+    win = _row_window(prob, np.array([m.bools for m in masks]))
+    assert (win.start // grid.N, win.stop // grid.N) == band
+    for mask, row in zip(masks, capacity_batch(prob, masks, params)):
+        one = capacity(prob, mask, params)
+        assert (row.value, row.lower, row.upper, row.iterations) == \
+            (one.value, one.lower, one.upper, one.iterations)
+        for got, ref in ((row.dual_measure, one.dual_measure),
+                         (row.optimizer, one.optimizer),
+                         (row.potential, one.potential)):
+            assert np.array_equal(got, ref)
+        assert _scalar_reference(prob, mask, params) == \
+            (row.value, row.lower, row.iterations)
+        audit_certificate(prob, row)
 
 
 def test_gather_dedups_skips_empty_and_serves_later_queries():

@@ -200,6 +200,49 @@ def test_batched_convolution_matches_each_row(n, N, L, alpha):
     assert batch[1:].min() >= 0.0 and batch[0].min() < 0.0
 
 
+@pytest.mark.parametrize("r0, r1", [(0, 128), (3, 17), (62, 80), (127, 128)])
+def test_row_window_apply_matches_the_whole_grid(r0, r1):
+    # a field given on a band of whole rows, or a potential wanted on one,
+    # has the bits of the whole-grid apply on that band; the rows of a batch
+    # fill different parts of the band
+    g = make_grid(2, 12.0, 128)
+    k = bessel_kernel(g, 1.0)
+    N = g.N
+    win = slice(r0 * N, r1 * N)
+    rng = np.random.default_rng(r0)
+    rows = np.zeros((4, g.size))
+    rows[0, win] = rng.standard_normal(win.stop - win.start)
+    rows[1, win] = rng.random(win.stop - win.start)
+    rows[2, r0 * N + rng.integers(N)] = 1.0 / g.cell_measure   # first row
+    rows[3, (r1 - 1) * N:r1 * N] = rng.random(N)                 # last row
+    full = _convolve_values(g, k, rows)
+    assert np.array_equal(_convolve_values(g, k, rows[:, win], given=win), full)
+    assert np.array_equal(_convolve_values(g, k, rows, wanted=win), full[:, win])
+    for v, out in zip(rows, full):
+        assert np.array_equal(_convolve_values(g, k, v[win], given=win), out)
+        assert np.array_equal(_convolve_values(g, k, v, wanted=win), out[win])
+
+
+def test_row_window_apply_clips_as_the_whole_grid():
+    # a spike's potential rings below zero at roundoff on its own row (and
+    # about half a box away); with the spike inside the band the tiny-negative
+    # clip zeroes the same cells whether the input is given on the band or
+    # the output wanted on it
+    g = make_grid(2, 12.0, 128)
+    k = bessel_kernel(g, 1.0)
+    N = g.N
+    win = slice(65 * N, 80 * N)
+    v = np.zeros(g.size)
+    v[70 * N + 20] = 1.0 / g.cell_measure
+    raw = np.fft.irfftn(np.fft.rfftn(v.reshape(g.shape)) * k.transfer,
+                        s=g.shape, axes=(0, 1)).ravel()
+    assert raw[win].min() < 0.0 and raw[win].max() == raw.max()
+    full = _convolve_values(g, k, v)
+    assert full.min() == 0.0 and np.array_equal(full[raw >= 0.0], raw[raw >= 0.0])
+    assert np.array_equal(_convolve_values(g, k, v[win], given=win), full)
+    assert np.array_equal(_convolve_values(g, k, v, wanted=win), full[win])
+
+
 def test_grid_mismatch_errors():
     g = make_grid(1, 16.0, 256)
     other = make_grid(1, 16.0, 128)
@@ -309,3 +352,23 @@ def test_readers_share_the_header_rule(tmp_path, reader, text, message):
     with pytest.raises(ValueError) as err:
         read(path)
     assert str(path) in str(err.value) and message in str(err.value)
+
+
+@pytest.mark.parametrize("reader, text", [
+    ("mask", "1 0 x 1\n"),
+    ("kernel", "1 0 x 1\n"),
+    ("finite", "atoms 4\n1 0 x 1\n"),
+    ("finite", "atoms 4\n1 1 1 1\nfield f\n1 0 x 1\n"),
+    ("grid", "field v1 grid=8 L=2.0 layout=row-major\n1 0 x 1 0 0 0 0\n"),
+], ids=["mask", "kernel", "finite-weights", "finite-field", "grid"])
+def test_readers_name_a_non_numeric_entry(tmp_path, reader, text):
+    # each reader names the file and the token, not float()'s bare message
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    read = {"mask": lambda p: modelio.read_mask_values(p, DiscreteMeasureSpace(np.ones(4))),
+            "kernel": lambda p: modelio.read_kernel_matrix(p, 2),
+            "finite": modelio.read_finite_model,
+            "grid": modelio.read_grid_field}[reader]
+    with pytest.raises(ValueError) as err:
+        read(path)
+    assert str(path) in str(err.value) and "'x'" in str(err.value)
