@@ -444,8 +444,12 @@ def capacity_batch(problem: CapacityProblem, masks: Sequence[SetMask],
     chunk = max(1, 2 ** 20 // size)
     for start in range(0, len(rows), chunk):
         part = rows[start:start + chunk]
-        # np.where evaluates both branches; degenerate rows take the guarded one
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # np.where evaluates both branches; degenerate rows take the guarded
+        # one.  Near s = 1 the power s' - 1 is large: an overflowing
+        # candidate gets F = inf, fails the sufficient-decrease test and is
+        # backtracked, and an overflowed bound is inf or nan, never better
+        # than the best one kept.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             solved = _solve_rows(problem, [masks[i] for i in part], params)
         for i, res in zip(part, solved):
             results[i] = res

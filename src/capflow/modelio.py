@@ -53,7 +53,9 @@ def read_finite_model(path) -> Tuple[DiscreteMeasureSpace, Dict[str, np.ndarray]
     head = lines[pos].split()
     if len(head) != 2 or head[0] != "atoms":
         raise ValueError(f"{path}: expected 'atoms <m>' header, got {lines[pos]!r}")
-    m = int(head[1])
+    m = _number(path, head[1], "atom count", int)
+    if m < 1:
+        raise ValueError(f"{path}: atom count must be at least 1, got {m}")
     pos += 1
     toks: list = []
     while pos < len(lines) and len(toks) < m:
@@ -110,12 +112,13 @@ def _parse_grid_header(path, line: str) -> Tuple[int, int, float]:
     if not {"grid", "L"} <= kv.keys():
         raise ValueError(f"{path}: header {line!r} needs grid= and L=")
     gspec = kv["grid"]
+    L = _number(path, kv["L"], "L")
     if "x" in gspec:
-        a, b = gspec.split("x")
+        a, _, b = gspec.partition("x")
         if a != b:
             raise ValueError(f"{path}: anisotropic grids unsupported ({gspec})")
-        return 2, int(a), float(kv["L"])
-    return 1, int(gspec), float(kv["L"])
+        return 2, _number(path, a, "grid", int), L
+    return 1, _number(path, gspec, "grid", int), L
 
 
 def read_grid_field(path, grid: Optional[Grid] = None) -> Tuple[Grid, np.ndarray]:
@@ -125,7 +128,10 @@ def read_grid_field(path, grid: Optional[Grid] = None) -> Tuple[Grid, np.ndarray
     pos = _header(path, lines)
     n, N, L = _parse_grid_header(path, lines[pos])
     if grid is None:
-        grid = Grid(n, L, N)
+        try:
+            grid = Grid(n, L, N)
+        except ValueError as err:   # a header size the grid rejects
+            raise ValueError(f"{path}: {err}") from None
     elif (grid.n, grid.N) != (n, N) or abs(grid.L - L) > 1e-12:
         raise ValueError(f"{path}: header (n={n}, N={N}, L={L}) does not match "
                          f"the bound grid {grid!r}")
@@ -181,15 +187,18 @@ def _entries(path, text: str, want: int) -> np.ndarray:
 
 
 def _numbers(path, toks: list) -> np.ndarray:
-    """The tokens as floats; a token that is not a number is named, with
-    the file, in a ValueError."""
-    vals = []
-    for t in toks:
-        try:
-            vals.append(float(t))
-        except ValueError:
-            raise ValueError(f"{path}: entry {t!r} is not a number") from None
-    return np.array(vals)
+    """The tokens as floats, through `_number`."""
+    return np.array([_number(path, t) for t in toks])
+
+
+def _number(path, tok: str, what: str = "entry", kind=float):
+    """`kind(tok)`; a token that does not convert is named, with the file
+    and what it stands for, in a ValueError."""
+    try:
+        return kind(tok)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{path}: {what} {tok!r} is not {noun}") from None
 
 
 def field_from_file(path, space) -> Field:

@@ -26,7 +26,7 @@ on the stack of restricted fields, strong and weak alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,15 +61,12 @@ class TestSetFamily:
     """Deterministic generator of test sets for supremum estimates.
 
     kind in {'all-subsets', 'dyadic-cubes', 'superlevels', 'random-unions',
-    'explicit', 'union'}; generation is reproducible given the seed.  An
-    optional diameter cap keeps only sets of diameter <= diam_cap (grid
-    models).
+    'explicit', 'union'}; generation is reproducible given the seed.
     """
 
     kind: str
     seed: int = DEFAULT_SEED
     size_cap: Optional[int] = None
-    diam_cap: Optional[float] = None
     generations: tuple = (0, 1, 2, 3, 4)
     count: int = 32
     members: tuple = ()
@@ -100,18 +97,11 @@ class TestSetFamily:
     def __add__(self, other: "TestSetFamily") -> "TestSetFamily":
         return TestSetFamily("union", members=(self, other))
 
-    def with_diameter_cap(self, cap: float) -> "TestSetFamily":
-        return replace(self, diam_cap=cap)
-
     # -- generation ----------------------------------------------------------
     def sets(self, space, f: Optional[Field] = None) -> np.ndarray:
         """The family's sets as a read-only (B, space.size) bool matrix: rows
         in generation order, the first of any duplicate kept, none empty."""
-        bits = self._rows(space, f)
-        if self.diam_cap is not None:
-            bits = bits[[_diameter(space, row) <= self.diam_cap + 1e-12
-                         for row in bits]]
-        return _distinct_rows(bits)
+        return _distinct_rows(self._rows(space, f))
 
     def _rows(self, space, f) -> np.ndarray:
         if self.kind == "union":

@@ -1,5 +1,6 @@
 """Capacity solver certificates, analytic instances, and capacitary integrals."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,20 @@ def test_budget_exhaustion_keeps_certificates():
     assert 0.0 < starved.lower <= starved.value <= starved.upper * (1 + 1e-15)
     with pytest.raises(ValueError):
         equilibrium_checks(prob, starved)
+
+
+def test_solve_near_s_one_warns_nothing_and_certifies():
+    # s' = 10001: candidates whose power overflows are backtracked, so the
+    # overflow is expected and must not reach the caller as a warning
+    grid = make_grid(1, 16.0, 256)
+    params = CapacityParams(alpha=0.5, s=1.0001, tol=1e-6)
+    prob = grid_problem(grid, params)
+    mask = SetMask(grid, np.abs(grid.coords()[:, 0]) <= 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = capacity(prob, mask, params)
+        assert res.converged and res.gap <= params.tol
+        audit_certificate(prob, res)
 
 
 def _counted(problem):

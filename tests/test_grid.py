@@ -331,6 +331,16 @@ _MASK16 = " ".join(["0"] * 12 + ["1"] * 4)
     ("grid", "", "empty file"),
     ("grid", f"field v1 L=4.0 layout=row-major\n{_MASK16}\n", "needs grid= and L="),
     ("grid", f"\nfield v1 grid=16\n{_MASK16}\n", "needs grid= and L="),
+    ("finite", "atoms x\n1 1\n", "atom count 'x' is not an integer"),
+    ("finite", "atoms 2.5\n1 1\n", "atom count '2.5' is not an integer"),
+    ("finite", "atoms -3\n", "atom count must be at least 1, got -3"),
+    ("finite", "atoms 0\n", "atom count must be at least 1, got 0"),
+    ("grid", f"field v1 grid=abc L=4.0\n{_MASK16}\n", "grid 'abc' is not an integer"),
+    ("grid", f"field v1 grid=qxq L=4.0\n{_MASK16}\n", "grid 'q' is not an integer"),
+    ("grid", f"field v1 grid=4x4x4 L=4.0\n{_MASK16}\n", "anisotropic"),
+    ("grid", f"field v1 grid=16 L=abc\n{_MASK16}\n", "L 'abc' is not a number"),
+    ("grid", "field v1 grid=0 L=4.0\n", "power of two, got 0"),
+    ("grid", f"field v1 grid=16 L=-4.0\n{_MASK16}\n", "positive and finite"),
     ("mask", "\n\n", "empty file"),
     ("mask", f"field v1 layout=row-major\n{_MASK16}\n", "needs grid= and L="),
     ("mask", f"\nfield v1 grid=16 L=4.0 layout=row-major\n{_MASK16}\n", None),

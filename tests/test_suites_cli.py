@@ -1,6 +1,7 @@
 """Verification-suite plumbing and the command-line interface."""
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -141,6 +142,34 @@ def test_check_summary_and_status(scratch_registry):
         == ("fail", "a; b; c; d")
     assert out["X04-tally/recorded"].status == "recorded"
     assert out["X04-tally/forced"].status == "pass"
+
+    # bound keeps the largest value from its start and fails above the limit
+    rows = suites._Rows("X05-bounds", ("claim-a",))
+    rows.bound("zero", -1.0)
+    rows.bound("start", -1.0, start=-math.inf)
+    rows.bound("edge", 2.0, 2.0, "edge")   # equal to the limit: no failure
+    rows.bound("over", 2.5, 2.0, "over")
+    rows.bound("nan", 1.0)
+    rows.bound("nan", math.nan, 0.5, "nan")   # neither kept nor failed
+    rows.bound("nan-first", math.nan)
+    assert rows.worst == {"zero": 0.0, "start": -1.0, "edge": 2.0, "over": 2.5,
+                          "nan": 1.0, "nan-first": 0.0}
+    assert rows.worst["never bounded"] == 0.0
+    assert rows.failures == ["over"]
+    # band is inclusive at both ends, fails on nan, and fails once per call
+    for r in (0.5, 1.0, 2.0):
+        rows.band("inside", r)
+    rows.band("low", math.nextafter(0.5, 0.0))
+    rows.band("high", math.nextafter(2.0, 3.0))
+    rows.band("nan", math.nan)
+    rows.band("pair", 3.0, 0.1)
+    assert rows.failures == ["over", "low", "high", "nan", "pair"]
+    # raises fails only when the call returns; other errors propagate
+    rows.raises(lambda: float("x"), "raised")
+    rows.raises(lambda: None, "returned")
+    assert rows.failures[-1] == "returned" and "raised" not in rows.failures
+    with pytest.raises(ZeroDivisionError):
+        rows.raises(lambda: 1 / 0, "divided")
 
 
 def test_verdict_status_guard():
