@@ -30,7 +30,6 @@ from .blocks import (AtomicMeasure, Block, BlockDecomposition,
                      kothe_dual_norm_bruteforce, trace_norm,
                      trace_norm_inf_form, transport_decomposition,
                      validate_block)
-from .suites import (CapflowConfig, SuiteSpec, Verdict, emit_report,
-                     run_suite)
+from .suites import CapflowConfig, Verdict, run_suite, write_verdicts
 
 __version__ = "0.1.0"

@@ -52,8 +52,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .grid import Grid, KernelSpec, bessel_kernel, _convolve_values
-from .measure import (DiscreteMeasureSpace, Field, LorentzExponents, _layer_cake,
-                      _levels, _thinned)
+from .measure import (MAX_CELLS, DiscreteMeasureSpace, Field, LorentzExponents,
+                      _layer_cake, _levels, _thinned)
 
 __all__ = [
     "CapacityParams",
@@ -185,28 +185,26 @@ class SetMask:
 
 
 def _diameter(space, bools: np.ndarray) -> float:
-    """Largest pairwise distance of the centers of the cells in `bools`."""
+    """Largest pairwise distance of the centers of the cells in `bools`.
+
+    On the plane a farthest pair are convex-hull vertices, and each hull
+    vertex is the first or last member of its grid row, so the distances
+    among those at most 2N row ends are exact."""
     if not isinstance(space, Grid):
         raise ValueError("diameter needs grid geometry")
-    if not bools.any():
+    cells = np.flatnonzero(bools)
+    if cells.size == 0:
         return 0.0
-    pts = space.coords()[bools]
-    if space.n == 1 or len(pts) <= 2:
+    pts = space.coords()[cells]
+    if space.n == 1:
         span = pts.max(axis=0) - pts.min(axis=0)
         return float(np.sqrt((span ** 2).sum()))
-    try:
-        from scipy.spatial import ConvexHull
-        pts = pts[ConvexHull(pts).vertices]
-    except Exception:
-        # degenerate (collinear) sets: extremes along a few directions
-        # are enough to realize the maximal pair
-        cand = []
-        for d in ((1, 0), (0, 1), (1, 1), (1, -1)):
-            proj = pts @ np.array(d, dtype=float)
-            cand.extend([pts[proj.argmin()], pts[proj.argmax()]])
-        pts = np.array(cand)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+    new_row = np.diff(cells // space.N) != 0
+    pts = pts[np.r_[True, new_row] | np.r_[new_row, True]]
+    # squared distances from 256 points at a time bound the temporaries
+    far = max(((pts[i:i + 256, None] - pts[None]) ** 2).sum(axis=2).max()
+              for i in range(0, len(pts), 256))
+    return float(np.sqrt(far))
 
 
 def _measures(weights: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -387,7 +385,7 @@ def capacity_batch(problem: CapacityProblem, masks: Sequence[SetMask],
 
     Empty, identity and infeasible rows are answered without iterating, as
     in `capacity`.  The others run one accelerated projected dual ascent
-    vectorized over rows, in chunks of at most 2^20 / size rows (the
+    vectorized over rows, in chunks of at most MAX_CELLS / size rows (the
     arrays of a chunk stay near 8 MB each).  Each row keeps its own step,
     momentum, best bounds and optimizers, and the kernel apply and every
     reduction act row by row, so a row's iterates are those of its batch of
@@ -441,7 +439,7 @@ def capacity_batch(problem: CapacityProblem, masks: Sequence[SetMask],
                                         False, 0, mask, params, infeasible=True)
         else:
             rows.append(i)
-    chunk = max(1, 2 ** 20 // size)
+    chunk = max(1, MAX_CELLS // size)
     for start in range(0, len(rows), chunk):
         part = rows[start:start + chunk]
         # np.where evaluates both branches; degenerate rows take the guarded

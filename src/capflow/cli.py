@@ -25,15 +25,19 @@ from . import multiplier as mn
 from . import weights as wt
 from .capacity import (CapacityOracle, CapacityParams, SetMask, capacity,
                        finite_problem, grid_problem, identity_problem)
-from .grid import make_grid
 from .measure import Field, LorentzExponents
-from .suites import CapflowConfig, SuiteSpec, any_failures, emit_report, run_suite
+from .suites import CapflowConfig, any_failures, run_suite, write_verdicts
 
 __all__ = ["main"]
 
 
+def _bad(flag: str, message: str):
+    """End the run with one line naming the flag and its bad value."""
+    raise SystemExit(f"capflow: {flag}: {message}")
+
+
 def _load_problem(args) -> tuple:
-    """Resolve (problem, params, space) from --model or --grid options."""
+    """Resolve (problem, params, space, fields) from --model or --grid."""
     params = CapacityParams(alpha=args.alpha, s=args.s, tol=args.tol)
     if args.model:
         space, fields = modelio.read_finite_model(args.model)
@@ -43,66 +47,58 @@ def _load_problem(args) -> tuple:
         else:
             problem = identity_problem(space)
         return problem, params, space, fields
-    if args.grid is None:
-        raise SystemExit("need --model FILE or --grid N[xN]")
-    if "x" in args.grid:
-        a, b = args.grid.split("x")
-        if a != b:
-            raise SystemExit("anisotropic grids unsupported")
-        grid = make_grid(2, args.L, int(a))
-    else:
-        grid = make_grid(1, args.L, int(args.grid))
+    if args.kernel:
+        _bad("--kernel", "a kernel file needs --model, not --grid")
+    try:
+        grid = modelio.grid_of("--grid", args.grid, args.L)
+    except ValueError as err:
+        raise SystemExit(f"capflow: {err}") from None
     return grid_problem(grid, params), params, grid, {}
 
 
-def _add_problem_args(sub, with_set: bool = True):
-    sub.add_argument("--model", help="finite-model file (identity kernel "
-                     "unless --kernel is given)")
-    sub.add_argument("--kernel", help="whitespace m*m matrix file for finite models")
-    sub.add_argument("--grid", help="points per axis, e.g. 256 or 128x128")
-    sub.add_argument("--L", type=float, default=16.0, help="box side length")
-    sub.add_argument("--alpha", type=float, default=0.5)
-    sub.add_argument("--s", type=float, default=2.0)
-    sub.add_argument("--tol", type=float, default=1e-6)
-    if with_set:
-        sub.add_argument("--set", required=True, help="0/1 mask file")
+def _model_field(flag: str, path, fields: dict, name: str, space) -> Field:
+    """Field `name` of finite-model file `path`, read for `flag`."""
+    if name not in fields:
+        _bad(flag, f"{path} has no field {name!r} "
+                   f"(fields: {', '.join(fields) or 'none'})")
+    if fields[name].size != space.size:
+        _bad(flag, f"{path} has {fields[name].size} atoms, not {space.size}")
+    return Field(space, fields[name])
 
 
-def _mask_from(args, space) -> SetMask:
-    return SetMask(space, modelio.read_mask_values(args.set, space))
-
-
-def _field_from(args, space, fields) -> Field:
-    if args.field and args.field in fields:
-        return Field(space, fields[args.field])
+def _oracle_and_field(args) -> tuple:
+    """The problem's capacity oracle and the --field or --field-file field."""
+    problem, params, space, fields = _load_problem(args)
     if args.field_file:
-        return modelio.field_from_file(args.field_file, space)
-    raise SystemExit("need --field NAME (finite model) or --field-file FILE (grid)")
+        f = modelio.field_from_file(args.field_file, space)
+    else:
+        f = _model_field("--field", args.model or "a --grid problem", fields,
+                         args.field, space)
+    return CapacityOracle(problem, params), f
 
 
-def _parse_family(specs, space) -> mn.TestSetFamily:
+def _parse_family(specs) -> mn.TestSetFamily:
     fams = []
     for spec in specs:
-        parts = spec.split(":")
-        kind = parts[0]
-        if kind == "all":
-            fams.append(mn.TestSetFamily.all_subsets())
-        elif kind == "dyadic":
-            top = int(parts[1]) if len(parts) > 1 else 4
-            fams.append(mn.TestSetFamily.dyadic(tuple(range(top + 1))))
-        elif kind == "levels":
-            fams.append(mn.TestSetFamily.superlevels(size_cap=32))
-        elif kind == "random":
-            count = int(parts[1]) if len(parts) > 1 else 32
-            seed = int(parts[2], 0) if len(parts) > 2 else mn.DEFAULT_SEED
-            fams.append(mn.TestSetFamily.random_unions(count, seed=seed))
-        else:
-            raise SystemExit(f"unknown family spec {spec!r} "
+        kind, *parts = spec.split(":")
+        try:
+            if kind == "all" and not parts:
+                fams.append(mn.TestSetFamily.all_subsets())
+            elif kind == "dyadic" and len(parts) <= 1:
+                top = int(parts[0]) if parts else 4
+                fams.append(mn.TestSetFamily.dyadic(tuple(range(top + 1))))
+            elif kind == "levels" and not parts:
+                fams.append(mn.TestSetFamily.superlevels(size_cap=32))
+            elif kind == "random" and len(parts) <= 2:
+                count = int(parts[0]) if parts else 32
+                seed = int(parts[1], 0) if len(parts) > 1 else mn.DEFAULT_SEED
+                fams.append(mn.TestSetFamily.random_unions(count, seed=seed))
+            else:
+                raise ValueError(kind)
+        except ValueError:
+            _bad("--family", f"bad spec {spec!r} "
                              "(grammar: all | dyadic:G | levels | random:N:SEED)")
-    fam = fams[0]
-    for extra in fams[1:]:
-        fam = fam + extra
-    return fam
+    return sum(fams[1:], fams[0])
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
@@ -116,7 +112,7 @@ def _emit(report: dict, out: Optional[str]) -> None:
 
 def _cmd_capacity(args) -> int:
     problem, params, space, _fields = _load_problem(args)
-    mask = _mask_from(args, space)
+    mask = SetMask(space, modelio.read_mask_values(args.set, space))
     res = capacity(problem, mask, params)
     report = {
         "value": res.value,
@@ -137,10 +133,8 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_mnorm(args) -> int:
-    problem, params, space, fields = _load_problem(args)
-    oracle = CapacityOracle(problem, params)
-    f = _field_from(args, space, fields)
-    family = _parse_family(args.family, space)
+    oracle, f = _oracle_and_field(args)
+    family = _parse_family(args.family)
     e = LorentzExponents(args.p, args.q)
     if args.space_kind == "M":
         est = mn.m_norm(f, e, family, oracle)
@@ -163,9 +157,8 @@ def _cmd_mnorm(args) -> int:
 
 
 def _cmd_nnorm(args) -> int:
-    problem, params, space, fields = _load_problem(args)
-    oracle = CapacityOracle(problem, params)
-    f = _field_from(args, space, fields)
+    oracle, f = _oracle_and_field(args)
+    space = oracle.space
     cfg = wt.WeightConfig(delta=args.delta, slack=args.slack)
     kind, _, rest = args.candidates.partition(":")
     cands = []
@@ -178,7 +171,8 @@ def _cmd_nnorm(args) -> int:
             cands.append(wt._certified_weight(
                 oracle, modelio.field_from_file(wfile, space).values, cfg))
     else:
-        raise SystemExit("candidates grammar: potentials:<mask,...> | file:<field,...>")
+        _bad("--candidates", f"bad spec {args.candidates!r} (grammar: "
+                             "potentials:<mask,...> | file:<field,...>)")
     est = wt.n_norm_upper(f, LorentzExponents(args.p, args.q), cands,
                           cfg=cfg, oracle=oracle)
     report = {
@@ -200,24 +194,25 @@ def _cmd_maximal(args) -> int:
 
 
 def _cmd_block(args) -> int:
-    problem, params, space, fields = _load_problem(args)
-    oracle = CapacityOracle(problem, params)
-    f = _field_from(args, space, fields)
+    oracle, f = _oracle_and_field(args)
+    space = oracle.space
     e = LorentzExponents(args.p, args.q)
     cfg = wt.WeightConfig(delta=args.delta, slack=args.slack)
     omega = None
     if args.weight:
         if args.grid:
-            raw = modelio.field_from_file(args.weight, space).values
+            weight = modelio.field_from_file(args.weight, space)
         else:
-            raw = modelio.read_finite_model(args.weight)[1][args.weight_field]
-        omega = wt._certified_weight(oracle, raw, cfg)
+            weight = _model_field("--weight-field", args.weight,
+                                  modelio.read_finite_model(args.weight)[1],
+                                  args.weight_field, space)
+        omega = wt._certified_weight(oracle, weight.values, cfg)
     if args.mode == "constructive":
         if omega is None:
-            raise SystemExit("constructive mode needs --weight")
+            _bad("--mode", "constructive mode needs --weight")
         decomp = bl.block_norm_upper_constructive(f, e, omega, oracle)
     else:
-        family = _parse_family(args.family or ["random:32:0x5EED"], space)
+        family = _parse_family(args.family or ["random:32:0x5EED"])
         decomp = bl.block_norm_upper_greedy(f, e, family, oracle, omega)
     out = Path(args.out)
     entries = []
@@ -242,12 +237,11 @@ def _cmd_verify(args) -> int:
     cfg = CapflowConfig.from_file(args.config) if args.config else CapflowConfig()
     if args.quick:
         cfg = cfg.quick()
-    spec = SuiteSpec(args.suite, cfg)
-    verdicts = run_suite(spec)
+    if args.out and Path(args.out).suffix == ".csv":
+        _bad("--out", f"{args.out}: give the JSON path; the CSV goes beside it")
+    verdicts = run_suite(args.suite, cfg)
     if args.out:
-        emit_report(verdicts, "json", args.out, spec=spec)
-        csv_path = Path(args.out).with_suffix(".csv")
-        emit_report(verdicts, "csv", csv_path, spec=spec)
+        write_verdicts(verdicts, args.out, args.suite, cfg)
     for v in verdicts:
         sys.stdout.write(f"{v.check_id}: {v.status} "
                          f"(measured={v.measured:.6g}) {v.details}\n")
@@ -258,34 +252,52 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="capflow", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("capacity", help="certified capacity of a set")
-    _add_problem_args(sub)
+    problem = argparse.ArgumentParser(add_help=False)
+    where = problem.add_mutually_exclusive_group(required=True)
+    where.add_argument("--model", help="finite-model file (identity kernel "
+                       "unless --kernel is given)")
+    where.add_argument("--grid", help="points per axis as in a grid-file "
+                       "header: N on the line, NxN on the plane")
+    problem.add_argument("--kernel",
+                         help="whitespace m*m matrix file for --model")
+    problem.add_argument("--L", type=float, default=16.0,
+                         help="box side length for --grid")
+    problem.add_argument("--alpha", type=float, default=0.5)
+    problem.add_argument("--s", type=float, default=2.0)
+    problem.add_argument("--tol", type=float, default=1e-6)
+
+    field = argparse.ArgumentParser(add_help=False)
+    which = field.add_mutually_exclusive_group(required=True)
+    which.add_argument("--field", help="field name inside the --model file")
+    which.add_argument("--field-file", help="grid field file")
+
+    weights = argparse.ArgumentParser(add_help=False)
+    weights.add_argument("--delta", type=float, default=0.5)
+    weights.add_argument("--slack", type=float, default=1.25)
+
+    sub = subs.add_parser("capacity", parents=[problem],
+                          help="certified capacity of a set")
+    sub.add_argument("--set", required=True, help="0/1 mask file")
     sub.add_argument("--out")
     sub.set_defaults(fn=_cmd_capacity)
 
-    sub = subs.add_parser("mnorm", help="multiplier-norm estimate")
-    _add_problem_args(sub, with_set=False)
+    sub = subs.add_parser("mnorm", parents=[problem, field],
+                          help="multiplier-norm estimate")
     sub.add_argument("--space", dest="space_kind", required=True,
                      choices=["M", "scriptM", "weakM"])
     sub.add_argument("--p", type=float, required=True)
     sub.add_argument("--q", type=float, default=2.0)
     sub.add_argument("--family", action="append", required=True,
                      help="all | dyadic:G | levels | random:N:SEED (repeatable)")
-    sub.add_argument("--field", help="field name inside the finite-model file")
-    sub.add_argument("--field-file", help="grid field file")
     sub.add_argument("--out")
     sub.set_defaults(fn=_cmd_mnorm)
 
-    sub = subs.add_parser("nnorm", help="weighted-infimum upper bound")
-    _add_problem_args(sub, with_set=False)
+    sub = subs.add_parser("nnorm", parents=[problem, field, weights],
+                          help="weighted-infimum upper bound")
     sub.add_argument("--p", type=float, required=True)
     sub.add_argument("--q", type=float, required=True)
     sub.add_argument("--candidates", required=True,
                      help="potentials:<mask,...> | file:<field,...>")
-    sub.add_argument("--delta", type=float, default=0.5)
-    sub.add_argument("--slack", type=float, default=1.25)
-    sub.add_argument("--field", help="field name inside the finite-model file")
-    sub.add_argument("--field-file", help="grid field file")
     sub.add_argument("--out")
     sub.set_defaults(fn=_cmd_nnorm)
 
@@ -294,8 +306,8 @@ def main(argv=None) -> int:
     sub.add_argument("--out", dest="outfile", required=True)
     sub.set_defaults(fn=_cmd_maximal)
 
-    sub = subs.add_parser("block", help="block-decomposition upper bound")
-    _add_problem_args(sub, with_set=False)
+    sub = subs.add_parser("block", parents=[problem, field, weights],
+                          help="block-decomposition upper bound")
     sub.add_argument("--mode", choices=["constructive", "greedy"],
                      default="greedy")
     sub.add_argument("--p", type=float, default=2.0)
@@ -303,11 +315,7 @@ def main(argv=None) -> int:
     sub.add_argument("--weight", help="weight field file")
     sub.add_argument("--weight-field", default="weight",
                      help="field name when --weight is a finite-model file")
-    sub.add_argument("--delta", type=float, default=0.5)
-    sub.add_argument("--slack", type=float, default=1.25)
     sub.add_argument("--family", action="append")
-    sub.add_argument("--field", help="field name inside the finite-model file")
-    sub.add_argument("--field-file", help="grid field file")
     sub.add_argument("--out", required=True)
     sub.set_defaults(fn=_cmd_block)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import Field
+from .measure import MAX_CELLS, Field
 
 __all__ = [
     "Grid",
@@ -59,6 +59,9 @@ class Grid:
             raise ValueError(f"points per axis must be a power of two, got {N}")
         if N < 8:
             raise ValueError(f"need at least 8 points per axis, got {N}")
+        if N ** n > MAX_CELLS:
+            raise ValueError(f"grid n={n}, N={N} has {N ** n} cells; the "
+                             f"largest allowed grid has {MAX_CELLS}")
         h = L / N
         if h > 0.25:
             raise ValueError(

@@ -46,6 +46,9 @@ __all__ = [
     "pairing",
 ]
 
+# most cells of a grid, and of a chunk of lorentz_norms/capacity_batch rows
+MAX_CELLS = 2 ** 20
+
 
 # ---------------------------------------------------------------------------
 # Spaces and fields
@@ -281,7 +284,7 @@ def lorentz_norms(values: np.ndarray, weights: np.ndarray,
     if values.ndim != 2 or values.shape[1] != weights.size:
         raise ValueError(f"need a (B, {weights.size}) stack of fields, "
                          f"got shape {values.shape}")
-    step = max(1, 2 ** 20 // weights.size)    # rows per chunk of temporaries
+    step = max(1, MAX_CELLS // weights.size)    # rows per chunk of temporaries
     if len(values) > step:
         return np.concatenate([lorentz_norms(values[i:i + step], weights, e)
                                for i in range(0, len(values), step)])

@@ -36,6 +36,7 @@ __all__ = [
     "write_grid_field",
     "read_mask_values",
     "read_kernel_matrix",
+    "grid_of",
 ]
 
 
@@ -97,7 +98,8 @@ def write_finite_model(path, space: DiscreteMeasureSpace,
     Path(path).write_text("\n".join(out) + "\n")
 
 
-def _parse_grid_header(path, line: str) -> Tuple[int, int, float]:
+def _parse_grid_header(path, line: str) -> Tuple[str, float]:
+    """The grid= spec and the side length L of a grid-file header."""
     parts = line.split()
     if parts[:2] != ["field", "v1"]:
         raise ValueError(f"{path}: expected 'field v1 ...' header, got {line!r}")
@@ -111,14 +113,26 @@ def _parse_grid_header(path, line: str) -> Tuple[int, int, float]:
         raise ValueError(f"{path}: unsupported layout {kv.get('layout')!r}")
     if not {"grid", "L"} <= kv.keys():
         raise ValueError(f"{path}: header {line!r} needs grid= and L=")
-    gspec = kv["grid"]
-    L = _number(path, kv["L"], "L")
-    if "x" in gspec:
-        a, _, b = gspec.partition("x")
-        if a != b:
-            raise ValueError(f"{path}: anisotropic grids unsupported ({gspec})")
-        return 2, _number(path, a, "grid", int), L
-    return 1, _number(path, gspec, "grid", int), L
+    return kv["grid"], _number(path, kv["L"], "L")
+
+
+def _grid_spec(path, spec: str) -> Tuple[int, int]:
+    """(n, N) of a grid size written N (a line) or NxN (a square), the
+    grammar of a header's grid= and of the CLI's --grid."""
+    a, x, b = spec.partition("x")
+    if x and a != b:
+        raise ValueError(f"{path}: anisotropic grids unsupported ({spec})")
+    return (2 if x else 1), _number(path, a, "grid", int)
+
+
+def grid_of(path, spec: str, L: float) -> Grid:
+    """The grid of size `spec` (N or NxN) and side `L`; a size or side the
+    grid rejects is named with `path`, the file or flag it came from."""
+    n, N = _grid_spec(path, spec)
+    try:
+        return Grid(n, L, N)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def read_grid_field(path, grid: Optional[Grid] = None) -> Tuple[Grid, np.ndarray]:
@@ -126,14 +140,13 @@ def read_grid_field(path, grid: Optional[Grid] = None) -> Tuple[Grid, np.ndarray
     and the returned values bind to that instance."""
     lines = Path(path).read_text().splitlines()
     pos = _header(path, lines)
-    n, N, L = _parse_grid_header(path, lines[pos])
+    gspec, L = _parse_grid_header(path, lines[pos])
     if grid is None:
-        try:
-            grid = Grid(n, L, N)
-        except ValueError as err:   # a header size the grid rejects
-            raise ValueError(f"{path}: {err}") from None
-    elif (grid.n, grid.N) != (n, N) or abs(grid.L - L) > 1e-12:
-        raise ValueError(f"{path}: header (n={n}, N={N}, L={L}) does not match "
+        grid = grid_of(path, gspec, L)
+    elif not isinstance(grid, Grid):
+        raise ValueError(f"{path}: grid-format file for a non-grid space")
+    elif (grid.n, grid.N) != _grid_spec(path, gspec) or abs(grid.L - L) > 1e-12:
+        raise ValueError(f"{path}: header (grid={gspec}, L={L}) does not match "
                          f"the bound grid {grid!r}")
     toks: list = []
     for line in lines[pos + 1:]:
@@ -162,8 +175,6 @@ def read_mask_values(path, space) -> np.ndarray:
     text = Path(path).read_text()
     lines = text.splitlines()
     if lines[_header(path, lines)].lstrip().startswith("field"):
-        if not isinstance(space, Grid):
-            raise ValueError(f"{path}: grid-format mask for a non-grid space")
         _, vals = read_grid_field(path, space)
     else:
         vals = _entries(path, text, space.size)

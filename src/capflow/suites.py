@@ -7,9 +7,11 @@ whose measured constant is reported but not bounded.  Determinism is part of
 the contract: identical config and seeds reproduce identical verdict tables,
 byte for byte.
 
-Each check is declared once, by `@_check(cid, *claims)` on a body
-`body(ctx, rows)`.  The decorator appends `(cid, claims, fn)` to `CHECKS`
-and returns `fn(ctx) -> List[Verdict]`.  The body states each bound once:
+Each check is declared once, by `@_check(cid, *claims, suites=(...))` on a
+body `body(ctx, rows)`.  The decorator appends `(cid, claims, fn)` to
+`CHECKS` and `cid` to `SUITES["all"]` and to the `SUITES` entry of every
+campaign named in `suites=`, so `SUITES` is derived from the declarations;
+it returns `fn(ctx) -> List[Verdict]`.  The body states each bound once:
 `rows.bound(name, value, limit, what)` keeps the largest value under
 `name` in `rows.worst` and records failure `what` if value > limit,
 `rows.band` holds seed and refinement ratios to [0.5, 2], `rows.raises`
@@ -32,7 +34,7 @@ import json
 import math
 import zlib
 from collections import defaultdict
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -42,7 +44,7 @@ from . import blocks as bl
 from . import multiplier as mn
 from . import weights as wt
 from .capacity import (CapacityOracle, CapacityParams, CapacityProblem,
-                       SetMask, _cover_rows, _measures,
+                       SetMask, _cover_rows, _measures, audit_certificate,
                        capacitary_lorentz_norm, capacity,
                        equilibrium_checks, finite_problem, grid_problem,
                        identity_problem, l1c_norm,
@@ -56,10 +58,9 @@ from .measure import (DiscreteMeasureSpace, Field, LorentzExponents,
 
 __all__ = [
     "CapflowConfig",
-    "SuiteSpec",
     "Verdict",
     "run_suite",
-    "emit_report",
+    "write_verdicts",
     "REQUIRED_CLAIMS",
     "SUITES",
     "CHECKS",
@@ -150,14 +151,6 @@ class CapflowConfig:
                 if not f.name.startswith("_")}
 
 
-@dataclass(frozen=True)
-class SuiteSpec:
-    """A named campaign bound to a config."""
-
-    suite: str
-    config: CapflowConfig = CapflowConfig()
-
-
 @dataclass
 class Verdict:
     check_id: str
@@ -184,6 +177,7 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 CHECKS: List = []  # (cid, claims, fn) in registration order, C01..C18
+SUITES: Dict[str, List[str]] = {"all": []}  # campaign -> check ids, in order
 
 
 class _Tally:
@@ -245,9 +239,10 @@ class _Rows(_Tally):
                                      measured, claim, details))
 
 
-def _check(cid: str, *claims: str):
+def _check(cid: str, *claims: str, suites: tuple = ()):
     """Register the decorated `body(ctx, rows)` as check `cid` testing
-    `claims`; it becomes `fn(ctx) -> List[Verdict]`."""
+    `claims`, run by the campaign "all" and by each one in `suites`; it
+    becomes `fn(ctx) -> List[Verdict]`."""
     def register(body):
         @functools.wraps(body)
         def fn(ctx: RunContext) -> List[Verdict]:
@@ -259,6 +254,8 @@ def _check(cid: str, *claims: str):
                                  f"{sorted(missing)}")
             return rows.verdicts
         CHECKS.append((cid, claims, fn))
+        for name in ("all",) + suites:
+            SUITES.setdefault(name, []).append(cid)
         return fn
     return register
 
@@ -401,7 +398,8 @@ def _bump_field(grid: Grid, center: float, width: float,
 # ---------------------------------------------------------------------------
 
 @_check("C01-capacity-certificates", "capacity-definition",
-        "capacity-duality-certificate")
+        "capacity-duality-certificate",
+        suites=("capacity", "determinism-core"))
 def check_capacity_certificates(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
 
@@ -433,13 +431,10 @@ def check_capacity_certificates(ctx: RunContext, rows: _Rows) -> None:
     for problem, params, mask in ctx.finite_corpus():
         res = capacity(problem, mask, params)
         rows.bound("gap", res.gap)
-        if not res.converged or res.gap > params.tol:
-            rows.fail(f"gap {res.gap:.2e}")
-        if not (res.lower <= res.value <= res.upper * (1 + 1e-15)):
-            rows.fail("certificate ordering")
-        if res.dual_measure is not None and \
-                np.any(res.dual_measure[~mask.bools] != 0.0):
-            rows.fail("dual mass off the set")
+        try:
+            audit_certificate(problem, res)
+        except ValueError as err:
+            rows.fail(str(err))
     rows.row("", rows.worst["gap"], "capacity-definition",
              rows.summary(f"{cfg.scale_models} models, max gap"))
     rows.row("/certificates", rows.worst["gap"], "capacity-duality-certificate",
@@ -447,7 +442,7 @@ def check_capacity_certificates(ctx: RunContext, rows: _Rows) -> None:
 
 
 @_check("C02-equilibrium-identities", "equilibrium-identities",
-        "nonlinear-potential")
+        "nonlinear-potential", suites=("capacity",))
 def check_equilibrium(ctx: RunContext, rows: _Rows) -> None:
     instances = list(ctx.finite_corpus())
     g1 = ctx.grid_oracle(1)
@@ -480,7 +475,8 @@ def check_equilibrium(ctx: RunContext, rows: _Rows) -> None:
              "potential within band on E and supp")
 
 
-@_check("C03-monotone-subadditive", "capacity-set-function-axioms")
+@_check("C03-monotone-subadditive", "capacity-set-function-axioms",
+        suites=("capacity",))
 def check_set_function_axioms(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c03")
@@ -513,7 +509,8 @@ def check_set_function_axioms(ctx: RunContext, rows: _Rows) -> None:
              rows.summary(f"{2 * cfg.scale_pairs} certified comparisons"))
 
 
-@_check("C04-lorentz-engine", "lorentz-norm-definition", "power-identity")
+@_check("C04-lorentz-engine", "lorentz-norm-definition", "power-identity",
+        suites=("lorentz-core", "determinism-core"))
 def check_lorentz_engine(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c04")
@@ -553,7 +550,8 @@ def check_lorentz_engine(ctx: RunContext, rows: _Rows) -> None:
              "|||f|^r|| = ||f||^r in closed form")
 
 
-@_check("C05-gamma-sandwich", "gamma-normability")
+@_check("C05-gamma-sandwich", "gamma-normability",
+        suites=("lorentz-core", "determinism-core"))
 def check_gamma_sandwich(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c05")
@@ -626,7 +624,8 @@ def check_capacitary_embeddings(ctx: RunContext, rows: _Rows) -> None:
     rows.row("/l1c", worst, "l1c-norm", "layer-cake capacity integral")
 
 
-@_check("C07-strichartz-localization", "strichartz-localization")
+@_check("C07-strichartz-localization", "strichartz-localization",
+        suites=("localization",))
 def check_strichartz(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c07")
@@ -665,7 +664,8 @@ def _refine_mask(coarse: Grid, fine: Grid, mask: SetMask) -> SetMask:
     return SetMask(fine, np.kron(b, np.ones((factor, factor), dtype=bool)).ravel())
 
 
-@_check("C08-sobolev-lower-bounds", "sobolev-lower-bounds")
+@_check("C08-sobolev-lower-bounds", "sobolev-lower-bounds",
+        suites=("localization",))
 def check_sobolev_bounds(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c08")
@@ -722,7 +722,8 @@ def _covering_dictionary(space, seed: int) -> mn.TestSetFamily:
 
 
 @_check("C09-pairing-inequalities", "pairing-estimate",
-        "pairing-direction-weak", "pairing-direction-n")
+        "pairing-direction-weak", "pairing-direction-n",
+        suites=("blocks-duality",))
 def check_pairing(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
 
@@ -826,7 +827,8 @@ def check_pairing(ctx: RunContext, rows: _Rows) -> None:
 
 
 @_check("C10-block-decomposition", "block-decomposition-constructive",
-        "block-space-definitions", "level-sum-bound", "block-solidity")
+        "block-space-definitions", "level-sum-bound", "block-solidity",
+        suites=("blocks-duality",))
 def check_block_decomposition(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c10")
@@ -851,10 +853,7 @@ def check_block_decomposition(ctx: RunContext, rows: _Rows) -> None:
         f = _random_field(rng, space)
         e = LorentzExponents(1.5, 2.5)   # p < q: the guaranteed window
         decomp = run_instance(oracle, f, wgt, e)
-        scale_est = max(wgt.l1c_estimate.hi, wt.WEIGHT_FLOOR)
-        normalized = wgt.values / scale_est
-        denom = lorentz_norm(
-            Field(space, f.values * normalized ** (-1.0 / e.q_conj)), e)
+        denom = wt.n_norm_upper(f, e, [wgt]).value
         if denom > 0:
             rows.bound("sum", decomp.sum_lambda / denom)
         rep = wt.level_sum_check(wgt.field, oracle, l1c_levels=cfg.l1c_levels)
@@ -910,7 +909,7 @@ def check_block_decomposition(ctx: RunContext, rows: _Rows) -> None:
 
 
 @_check("C11-weight-characterization", "weight-characterization",
-        "weight-averaging")
+        "weight-averaging", suites=("weights",))
 def check_weight_characterization(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     ratios = {}
@@ -968,7 +967,8 @@ def check_weight_characterization(ctx: RunContext, rows: _Rows) -> None:
              averaging.status())
 
 
-@_check("C12-trace-formula", "trace-threshold-equality", "trace-class")
+@_check("C12-trace-formula", "trace-threshold-equality", "trace-class",
+        suites=("blocks-duality",))
 def check_trace_formula(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c12")
@@ -992,7 +992,8 @@ def check_trace_formula(ctx: RunContext, rows: _Rows) -> None:
              "total-variation-to-capacity suprema")
 
 
-@_check("C13-kothe-oracle", "kothe-duality")
+@_check("C13-kothe-oracle", "kothe-duality",
+        suites=("blocks-duality", "determinism-core"))
 def check_kothe_oracle(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     ratio_stats = []
@@ -1027,7 +1028,8 @@ def check_kothe_oracle(ctx: RunContext, rows: _Rows) -> None:
 
 
 @_check("C14-maximal-probes", "maximal-boundedness-probe",
-        "local-maximal-operator", "a1loc-class", "n-space-definition")
+        "local-maximal-operator", "a1loc-class", "n-space-definition",
+        suites=("weights",))
 def check_maximal(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     g1 = ctx.grid_oracle(1)
@@ -1111,11 +1113,10 @@ def check_maximal(ctx: RunContext, rows: _Rows) -> None:
              "weighted-infimum upper bounds under the maximal operator")
 
 
-@_check("C15-determinism", "artifact-determinism")
+@_check("C15-determinism", "artifact-determinism", suites=("determinism",))
 def check_determinism(ctx: RunContext, rows: _Rows) -> None:
-    spec = SuiteSpec("determinism-core", ctx.cfg.quick())
-    first = _render_csv(run_suite(spec))
-    if _render_csv(run_suite(spec)) != first:
+    first = _render_csv(run_suite("determinism-core", ctx.cfg.quick()))
+    if _render_csv(run_suite("determinism-core", ctx.cfg.quick())) != first:
         rows.fail("verdict CSV differs between runs")
     rows.row("", float(len(first)), "artifact-determinism",
              "bytewise-identical verdict CSV across two runs")
@@ -1125,7 +1126,7 @@ def check_determinism(ctx: RunContext, rows: _Rows) -> None:
         "script-multiplier-coincidence", "weak-multiplier-identity",
         "norm-switching-suprema", "linf-embedding",
         "lorentz-embedding-r-le-q", "quasi-norm-axioms", "fatou-monotone",
-        "r-convexity")
+        "r-convexity", suites=("lorentz-core",))
 def check_multiplier_invariants(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c16")
@@ -1247,7 +1248,8 @@ def check_multiplier_invariants(ctx: RunContext, rows: _Rows) -> None:
              f"{cfg.scale_tuples} tuples with measured kappa")
 
 
-@_check("C17-diam1-localization", "diam1-localization")
+@_check("C17-diam1-localization", "diam1-localization",
+        suites=("localization",))
 def check_localization_diam1(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c17")
@@ -1277,7 +1279,7 @@ def check_localization_diam1(ctx: RunContext, rows: _Rows) -> None:
 
 
 @_check("C18-kernel-diagnostics", "bessel-kernel-spectral",
-        "convolution-pairing-symmetry")
+        "convolution-pairing-symmetry", suites=("capacity",))
 def check_kernel_diagnostics(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     from scipy.integrate import quad as _quad
@@ -1400,27 +1402,8 @@ REQUIRED_CLAIMS = [
     "weight-characterization",
 ]
 
-SUITES: Dict[str, List[str]] = {
-    "all": [cid for cid, _claims, _fn in CHECKS],
-    "lorentz-core": ["C04-lorentz-engine", "C05-gamma-sandwich",
-                     "C16-multiplier-invariants"],
-    "capacity": ["C01-capacity-certificates", "C02-equilibrium-identities",
-                 "C03-monotone-subadditive", "C18-kernel-diagnostics"],
-    "localization": ["C07-strichartz-localization", "C08-sobolev-lower-bounds",
-                     "C17-diam1-localization"],
-    "weights": ["C11-weight-characterization", "C14-maximal-probes"],
-    "blocks-duality": ["C09-pairing-inequalities", "C10-block-decomposition",
-                       "C12-trace-formula", "C13-kothe-oracle"],
-    "determinism-core": ["C01-capacity-certificates", "C04-lorentz-engine",
-                         "C05-gamma-sandwich", "C13-kothe-oracle"],
-    "determinism": ["C15-determinism"],
-}
-
-
 def _audit_verdict() -> Verdict:
-    covered = set()
-    for _cid, claims, _fn in CHECKS:
-        covered.update(claims)
+    covered = {claim for _cid, claims, _fn in CHECKS for claim in claims}
     missing = sorted(set(REQUIRED_CLAIMS) - covered)
     if missing:
         return Verdict("C00-coverage-audit", "fail", float(len(missing)),
@@ -1430,17 +1413,16 @@ def _audit_verdict() -> Verdict:
                    "every registered claim has at least one check")
 
 
-def run_suite(spec: SuiteSpec) -> List[Verdict]:
+def run_suite(suite: str, cfg: CapflowConfig) -> List[Verdict]:
     """Execute the named campaign deterministically; verdict order is fixed
     by check id.  Missing suite names raise."""
-    if spec.suite not in SUITES:
-        raise ValueError(f"unknown suite {spec.suite!r}; "
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; "
                          f"choose from {sorted(SUITES)}")
-    wanted = SUITES[spec.suite]
-    ctx = RunContext(spec.config)
+    wanted = SUITES[suite]
+    ctx = RunContext(cfg)
     verdicts: List[Verdict] = [_audit_verdict()]
-    verdicts.append(Verdict("C00-seeds", "recorded",
-                            float(spec.config.master_seed),
+    verdicts.append(Verdict("C00-seeds", "recorded", float(cfg.master_seed),
                             "artifact-determinism", "master seed"))
     for cid, _claims, fn in CHECKS:
         if cid in wanted:
@@ -1459,26 +1441,16 @@ def _render_csv(verdicts: List[Verdict]) -> bytes:
     return buf.getvalue().encode()
 
 
-def emit_report(verdicts: List[Verdict], fmt: str, path,
-                spec: Optional[SuiteSpec] = None) -> None:
-    """Write the verdict table; field order is stable and reruns with the
-    same config and seeds are byte-identical."""
-    if fmt == "csv":
-        Path(path).write_bytes(_render_csv(verdicts))
-        return
-    if fmt != "json":
-        raise ValueError(f"unknown report format {fmt!r}")
-    doc = {
-        "suite": spec.suite if spec else None,
-        "config": spec.config.to_dict() if spec else None,
-        "verdicts": [
-            {"check_id": v.check_id, "status": v.status,
-             "measured": _fmt(v.measured), "claim": v.claim,
-             "details": v.details}
-            for v in verdicts
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
+def write_verdicts(verdicts: List[Verdict], path, suite: str,
+                   cfg: CapflowConfig) -> None:
+    """Write the verdict table of campaign `suite` run under `cfg` as JSON at
+    `path` and as CSV beside it (`path` with suffix .csv).  Field order is
+    stable, so reruns with the same config and seeds are byte-identical."""
+    doc = {"suite": suite, "config": cfg.to_dict(),
+           "verdicts": [{**asdict(v), "measured": _fmt(v.measured)}
+                        for v in verdicts]}
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).with_suffix(".csv").write_bytes(_render_csv(verdicts))
 
 
 def any_failures(verdicts: List[Verdict]) -> bool:

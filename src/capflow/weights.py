@@ -295,9 +295,11 @@ def level_sum_check(omega: Field, oracle: CapacityOracle,
     Contract checked by the suites: the dyadic sum is at most 4 times the
     norm (each band E_k sits inside {w > t} for t <= 2^(k-1), and
     2^k = 4 * |(2^(k-2), 2^(k-1)]|).  Dyadic levels below 2^-20 times the
-    maximum are dropped; the dropped contribution is bounded by twice
-    the largest dropped band value times the capacity of the support and
-    recorded.
+    maximum are dropped; their sum is at most `truncated_bound`,
+    2^k_lo cap({0 < w <= 2^(k_lo-1)}), which is 0 with no solve when no
+    cell is dropped.  `ratio` is the level sum plus that bound over `lo`,
+    the lower end of the norm's certified bracket, which `l1c_levels` may
+    thin.
     """
     vals = omega.values
     if np.any(vals < 0.0):
@@ -310,15 +312,16 @@ def level_sum_check(omega: Field, oracle: CapacityOracle,
     bands = {k: (vals > 2.0 ** (k - 1)) & (vals <= 2.0 ** k)
              for k in range(k_hi, k_lo - 1, -1)}
     bands = {k: band for k, band in bands.items() if band.any()}
-    caps = oracle.gather(list(bands.values()) + [vals > 0.0])[0].tolist()
+    dropped = (vals > 0.0) & (vals <= 2.0 ** (k_lo - 1))
+    sets = list(bands.values()) + ([dropped] if dropped.any() else [])
+    caps = oracle.gather(sets)[0].tolist()
     total = 0.0
     for k, cap in zip(bands, caps):
         total += 2.0 ** k * cap
-    count = len(bands)
-    truncated = 2.0 ** (k_lo) * caps[-1]
+    tail = 2.0 ** k_lo * caps[-1] if dropped.any() else 0.0
     est = l1c_norm(omega, oracle, max_levels=l1c_levels)
-    ratio = total / est.value if est.value > 0 else math.inf
-    return LevelSumReport(total, est.value, ratio, count, truncated)
+    ratio = (total + tail) / est.lo if est.lo > 0 else math.inf
+    return LevelSumReport(total, est.value, ratio, len(bands), tail)
 
 
 # ---------------------------------------------------------------------------

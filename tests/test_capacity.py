@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capflow.capacity import (CapacityOracle, CapacityParams,
-                              CapacityProblem, SetMask, _row_window,
+                              CapacityProblem, SetMask, _diameter, _row_window,
                               audit_certificate, capacitary_lorentz_norm,
                               capacity, capacity_batch,
                               equilibrium_checks, finite_problem,
@@ -821,3 +821,23 @@ def test_lebesgue_lower_bound_windows(grid_oracle):
     with pytest.raises(ValueError):
         lebesgue_lower_bound_check(oracle, mask, 0.1)
     assert lebesgue_lower_bound_check(oracle, mask, 0.25).ratio > 0
+
+
+def test_diameter_matches_brute_force():
+    # row ends carry every hull vertex, so the exact farthest pair is found
+    # on collinear sets (rows, columns, diagonals) and on scattered ones
+    grid = make_grid(2, 4.0, 32)
+    pts = grid.coords()
+    rng = np.random.default_rng(7)
+    sets = [np.eye(32, dtype=bool), np.fliplr(np.eye(32, dtype=bool))]
+    for line in (np.s_[5, 3:29:4], np.s_[2:30, 17], np.s_[9, 9]):
+        b = np.zeros((32, 32), bool)
+        b[line] = True
+        sets.append(b)
+    sets += [rng.random((32, 32)) < p for p in (0.005, 0.02, 0.3)]
+    for b in sets:
+        cells = pts[b.ravel()]
+        brute = np.sqrt(((cells[:, None] - cells[None]) ** 2).sum(axis=2))
+        assert _diameter(grid, b.ravel()) == brute.max()
+    assert all(b.any() for b in sets)
+    assert _diameter(grid, np.zeros(grid.size, bool)) == 0.0

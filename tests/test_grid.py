@@ -7,9 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from capflow import grid as grid_mod
-from capflow.grid import (CACHE_GEOMETRIES, CLIP_TOLERANCE, _convolve_values,
-                          bessel_kernel, convolve, make_grid)
-from capflow.measure import DiscreteMeasureSpace, Field, pairing
+from capflow.grid import (CACHE_GEOMETRIES, CLIP_TOLERANCE, Grid,
+                          _convolve_values, bessel_kernel, convolve, make_grid)
+from capflow.measure import MAX_CELLS, DiscreteMeasureSpace, Field, pairing
 from capflow import modelio
 
 
@@ -26,6 +26,19 @@ def test_make_grid_examples():
         make_grid(3, 8.0, 64)         # dimension
     with pytest.raises(ValueError):
         make_grid(1, 1.0, 4)          # under 8 points
+
+
+def test_largest_allowed_grid(tmp_path):
+    # a batch holds B x size arrays: grids above MAX_CELLS cells are refused
+    # by name before anything is allocated
+    assert Grid(2, 16.0, 1024).size == MAX_CELLS
+    for n, N in ((2, 2048), (1, 2 * MAX_CELLS)):
+        with pytest.raises(ValueError, match=rf"n={n}, N={N} .* {MAX_CELLS}"):
+            Grid(n, 16.0, N)
+    big = tmp_path / "big.txt"
+    big.write_text("field v1 grid=2048x2048 L=16.0\n")
+    with pytest.raises(ValueError, match=rf"{big}: grid n=2, N=2048"):
+        modelio.read_grid_field(big)
 
 
 def test_cell_centers_and_measure():

@@ -12,8 +12,8 @@ from capflow import modelio
 from capflow import suites
 from capflow.grid import make_grid
 from capflow.measure import DiscreteMeasureSpace
-from capflow.suites import (CHECKS, REQUIRED_CLAIMS, CapflowConfig, SuiteSpec,
-                            Verdict, any_failures, emit_report, run_suite)
+from capflow.suites import (CHECKS, REQUIRED_CLAIMS, SUITES, CapflowConfig,
+                            Verdict, any_failures, run_suite, write_verdicts)
 from capflow.cli import main as cli_main
 
 
@@ -73,7 +73,24 @@ def test_config_file_rejects_zero_scale(tmp_path):
 
 def test_unknown_and_empty_suite():
     with pytest.raises(ValueError, match="unknown suite"):
-        run_suite(SuiteSpec("no-such-suite"))
+        run_suite("no-such-suite", CapflowConfig())
+
+
+# the hand-kept campaign table that the suites= declarations replaced
+_OLD_SUITES = {
+    "lorentz-core": ["C04-lorentz-engine", "C05-gamma-sandwich",
+                     "C16-multiplier-invariants"],
+    "capacity": ["C01-capacity-certificates", "C02-equilibrium-identities",
+                 "C03-monotone-subadditive", "C18-kernel-diagnostics"],
+    "localization": ["C07-strichartz-localization", "C08-sobolev-lower-bounds",
+                     "C17-diam1-localization"],
+    "weights": ["C11-weight-characterization", "C14-maximal-probes"],
+    "blocks-duality": ["C09-pairing-inequalities", "C10-block-decomposition",
+                       "C12-trace-formula", "C13-kothe-oracle"],
+    "determinism-core": ["C01-capacity-certificates", "C04-lorentz-engine",
+                         "C05-gamma-sandwich", "C13-kothe-oracle"],
+    "determinism": ["C15-determinism"],
+}
 
 
 def test_registry_covers_claims():
@@ -83,12 +100,15 @@ def test_registry_covers_claims():
     assert set(REQUIRED_CLAIMS) <= covered
     ids = [cid for cid, _claims, _fn in CHECKS]
     assert ids == sorted(ids) and len(ids) == 18
+    # SUITES, derived from the suites= declarations, is the old table
+    assert SUITES == {"all": ids, **_OLD_SUITES}
 
 
 @pytest.fixture()
 def scratch_registry(monkeypatch):
     """An empty CHECKS list, so test checks never reach the real registry."""
     monkeypatch.setattr(suites, "CHECKS", [])
+    monkeypatch.setattr(suites, "SUITES", {})
     return suites.CHECKS
 
 
@@ -99,6 +119,14 @@ def test_check_registration_and_row_ids(scratch_registry):
         rows.row("/side", 2.0, "claim-b", "side", "recorded")
 
     assert scratch_registry == [("X01-demo", ("claim-a", "claim-b"), demo)]
+    assert suites.SUITES == {"all": ["X01-demo"]}
+
+    @suites._check("X06-member", "claim-a", suites=("core", "extra"))
+    def member(ctx, rows):
+        rows.row("", 0.0, "claim-a", "")
+
+    assert suites.SUITES == {"all": ["X01-demo", "X06-member"],
+                             "core": ["X06-member"], "extra": ["X06-member"]}
     assert demo.__name__ == "demo"
     out = demo(None)
     assert [(v.check_id, v.status, v.claim) for v in out] == [
@@ -179,8 +207,7 @@ def test_verdict_status_guard():
 
 def test_small_suite_runs_and_reports(tmp_path):
     cfg = CapflowConfig().quick()
-    spec = SuiteSpec("determinism-core", cfg)
-    verdicts = run_suite(spec)
+    verdicts = run_suite("determinism-core", cfg)
     ids = [v.check_id for v in verdicts]
     assert ids == sorted(ids)
     assert ids[0] == "C00-coverage-audit"
@@ -188,26 +215,26 @@ def test_small_suite_runs_and_reports(tmp_path):
 
     json_path = tmp_path / "verdicts.json"
     csv_path = tmp_path / "verdicts.csv"
-    emit_report(verdicts, "json", json_path, spec=spec)
-    emit_report(verdicts, "csv", csv_path, spec=spec)
+    write_verdicts(verdicts, json_path, "determinism-core", cfg)
     doc = json.loads(json_path.read_text())
+    assert list(doc) == ["suite", "config", "verdicts"]
     assert doc["suite"] == "determinism-core"
     assert doc["config"]["master_seed"] == cfg.master_seed
     assert len(doc["verdicts"]) == len(verdicts)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "check_id,status,measured,claim,details"
     assert len(lines) == len(verdicts) + 1
-    with pytest.raises(ValueError):
-        emit_report(verdicts, "xml", tmp_path / "x.xml")
 
 
 def test_suite_rerun_is_byte_identical(tmp_path):
     cfg = CapflowConfig().quick()
-    spec = SuiteSpec("determinism-core", cfg)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_report(run_suite(spec), "csv", p1, spec=spec)
-    emit_report(run_suite(spec), "csv", p2, spec=spec)
-    assert p1.read_bytes() == p2.read_bytes()
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        write_verdicts(run_suite("determinism-core", cfg), path,
+                       "determinism-core", cfg)
+    for suffix in (".json", ".csv"):
+        a, b = (p.with_suffix(suffix).read_bytes() for p in paths)
+        assert a == b
 
 
 def test_corrupted_tolerance_forces_failure(monkeypatch):
@@ -428,3 +455,50 @@ def test_cli_mnorm_weak_space_levels_on_grid(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["space"] == "weakM" and doc["value"] > 0
     assert doc["bracket"][0] <= doc["value"] <= doc["bracket"][1]
+
+
+def _three_atom_model(tmp_path):
+    model = tmp_path / "m.txt"
+    modelio.write_finite_model(model, DiscreteMeasureSpace([1.0, 2.0, 1.0]),
+                               {"f": np.array([1.0, 0.5, 2.0])})
+    mask = tmp_path / "s.txt"
+    mask.write_text("1 1 0\n")
+    return str(model), str(mask)
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["capacity", "--grid", "abc", "--set", "{mask}"], ["--grid", "'abc'"]),
+    (["capacity", "--grid", "4x4x4", "--set", "{mask}"], ["--grid", "4x4x4"]),
+    (["capacity", "--model", "{model}", "--grid", "256", "--set", "{mask}"],
+     ["--grid", "--model"]),
+    (["block", "--model", "{model}", "--grid", "256", "--field", "f",
+      "--family", "all", "--out", "{tmp}/b.json"], ["--grid", "--model"]),
+    (["mnorm", "--model", "{model}", "--field", "nope", "--space", "M",
+      "--p", "2", "--family", "all"], ["--field", "{model}", "'nope'"]),
+    (["block", "--model", "{model}", "--field", "f", "--weight", "{model}",
+      "--mode", "constructive", "--out", "{tmp}/b.json"],
+     ["--weight-field", "{model}", "'weight'"]),
+    (["mnorm", "--model", "{model}", "--field", "f", "--space", "M",
+      "--p", "2", "--family", "random:x"], ["--family", "'random:x'"]),
+    (["mnorm", "--model", "{model}", "--field", "f", "--space", "M",
+      "--p", "2", "--family", "levels:3"], ["--family", "'levels:3'"]),
+    (["capacity", "--grid", "256", "--kernel", "{model}", "--set", "{mask}"],
+     ["--kernel", "--grid"]),
+    (["verify", "--suite", "determinism", "--out", "{tmp}/v.csv"],
+     ["--out", "v.csv"]),
+], ids=["grid-not-a-number", "grid-three-axes", "model-and-grid",
+        "block-model-and-grid", "missing-field", "missing-weight-field",
+        "family-count", "family-extra-part", "kernel-on-grid", "csv-out"])
+def test_cli_bad_inputs_exit_with_one_named_line(tmp_path, argv, names):
+    # a bad flag value or file ends the run with one line that names the
+    # flag or file and the bad token; no traceback
+    model, mask = _three_atom_model(tmp_path)
+    fill = dict(model=model, mask=mask, tmp=tmp_path)
+    argv = [a.format(**fill) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "capflow.cli"] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.strip().splitlines()[-1]
+    assert all(n.format(**fill) in last for n in names), proc.stderr
+    assert not list(tmp_path.glob("b*")) and not list(tmp_path.glob("v*"))

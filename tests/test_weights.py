@@ -247,6 +247,26 @@ def test_level_sum_examples():
         assert rep.ratio <= 4.0 * (1 + 1e-12)
 
 
+def test_level_sum_divides_by_the_lower_end():
+    # a thinned L1-capacity norm is a bracket: the ratio divides by its lower
+    # end, and adds the bound on the dropped bands only when a cell drops
+    sp = DiscreteMeasureSpace(np.ones(40))
+    oracle = CapacityOracle(identity_problem(sp), PARAMS)
+    w = Field.of(sp, np.random.default_rng(5).lognormal(0, 1.0, 40))
+    est = l1c_norm(w, oracle, max_levels=4)
+    assert est.lo < est.value
+    rep = level_sum_check(w, oracle, l1c_levels=4)
+    assert rep.truncated_bound == 0.0
+    assert rep.ratio == rep.level_sum / est.lo
+    tiny = Field.of(sp, np.where(np.arange(40) < 3, 1e-9, w.values))
+    rep = level_sum_check(tiny, oracle)
+    k_lo = math.floor(math.log2(tiny.values.max() * 2.0 ** -20))
+    assert rep.truncated_bound == 2.0 ** k_lo * 3.0
+    assert rep.ratio == pytest.approx(
+        (rep.level_sum + rep.truncated_bound) / l1c_norm(tiny, oracle).lo,
+        rel=1e-15)
+
+
 def test_probe_constant_field(fine_oracle):
     g = fine_oracle.space
     ones = Field.of(g, np.ones(g.size))
