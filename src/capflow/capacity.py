@@ -222,10 +222,10 @@ class CapacityProblem:
     """A space together with a nonnegative symmetric kernel operator.
 
     apply(values) maps a density field to its potential K f, or each row of
-    a (B, size) stack of fields to its own potential; because the kernel is
-    symmetric the same map serves as the adjoint, and measures given by
-    masses are handled by dividing out the atom weights.  `reach` is K 1,
-    applied once on first use and kept for later solves.
+    a (B, size) stack of fields to its own, in a new array the solver may
+    update in place; the kernel is symmetric, so the same map serves as the
+    adjoint, and measures given by masses are handled by dividing out the
+    atom weights.  `reach` is K 1, applied once on first use and kept.
 
     When `row_cells` is set (grid problems), `apply_fn` also takes row
     windows, flat-cell slices of whole rows of that many cells: masses
@@ -474,6 +474,11 @@ def _solve_rows(problem: CapacityProblem, masks: list,
     arrays live on the row window; each of their sums runs over full-width
     rows of a scratch buffer that is zero off the window, so numpy's
     pairwise summation, and every bit, is that of the whole-grid solve.
+
+    Whole-grid temporaries (`energy`, `density`, the gradient, the momentum
+    potential, `primal_upper`'s rescale) are updated in place on the array
+    their step just made, never on one another name holds; no buffer
+    outlives the call.
     """
     w = problem.space.weights
     s = params.s
@@ -500,24 +505,36 @@ def _solve_rows(problem: CapacityProblem, masks: list,
     live = np.arange(len(masks))   # mask index of each state row
     results: list = [None] * len(masks)
 
+    def energy(a):   # row sums of w max(a, 0)^s'
+        t = np.maximum(a, 0.0)
+        t **= sp
+        t *= w
+        return rowsum(t, 1)
+
+    def density(a):   # (max(a, 0) / s)^(s' - 1), the primal density of a
+        f = np.maximum(a, 0.0)
+        f /= s
+        f **= sp - 1.0
+        return f
+
     def neg_dual(mu, a):
-        return energy_coef * rowsum(w * np.maximum(a, 0.0) ** sp, 1) - dual_sum(mu, 1)
+        return energy_coef * energy(a) - dual_sum(mu, 1)
 
     def ray_rescale(mu, a):
         total = dual_sum(mu, 1)
-        na = rowsum(w * np.maximum(a, 0.0) ** sp, 1) ** (1.0 / sp)
+        na = energy(a) ** (1.0 / sp)
         ok = (total > 0.0) & (na > 0.0)
         t = np.where(ok, s * (total / na ** sp) ** (s - 1.0), 1.0)
         lower = np.where(ok, (total / na) ** s, 0.0)
         return mu * t[:, None], a * t[:, None], lower
 
     def primal_upper(a):
-        f = (np.maximum(a, 0.0) / s) ** (sp - 1.0)
+        f = density(a)
         u = apply(f)
         floor = rowmin(np.where(E, u[:, win], np.inf), 1)
         scale = (floor * (1.0 - _FEAS_MARGIN))[:, None]
-        f = f / scale
-        u = u / scale
+        f /= scale
+        u /= scale
         upper = np.where(floor > 0.0, rowsum(w * f ** s, 1), np.inf)
         return upper, f, u
 
@@ -548,7 +565,9 @@ def _solve_rows(problem: CapacityProblem, masks: list,
     betas = _betas(64)
 
     for iterations in range(1, params.max_iter + 1):
-        grad = (gradient((np.maximum(ay, 0.0) / s) ** (sp - 1.0)) - 1.0) * on
+        grad = gradient(density(ay))
+        grad -= 1.0
+        grad *= on
         mu_new, a_new, F_new, retry = descend(y, grad, step, Fy)
         while retry.size:   # backtrack the rows that failed the test
             rows = retry if retry.size < step.size else slice(None)  # no gather
@@ -562,7 +581,9 @@ def _solve_rows(problem: CapacityProblem, masks: list,
             betas = _betas(2 * iterations)
         beta = betas[since]
         y = mu_new + beta * (mu_new - mu_prev)
-        ay = a_new + beta * (a_new - a_prev)
+        ay = a_new - a_prev   # a_new + beta (a_new - a_prev), in place
+        ay *= beta
+        ay += a_new
         clipped = (rowmin(y, 1) < 0.0).nonzero()[0]
         if clipped.size:   # projection active: apply the projected point
             y[clipped] = np.maximum(y[clipped], 0.0)

@@ -38,22 +38,22 @@ def _bad(flag: str, message: str):
 
 def _load_problem(args) -> tuple:
     """Resolve (problem, params, space, fields) from --model or --grid."""
-    params = CapacityParams(alpha=args.alpha, s=args.s, tol=args.tol)
-    if args.model:
-        space, fields = modelio.read_finite_model(args.model)
-        if args.kernel:
-            problem = finite_problem(
-                space, modelio.read_kernel_matrix(args.kernel, space.size))
-        else:
-            problem = identity_problem(space)
-        return problem, params, space, fields
-    if args.kernel:
+    if args.kernel and args.grid:
         _bad("--kernel", "a kernel file needs --model, not --grid")
     try:
-        grid = modelio.grid_of("--grid", args.grid, args.L)
+        params = CapacityParams(alpha=args.alpha, s=args.s, tol=args.tol)
+        if args.grid:
+            grid = modelio.grid_of("--grid", args.grid, args.L)
+            return grid_problem(grid, params), params, grid, {}
     except ValueError as err:
         raise SystemExit(f"capflow: {err}") from None
-    return grid_problem(grid, params), params, grid, {}
+    space, fields = modelio.read_finite_model(args.model)
+    if args.kernel:
+        problem = finite_problem(
+            space, modelio.read_kernel_matrix(args.kernel, space.size))
+    else:
+        problem = identity_problem(space)
+    return problem, params, space, fields
 
 
 def _model_field(flag: str, path, fields: dict, name: str, space) -> Field:
@@ -161,18 +161,18 @@ def _cmd_nnorm(args) -> int:
     space = oracle.space
     cfg = wt.WeightConfig(delta=args.delta, slack=args.slack)
     kind, _, rest = args.candidates.partition(":")
-    cands = []
-    if kind == "potentials":
-        for mask_file in rest.split(","):
-            mask = SetMask(space, modelio.read_mask_values(mask_file, space))
-            cands.append(wt.potential_weight(oracle, mask, cfg))
-    elif kind == "file":
-        for wfile in rest.split(","):
-            cands.append(wt._certified_weight(
-                oracle, modelio.field_from_file(wfile, space).values, cfg))
-    else:
+    paths = rest.split(",")
+    if kind not in ("potentials", "file") or not all(paths):
         _bad("--candidates", f"bad spec {args.candidates!r} (grammar: "
                              "potentials:<mask,...> | file:<field,...>)")
+    cands = []
+    for path in paths:
+        if kind == "potentials":
+            mask = SetMask(space, modelio.read_mask_values(path, space))
+            cands.append(wt.potential_weight(oracle, mask, cfg))
+        else:
+            cands.append(wt._certified_weight(
+                oracle, modelio.field_from_file(path, space).values, cfg))
     est = wt.n_norm_upper(f, LorentzExponents(args.p, args.q), cands,
                           cfg=cfg, oracle=oracle)
     report = {

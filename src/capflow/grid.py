@@ -247,7 +247,9 @@ def _convolve_values(grid: Grid, kernel: KernelSpec, values: np.ndarray,
     not depend on the other rows.  They are the steps of `rfftn`/`irfftn`,
     spelled out and bit for bit: `rfft` along the last axis, on the plane
     `fft` along the first, the product with the half-spectrum transfer,
-    then `ifft` along the first axis and `irfft` along the last.
+    then `ifft` along the first axis and `irfft` along the last.  The column
+    transforms and the transfer product update the call's one spectrum
+    array in place, with the same bits; no buffer outlives the call.
 
     On the plane either side may be a row window, a flat-cell slice of whole
     grid rows.  A field `given` on a window holds those cells only (it is
@@ -266,20 +268,22 @@ def _convolve_values(grid: Grid, kernel: KernelSpec, values: np.ndarray,
     small enough to clip lie off the set, where it multiplies them by zero,
     so its iterates keep their bits either way.
     """
-    if grid.n == 1:
-        out = np.fft.irfft(np.fft.rfft(values) * kernel.transfer, n=grid.N)
-    else:
-        N = grid.N
-        lead = values.shape[:-1]
-        spec = np.fft.rfft(values.reshape(lead + (-1, N)))
-        if given is not None:   # place the window's rows among zero rows
-            full = np.zeros(lead + kernel.transfer.shape, dtype=complex)
-            full[..., given.start // N:given.stop // N, :] = spec
-            spec = full
-        spec = np.fft.ifft(np.fft.fft(spec, axis=-2) * kernel.transfer, axis=-2)
-        if wanted is not None:
-            spec = spec[..., wanted.start // N:wanted.stop // N, :]
-        out = np.fft.irfft(spec, n=N).reshape(lead + (-1,))
+    N = grid.N
+    lead = values.shape[:-1]
+    rows = values.reshape(lead + (-1, N))
+    if given is None:
+        spec = np.fft.rfft(rows)
+    else:   # place the window's rows among zero rows
+        spec = np.zeros(lead + (grid.size // N, N // 2 + 1), dtype=complex)
+        np.fft.rfft(rows, out=spec[..., given.start // N:given.stop // N, :])
+    if grid.n == 2:
+        np.fft.fft(spec, axis=-2, out=spec)
+    spec *= kernel.transfer
+    if grid.n == 2:
+        np.fft.ifft(spec, axis=-2, out=spec)
+    if wanted is not None:
+        spec = spec[..., wanted.start // N:wanted.stop // N, :]
+    out = np.fft.irfft(spec, n=N).reshape(lead + (-1,))
     # one reduction per test; the mask is built only when roundoff went negative
     low = np.minimum.reduce(out, -1)
     clip = (np.minimum.reduce(values, -1) >= 0.0) & (low < 0.0)

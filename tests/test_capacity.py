@@ -549,6 +549,20 @@ def test_plane_solves_on_row_windows(kinds, band):
         audit_certificate(prob, row)
 
 
+def test_unit_square_on_the_largest_plane_grid_in_use():
+    # C08's solve: the unit square on the N=256 plane, whose whole-grid
+    # temporaries the solver and the apply update in place, repeats the
+    # scalar loop bit for bit
+    grid = make_grid(2, 12.0, 256)
+    params = CapacityParams(alpha=1.0, s=2.0, tol=1e-6)
+    prob = grid_problem(grid, params)
+    mask = SetMask(grid, np.all(np.abs(grid.coords()) <= 0.5, axis=1))
+    res = capacity(prob, mask, params)
+    assert _scalar_reference(prob, mask, params) == \
+        (res.value, res.lower, res.iterations)
+    audit_certificate(prob, res)
+
+
 def test_gather_dedups_skips_empty_and_serves_later_queries():
     grid = make_grid(1, 16.0, 256)
     params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)

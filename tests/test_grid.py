@@ -213,12 +213,18 @@ def test_batched_convolution_matches_each_row(n, N, L, alpha):
     assert batch[1:].min() >= 0.0 and batch[0].min() < 0.0
 
 
-@pytest.mark.parametrize("r0, r1", [(0, 128), (3, 17), (62, 80), (127, 128)])
-def test_row_window_apply_matches_the_whole_grid(r0, r1):
+@pytest.mark.parametrize("N, r0, r1", [
+    *(pytest.param(128, r0, r1, id=f"{r0}-{r1}")
+      for r0, r1 in [(0, 128), (3, 17), (62, 80), (127, 128)]),
+    pytest.param(256, 60, 130, id="N256-60-130")])
+def test_row_window_apply_matches_the_whole_grid(N, r0, r1):
     # a field given on a band of whole rows, or a potential wanted on one,
     # has the bits of the whole-grid apply on that band; the rows of a batch
-    # fill different parts of the band
-    g = make_grid(2, 12.0, 128)
+    # fill different parts of the band.  The batch has the bits of
+    # rfftn/irfftn wherever the tiny-negative clip leaves a cell alone, and
+    # the transforms run in place on the apply's own spectrum, never on the
+    # caller's input
+    g = make_grid(2, 12.0, N)
     k = bessel_kernel(g, 1.0)
     N = g.N
     win = slice(r0 * N, r1 * N)
@@ -228,12 +234,17 @@ def test_row_window_apply_matches_the_whole_grid(r0, r1):
     rows[1, win] = rng.random(win.stop - win.start)
     rows[2, r0 * N + rng.integers(N)] = 1.0 / g.cell_measure   # first row
     rows[3, (r1 - 1) * N:r1 * N] = rng.random(N)                 # last row
+    before = rows.copy()
     full = _convolve_values(g, k, rows)
+    raw = np.fft.irfftn(np.fft.rfftn(rows.reshape((4,) + g.shape), axes=(1, 2))
+                        * k.transfer, s=g.shape, axes=(1, 2)).reshape(4, -1)
+    assert np.array_equal(full[raw >= 0.0], raw[raw >= 0.0])
     assert np.array_equal(_convolve_values(g, k, rows[:, win], given=win), full)
     assert np.array_equal(_convolve_values(g, k, rows, wanted=win), full[:, win])
     for v, out in zip(rows, full):
         assert np.array_equal(_convolve_values(g, k, v[win], given=win), out)
         assert np.array_equal(_convolve_values(g, k, v, wanted=win), out[win])
+    assert np.array_equal(rows, before)
 
 
 def test_row_window_apply_clips_as_the_whole_grid():

@@ -466,6 +466,10 @@ def _three_atom_model(tmp_path):
     return str(model), str(mask)
 
 
+_NNORM = ["nnorm", "--model", "{model}", "--field", "f", "--p", "2",
+          "--q", "2", "--candidates"]
+
+
 @pytest.mark.parametrize("argv, names", [
     (["capacity", "--grid", "abc", "--set", "{mask}"], ["--grid", "'abc'"]),
     (["capacity", "--grid", "4x4x4", "--set", "{mask}"], ["--grid", "4x4x4"]),
@@ -486,12 +490,26 @@ def _three_atom_model(tmp_path):
      ["--kernel", "--grid"]),
     (["verify", "--suite", "determinism", "--out", "{tmp}/v.csv"],
      ["--out", "v.csv"]),
+    (_NNORM + ["potentials:"], ["--candidates", "'potentials:'"]),
+    (_NNORM + ["file:"], ["--candidates", "'file:'"]),
+    (_NNORM + ["potentials:{mask},,{mask}"], ["--candidates", ",,"]),
+    (["capacity", "--model", "{model}", "--set", "{mask}", "--s", "0.5"],
+     ["capflow: s must lie in (1, inf), got 0.5"]),
+    (["capacity", "--model", "{model}", "--set", "{mask}", "--tol", "2"],
+     ["capflow: tolerance must lie in (0, 1), got 2.0"]),
+    (["capacity", "--model", "{model}", "--set", "{mask}", "--alpha", "0"],
+     ["capflow: alpha must be positive, got 0.0"]),
+    (["capacity", "--grid", "256", "--set", "{mask}", "--alpha", "1",
+      "--s", "3"], ["capflow: exponent window violated: s=3.0 > n/alpha=1"]),
 ], ids=["grid-not-a-number", "grid-three-axes", "model-and-grid",
         "block-model-and-grid", "missing-field", "missing-weight-field",
-        "family-count", "family-extra-part", "kernel-on-grid", "csv-out"])
+        "family-count", "family-extra-part", "kernel-on-grid", "csv-out",
+        "no-candidates", "no-candidate-files", "empty-candidate",
+        "s-below-one", "tol-above-one", "alpha-zero", "s-above-n-over-alpha"])
 def test_cli_bad_inputs_exit_with_one_named_line(tmp_path, argv, names):
     # a bad flag value or file ends the run with one line that names the
-    # flag or file and the bad token; no traceback
+    # flag or file and the bad token, or states the violated parameter
+    # condition; no traceback
     model, mask = _three_atom_model(tmp_path)
     fill = dict(model=model, mask=mask, tmp=tmp_path)
     argv = [a.format(**fill) for a in argv]
