@@ -25,7 +25,8 @@ is a caller of the multiplier module's one supremum engine, with the
 variations of a whole family taken as one product of its boolean set
 matrix with |mu|; the threshold form and the all-subsets multiplier norm
 read their capacities from one `CapacityOracle.gather` of the same matrix,
-and the block supports of a decomposition are gathered in one batch too.
+and the block supports of the greedy decompositions of many fields are
+gathered in one batch too.
 Lorentz norms of whole families (the block coefficients of a decomposition,
 the restricted rows of `m_norm_batch`) come from one `lorentz_norms` stack.
 """
@@ -51,6 +52,7 @@ __all__ = [
     "validate_block",
     "block_norm_upper_constructive",
     "block_norm_upper_greedy",
+    "block_norms_upper_greedy",
     "transport_decomposition",
     "trace_norm",
     "trace_norm_inf_form",
@@ -190,6 +192,37 @@ def block_norm_upper_constructive(f: Field, e: LorentzExponents, omega: Weight,
     return BlockDecomposition.build(_tight_terms(pieces, e, "B", oracle), f)
 
 
+def _greedy_peels(f: Field, sets: np.ndarray, space) -> list:
+    """(support on `space`, piece) peels of f over the rows of a bool set
+    matrix, largest residual energy first; they need no capacity."""
+    residual = f.values.copy()
+    peels = []
+    while np.any(residual != 0.0):
+        energies = _measures(f.space.weights * residual ** 2, sets)
+        i = int(np.argmax(energies))   # the first set of the largest energy
+        if energies[i] <= 0.0:
+            leftover = int((residual != 0.0).sum())
+            raise ValueError(
+                f"dictionary does not cover the field support "
+                f"({leftover} cells uncovered)")
+        peels.append((SetMask(space, sets[i]), np.where(sets[i], residual, 0.0)))
+        residual = np.where(sets[i], 0.0, residual)
+    return peels
+
+
+def block_norms_upper_greedy(fields: list, e: LorentzExponents,
+                             dictionaries: list, oracle: CapacityOracle,
+                             norm_type: str = "B") -> list:
+    """`block_norm_upper_greedy` of each (field, dictionary) pair, with the
+    peel supports of every field solved in one batch first."""
+    peels = [_greedy_peels(f, d.sets(oracle.space, f), oracle.space)
+             for f, d in zip(fields, dictionaries)]
+    oracle.gather(np.array([m.bools for ps in peels for m, _ in ps],
+                           dtype=bool).reshape(-1, oracle.space.size))
+    return [BlockDecomposition.build(_tight_terms(ps, e, norm_type, oracle), f)
+            for f, ps in zip(fields, peels)]
+
+
 def block_norm_upper_greedy(f: Field, e: LorentzExponents,
                             dictionary: TestSetFamily, oracle: CapacityOracle,
                             omega: Optional[Weight] = None,
@@ -200,25 +233,10 @@ def block_norm_upper_greedy(f: Field, e: LorentzExponents,
     emits it as one tight block.  If the dictionary fails to cover the
     support of f the leftover support is reported.  When a weight is
     supplied the constructive route is also built and the smaller of the
-    two coefficient sums is returned.
+    two coefficient sums is returned.  The batch of one of
+    `block_norms_upper_greedy`, which many fields on one oracle should use.
     """
-    sets = dictionary.sets(oracle.space, f)
-    residual = f.values.copy()
-    # the peel order depends on the residual alone, so the supports are
-    # known before any capacity is needed
-    peels = []
-    while np.any(residual != 0.0):
-        energies = _measures(f.space.weights * residual ** 2, sets)
-        i = int(np.argmax(energies))   # the first set of the largest energy
-        if energies[i] <= 0.0:
-            leftover = int((residual != 0.0).sum())
-            raise ValueError(
-                f"dictionary does not cover the field support "
-                f"({leftover} cells uncovered)")
-        peels.append((SetMask(oracle.space, sets[i]),
-                      np.where(sets[i], residual, 0.0)))
-        residual = np.where(sets[i], 0.0, residual)
-    greedy = BlockDecomposition.build(_tight_terms(peels, e, norm_type, oracle), f)
+    greedy = block_norms_upper_greedy([f], e, [dictionary], oracle, norm_type)[0]
     if omega is not None and norm_type == "B":
         constructive = block_norm_upper_constructive(f, e, omega, oracle)
         if constructive.sum_lambda < greedy.sum_lambda:

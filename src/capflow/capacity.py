@@ -683,7 +683,9 @@ class CapacityOracle:
     Results are memoized by the mask bit pattern, so identical sets seen by
     different estimators share one certified value exactly (several
     inequality chains rely on that cancellation).  `gather` answers a
-    whole family, sharing the memo and its keys with `result`.
+    whole family, sharing the memo and its keys with `result`.  The memo is
+    not bounded; counters report `queries` (rows asked), `hits` (answered
+    from the memo) and `solved` rows, in `batches` calls of `capacity_batch`.
     """
 
     def __init__(self, problem: CapacityProblem, params: CapacityParams):
@@ -692,6 +694,7 @@ class CapacityOracle:
         self.problem = problem
         self.params = params
         self._cache: dict = {}
+        self.queries = self.hits = self.solved = self.batches = 0
 
     @staticmethod
     def _keys(bits: np.ndarray) -> list:
@@ -704,8 +707,11 @@ class CapacityOracle:
         if mask.space is not self.problem.space:
             raise ValueError("mask lives on a different space than the oracle")
         key = self._keys(mask.bools[None])[0]
-        if key not in self._cache:
+        hit = key in self._cache
+        self.queries, self.hits = self.queries + 1, self.hits + hit
+        if not hit:
             self._cache[key] = capacity(self.problem, mask, self.params)
+            self.solved, self.batches = self.solved + 1, self.batches + 1
         return self._cache[key]
 
     def gather(self, bits) -> np.ndarray:
@@ -718,6 +724,7 @@ class CapacityOracle:
             raise ValueError(f"set matrix has shape {bits.shape}, "
                              f"space has {self.space.size} atoms")
         out = np.zeros((4, len(bits)))
+        self.queries += len(bits)
         if self.problem.is_identity:
             out[:3] = _measures(self.space.weights, bits)
             return out
@@ -727,10 +734,12 @@ class CapacityOracle:
         for key, i in zip(keys, live):
             if key not in self._cache:
                 todo.setdefault(key, i)
+        self.hits += len(live) - len(todo)
         if todo:
             masks = [SetMask(self.space, bits[i]) for i in todo.values()]
             self._cache.update(zip(todo, capacity_batch(self.problem, masks,
                                                         self.params)))
+            self.solved, self.batches = self.solved + len(todo), self.batches + 1
         out[:, live] = np.array([(r.value, r.lower, r.upper, r.gap) for r in
                                  map(self._cache.get, keys)]).reshape(-1, 4).T
         return out

@@ -328,6 +328,9 @@ def main(argv=None) -> int:
     sub.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None) or getattr(args, "outfile", None)
+    if out and not Path(out).parent.is_dir():
+        _bad("--out", f"{out}: directory {Path(out).parent} does not exist")
     return args.fn(args)
 
 

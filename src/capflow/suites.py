@@ -721,6 +721,14 @@ def _covering_dictionary(space, seed: int) -> mn.TestSetFamily:
     return mn.TestSetFamily.random_unions(6, seed=seed) + singles
 
 
+def _draw_pairs(rng, space, count: int) -> tuple:
+    """Lists fs, gs, dictionaries of `count` (f, g, covering) draws."""
+    triples = [(_random_field(rng, space), _random_field(rng, space),
+                _covering_dictionary(space, int(rng.integers(2**31))))
+               for _ in range(count)]
+    return tuple(map(list, zip(*triples)))
+
+
 @_check("C09-pairing-inequalities", "pairing-estimate",
         "pairing-direction-weak", "pairing-direction-n",
         suites=("blocks-duality",))
@@ -729,8 +737,10 @@ def check_pairing(ctx: RunContext, rows: _Rows) -> None:
 
     def corpus_max(tag: str, p: float, q: float, count: int):
         """Largest block-route ratio over grouped corpora, one oracle per
-        group, and the largest solve gap behind it; a group's
-        decompositions are all built before its estimates."""
+        group, and the largest solve gap behind it.  A group's (f, g,
+        dictionary) triples are drawn first; its decompositions are built
+        by one `block_norms_upper_greedy` call, which solves every peel
+        support in one batch, before its estimates."""
         rng = ctx.rng(tag)
         e = LorentzExponents(p, q)
         e_dual = LorentzExponents(e.p_conj, e.q_conj)
@@ -746,15 +756,9 @@ def check_pairing(ctx: RunContext, rows: _Rows) -> None:
             group_index += 1
             space = problem.space
             oracle = ctx.finite_oracle(problem)
-            pairs = []
-            for _ in range(batch):
-                f = _random_field(rng, space)
-                g = _random_field(rng, space)
-                dictionary = _covering_dictionary(space,
-                                                  int(rng.integers(2**31)))
-                pairs.append((f, bl.block_norm_upper_greedy(
-                    g, e_dual, dictionary, oracle)))
-            for f, decomp in pairs:
+            fs, gs, dicts = _draw_pairs(rng, space, batch)
+            for f, decomp in zip(fs, bl.block_norms_upper_greedy(
+                    gs, e_dual, dicts, oracle)):
                 est = mn.m_norm(f, e, decomp.supports(), oracle)
                 rows.bound(tag + "/gap", est.max_gap)
                 rows.bound(tag, pairing(f, decomp.reconstruction(), absolute=True)
@@ -786,15 +790,9 @@ def check_pairing(ctx: RunContext, rows: _Rows) -> None:
         space = _random_space(rng, 4, 13)
         oracle = ctx.finite_oracle(identity_problem(space))
         e_blocks = LorentzExponents(p / (p - 1.0), qb)
-        pairs = []
-        for _ in range(5):
-            f = _random_field(rng, space)
-            g = _random_field(rng, space)
-            pairs.append((f, bl.block_norm_upper_greedy(
-                g, e_blocks,
-                _covering_dictionary(space, int(rng.integers(2**31))),
-                oracle, norm_type="scriptB")))
-        for f, decomp in pairs:
+        fs, gs, dicts = _draw_pairs(rng, space, 5)
+        for f, decomp in zip(fs, bl.block_norms_upper_greedy(
+                gs, e_blocks, dicts, oracle, norm_type="scriptB")):
             est = mn.weak_script_m_norm(f, p, decomp.supports(), oracle)
             rows.bound("weak", pairing(f, decomp.reconstruction(), absolute=True)
                        / (est.value * decomp.sum_lambda))

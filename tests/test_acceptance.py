@@ -6,6 +6,7 @@ criterion.  Run with `pytest -s tests/test_acceptance.py` to see the lines.
 """
 import pytest
 
+from capflow.capacity import audit_certificate
 from capflow.suites import (CapflowConfig, RunContext,
                             check_block_decomposition,
                             check_capacitary_embeddings,
@@ -124,3 +125,21 @@ def test_multiplier_invariants_support(ctx):
 
 def test_localization_support(ctx):
     report(17, "unit-diameter localization", check_localization_diam1(ctx))
+
+
+def test_campaign_solves_pass_the_certificate_audit(ctx):
+    # a fixed sample of the converged, non-trivial solves in the grid
+    # oracles of the checks above (C07, C08, C10, C17), each rechecked from
+    # its reported optimizers alone
+    if not ctx._oracles:   # run on its own: make some campaign solves
+        check_localization_diam1(ctx)
+    sample = []
+    for oracle in ctx._oracles.values():
+        solved = [r for r in oracle._cache.values()
+                  if r.converged and r.iterations > 0 and not r.is_zero]
+        sample += [(oracle, r) for r in solved[::max(1, len(solved) // 8)]]
+    assert len(sample) >= 8
+    for oracle, r in sample:
+        audit_certificate(oracle.problem, r)
+    print(f"ACCEPTANCE    certificate audit: PASS ({len(sample)} solves "
+          f"from {len(ctx._oracles)} grid oracles)")

@@ -4,9 +4,11 @@ import importlib
 import numpy as np
 import pytest
 
+from capflow import blocks as bl
 from capflow.blocks import (AtomicMeasure,
                             block_norm_upper_constructive,
                             block_norm_upper_greedy,
+                            block_norms_upper_greedy,
                             kothe_dual_norm_bruteforce,
                             m_norm_batch, trace_norm,
                             trace_norm_inf_form, transport_decomposition,
@@ -16,6 +18,9 @@ from capflow.capacity import (CapacityOracle, CapacityParams, SetMask,
 from capflow.measure import (DiscreteMeasureSpace, Field, LorentzExponents,
                              lorentz_norm, lorentz_norms, pairing)
 from capflow.multiplier import TestSetFamily, m_norm
+from capflow.suites import (CapflowConfig, RunContext, _draw_pairs,
+                            _random_finite_problem, _random_space,
+                            check_pairing)
 from capflow.weights import WeightConfig, potential_weight
 
 PARAMS = CapacityParams(alpha=1.0, s=2.0, tol=1e-6)
@@ -182,6 +187,62 @@ def test_decompositions_on_identity_oracles_solve_nothing(model, monkeypatch):
     greedy = block_norm_upper_greedy(f, e, TestSetFamily.all_subsets(), oracle)
     assert constructive.terms and greedy.terms
     assert calls == []
+
+
+def _bits(decomp):
+    return ([blk.support.key for _lam, blk in decomp.terms],
+            [lam for lam, _blk in decomp.terms], decomp.sum_lambda, decomp.residual)
+
+
+@pytest.mark.parametrize("kind", ["identity", "finite"])
+def test_greedy_batch_is_the_singles(kind):
+    rng = np.random.default_rng(7)
+    problem = (identity_problem(_random_space(rng, 4, 17)) if kind == "identity"
+               else _random_finite_problem(rng, 12))
+    _fs, gs, dicts = _draw_pairs(rng, problem.space, 10)
+    e = LorentzExponents(2.0, 2.0)
+    oracle = CapacityOracle(problem, PARAMS)
+    batch = block_norms_upper_greedy(gs, e, dicts, oracle)
+    assert oracle.batches == (kind == "finite")   # every support in one batch
+    # on the batch's oracle the singles solve nothing and repeat its bits
+    again = [block_norm_upper_greedy(g, e, d, oracle) for g, d in zip(gs, dicts)]
+    assert oracle.batches == (kind == "finite")
+    fresh = CapacityOracle(problem, PARAMS)
+    singles = [block_norm_upper_greedy(g, e, d, fresh) for g, d in zip(gs, dicts)]
+    for b, a, one in zip(batch, again, singles):
+        assert _bits(a) == _bits(b)
+        if kind == "identity":
+            assert _bits(one) == _bits(b)
+            continue
+        # a finite-model apply of one row takes another BLAS path than a
+        # batch, so a fresh solve of a support lands elsewhere in its
+        # certified bracket: same supports, coefficients within the gap
+        assert _bits(one)[0] == _bits(b)[0]
+        for (lam, _), (lam1, _) in zip(b.terms, one.terms):
+            assert abs(lam - lam1) <= PARAMS.tol * lam1
+    # the peels come before any solve: an uncovered field fails unsolved
+    bad = CapacityOracle(problem, PARAMS)
+    hole = TestSetFamily.explicit([SetMask.from_indices(problem.space, [0])])
+    with pytest.raises(ValueError, match="cover"):
+        block_norms_upper_greedy(gs, e, dicts[:-1] + [hole], bad)
+    assert bad.queries == bad.batches == 0
+
+
+def test_c09_finite_groups_make_one_solve_batch_each(monkeypatch):
+    # default scale: 9 finite-model groups of 10 pairs across the corpora,
+    # each decomposed by one batch call and estimated from the memo
+    seen = []
+    batch = bl.block_norms_upper_greedy
+
+    def counted(fields, e, dictionaries, oracle, norm_type="B"):
+        seen.append((oracle, len(fields)))
+        return batch(fields, e, dictionaries, oracle, norm_type)
+
+    monkeypatch.setattr(bl, "block_norms_upper_greedy", counted)
+    check_pairing(RunContext(CapflowConfig()))
+    finite = [(o, n) for o, n in seen if not o.problem.is_identity]
+    assert len(finite) == 9 and all(n == 10 for _o, n in finite)
+    assert all(o.batches == 1 and o.solved == o.cache_size for o, _n in finite)
 
 
 # ---------------------------------------------------------------------------

@@ -639,13 +639,17 @@ def test_gather_and_result_share_one_memo():
     bits = TestSetFamily.all_subsets().sets(sp)[::9]
     first = [oracle.result(SetMask(sp, row)) for row in bits[:4]]
     size = oracle.cache_size
+    counts = lambda: (oracle.queries, oracle.hits, oracle.solved, oracle.batches)
+    assert counts() == (4, 0, 4, 4)
     rows = oracle.gather(bits)   # the first four rows are served from the memo
     assert oracle.cache_size == len(bits) and size == 4
+    assert counts() == (4 + len(bits), 4, len(bits), 5)
     for k, row in enumerate(bits):
         r = oracle.result(SetMask(sp, row))
         assert rows[:, k].tolist() == [r.value, r.lower, r.upper, r.gap]
     assert all(oracle.result(SetMask(sp, row)) is r for row, r in zip(bits, first))
     assert oracle.cache_size == len(bits)
+    assert counts() == (8 + 2 * len(bits), 8 + len(bits), len(bits), 5)
 
 
 def test_gather_rows_match_single_results_on_the_line():
@@ -675,6 +679,10 @@ def test_oracle_caches_by_mask():
     a = oracle.result(SetMask.from_indices(sp, [1, 2]))
     b = oracle.result(SetMask.from_indices(sp, [1, 2]))
     assert a is b and oracle.cache_size == 1
+    # identity rows of a family are closed forms: counted, never memoized
+    oracle.gather(np.ones((3, 5), dtype=bool))
+    assert (oracle.queries, oracle.hits, oracle.solved, oracle.batches) == (5, 1, 1, 1)
+    assert oracle.cache_size == 1
 
 
 def test_monotone_and_subadditive_certified():

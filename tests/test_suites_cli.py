@@ -490,6 +490,11 @@ _NNORM = ["nnorm", "--model", "{model}", "--field", "f", "--p", "2",
      ["--kernel", "--grid"]),
     (["verify", "--suite", "determinism", "--out", "{tmp}/v.csv"],
      ["--out", "v.csv"]),
+    (["verify", "--suite", "blocks-duality", "--out", "{tmp}/nodir/v.json"],
+     ["--out", "nodir", "does not exist"]),
+    (["mnorm", "--model", "{model}", "--field", "f", "--space", "M",
+      "--p", "2", "--family", "all", "--out", "{tmp}/nodir/r.json"],
+     ["--out", "nodir", "does not exist"]),
     (_NNORM + ["potentials:"], ["--candidates", "'potentials:'"]),
     (_NNORM + ["file:"], ["--candidates", "'file:'"]),
     (_NNORM + ["potentials:{mask},,{mask}"], ["--candidates", ",,"]),
@@ -504,6 +509,7 @@ _NNORM = ["nnorm", "--model", "{model}", "--field", "f", "--p", "2",
 ], ids=["grid-not-a-number", "grid-three-axes", "model-and-grid",
         "block-model-and-grid", "missing-field", "missing-weight-field",
         "family-count", "family-extra-part", "kernel-on-grid", "csv-out",
+        "verify-out-dir-missing", "report-out-dir-missing",
         "no-candidates", "no-candidate-files", "empty-candidate",
         "s-below-one", "tol-above-one", "alpha-zero", "s-above-n-over-alpha"])
 def test_cli_bad_inputs_exit_with_one_named_line(tmp_path, argv, names):
