@@ -16,25 +16,13 @@ the upper bound.  A solve is accepted when the relative gap between the two
 is below the requested tolerance; the certificate, not the iteration, is the
 contract.
 
-There is one solver, `capacity_batch`, and `capacity` is its batch of one.
-It runs the scheme on a (B, size) stack of sets at once: each row keeps its
-own step, momentum, restart state and best bounds, and a row retires when
-its certificate closes (checked every fifth iteration), after which the
-state arrays are compacted.  Large batches are split into chunks of at most
-2^20 / size rows.  The kernel apply and every reduction act row by row and
-each certificate is computed from its own row's freshly applied potentials,
-so batching changes neither a row's certificate nor, on spectral grids, a
-single bit of its iterates.  `CapacityOracle.gather` answers a family of
-sets, a (B, size) boolean matrix, from one batch.
+At each certificate check the dual is also polished, by Newton with an
+active set on (K f(mu))_S = 1 for its support S (`_polish`), and certified
+as the iterate is; on the campaigns' sets that closes the gap at once.
 
-On the plane a chunk holds its dual state (measures, momentum points,
-gradients, descent differences), which vanishes off the sets, on its row
-window: the band of whole grid rows that the chunk's sets touch.  Measures
-are given to the kernel apply on the window and gradients are wanted on it,
-so those last-axis transforms run on the window's rows only; potentials
-stay whole.  Sums of dual arrays run over zero-padded full-width rows, so a
-windowed solve keeps every bit of the whole-grid one.  On the line and on
-finite models the window is the whole space.
+There is one solver, `capacity_batch`, and `capacity` is its batch of one;
+`CapacityOracle.gather` answers a family of sets, a (B, size) boolean
+matrix, from one batch.
 
 Layer-cake functionals over capacities (the L1-capacity norm and the
 capacitary Lorentz norms) are evaluated exactly over the finitely many
@@ -225,7 +213,8 @@ class CapacityProblem:
     a (B, size) stack of fields to its own, in a new array the solver may
     update in place; the kernel is symmetric, so the same map serves as the
     adjoint, and measures given by masses are handled by dividing out the
-    atom weights.  `reach` is K 1, applied once on first use and kept.
+    atom weights.  `reach` is K 1 and `square` is K^2 of unit masses, each
+    applied once on first use and kept.
 
     When `row_cells` is set (grid problems), `apply_fn` also takes row
     windows, flat-cell slices of whole rows of that many cells: masses
@@ -242,6 +231,7 @@ class CapacityProblem:
         self.kernel = kernel
         self.row_cells = row_cells
         self._reach: Optional[np.ndarray] = None
+        self._square: Optional[np.ndarray] = None
 
     def apply(self, values: np.ndarray, wanted: Optional[slice] = None) -> np.ndarray:
         if wanted is None:
@@ -262,6 +252,18 @@ class CapacityProblem:
             reach.setflags(write=False)
             self._reach = reach
         return self._reach
+
+    @property
+    def square(self) -> np.ndarray:
+        """K^2 of unit masses (read-only, cached): (K^2)_jk is M W M on
+        finite models and, on grids, the (1, size) row K K e_0 / w at the
+        periodic difference of cells j and k."""
+        if self._square is None:
+            n = 1 if isinstance(self.space, Grid) else self.space.size
+            self._square = self.apply(self.potential_of_measure(
+                np.eye(n, self.space.size)))
+            self._square.setflags(write=False)
+        return self._square
 
     @property
     def dimension(self) -> Optional[int]:
@@ -366,16 +368,8 @@ def _betas(count: int) -> np.ndarray:
 
 def capacity(problem: CapacityProblem, mask: SetMask,
              params: CapacityParams) -> CapacityResult:
-    """Solve the capacity program for E = mask with certificates.
-
-    The batch of one of `capacity_batch`, which documents the solver.  The
-    empty set has capacity zero by convention (no solve).  Identity kernels
-    short-circuit to the exact counting answer.  Infeasibility (a kernel
-    row vanishing identically on E) is detected up front from the problem's
-    cached `reach` = K 1 and reported.  Non-convergence within the
-    iteration budget returns the best certified bounds with converged=False
-    rather than raising.
-    """
+    """Solve the capacity program for E = mask with certificates: the batch
+    of one of `capacity_batch`, which documents the solver."""
     return capacity_batch(problem, [mask], params)[0]
 
 
@@ -383,13 +377,18 @@ def capacity_batch(problem: CapacityProblem, masks: Sequence[SetMask],
                    params: CapacityParams) -> list:
     """Solve the capacity program for every mask, one result per mask.
 
-    Empty, identity and infeasible rows are answered without iterating, as
-    in `capacity`.  The others run one accelerated projected dual ascent
-    vectorized over rows, in chunks of at most MAX_CELLS / size rows (the
-    arrays of a chunk stay near 8 MB each).  Each row keeps its own step,
-    momentum, best bounds and optimizers, and the kernel apply and every
-    reduction act row by row, so a row's iterates are those of its batch of
-    one (on finite models up to the roundoff of a matrix-matrix product).
+    The empty set has capacity zero by convention and identity kernels give
+    the exact counting answer, with no solve.  Infeasibility (a kernel row
+    vanishing identically on E) is detected up front from the problem's
+    cached `reach` = K 1 and reported.  The other rows run one accelerated
+    projected dual ascent vectorized over rows, in chunks of at most
+    MAX_CELLS / size rows; non-convergence within the iteration budget
+    returns the best certified bounds with converged=False.  Each row keeps
+    its own step, momentum, best bounds and optimizers, and on grids the
+    apply and every reduction act row by row, so a row's iterates are those
+    of its batch of one, bit for bit.  A finite-model apply is a matrix
+    product whose BLAS path depends on the number of rows, so there a row's
+    certified digits depend on its batch, within the certified gap.
 
     Each iteration applies the kernel once for the gradients at the
     momentum points, once for the candidates, and once more for each round
@@ -398,20 +397,12 @@ def capacity_batch(problem: CapacityProblem, masks: Sequence[SetMask],
     from linearity, K y = a + beta (a - a_prev), for every row whose
     extrapolation has no negative entry; rows the projection onto mu >= 0
     clips are applied afresh.  A row whose dual objective rises drops its
-    momentum (adaptive restart).  Every fifth iteration the kernel is
-    applied once more for the primal upper bounds, the certificates are
-    computed, and the rows with gap <= tol retire: they leave the state
-    arrays, which are compacted.  The certified bounds come only from
-    freshly applied potentials, never from the combination, and each is a
-    function of its own row, so the certificate does not depend on the
-    batch.
-
-    On grid problems each chunk's measures, momentum points, gradients and
-    descent differences are held on the chunk's row window, the band of
-    whole grid rows [r0, r1) its sets touch (the whole grid when they touch
-    rows 0 and N-1 across the periodic seam).  Measures go to the apply on
-    the window and gradients come back on it, so those transforms skip the
-    other rows; every bit of every row is that of the whole-grid solve.
+    momentum (adaptive restart).  At iteration 0 and every fifth iteration
+    the certificates are computed from the current measures and from their
+    polish (`_polish`), each from freshly applied potentials, never from
+    the combination, and the rows with gap <= tol retire: they leave the
+    state arrays, which are compacted.  On grids the dual state is held on
+    the chunk's row window (`_row_window`), with the whole-grid bits.
     """
     results: list = [None] * len(masks)
     rows = []
@@ -469,16 +460,12 @@ def _solve_rows(problem: CapacityProblem, masks: list,
                 params: CapacityParams) -> list:
     """The accelerated dual ascent of `capacity_batch` on feasible rows.
 
-    Row-wise reductions go through `np.add.reduce` and friends: on the
-    short rows of small models the per-call overhead is the cost.  Dual
-    arrays live on the row window; each of their sums runs over full-width
-    rows of a scratch buffer that is zero off the window, so numpy's
-    pairwise summation, and every bit, is that of the whole-grid solve.
-
-    Whole-grid temporaries (`energy`, `density`, the gradient, the momentum
-    potential, `primal_upper`'s rescale) are updated in place on the array
-    their step just made, never on one another name holds; no buffer
-    outlives the call.
+    Row-wise reductions go through `np.add.reduce` and friends, whose
+    per-call overhead is the cost on small models.  Sums of dual arrays run
+    over full-width rows of a scratch buffer that is zero off the row
+    window, so numpy's pairwise summation, and every bit, is that of the
+    whole-grid solve.  Whole-grid temporaries are updated in place on the
+    array their step just made, never on one another name holds.
     """
     w = problem.space.weights
     s = params.s
@@ -552,19 +539,58 @@ def _solve_rows(problem: CapacityProblem, masks: list,
             failed = failed[step[failed] >= 1e-18]
         return mu, a, F, failed
 
-    mu = w[win] * on
-    a = potential(mu)
-    mu, a, best_lower = ray_rescale(mu, a)
-    best_upper, best_f, best_u = primal_upper(a)
-    best_mu = mu
-    y, ay = mu, a
+    mu_new = w[win] * on   # the start, certified at iteration 0
+    a_new = potential(mu_new)
+    y, ay, _ = ray_rescale(mu_new, a_new)
     Fy = neg_dual(y, ay)
-    mu_prev, a_prev = mu, a
+    mu_prev, a_prev = y, ay
+    best_lower, best_upper, best_mu, best_f, best_u = 0.0, np.inf, 0.0, 0.0, 0.0
     since = np.zeros((len(masks), 1), dtype=int)   # iterations since restart
     step = np.ones(len(masks))
     betas = _betas(64)
 
-    for iterations in range(1, params.max_iter + 1):
+    for iterations in range(params.max_iter + 1):
+        last = iterations == params.max_iter
+        if iterations % 5 == 0 or last:
+            cands = [ray_rescale(mu_new, a_new)]
+            nu = _polish(problem, params, E, cands[0][0], win)
+            if nu is not None:   # certified from fresh applies, as the iterate
+                cands.append(ray_rescale(nu, potential(nu)))
+            for mu_r, a_r, lower in cands:
+                upper, f_up, u_up = primal_upper(a_r)
+                better = lower > best_lower
+                best_lower = np.where(better, lower, best_lower)
+                best_mu = np.where(better[:, None], mu_r, best_mu)
+                better = upper < best_upper
+                best_upper = np.where(better, upper, best_upper)
+                best_f = np.where(better[:, None], f_up, best_f)
+                best_u = np.where(better[:, None], u_up, best_u)
+            gap = (best_upper - best_lower) / np.maximum(best_upper, 1e-300)
+            done = gap <= params.tol
+            retire = done | last
+            for r in retire.nonzero()[0]:
+                i = live[r]
+                finite = bool(np.isfinite(best_upper[r]))
+                dual = np.zeros(size)
+                dual[win] = best_mu[r] / s
+                results[i] = CapacityResult(
+                    float(best_upper[r]), float(best_lower[r]),
+                    float(best_upper[r]), float(gap[r]), bool(done[r]),
+                    iterations, masks[i], params,
+                    optimizer=best_f[r].copy() if finite else None,
+                    potential=best_u[r].copy() if finite else None,
+                    dual_measure=dual)
+            keep = (~retire).nonzero()[0]
+            if not keep.size:
+                break
+            if keep.size < retire.size:
+                live, E, on, since, step, Fy = (live[keep], E[keep], on[keep],
+                                                since[keep], step[keep], Fy[keep])
+                y, ay = y[keep], ay[keep]
+                mu_prev, a_prev = mu_prev[keep], a_prev[keep]
+                best_lower, best_upper = best_lower[keep], best_upper[keep]
+                best_mu, best_f, best_u = best_mu[keep], best_f[keep], best_u[keep]
+
         grad = gradient(density(ay))
         grad -= 1.0
         grad *= on
@@ -577,8 +603,8 @@ def _solve_rows(problem: CapacityProblem, masks: list,
             mu_new[rows], a_new[rows], F_new[rows] = mu_r, a_r, F_r
             retry = retry[failed]
 
-        if iterations > betas.size:
-            betas = _betas(2 * iterations)
+        if iterations >= betas.size:
+            betas = _betas(2 * iterations + 2)
         beta = betas[since]
         y = mu_new + beta * (mu_new - mu_prev)
         ay = a_new - a_prev   # a_new + beta (a_new - a_prev), in place
@@ -598,44 +624,95 @@ def _solve_rows(problem: CapacityProblem, masks: list,
         Fy = F_next
         mu_prev, a_prev = mu_new, a_new
         step *= 1.5
-
-        last = iterations == params.max_iter
-        if iterations % 5 and not last:
-            continue
-        mu_r, a_r, lower = ray_rescale(mu_new, a_new)
-        upper, f_up, u_up = primal_upper(a_r)
-        better = lower > best_lower
-        best_lower = np.where(better, lower, best_lower)
-        best_mu = np.where(better[:, None], mu_r, best_mu)
-        better = upper < best_upper
-        best_upper = np.where(better, upper, best_upper)
-        best_f = np.where(better[:, None], f_up, best_f)
-        best_u = np.where(better[:, None], u_up, best_u)
-        gap = (best_upper - best_lower) / np.maximum(best_upper, 1e-300)
-        done = gap <= params.tol
-        retire = done | last
-        if not retire.any():
-            continue
-        for r in retire.nonzero()[0]:
-            i = live[r]
-            finite = bool(np.isfinite(best_upper[r]))
-            dual = np.zeros(size)
-            dual[win] = best_mu[r] / s
-            results[i] = CapacityResult(
-                float(best_upper[r]), float(best_lower[r]), float(best_upper[r]),
-                float(gap[r]), bool(done[r]), iterations, masks[i], params,
-                optimizer=best_f[r].copy() if finite else None,
-                potential=best_u[r].copy() if finite else None,
-                dual_measure=dual)
-        keep = (~retire).nonzero()[0]
-        if not keep.size:
-            break
-        live, E, on, since, step, Fy = (live[keep], E[keep], on[keep],
-                                        since[keep], step[keep], Fy[keep])
-        y, ay, mu_prev, a_prev = y[keep], ay[keep], mu_prev[keep], a_prev[keep]
-        best_lower, best_upper = best_lower[keep], best_upper[keep]
-        best_mu, best_f, best_u = best_mu[keep], best_f[keep], best_u[keep]
     return results
+
+
+def _polish(problem: CapacityProblem, params: CapacityParams, E: np.ndarray,
+            mu: np.ndarray, win: slice) -> Optional[np.ndarray]:
+    """Active-set polish of the duals `mu` of the sets E, both (B, window).
+
+    On the support S of a row's dual, solve (K f(nu))_S = 1 for masses nu
+    by Newton, f(nu) = (K nu / s)^(s'-1), with Jacobian P diag(w f'(K nu))
+    P^T (P: the potentials of unit masses on S); drop the atoms where
+    nu < 0, add back those of E where K f < 1, and repeat while S changes,
+    up to 10 rounds (a primal-dual active set: Hintermueller, Ito & Kunisch,
+    SIAM J. Optim. 13, 2003).  At s = 2 the Jacobian is (K^2)_SS / 2 from
+    `problem.square`.  A grid row solves its own block; finite rows share
+    their sets' atoms, with identity rows off S.  Rows over the MAX_CELLS
+    budget are skipped.  Returns the masses clipped at zero (zero where
+    skipped or not finite), or None if all are zero.
+    """
+    space, s, sp, w = problem.space, params.s, params.s_conj, problem.space.weights
+    grid = isinstance(space, Grid)
+    out = np.zeros_like(mu)
+    for rows in [[r] for r in range(len(E))] if grid else [np.arange(len(E))]:
+        cells = np.flatnonzero(E[rows].any(axis=0))
+        k = cells.size
+        # per row: k^2 block entries, or P (k x size) and the Newton rounds'
+        # k^2 size work, which past 4 MAX_CELLS costs more than it saves
+        chunk = MAX_CELLS // (k * (k if s == 2.0 else
+                                   space.size * max(1, k // 4)))
+        if not chunk:
+            continue
+        if s == 2.0 and grid:   # (K^2)_jk sits at the difference of j and k
+            at = np.unravel_index(cells, space.shape)
+            G = problem.square.reshape(space.shape)[
+                tuple((i[:, None] - i) % space.N for i in at)] / 2.0
+        elif s == 2.0:
+            G = problem.square[np.ix_(cells, cells)] / 2.0
+        else:
+            P = problem.potential_of_measure(
+                (np.arange(space.size) == cells[:, None] + win.start) * 1.0)
+
+        def system(x):   # K f(x) on the cells and its Jacobian
+            if s == 2.0:
+                return np.einsum("ij,...j->...i", G, x), G
+            a = np.maximum(np.einsum("bk,kn->bn", x, P), 0.0) / s
+            d = w * (sp - 1.0) / s * np.where(a > 0.0, a ** (sp - 2.0), 0.0)
+            return (np.einsum("bn,kn->bk", w * a ** (sp - 1.0), P),
+                    np.einsum("bin,jn->bij", P * d[:, None], P))
+        for start in range(0, len(rows), chunk):
+            part = np.ix_(rows[start:start + chunk], cells)
+            x, inE = mu[part], E[part]
+            S = x > 0.0
+            for _ in range(10):
+                kf, J = system(x)
+                new = inE & np.where(S, x > 0.0, kf < 1.0)
+                if (new == S).all() and \
+                        np.abs(kf - 1.0)[S].max(initial=0.0) <= 1e-10:
+                    break
+                S = new   # a Newton step on S from x, with x set to 0 off S
+                r = kf - 1.0 - np.einsum("...ij,...j->...i", J,
+                                         np.where(S, 0.0, x))
+                x = np.where(S, x - _solve(np.where(
+                    S[:, :, None] & S[:, None, :], J, np.eye(k)),
+                    (r * S)[..., None])[..., 0], 0.0)
+            out[part] = np.where(np.isfinite(x).all(axis=1)[:, None],
+                                 np.maximum(x, 0.0), 0.0)
+    return out if out.any() else None
+
+
+def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with A X = B for stacks of positive semidefinite A and of B.  LAPACK
+    solves blocks of at most 64 unknowns, on one thread, and `einsum`, which
+    calls no BLAS, forms the Schur complements, so the bits do not depend
+    on the BLAS thread count.  A singular block (twin atoms) is solved with
+    a ridge of 1e-14 of its largest entry, else gives nan."""
+    k = A.shape[-1]
+    if k <= 64:
+        for ridge in (0.0, 1e-14 * np.abs(A).max()):
+            try:
+                return np.linalg.solve(A + ridge * np.eye(k), B)
+            except np.linalg.LinAlgError:
+                pass
+        return B * np.nan
+    mul = partial(np.einsum, "...ij,...jk->...ik")
+    X = _solve(A[..., :64, :64],
+               np.concatenate([A[..., :64, 64:], B[..., :64, :]], -1))
+    low = A[..., 64:, :64]
+    Y = _solve(A[..., 64:, 64:] - mul(low, X[..., :k - 64]),
+               B[..., 64:, :] - mul(low, X[..., k - 64:]))
+    return np.concatenate([X[..., k - 64:] - mul(X[..., :k - 64], Y), Y], -2)
 
 
 def audit_certificate(problem: CapacityProblem, result: CapacityResult) -> float:
