@@ -27,7 +27,7 @@ from .weights import (Weight, WeightConfig, a1loc_constant, average_weights,
                       potential_weight)
 from .blocks import (AtomicMeasure, Block, BlockDecomposition,
                      block_norm_upper_constructive, block_norm_upper_greedy,
-                     block_norms_upper_greedy, kothe_dual_norm_bruteforce,
+                     block_norms_upper_greedy, lorentz_kothe_dual_norm,
                      trace_norm, trace_norm_inf_form, transport_decomposition,
                      validate_block)
 from .suites import CapflowConfig, Verdict, run_suite, write_verdicts
