@@ -215,34 +215,22 @@ class CapacityProblem:
     adjoint, and measures given by masses are handled by dividing out the
     atom weights.  `reach` is K 1 and `square` is K^2 of unit masses, each
     applied once on first use and kept.
-
-    When `row_cells` is set (grid problems), `apply_fn` also takes row
-    windows, flat-cell slices of whole rows of that many cells: masses
-    `given` on a window and potentials `wanted` on one hold those cells
-    only (see `grid._convolve_values`).
     """
 
-    def __init__(self, space, apply_fn: Callable[..., np.ndarray],
-                 is_identity: bool = False, kernel: Optional[KernelSpec] = None,
-                 row_cells: Optional[int] = None):
+    def __init__(self, space, apply_fn: Callable[[np.ndarray], np.ndarray],
+                 is_identity: bool = False, kernel: Optional[KernelSpec] = None):
         self.space = space
         self._apply = apply_fn
         self.is_identity = is_identity
         self.kernel = kernel
-        self.row_cells = row_cells
         self._reach: Optional[np.ndarray] = None
         self._square: Optional[np.ndarray] = None
 
-    def apply(self, values: np.ndarray, wanted: Optional[slice] = None) -> np.ndarray:
-        if wanted is None:
-            return self._apply(values)
-        return self._apply(values, wanted=wanted)
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return self._apply(values)
 
-    def potential_of_measure(self, masses: np.ndarray,
-                             given: Optional[slice] = None) -> np.ndarray:
-        if given is None:
-            return self._apply(masses / self.space.weights)
-        return self._apply(masses / self.space.weights[given], given=given)
+    def potential_of_measure(self, masses: np.ndarray) -> np.ndarray:
+        return self._apply(masses / self.space.weights)
 
     @property
     def reach(self) -> np.ndarray:
@@ -304,10 +292,8 @@ def grid_problem(grid: Grid, params: CapacityParams) -> CapacityProblem:
     """Spectral kernel problem on a periodic grid."""
     params.validate_for_dimension(grid.n)
     spec = bessel_kernel(grid, params.alpha)
-    return CapacityProblem(
-        grid, lambda v, given=None, wanted=None:
-        _convolve_values(grid, spec, v, given, wanted),
-        kernel=spec, row_cells=grid.N)
+    return CapacityProblem(grid, partial(_convolve_values, grid, spec),
+                           kernel=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +387,7 @@ def capacity_batch(problem: CapacityProblem, masks: Sequence[SetMask],
     the certificates are computed from the current measures and from their
     polish (`_polish`), each from freshly applied potentials, never from
     the combination, and the rows with gap <= tol retire: they leave the
-    state arrays, which are compacted.  On grids the dual state is held on
-    the chunk's row window (`_row_window`), with the whole-grid bits.
+    state arrays, which are compacted.
     """
     results: list = [None] * len(masks)
     rows = []
@@ -445,49 +430,19 @@ def capacity_batch(problem: CapacityProblem, masks: Sequence[SetMask],
     return results
 
 
-def _row_window(problem: CapacityProblem, E: np.ndarray) -> slice:
-    """The cells of the band of whole grid rows [r0, r1) that the sets of a
-    (B, size) bool matrix touch; every cell when the problem's applies take
-    no windows (finite models) or the space is one row (the line)."""
-    row = problem.row_cells
-    if row is None:
-        return slice(0, E.shape[1])
-    touched = np.flatnonzero(E.reshape(len(E), -1, row).any(axis=(0, 2)))
-    return slice(int(touched[0]) * row, (int(touched[-1]) + 1) * row)
-
-
 def _solve_rows(problem: CapacityProblem, masks: list,
                 params: CapacityParams) -> list:
     """The accelerated dual ascent of `capacity_batch` on feasible rows.
 
     Row-wise reductions go through `np.add.reduce` and friends, whose
-    per-call overhead is the cost on small models.  Sums of dual arrays run
-    over full-width rows of a scratch buffer that is zero off the row
-    window, so numpy's pairwise summation, and every bit, is that of the
-    whole-grid solve.  Whole-grid temporaries are updated in place on the
-    array their step just made, never on one another name holds.
+    per-call overhead is the cost on small models.  Whole-grid temporaries
+    are updated in place on the array their step just made, never on one
+    another name holds.
     """
-    w = problem.space.weights
-    s = params.s
-    sp = params.s_conj
+    w, s, sp = problem.space.weights, params.s, params.s_conj
     energy_coef = (s - 1.0) * s ** (-sp)
     rowsum, rowmin = np.add.reduce, np.minimum.reduce
-    apply = problem.apply
     E = np.stack([m.bools for m in masks])
-    size = E.shape[1]
-    win = _row_window(problem, E)
-    if win == slice(0, size):
-        dual_sum, gradient, potential = rowsum, apply, problem.potential_of_measure
-    else:
-        scratch = np.zeros(E.shape)
-        gradient = partial(apply, wanted=win)
-        potential = partial(problem.potential_of_measure, given=win)
-
-        def dual_sum(x, axis):
-            rows = scratch[:len(x)]
-            rows[:, win] = x
-            return rowsum(rows, axis)
-    E = E[:, win]
     on = E.astype(float)   # 1 on E, 0 off E
     live = np.arange(len(masks))   # mask index of each state row
     results: list = [None] * len(masks)
@@ -505,10 +460,10 @@ def _solve_rows(problem: CapacityProblem, masks: list,
         return f
 
     def neg_dual(mu, a):
-        return energy_coef * energy(a) - dual_sum(mu, 1)
+        return energy_coef * energy(a) - rowsum(mu, 1)
 
     def ray_rescale(mu, a):
-        total = dual_sum(mu, 1)
+        total = rowsum(mu, 1)
         na = energy(a) ** (1.0 / sp)
         ok = (total > 0.0) & (na > 0.0)
         t = np.where(ok, s * (total / na ** sp) ** (s - 1.0), 1.0)
@@ -517,8 +472,8 @@ def _solve_rows(problem: CapacityProblem, masks: list,
 
     def primal_upper(a):
         f = density(a)
-        u = apply(f)
-        floor = rowmin(np.where(E, u[:, win], np.inf), 1)
+        u = problem.apply(f)
+        floor = rowmin(np.where(E, u, np.inf), 1)
         scale = (floor * (1.0 - _FEAS_MARGIN))[:, None]
         f /= scale
         u /= scale
@@ -530,17 +485,17 @@ def _solve_rows(problem: CapacityProblem, masks: list,
         dual value, and the rows that failed the sufficient decrease test.
         y and grad vanish off E, so the candidate does too."""
         mu = np.maximum(y - step[:, None] * grad, 0.0)
-        a = potential(mu)
+        a = problem.potential_of_measure(mu)
         F = neg_dual(mu, a)
         d = mu - y
-        bound = Fy + dual_sum(grad * d, 1) + dual_sum(d * d, 1) / (2 * step)
+        bound = Fy + rowsum(grad * d, 1) + rowsum(d * d, 1) / (2 * step)
         failed = (F > bound + 1e-18).nonzero()[0]
         if failed.size:   # a step below 1e-18 is taken as it is
             failed = failed[step[failed] >= 1e-18]
         return mu, a, F, failed
 
-    mu_new = w[win] * on   # the start, certified at iteration 0
-    a_new = potential(mu_new)
+    mu_new = w * on   # the start, certified at iteration 0
+    a_new = problem.potential_of_measure(mu_new)
     y, ay, _ = ray_rescale(mu_new, a_new)
     Fy = neg_dual(y, ay)
     mu_prev, a_prev = y, ay
@@ -553,9 +508,9 @@ def _solve_rows(problem: CapacityProblem, masks: list,
         last = iterations == params.max_iter
         if iterations % 5 == 0 or last:
             cands = [ray_rescale(mu_new, a_new)]
-            nu = _polish(problem, params, E, cands[0][0], win)
+            nu = _polish(problem, params, E, cands[0][0])
             if nu is not None:   # certified from fresh applies, as the iterate
-                cands.append(ray_rescale(nu, potential(nu)))
+                cands.append(ray_rescale(nu, problem.potential_of_measure(nu)))
             for mu_r, a_r, lower in cands:
                 upper, f_up, u_up = primal_upper(a_r)
                 better = lower > best_lower
@@ -571,15 +526,13 @@ def _solve_rows(problem: CapacityProblem, masks: list,
             for r in retire.nonzero()[0]:
                 i = live[r]
                 finite = bool(np.isfinite(best_upper[r]))
-                dual = np.zeros(size)
-                dual[win] = best_mu[r] / s
                 results[i] = CapacityResult(
                     float(best_upper[r]), float(best_lower[r]),
                     float(best_upper[r]), float(gap[r]), bool(done[r]),
                     iterations, masks[i], params,
                     optimizer=best_f[r].copy() if finite else None,
                     potential=best_u[r].copy() if finite else None,
-                    dual_measure=dual)
+                    dual_measure=best_mu[r] / s)
             keep = (~retire).nonzero()[0]
             if not keep.size:
                 break
@@ -591,7 +544,7 @@ def _solve_rows(problem: CapacityProblem, masks: list,
                 best_lower, best_upper = best_lower[keep], best_upper[keep]
                 best_mu, best_f, best_u = best_mu[keep], best_f[keep], best_u[keep]
 
-        grad = gradient(density(ay))
+        grad = problem.apply(density(ay))
         grad -= 1.0
         grad *= on
         mu_new, a_new, F_new, retry = descend(y, grad, step, Fy)
@@ -613,7 +566,7 @@ def _solve_rows(problem: CapacityProblem, masks: list,
         clipped = (rowmin(y, 1) < 0.0).nonzero()[0]
         if clipped.size:   # projection active: apply the projected point
             y[clipped] = np.maximum(y[clipped], 0.0)
-            ay[clipped] = potential(y[clipped])
+            ay[clipped] = problem.potential_of_measure(y[clipped])
         F_next = neg_dual(y, ay)
         since += 1
         restart = (F_next > Fy).nonzero()[0]
@@ -628,8 +581,8 @@ def _solve_rows(problem: CapacityProblem, masks: list,
 
 
 def _polish(problem: CapacityProblem, params: CapacityParams, E: np.ndarray,
-            mu: np.ndarray, win: slice) -> Optional[np.ndarray]:
-    """Active-set polish of the duals `mu` of the sets E, both (B, window).
+            mu: np.ndarray) -> Optional[np.ndarray]:
+    """Active-set polish of the duals `mu` of the sets E, both (B, size).
 
     On the support S of a row's dual, solve (K f(nu))_S = 1 for masses nu
     by Newton, f(nu) = (K nu / s)^(s'-1), with Jacobian P diag(w f'(K nu))
@@ -662,7 +615,7 @@ def _polish(problem: CapacityProblem, params: CapacityParams, E: np.ndarray,
             G = problem.square[np.ix_(cells, cells)] / 2.0
         else:
             P = problem.potential_of_measure(
-                (np.arange(space.size) == cells[:, None] + win.start) * 1.0)
+                (np.arange(space.size) == cells[:, None]) * 1.0)
 
         def system(x):   # K f(x) on the cells and its Jacobian
             if s == 2.0:

@@ -11,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import configparser
 import json
 import math
 import sys
@@ -26,7 +27,8 @@ from . import weights as wt
 from .capacity import (CapacityOracle, CapacityParams, SetMask, capacity,
                        finite_problem, grid_problem, identity_problem)
 from .measure import Field, LorentzExponents
-from .suites import CapflowConfig, any_failures, run_suite, write_verdicts
+from .suites import (SUITES, CapflowConfig, any_failures, run_suite,
+                     write_verdicts)
 
 __all__ = ["main"]
 
@@ -234,7 +236,13 @@ def _cmd_block(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = CapflowConfig.from_file(args.config) if args.config else CapflowConfig()
+    if args.suite not in SUITES:
+        _bad("--suite", f"unknown suite {args.suite!r} "
+                        f"(choose from {', '.join(sorted(SUITES))})")
+    try:   # a configparser error spans lines
+        cfg = CapflowConfig.from_file(args.config) if args.config else CapflowConfig()
+    except (OSError, ValueError, configparser.Error) as err:
+        _bad("--config", " ".join(str(err).splitlines()))
     if args.quick:
         cfg = cfg.quick()
     if args.out and Path(args.out).suffix == ".csv":

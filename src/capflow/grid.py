@@ -234,13 +234,11 @@ def convolve(grid: Grid, kernel: KernelSpec, f: Field) -> Field:
         raise ValueError("kernel was built for a different grid")
     if f.space is not grid:
         raise ValueError("field lives on a different grid")
-    out = _convolve_values(grid, kernel, f.values)
-    return Field(grid, out)
+    return Field(grid, _convolve_values(grid, kernel, f.values))
 
 
-def _convolve_values(grid: Grid, kernel: KernelSpec, values: np.ndarray,
-                     given: slice | None = None,
-                     wanted: slice | None = None) -> np.ndarray:
+def _convolve_values(grid: Grid, kernel: KernelSpec,
+                     values: np.ndarray) -> np.ndarray:
     """Convolve a (size,) field or each row of a (B, size) stack of fields.
 
     The transforms run over the trailing grid axes, so a row's output does
@@ -251,39 +249,18 @@ def _convolve_values(grid: Grid, kernel: KernelSpec, values: np.ndarray,
     transforms and the transfer product update the call's one spectrum
     array in place, with the same bits; no buffer outlives the call.
 
-    On the plane either side may be a row window, a flat-cell slice of whole
-    grid rows.  A field `given` on a window holds those cells only (it is
-    zero elsewhere) and a potential `wanted` on one is returned as those
-    cells only; the last-axis `rfft`, or `irfft`, then runs on the window's
-    rows only.  Each returned cell has the bits of the whole-grid apply.
-    The line is one grid row, whose only window is the whole grid.
-
     The tiny-negative clip is decided per row: only rows whose input is
     nonnegative and whose output went negative are clipped, each against
-    its own floor -1e-12 max|output| over the returned cells.  Input given
-    on a window is zero off it, so the sign test is the whole-grid one.
-    Output wanted on a window takes its floor from the window, which is the
-    whole-grid floor when the row's largest |output| lies in the window.
-    The capacity solver wants only gradients on a window; their outputs
-    small enough to clip lie off the set, where it multiplies them by zero,
-    so its iterates keep their bits either way.
+    its own floor -1e-12 max|output|.
     """
-    N = grid.N
     lead = values.shape[:-1]
-    rows = values.reshape(lead + (-1, N))
-    if given is None:
-        spec = np.fft.rfft(rows)
-    else:   # place the window's rows among zero rows
-        spec = np.zeros(lead + (grid.size // N, N // 2 + 1), dtype=complex)
-        np.fft.rfft(rows, out=spec[..., given.start // N:given.stop // N, :])
+    spec = np.fft.rfft(values.reshape(lead + (-1, grid.N)))
     if grid.n == 2:
         np.fft.fft(spec, axis=-2, out=spec)
     spec *= kernel.transfer
     if grid.n == 2:
         np.fft.ifft(spec, axis=-2, out=spec)
-    if wanted is not None:
-        spec = spec[..., wanted.start // N:wanted.stop // N, :]
-    out = np.fft.irfft(spec, n=N).reshape(lead + (-1,))
+    out = np.fft.irfft(spec, n=grid.N).reshape(lead + (-1,))
     # one reduction per test; the mask is built only when roundoff went negative
     low = np.minimum.reduce(out, -1)
     clip = (np.minimum.reduce(values, -1) >= 0.0) & (low < 0.0)

@@ -123,6 +123,9 @@ class CapflowConfig:
             if section == "scale" and getattr(self, name) < 1:
                 raise ValueError(f"[scale] {key} must be at least 1, "
                                  f"got {getattr(self, name)}")
+        # before any check runs; s <= n/alpha needs a grid (grid_problem)
+        CapacityParams(self.alpha, self.s, self.tol)
+        wt.WeightConfig(self.delta, self.slack, self.l1c_levels)
 
     @staticmethod
     def from_file(path) -> "CapflowConfig":
@@ -137,7 +140,11 @@ class CapflowConfig:
                 if spec is None:
                     raise ValueError(f"unknown config key [{section}] {key}")
                 name, conv = spec
-                kwargs[name] = conv(raw)
+                try:
+                    kwargs[name] = conv(raw)
+                except ValueError:
+                    raise ValueError(f"[{section}] {key}: {raw!r} is not a "
+                                     f"valid {conv.__name__}") from None
         return CapflowConfig(**kwargs)
 
     def quick(self) -> "CapflowConfig":

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from capflow.capacity import (CapacityOracle, CapacityParams,
                               CapacityProblem, SetMask, _diameter, _polish,
-                              _row_window, audit_certificate,
+                              audit_certificate,
                               capacitary_lorentz_norm,
                               capacity, capacity_batch,
                               equilibrium_checks, finite_problem,
@@ -376,8 +376,7 @@ def _scalar_reference(problem, mask, params, on_momentum=None):
     def certified(mu, a):
         nonlocal best_lower, best_upper
         cands = [ray_rescale(mu, a)]
-        nu = _polish(problem, params, E[None], cands[0][0][None],
-                     slice(0, E.size))
+        nu = _polish(problem, params, E[None], cands[0][0][None])
         if nu is not None:
             cands.append(ray_rescale(nu[0], problem.potential_of_measure(nu[0])))
         for _, a_r, lo in cands:
@@ -592,7 +591,8 @@ def test_mixed_batch_keeps_row_flags_independent():
 
 
 def _plane_sets(grid):
-    """Sets on the plane told apart by the grid rows they touch."""
+    """Sets on the plane: a rectangle, two far squares, and a strip across
+    the periodic boundary."""
     x, y = grid.coords().T
 
     def square(cx, cy, r):
@@ -606,42 +606,32 @@ def _plane_sets(grid):
     }
 
 
-@pytest.mark.parametrize("kinds, band", [
-    (["rectangle"], (85, 94)),
-    (["two squares"], (18, 112)),
-    (["seam"], (0, 128)),
-    (["rectangle", "two squares"], (18, 112)),
-    (["two squares", "seam", "rectangle"], (0, 128)),
-], ids=["rectangle", "two-squares", "seam", "mixed-band", "mixed-whole"])
-def test_plane_solves_on_row_windows(kinds, band):
-    # the dual state lives on the band of grid rows the batch's sets touch;
-    # every row repeats its batch of one and the scalar loop bit for bit,
-    # whatever band it was solved on.  At s = 2 each polished dual
-    # certifies at iteration 0; at s = 1.5 the polish forms the potentials
-    # of the seam's 12 cells only, and the other sets iterate
+@pytest.mark.parametrize("kinds", [
+    ["rectangle"], ["two squares"], ["seam"], ["rectangle", "two squares"],
+    ["two squares", "seam", "rectangle"],
+], ids=["rectangle", "two-squares", "seam", "mixed-pair", "mixed-three"])
+def test_plane_batch_rows_repeat_their_batch_of_one(kinds):
+    # every row of a plane batch repeats its batch of one and the scalar
+    # loop bit for bit, whichever sets share its batch.  At s = 2 each
+    # polished dual certifies at iteration 0; at s = 1.5 the polish forms
+    # the potentials of the seam's 12 cells only, and the other sets iterate
     grid = make_grid(2, 12.0, 128)
     sets = _plane_sets(grid)
     masks = [SetMask(grid, sets[k]) for k in kinds]
     for s in (2.0, 1.5):
-        _plane_rows_match(grid, masks, CapacityParams(alpha=1.0, s=s, tol=1e-6),
-                          band)
-
-
-def _plane_rows_match(grid, masks, params, band):
-    prob = grid_problem(grid, params)
-    win = _row_window(prob, np.array([m.bools for m in masks]))
-    assert (win.start // grid.N, win.stop // grid.N) == band
-    for mask, row in zip(masks, capacity_batch(prob, masks, params)):
-        one = capacity(prob, mask, params)
-        assert (row.value, row.lower, row.upper, row.iterations) == \
-            (one.value, one.lower, one.upper, one.iterations)
-        for got, ref in ((row.dual_measure, one.dual_measure),
-                         (row.optimizer, one.optimizer),
-                         (row.potential, one.potential)):
-            assert np.array_equal(got, ref)
-        assert _scalar_reference(prob, mask, params) == \
-            (row.value, row.lower, row.iterations)
-        audit_certificate(prob, row)
+        params = CapacityParams(alpha=1.0, s=s, tol=1e-6)
+        prob = grid_problem(grid, params)
+        for mask, row in zip(masks, capacity_batch(prob, masks, params)):
+            one = capacity(prob, mask, params)
+            assert (row.value, row.lower, row.upper, row.iterations) == \
+                (one.value, one.lower, one.upper, one.iterations)
+            for got, ref in ((row.dual_measure, one.dual_measure),
+                             (row.optimizer, one.optimizer),
+                             (row.potential, one.potential)):
+                assert np.array_equal(got, ref)
+            assert _scalar_reference(prob, mask, params) == \
+                (row.value, row.lower, row.iterations)
+            audit_certificate(prob, row)
 
 
 def test_unit_square_on_the_largest_plane_grid_in_use():

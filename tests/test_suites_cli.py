@@ -10,6 +10,7 @@ import pytest
 
 from capflow import modelio
 from capflow import suites
+from capflow.capacity import CapacityParams, grid_problem
 from capflow.grid import make_grid
 from capflow.measure import DiscreteMeasureSpace
 from capflow.suites import (CHECKS, REQUIRED_CLAIMS, SUITES, CapflowConfig,
@@ -69,6 +70,29 @@ def test_config_file_rejects_zero_scale(tmp_path):
         bad.write_text(f"[seeds]\nmaster = 7\n[scale]\n{key} = 0\n")
         with pytest.raises(ValueError, match=f"{key} must be at least 1"):
             CapflowConfig.from_file(bad)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(delta=2.0), r"delta must lie in \(0, 1\]"),
+    (dict(slack=0.5), r"slack multiplier must be >= 1"),
+    (dict(s=1.0), r"s must lie in \(1, inf\)"),
+    (dict(alpha=0.0), r"alpha must be positive"),
+    (dict(tol=2.0), r"tolerance must lie in \(0, 1\)"),
+], ids=["delta", "slack", "s", "alpha", "tol"])
+def test_config_rejects_bad_solver_and_weight_knobs(kwargs, match):
+    # caught when the config is built, by the validators a check would
+    # otherwise meet mid-campaign (delta = 2 raised in C09, after C01-C08)
+    with pytest.raises(ValueError, match=match):
+        CapflowConfig(**kwargs)
+
+
+def test_config_leaves_the_exponent_window_to_grids():
+    # s <= n/alpha needs a dimension: a config without a grid may hold
+    # s = 3 at alpha = 1, and the line problem rejects it
+    cfg = CapflowConfig(alpha=1.0, s=3.0)
+    params = CapacityParams(cfg.alpha, cfg.s, cfg.tol)
+    with pytest.raises(ValueError, match="exponent window"):
+        grid_problem(make_grid(1, cfg.grid_L, cfg.grid_N), params)
 
 
 def test_unknown_and_empty_suite():
@@ -526,3 +550,36 @@ def test_cli_bad_inputs_exit_with_one_named_line(tmp_path, argv, names):
     last = proc.stderr.strip().splitlines()[-1]
     assert all(n.format(**fill) in last for n in names), proc.stderr
     assert not list(tmp_path.glob("b*")) and not list(tmp_path.glob("v*"))
+
+
+@pytest.mark.parametrize("config, argv, names", [
+    (None, ["--suite", "no-such-suite"], ["--suite", "'no-such-suite'"]),
+    (None, ["--suite", "all", "--config", "{tmp}/missing.ini"],
+     ["--config", "missing.ini", "No such file"]),
+    ("[grid]\nM = 3\n", ["--suite", "all", "--config", "{tmp}/c.ini"],
+     ["--config", "[grid] M"]),
+    ("[cap]\ntol = abc\n", ["--suite", "all", "--config", "{tmp}/c.ini"],
+     ["--config", "[cap] tol", "'abc'"]),
+    ("[scale]\nmodels = 2.5\n", ["--suite", "all", "--config", "{tmp}/c.ini"],
+     ["--config", "[scale] models", "'2.5'"]),
+    ("[weights]\ndelta = 2\n", ["--suite", "all", "--quick", "--config",
+                                 "{tmp}/c.ini"], ["--config", "delta", "2.0"]),
+    ("nothing\n", ["--suite", "all", "--config", "{tmp}/c.ini"],
+     ["--config", "no section headers"]),
+], ids=["unknown-suite", "missing-config", "unknown-key", "not-a-number",
+        "not-an-integer", "delta-above-one", "no-sections"])
+def test_cli_verify_bad_inputs_exit_with_one_named_line(tmp_path, config,
+                                                        argv, names):
+    # verify's suite and config errors end with one line naming the flag
+    # and the config key, before any check runs; no traceback
+    if config is not None:
+        (tmp_path / "c.ini").write_text(config)
+    argv = ["verify"] + [a.format(tmp=tmp_path) for a in argv] + \
+        ["--out", str(tmp_path / "v.json")]
+    proc = subprocess.run([sys.executable, "-m", "capflow.cli"] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("capflow: "), proc.stderr
+    assert all(n in lines[0] for n in names), proc.stderr
+    assert not list(tmp_path.glob("v*"))
