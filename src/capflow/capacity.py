@@ -18,7 +18,9 @@ contract.
 
 At each certificate check the dual is also polished, by Newton with an
 active set on (K f(mu))_S = 1 for its support S (`_polish`), and certified
-as the iterate is; on the campaigns' sets that closes the gap at once.
+as the iterate is; on the campaigns' sets that closes the gap at once.  At
+s = 2 every interval of a line grid polishes from one inverse Cholesky
+factor per problem (`CapacityProblem.interval_factor`).
 
 There is one solver, `capacity_batch`, and `capacity` is its batch of one;
 `CapacityOracle.gather` answers a family of sets, a (B, size) boolean
@@ -214,7 +216,9 @@ class CapacityProblem:
     update in place; the kernel is symmetric, so the same map serves as the
     adjoint, and measures given by masses are handled by dividing out the
     atom weights.  `reach` is K 1 and `square` is K^2 of unit masses, each
-    applied once on first use and kept.
+    applied once on first use and kept.  On a line grid, `interval_factor`
+    keeps the s = 2 polish matrix of the longest interval asked for and
+    its inverse Cholesky factor, which serve every shorter interval.
     """
 
     def __init__(self, space, apply_fn: Callable[[np.ndarray], np.ndarray],
@@ -225,6 +229,7 @@ class CapacityProblem:
         self.kernel = kernel
         self._reach: Optional[np.ndarray] = None
         self._square: Optional[np.ndarray] = None
+        self._factor = (np.zeros((0, 0)), np.zeros((0, 0)))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self._apply(values)
@@ -252,6 +257,30 @@ class CapacityProblem:
                 np.eye(n, self.space.size)))
             self._square.setflags(write=False)
         return self._square
+
+    def interval_factor(self, k: int) -> tuple:
+        """(T, W) on the first m >= k cells of a line grid, m the least
+        multiple of 64 capped at N: T_ij = (K^2)_{0,(i-j) mod N} / 2, so
+        the s = 2 polish matrix of any interval of k cells is T[:k, :k] by
+        translation invariance, and W = L^-1 for T = L L^T, whose leading
+        k x k block inverts the factor of T[:k, :k].
+
+        A longer interval replaces the kept pair: T is read anew from
+        `square` and W grows by block rows of 64, each computed from the
+        earlier ones alone (`_grow_inverse_factor`), so growing never
+        changes a bit already computed.  W stops short of T if a block's
+        Cholesky factorization fails.
+        """
+        T, W = self._factor
+        m = min(-(-k // 64) * 64, self.space.N)
+        if len(T) < m:
+            N, t = self.space.N, self.square[0] / 2.0
+            # T_ij = u[i - j + m - 1] with u[d + m - 1] = t[d mod N]
+            u = t[np.arange(1 - m, m) % N]
+            T = np.lib.stride_tricks.sliding_window_view(u, m)[:, ::-1].copy()
+            # a whole pair is swapped in, so concurrent solves see no mix
+            self._factor = T, W = T, _grow_inverse_factor(T, W)
+        return T, W
 
     @property
     def dimension(self) -> Optional[int]:
@@ -590,10 +619,14 @@ def _polish(problem: CapacityProblem, params: CapacityParams, E: np.ndarray,
     nu < 0, add back those of E where K f < 1, and repeat while S changes,
     up to 10 rounds (a primal-dual active set: Hintermueller, Ito & Kunisch,
     SIAM J. Optim. 13, 2003).  At s = 2 the Jacobian is (K^2)_SS / 2 from
-    `problem.square`.  A grid row solves its own block; finite rows share
-    their sets' atoms, with identity rows off S.  Rows over the MAX_CELLS
-    budget are skipped.  Returns the masses clipped at zero (zero where
-    skipped or not finite), or None if all are zero.
+    `problem.square`; on an interval of a line grid it is the leading
+    block of `problem.interval_factor`'s T, and a round on all of the
+    interval's cells takes x = W^T (W 1) from its inverse factor W, two
+    matrix-vector products, where other rounds and sets solve.  A grid row
+    solves its own block; finite rows share their sets' atoms, with
+    identity rows off S.  Rows over the MAX_CELLS budget are skipped.
+    Returns the masses clipped at zero (zero where skipped or not finite),
+    or None if all are zero.
     """
     space, s, sp, w = problem.space, params.s, params.s_conj, problem.space.weights
     grid = isinstance(space, Grid)
@@ -607,7 +640,12 @@ def _polish(problem: CapacityProblem, params: CapacityParams, E: np.ndarray,
                                    space.size * max(1, k // 4)))
         if not chunk:
             continue
-        if s == 2.0 and grid:   # (K^2)_jk sits at the difference of j and k
+        W = None   # L^-1 of G = L L^T, for the steps on all of the cells
+        interval = cells[-1] - cells[0] + 1 == k
+        if s == 2.0 and grid and space.n == 1 and interval:
+            T, W = problem.interval_factor(k)   # leading blocks
+            G, W = T[:k, :k], (W[:k, :k] if len(W) >= k else None)
+        elif s == 2.0 and grid:   # (K^2)_jk sits at the difference of j and k
             at = np.unravel_index(cells, space.shape)
             G = problem.square.reshape(space.shape)[
                 tuple((i[:, None] - i) % space.N for i in at)] / 2.0
@@ -635,6 +673,10 @@ def _polish(problem: CapacityProblem, params: CapacityParams, E: np.ndarray,
                         np.abs(kf - 1.0)[S].max(initial=0.0) <= 1e-10:
                     break
                 S = new   # a Newton step on S from x, with x set to 0 off S
+                if W is not None and S.all():   # x = G^-1 1 = W^T (W 1)
+                    x = np.einsum("ji,...j->...i", W,
+                                  np.einsum("ij,...j->...i", W, S * 1.0))
+                    continue
                 r = kf - 1.0 - np.einsum("...ij,...j->...i", J,
                                          np.where(S, 0.0, x))
                 x = np.where(S, x - _solve(np.where(
@@ -666,6 +708,31 @@ def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     Y = _solve(A[..., 64:, 64:] - mul(low, X[..., :k - 64]),
                B[..., 64:, :] - mul(low, X[..., k - 64:]))
     return np.concatenate([X[..., k - 64:] - mul(X[..., :k - 64], Y), Y], -2)
+
+
+def _grow_inverse_factor(T: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """L^-1 for the Cholesky factor T = L L^T, grown from its leading block
+    W by block rows of 64, with the blocking of `_solve`.  Block row I is
+    L_I< = T_I< W^T and L_II = chol(T_II - L_I< L_I<^T), then W_II = L_II^-1
+    and W_I< = -W_II L_I< W; LAPACK sees only the 64 x 64 diagonal blocks and
+    `einsum`, which calls no BLAS, does the rest, so the bits depend neither
+    on the BLAS thread count nor on the sizes W was grown through.  Stops
+    at a block that is not positive definite, returning the rows before."""
+    m, done = len(T), len(W)
+    out = np.zeros((m, m))
+    out[:done, :done] = W
+    for i in range(done, m, 64):
+        j = min(i + 64, m)
+        low = np.einsum("ak,ck->ac", T[i:j, :i], out[:i, :i])
+        try:
+            diag = np.linalg.inv(np.linalg.cholesky(
+                T[i:j, i:j] - np.einsum("ak,bk->ab", low, low)))
+        except np.linalg.LinAlgError:
+            return out[:i, :i].copy()
+        out[i:j, i:j] = diag
+        out[i:j, :i] = -np.einsum("ab,bk->ak", diag,
+                                  np.einsum("ac,ck->ak", low, out[:i, :i]))
+    return out
 
 
 def audit_certificate(problem: CapacityProblem, result: CapacityResult) -> float:

@@ -27,8 +27,8 @@ from . import weights as wt
 from .capacity import (CapacityOracle, CapacityParams, SetMask, capacity,
                        finite_problem, grid_problem, identity_problem)
 from .measure import Field, LorentzExponents
-from .suites import (SUITES, CapflowConfig, any_failures, run_suite,
-                     write_verdicts)
+from .suites import (SUITES, CapflowConfig, any_failures, check_line_window,
+                     run_suite, write_verdicts)
 
 __all__ = ["main"]
 
@@ -241,6 +241,7 @@ def _cmd_verify(args) -> int:
                         f"(choose from {', '.join(sorted(SUITES))})")
     try:   # a configparser error spans lines
         cfg = CapflowConfig.from_file(args.config) if args.config else CapflowConfig()
+        check_line_window(args.suite, cfg)
     except (OSError, ValueError, configparser.Error) as err:
         _bad("--config", " ".join(str(err).splitlines()))
     if args.quick:

@@ -261,12 +261,21 @@ def _layer_cake(levels: np.ndarray, masses: np.ndarray,
     for q < inf, and to max_i u_i m_i^(1/p) for q = inf.  Repeated levels
     add nothing.  The roots are taken by np.float_power, which has no
     vector kernel: each is libm's pow, as a scalar root is, not numpy's
-    vector `**`, which differs in the last bit.
+    vector `**`, which differs in the last bit.  A row whose top level to
+    the power q is not a normal, finite float would lose its norm to
+    underflow or overflow, and raises ValueError.
     """
     p, q = e.p, e.q
     if q == math.inf:
         return np.max(levels * masses ** (1.0 / p), axis=-1)
-    uq = levels ** q
+    with np.errstate(over="ignore"):
+        uq = levels ** q
+    top = uq[..., 0]
+    bad = ~((top >= np.finfo(float).tiny) & (top < math.inf))
+    if bad.any():
+        raise ValueError(f"Lorentz norm at q={q:g}: the top level "
+                         f"{levels[..., 0][bad].flat[0]:.6g} to the power q "
+                         f"is not a normal float")
     drops = uq.copy()   # u_i^q - u_{i+1}^q, with u_{k+1} = 0 in the last column
     drops.ravel()[:-1] -= uq.ravel()[1:]
     drops[..., -1] = uq[..., -1]

@@ -11,11 +11,14 @@ Each check is declared once, by `@_check(cid, *claims, suites=(...))` on a
 body `body(ctx, rows)`.  The decorator appends `(cid, claims, fn)` to
 `CHECKS` and `cid` to `SUITES["all"]` and to the `SUITES` entry of every
 campaign named in `suites=`, so `SUITES` is derived from the declarations;
-it returns `fn(ctx) -> List[Verdict]`.  The body states each bound once:
-`rows.bound(name, value, limit, what)` keeps the largest value under
-`name` in `rows.worst` and records failure `what` if value > limit,
-`rows.band` holds seed and refinement ratios to [0.5, 2], `rows.raises`
-requires a ValueError, and `rows.fail` records any other failure.
+it returns `fn(ctx) -> List[Verdict]`.  A check declared with `line=True`
+solves on the line at the config's alpha and s, so a campaign holding one
+checks the window s <= 1/alpha before its first check.  The body states
+each bound once: `rows.bound(name, value, limit, what)` keeps the largest
+value under `name` in `rows.worst` and records failure `what` if
+value > limit, `rows.band` holds seed and refinement ratios to [0.5, 2],
+`rows.raises` requires a ValueError, and `rows.fail` records any other
+failure.
 `rows.row` emits a row, prefixing its id with `cid` and taking its status
 from the failures so far; `rows.summary` renders the one failure summary.
 The declared claims are a contract: a row naming an undeclared claim
@@ -60,6 +63,7 @@ __all__ = [
     "CapflowConfig",
     "Verdict",
     "run_suite",
+    "check_line_window",
     "write_verdicts",
     "REQUIRED_CLAIMS",
     "SUITES",
@@ -185,6 +189,7 @@ def _fmt(x: float) -> str:
 
 CHECKS: List = []  # (cid, claims, fn) in registration order, C01..C18
 SUITES: Dict[str, List[str]] = {"all": []}  # campaign -> check ids, in order
+_LINE_CHECKS: set = set()   # ids of the checks that solve at cfg.s on the line
 
 
 class _Tally:
@@ -246,10 +251,11 @@ class _Rows(_Tally):
                                      measured, claim, details))
 
 
-def _check(cid: str, *claims: str, suites: tuple = ()):
+def _check(cid: str, *claims: str, suites: tuple = (), line: bool = False):
     """Register the decorated `body(ctx, rows)` as check `cid` testing
     `claims`, run by the campaign "all" and by each one in `suites`; it
-    becomes `fn(ctx) -> List[Verdict]`."""
+    becomes `fn(ctx) -> List[Verdict]`.  `line` marks a check that solves
+    on the line at the config's alpha and s."""
     def register(body):
         @functools.wraps(body)
         def fn(ctx: RunContext) -> List[Verdict]:
@@ -261,6 +267,8 @@ def _check(cid: str, *claims: str, suites: tuple = ()):
                                  f"{sorted(missing)}")
             return rows.verdicts
         CHECKS.append((cid, claims, fn))
+        if line:
+            _LINE_CHECKS.add(cid)
         for name in ("all",) + suites:
             SUITES.setdefault(name, []).append(cid)
         return fn
@@ -449,7 +457,7 @@ def check_capacity_certificates(ctx: RunContext, rows: _Rows) -> None:
 
 
 @_check("C02-equilibrium-identities", "equilibrium-identities",
-        "nonlinear-potential", suites=("capacity",))
+        "nonlinear-potential", suites=("capacity",), line=True)
 def check_equilibrium(ctx: RunContext, rows: _Rows) -> None:
     instances = list(ctx.finite_corpus())
     g1 = ctx.grid_oracle(1)
@@ -593,7 +601,7 @@ def check_gamma_sandwich(ctx: RunContext, rows: _Rows) -> None:
 
 
 @_check("C06-capacitary-embeddings", "capacitary-embedding-constants",
-        "capacitary-lorentz-spaces", "l1c-norm")
+        "capacitary-lorentz-spaces", "l1c-norm", line=True)
 def check_capacitary_embeddings(ctx: RunContext, rows: _Rows) -> None:
     rng = ctx.rng("c06")
     cases = []
@@ -632,7 +640,7 @@ def check_capacitary_embeddings(ctx: RunContext, rows: _Rows) -> None:
 
 
 @_check("C07-strichartz-localization", "strichartz-localization",
-        suites=("localization",))
+        suites=("localization",), line=True)
 def check_strichartz(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c07")
@@ -833,7 +841,7 @@ def check_pairing(ctx: RunContext, rows: _Rows) -> None:
 
 @_check("C10-block-decomposition", "block-decomposition-constructive",
         "block-space-definitions", "level-sum-bound", "block-solidity",
-        suites=("blocks-duality",))
+        suites=("blocks-duality",), line=True)
 def check_block_decomposition(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c10")
@@ -914,7 +922,7 @@ def check_block_decomposition(ctx: RunContext, rows: _Rows) -> None:
 
 
 @_check("C11-weight-characterization", "weight-characterization",
-        "weight-averaging", suites=("weights",))
+        "weight-averaging", suites=("weights",), line=True)
 def check_weight_characterization(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     ratios = {}
@@ -1036,7 +1044,7 @@ def check_kothe_oracle(ctx: RunContext, rows: _Rows) -> None:
 
 @_check("C14-maximal-probes", "maximal-boundedness-probe",
         "local-maximal-operator", "a1loc-class", "n-space-definition",
-        suites=("weights",))
+        suites=("weights",), line=True)
 def check_maximal(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     g1 = ctx.grid_oracle(1)
@@ -1256,7 +1264,7 @@ def check_multiplier_invariants(ctx: RunContext, rows: _Rows) -> None:
 
 
 @_check("C17-diam1-localization", "diam1-localization",
-        suites=("localization",))
+        suites=("localization",), line=True)
 def check_localization_diam1(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c17")
@@ -1420,12 +1428,25 @@ def _audit_verdict() -> Verdict:
                    "every registered claim has at least one check")
 
 
+def check_line_window(suite: str, cfg: CapflowConfig) -> None:
+    """Raise ValueError, naming the suite, if campaign `suite` solves on the
+    line at the config's s outside the window s <= 1/alpha."""
+    if _LINE_CHECKS.intersection(SUITES[suite]):
+        try:
+            CapacityParams(cfg.alpha, cfg.s, cfg.tol).validate_for_dimension(1)
+        except ValueError as err:
+            raise ValueError(f"suite {suite!r} solves on the line at "
+                             f"[cap] alpha and s: {err}") from None
+
+
 def run_suite(suite: str, cfg: CapflowConfig) -> List[Verdict]:
     """Execute the named campaign deterministically; verdict order is fixed
-    by check id.  Missing suite names raise."""
+    by check id.  Missing suite names raise, and so does a config outside
+    the line window of a campaign that solves on the line."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; "
                          f"choose from {sorted(SUITES)}")
+    check_line_window(suite, cfg)
     wanted = SUITES[suite]
     ctx = RunContext(cfg)
     verdicts: List[Verdict] = [_audit_verdict()]

@@ -348,6 +348,10 @@ def kothe_dual_norm_bruteforce(f, norm_rows, n_starts=256, n_steps=60,
     rng = np.random.default_rng(seed)
 
     def normalize(G):
+        # at unit sup norm first, so that no norm is asked of a row whose
+        # powers underflow
+        top = G.max(axis=1)
+        G = G / np.where(top > 0.0, top, 1.0)[:, None]
         norms = norm_rows(G)
         return G / np.where(norms > 0.0, norms, 1.0)[:, None]
 

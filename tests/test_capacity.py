@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capflow.capacity import (CapacityOracle, CapacityParams,
-                              CapacityProblem, SetMask, _diameter, _polish,
+                              CapacityProblem, SetMask, _diameter,
+                              _grow_inverse_factor, _polish,
                               audit_certificate,
                               capacitary_lorentz_norm,
                               capacity, capacity_batch,
@@ -651,24 +652,144 @@ def test_unit_square_on_the_largest_plane_grid_in_use():
 
 _SQUARE_BITS = """
 import hashlib, numpy as np
-from capflow.capacity import CapacityParams, SetMask, capacity, grid_problem
+from capflow.capacity import (CapacityParams, SetMask, capacity,
+                              capacity_batch, grid_problem)
 from capflow.grid import make_grid
+def digest(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 grid = make_grid(2, 12.0, 256)
 params = CapacityParams(alpha=1.0, s=2.0, tol=1e-6)
 mask = SetMask(grid, np.all(np.abs(grid.coords()) <= 0.5, axis=1))
 res = capacity(grid_problem(grid, params), mask, params)
-print(res.value.hex(), hashlib.sha256(res.dual_measure.tobytes()).hexdigest())
+print(res.value.hex(), digest(res.dual_measure))
+line = make_grid(1, 16.0, 256)
+params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
+prob = grid_problem(line, params)
+masks = [SetMask(line, (np.arange(256) >= a) & (np.arange(256) < a + k))
+         for a, k in ((0, 256), (3, 200), (40, 130), (7, 65), (100, 64), (9, 5))]
+rows = capacity_batch(prob, masks, params)
+print(digest(np.array([r.value for r in rows]),
+             *[r.dual_measure for r in rows], *prob.interval_factor(256)))
 """
 
 
 def test_plane_polish_bits_do_not_depend_on_blas_threads():
     # C08's square solves a 484-cell block; a plain LAPACK solve of it moves
-    # the last bit of the value between 1 and 2 OpenBLAS threads
+    # the last bit of the value between 1 and 2 OpenBLAS threads.  A batch
+    # of intervals on the line, up to the whole line, polishes with the
+    # shared interval factor, whose bits are checked too
     outs = {subprocess.run([sys.executable, "-c", _SQUARE_BITS], check=True,
                            capture_output=True, text=True,
                            env={**os.environ, "OPENBLAS_NUM_THREADS": t}).stdout
             for t in ("1", "2")}
     assert len(outs) == 1
+
+
+def _interval(grid, start, length):
+    return SetMask(grid, (np.arange(grid.N) >= start)
+                   & (np.arange(grid.N) < start + length))
+
+
+@pytest.mark.parametrize("N", [256, 512])
+def test_interval_factor_grows_without_changing_bits(N):
+    # a factor grown 64 -> 128 -> 256 (-> 512) by interval requests has
+    # the leading blocks of a fresh factor, bit for bit, and inverts the
+    # Cholesky factor of the polish matrix at every size
+    params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
+    grid = make_grid(1, 16.0, N)
+    grown = grid_problem(grid, params)
+    fresh = grid_problem(grid, params)
+    T_all, W_all = fresh.interval_factor(N)
+    assert T_all.shape == W_all.shape == (N, N)
+    for k, m in ((1, 64), (64, 64), (65, 128), (100, 128), (200, 256),
+                 (N, N)):
+        T, W = grown.interval_factor(k)
+        assert T.shape == W.shape == (m, m)
+        assert np.array_equal(T, T_all[:m, :m])
+        assert np.array_equal(W, W_all[:m, :m])
+        assert np.array_equal(W, np.tril(W))
+    # T is the s = 2 polish matrix (K^2)_jk / 2 of the interval's cells
+    cells = np.arange(N)
+    sq = fresh.square[0]
+    assert np.array_equal(T_all, sq[(cells[:, None] - cells) % N] / 2.0)
+    assert np.abs(W_all @ T_all @ W_all.T - np.eye(N)).max() <= 1e-12
+
+
+def test_interval_polish_matches_the_general_solve(monkeypatch):
+    # interval rows polished through the factor agree with the general
+    # `_solve` path on the same matrix, and certify the same capacities
+    grid = make_grid(1, 16.0, 256)
+    params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
+    prob = grid_problem(grid, params)
+    general = grid_problem(grid, params)
+    factor = general.interval_factor
+    monkeypatch.setattr(general, "interval_factor",
+                        lambda k: (factor(k)[0], np.zeros((0, 0))))
+    masks = [_interval(grid, a, k) for a, k in
+             ((0, 1), (17, 5), (40, 63), (100, 64), (3, 65), (60, 130),
+              (0, 255), (0, 256))]
+    E = np.array([m.bools for m in masks])
+    mu = E * grid.weights
+    nu, ref = _polish(prob, params, E, mu), _polish(general, params, E, mu)
+    assert np.all(nu[~E] == 0.0) and np.all(nu[E] > 0.0)
+    assert np.all(np.abs(nu - ref).max(axis=1)
+                  <= 1e-12 * np.abs(ref).max(axis=1))
+    # each active set stays whole: nu is W^T (W 1) on the leading blocks
+    W = prob._factor[1]
+    for row, mask in zip(nu, masks):
+        k = mask.cardinality
+        ones = np.ones((1, k))
+        assert np.array_equal(row[mask.bools], np.einsum(
+            "ji,...j->...i", W[:k, :k], np.einsum("ij,...j->...i",
+                                                  W[:k, :k], ones))[0])
+    for mask, row, one in zip(masks, capacity_batch(prob, masks, params),
+                              capacity_batch(general, masks, params)):
+        audit_certificate(prob, row)
+        assert row.iterations == one.iterations == 0
+        assert abs(row.value - one.value) <= params.tol * one.value
+        assert max(row.lower, one.lower) <= min(row.upper, one.upper)
+
+
+def test_interval_factor_is_bounded_and_unused_off_intervals():
+    # wrapped arcs, rows of two intervals, rows at s = 1.5 and plane rows
+    # take the general path and leave the factor empty; intervals grow it
+    # to the longest one polished, rounded up to 64 cells or capped at N
+    line = make_grid(1, 16.0, 256)
+    x = np.arange(256)
+    for s, sets in ((2.0, [(x < 40) | (x >= 230),            # a wrapped arc
+                           (x < 40) | ((x >= 60) & (x < 70))]),
+                    (1.5, [x < 40, (x >= 10) & (x < 200)])):
+        params = CapacityParams(alpha=0.5, s=s, tol=1e-6)
+        prob = grid_problem(line, params)
+        for res in capacity_batch(prob, [SetMask(line, E) for E in sets],
+                                  params):
+            audit_certificate(prob, res)
+        assert prob._factor[0].size == prob._factor[1].size == 0
+    plane = make_grid(2, 12.0, 128)
+    params = CapacityParams(alpha=1.0, s=2.0, tol=1e-6)
+    prob = grid_problem(plane, params)
+    # a run of cells along one grid row is contiguous in the flat order
+    for E in (np.arange(plane.size) // 7 == 1300, _plane_sets(plane)["seam"]):
+        audit_certificate(prob, capacity(prob, SetMask(plane, E), params))
+    assert prob._factor[0].size == 0
+
+    params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
+    for N, lengths, sides in ((256, (10, 70, 30, 129, 256),
+                               (64, 128, 128, 192, 256)),
+                              (32, (3, 20, 32), (32, 32, 32))):
+        grid = make_grid(1, 16.0 * N / 256, N)
+        prob = grid_problem(grid, params)
+        for k, side in zip(lengths, sides):
+            res = capacity(prob, _interval(grid, N - k, k), params)
+            assert res.iterations == 0
+            audit_certificate(prob, res)
+            assert tuple(map(len, prob._factor)) == (side, side)
+    # a block that is not positive definite stops the factor before it
+    T = np.eye(150)
+    T[100, 100] = -1.0
+    W = _grow_inverse_factor(T, np.zeros((0, 0)))
+    assert np.array_equal(W, np.eye(64))
+    assert np.array_equal(_grow_inverse_factor(T[:128, :128], W), W)
 
 
 def test_gather_dedups_skips_empty_and_serves_later_queries():

@@ -256,6 +256,40 @@ def test_stacked_norms_taller_than_one_chunk():
         [reference_norm(Field.of(sp, row), e) for row in V]
 
 
+@pytest.mark.parametrize("level, q", [(1e-150, 3.0), (1e-160, 2.0),
+                                      (1e160, 2.0)],
+                         ids=["underflow", "subnormal", "overflow"])
+def test_norms_raise_when_the_top_level_power_is_not_normal(level, q):
+    # u^q underflows to 0, lands among the subnormals or overflows: the
+    # norm would read 0, lose digits or read inf, so it raises instead
+    w = np.ones(2)
+    e = LorentzExponents(2.0, q)
+    f = Field.of(DiscreteMeasureSpace(w), [level, level])
+    for call in (lambda: lorentz_norm(f, e),
+                 lambda: lorentz_norms(np.array([[1.0, 2.0], [level, 0.0]]),
+                                       w, e)):
+        with pytest.raises(ValueError, match="not a normal float"):
+            call()
+    # the weak norm takes no power of the levels
+    assert weak_lorentz_norm(f, 2.0) == level * math.sqrt(2.0)
+
+
+def test_norms_of_normal_fields_keep_their_bits():
+    # levels whose q-th powers are normal, down to near the smallest and up
+    # to near the largest, give the reference bits, stacked or alone
+    w = np.array([0.5, 1.0, 2.0])
+    V = np.array([[1e-100, 3e-101, 0.0], [1e100, 1.0, 1e-200],
+                  [2.0, 1.5, 0.25], [1e-150, 1e-150, 1e-150]])
+    for p, q in ((2.0, 3.0), (1.5, 2.0), (0.8, 1.3)):
+        e = LorentzExponents(p, q)
+        sp = DiscreteMeasureSpace(w)
+        rows = V if q < 2.0 else V[:3]
+        want = [reference_norm(Field.of(sp, row), e) for row in rows]
+        assert lorentz_norms(rows, w, e).tolist() == want
+        assert [lorentz_norm(Field.of(sp, row), e) for row in rows] == want
+        assert all(0.0 < x < math.inf for x in want)
+
+
 def test_stacked_norms_reject_a_stack_of_another_width():
     w = np.ones(4)
     e = LorentzExponents(2.0, 2.0)
@@ -409,6 +443,17 @@ def test_power_identity_examples():
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
+def _norm_or_raises(f, e):
+    """lorentz_norm(f, e), or None where the top level's q-th power is not
+    a normal float and the norm raises."""
+    top = np.abs(f.values).max()
+    if top == 0.0 or np.finfo(float).tiny <= top ** e.q < math.inf:
+        return lorentz_norm(f, e)
+    with pytest.raises(ValueError, match="not a normal float"):
+        lorentz_norm(f, e)
+    return None
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(finite_floats, min_size=1, max_size=8),
        st.floats(min_value=-4, max_value=4, allow_nan=False))
@@ -416,8 +461,10 @@ def test_homogeneity(values, lam):
     sp = DiscreteMeasureSpace(np.ones(len(values)))
     f = Field.of(sp, values)
     e = LorentzExponents(2.0, 1.5)
-    got = lorentz_norm(Field.of(sp, np.asarray(values) * lam), e)
-    assert got == pytest.approx(abs(lam) * lorentz_norm(f, e), rel=1e-12, abs=1e-12)
+    got = _norm_or_raises(Field.of(sp, np.asarray(values) * lam), e)
+    want = _norm_or_raises(f, e)
+    if got is not None and want is not None:
+        assert got == pytest.approx(abs(lam) * want, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -428,8 +475,9 @@ def test_monotone_in_pointwise_domination(values):
     f = np.asarray(values)
     g = f * 0.5
     e = LorentzExponents(1.7, 2.3)
-    assert lorentz_norm(Field.of(sp, g), e) <= \
-        lorentz_norm(Field.of(sp, f), e) * (1 + 1e-12)
+    small, large = (_norm_or_raises(Field.of(sp, v), e) for v in (g, f))
+    if small is not None and large is not None:
+        assert small <= large * (1 + 1e-12)
 
 
 def test_unit_r_renorming_is_a_norm():

@@ -95,6 +95,32 @@ def test_config_leaves_the_exponent_window_to_grids():
         grid_problem(make_grid(1, cfg.grid_L, cfg.grid_N), params)
 
 
+def test_suites_on_the_line_check_the_window_before_any_check(monkeypatch):
+    # s = 3 at alpha = 0.5 lies outside the line's window s <= 1/alpha:
+    # every campaign with a check that solves on the line at cfg.s raises
+    # before its first check; the others have none and run
+    cfg = CapflowConfig(s=3.0)
+    ran = []
+    monkeypatch.setattr(suites, "CHECKS", [
+        (cid, claims, lambda ctx, cid=cid: ran.append(cid) or [])
+        for cid, claims, _fn in suites.CHECKS])
+    on_line = {"all", "capacity", "localization", "blocks-duality", "weights"}
+    assert set(SUITES) == on_line | {"lorentz-core", "determinism-core",
+                                     "determinism"}
+    for suite in SUITES:
+        if suite in on_line:
+            with pytest.raises(ValueError, match=rf"'{suite}'.*s=3.0 > "
+                                                 r"n/alpha=2"):
+                run_suite(suite, cfg)
+            assert not ran
+        else:
+            run_suite(suite, cfg)
+            assert ran and set(ran) <= set(SUITES[suite])
+            ran.clear()
+    run_suite("weights", CapflowConfig(s=2.0))
+    assert ran == SUITES["weights"]
+
+
 def test_unknown_and_empty_suite():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("no-such-suite", CapflowConfig())
@@ -566,8 +592,12 @@ def test_cli_bad_inputs_exit_with_one_named_line(tmp_path, argv, names):
                                  "{tmp}/c.ini"], ["--config", "delta", "2.0"]),
     ("nothing\n", ["--suite", "all", "--config", "{tmp}/c.ini"],
      ["--config", "no section headers"]),
+    ("[cap]\ns = 3\n", ["--suite", "all", "--quick", "--config",
+                         "{tmp}/c.ini"],
+     ["--config", "'all'", "[cap] alpha and s", "s=3.0 > n/alpha=2"]),
 ], ids=["unknown-suite", "missing-config", "unknown-key", "not-a-number",
-        "not-an-integer", "delta-above-one", "no-sections"])
+        "not-an-integer", "delta-above-one", "no-sections",
+        "s-outside-the-line-window"])
 def test_cli_verify_bad_inputs_exit_with_one_named_line(tmp_path, config,
                                                         argv, names):
     # verify's suite and config errors end with one line naming the flag
