@@ -20,7 +20,8 @@ At each certificate check the dual is also polished, by Newton with an
 active set on (K f(mu))_S = 1 for its support S (`_polish`), and certified
 as the iterate is; on the campaigns' sets that closes the gap at once.  At
 s = 2 every interval of a line grid polishes from one inverse Cholesky
-factor per problem (`CapacityProblem.interval_factor`).
+factor per problem (`CapacityProblem.interval_factor`), and each interval
+length once.
 
 There is one solver, `capacity_batch`, and `capacity` is its batch of one;
 `CapacityOracle.gather` answers a family of sets, a (B, size) boolean
@@ -43,7 +44,7 @@ import numpy as np
 
 from .grid import Grid, KernelSpec, bessel_kernel, _convolve_values
 from .measure import (MAX_CELLS, DiscreteMeasureSpace, Field, LorentzExponents,
-                      _layer_cake, _levels, _thinned)
+                      _layer_cake, _levels, _thinned, _unique)
 
 __all__ = [
     "CapacityParams",
@@ -202,7 +203,7 @@ def _measures(weights: np.ndarray, bits: np.ndarray) -> np.ndarray:
     of one cardinality, compacted, are summed as 1-D sums are."""
     counts = bits.sum(axis=1)
     out = np.zeros(len(bits))
-    for c in np.unique(counts[counts > 0]):
+    for c in _unique(counts[counts > 0]):
         rows = counts == c
         out[rows] = weights[bits[rows].nonzero()[1].reshape(-1, c)].sum(axis=1)
     return out
@@ -218,7 +219,9 @@ class CapacityProblem:
     atom weights.  `reach` is K 1 and `square` is K^2 of unit masses, each
     applied once on first use and kept.  On a line grid, `interval_factor`
     keeps the s = 2 polish matrix of the longest interval asked for and
-    its inverse Cholesky factor, which serve every shorter interval.
+    its inverse Cholesky factor, which serve every shorter interval, and
+    beside it `_interval_nu` maps an interval length k to the polished
+    masses of the interval [0, k) (`_polish`): at most N entries of k floats.
     """
 
     def __init__(self, space, apply_fn: Callable[[np.ndarray], np.ndarray],
@@ -230,6 +233,7 @@ class CapacityProblem:
         self._reach: Optional[np.ndarray] = None
         self._square: Optional[np.ndarray] = None
         self._factor = (np.zeros((0, 0)), np.zeros((0, 0)))
+        self._interval_nu: dict = {}
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self._apply(values)
@@ -269,7 +273,8 @@ class CapacityProblem:
         `square` and W grows by block rows of 64, each computed from the
         earlier ones alone (`_grow_inverse_factor`), so growing never
         changes a bit already computed.  W stops short of T if a block's
-        Cholesky factorization fails.
+        Cholesky factorization fails, and then the intervals longer than W
+        neither read nor write the memo of polished lengths.
         """
         T, W = self._factor
         m = min(-(-k // 64) * 64, self.space.N)
@@ -622,9 +627,14 @@ def _polish(problem: CapacityProblem, params: CapacityParams, E: np.ndarray,
     `problem.square`; on an interval of a line grid it is the leading
     block of `problem.interval_factor`'s T, and a round on all of the
     interval's cells takes x = W^T (W 1) from its inverse factor W, two
-    matrix-vector products, where other rounds and sets solve.  A grid row
-    solves its own block; finite rows share their sets' atoms, with
-    identity rows off S.  Rows over the MAX_CELLS budget are skipped.
+    matrix-vector products, where other rounds and sets solve.  An
+    interval row whose start is positive on all of its k cells and fails
+    round 0's test takes that step in round 0, so its later rounds depend
+    on k alone: the first such row of each length stores its final masses
+    in `problem._interval_nu` and later ones read them back, bit for bit.
+    A grid row solves its own block on S alone, zero off S; finite rows
+    share their sets' atoms, with identity rows off S.  Rows over the
+    MAX_CELLS budget are skipped.
     Returns the masses clipped at zero (zero where skipped or not finite),
     or None if all are zero.
     """
@@ -666,11 +676,18 @@ def _polish(problem: CapacityProblem, params: CapacityParams, E: np.ndarray,
             part = np.ix_(rows[start:start + chunk], cells)
             x, inE = mu[part], E[part]
             S = x > 0.0
-            for _ in range(10):
+            # from all of an interval's cells, round 0 steps to W^T (W 1)
+            # unless it stops, so the rounds after it depend on k alone
+            keyed = W is not None and S.all()
+            memo = problem._interval_nu if keyed else {}
+            for i in range(10):
                 kf, J = system(x)
                 new = inE & np.where(S, x > 0.0, kf < 1.0)
                 if (new == S).all() and \
                         np.abs(kf - 1.0)[S].max(initial=0.0) <= 1e-10:
+                    break
+                if k in memo:   # round 0 of a length polished before
+                    x = memo[k]
                     break
                 S = new   # a Newton step on S from x, with x set to 0 off S
                 if W is not None and S.all():   # x = G^-1 1 = W^T (W 1)
@@ -679,9 +696,22 @@ def _polish(problem: CapacityProblem, params: CapacityParams, E: np.ndarray,
                     continue
                 r = kf - 1.0 - np.einsum("...ij,...j->...i", J,
                                          np.where(S, 0.0, x))
+                if grid:   # the row's own block: solve on S alone
+                    on = S[0].nonzero()[0]
+                    x_on = x[:, on]
+                    if on.size:
+                        x_on -= _solve(J[..., on[:, None], on].reshape(
+                            1, on.size, on.size), r[:, on, None])[..., 0]
+                    x = np.zeros_like(x)
+                    x[:, on] = x_on
+                    continue
                 x = np.where(S, x - _solve(np.where(
                     S[:, :, None] & S[:, None, :], J, np.eye(k)),
                     (r * S)[..., None])[..., 0], 0.0)
+            if keyed and i and k not in memo:
+                x.setflags(write=False)
+                # a whole dict is swapped in, so concurrent solves see no mix
+                problem._interval_nu = {**memo, k: x}
             out[part] = np.where(np.isfinite(x).all(axis=1)[:, None],
                                  np.maximum(x, 0.0), 0.0)
     return out if out.any() else None
@@ -1005,7 +1035,7 @@ def unit_cover(grid: Grid) -> np.ndarray:
     side = 1.0 / math.sqrt(grid.n)
     coords = grid.coords() + grid.L / 2.0  # shift to [0, L)
     idx = np.floor(coords / side).astype(int)
-    tiles = (np.unique(idx, axis=0)[:, None] == idx).all(axis=2)
+    tiles = (_unique(idx, axis=0)[:, None] == idx).all(axis=2)
     tiles.setflags(write=False)
     return tiles
 

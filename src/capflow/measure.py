@@ -220,7 +220,13 @@ def _thinned(levels: np.ndarray, cap: Optional[int]) -> np.ndarray:
     if cap is None or levels.size <= cap:
         return levels
     idx = np.linspace(0, levels.size - 1, cap).round().astype(int)
-    return levels[np.unique(idx)]
+    return levels[_unique(idx)]
+
+
+def _unique(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
+    """`np.unique(a, axis=axis)`, sorted.  Asking for the first indices
+    skips numpy's masked-array test, which imports numpy.ma (numpy >= 2.3)."""
+    return np.unique(a, return_index=True, axis=axis)[0]
 
 
 def decreasing_rearrangement(f: Field) -> StepFunction:

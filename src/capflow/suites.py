@@ -12,9 +12,11 @@ body `body(ctx, rows)`.  The decorator appends `(cid, claims, fn)` to
 `CHECKS` and `cid` to `SUITES["all"]` and to the `SUITES` entry of every
 campaign named in `suites=`, so `SUITES` is derived from the declarations;
 it returns `fn(ctx) -> List[Verdict]`.  A check declared with `line=True`
-solves on the line at the config's alpha and s, so a campaign holding one
-checks the window s <= 1/alpha before its first check.  The body states
-each bound once: `rows.bound(name, value, limit, what)` keeps the largest
+solves on the line at the config's alpha and s, and one declared with
+`line=(s1, ...)` at the config's alpha and those fixed exponents, so a
+campaign holding one checks the window s <= 1/alpha at each of them before
+its first check.  The body states each bound once:
+`rows.bound(name, value, limit, what)` keeps the largest
 value under `name` in `rows.worst` and records failure `what` if
 value > limit, `rows.band` holds seed and refinement ratios to [0.5, 2],
 `rows.raises` requires a ValueError, and `rows.fail` records any other
@@ -189,7 +191,8 @@ def _fmt(x: float) -> str:
 
 CHECKS: List = []  # (cid, claims, fn) in registration order, C01..C18
 SUITES: Dict[str, List[str]] = {"all": []}  # campaign -> check ids, in order
-_LINE_CHECKS: set = set()   # ids of the checks that solve at cfg.s on the line
+# check id -> the exponents it solves at on the line at cfg.alpha (None: cfg.s)
+_LINE_CHECKS: Dict[str, tuple] = {}
 
 
 class _Tally:
@@ -251,11 +254,12 @@ class _Rows(_Tally):
                                      measured, claim, details))
 
 
-def _check(cid: str, *claims: str, suites: tuple = (), line: bool = False):
+def _check(cid: str, *claims: str, suites: tuple = (), line=False):
     """Register the decorated `body(ctx, rows)` as check `cid` testing
     `claims`, run by the campaign "all" and by each one in `suites`; it
     becomes `fn(ctx) -> List[Verdict]`.  `line` marks a check that solves
-    on the line at the config's alpha and s."""
+    on the line at the config's alpha and, if True, its s, else at each
+    exponent of the tuple `line`."""
     def register(body):
         @functools.wraps(body)
         def fn(ctx: RunContext) -> List[Verdict]:
@@ -268,7 +272,7 @@ def _check(cid: str, *claims: str, suites: tuple = (), line: bool = False):
             return rows.verdicts
         CHECKS.append((cid, claims, fn))
         if line:
-            _LINE_CHECKS.add(cid)
+            _LINE_CHECKS[cid] = (None,) if line is True else tuple(line)
         for name in ("all",) + suites:
             SUITES.setdefault(name, []).append(cid)
         return fn
@@ -680,7 +684,7 @@ def _refine_mask(coarse: Grid, fine: Grid, mask: SetMask) -> SetMask:
 
 
 @_check("C08-sobolev-lower-bounds", "sobolev-lower-bounds",
-        suites=("localization",))
+        suites=("localization",), line=(2.0, 1.5))
 def check_sobolev_bounds(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c08")
@@ -1430,13 +1434,17 @@ def _audit_verdict() -> Verdict:
 
 def check_line_window(suite: str, cfg: CapflowConfig) -> None:
     """Raise ValueError, naming the suite, if campaign `suite` solves on the
-    line at the config's s outside the window s <= 1/alpha."""
-    if _LINE_CHECKS.intersection(SUITES[suite]):
-        try:
-            CapacityParams(cfg.alpha, cfg.s, cfg.tol).validate_for_dimension(1)
-        except ValueError as err:
-            raise ValueError(f"suite {suite!r} solves on the line at "
-                             f"[cap] alpha and s: {err}") from None
+    line at the config's alpha and an exponent outside the window
+    s <= 1/alpha: the config's s, or one a check fixes (C08's 2 and 1.5)."""
+    for cid in SUITES[suite]:
+        for s in _LINE_CHECKS.get(cid, ()):
+            try:
+                CapacityParams(cfg.alpha, cfg.s if s is None else s,
+                               cfg.tol).validate_for_dimension(1)
+            except ValueError as err:
+                at = "s" if s is None else f"the s={s:g} of {cid}"
+                raise ValueError(f"suite {suite!r} solves on the line at "
+                                 f"[cap] alpha and {at}: {err}") from None
 
 
 def run_suite(suite: str, cfg: CapflowConfig) -> List[Verdict]:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from capflow.capacity import (CapacityOracle, CapacityParams,
                               CapacityProblem, SetMask, _diameter,
-                              _grow_inverse_factor, _polish,
+                              _grow_inverse_factor, _polish, _solve,
                               audit_certificate,
                               capacitary_lorentz_norm,
                               capacity, capacity_batch,
@@ -666,10 +666,13 @@ line = make_grid(1, 16.0, 256)
 params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
 prob = grid_problem(line, params)
 masks = [SetMask(line, (np.arange(256) >= a) & (np.arange(256) < a + k))
-         for a, k in ((0, 256), (3, 200), (40, 130), (7, 65), (100, 64), (9, 5))]
+         for a, k in ((0, 256), (3, 200), (40, 130), (7, 65), (100, 64),
+                      (9, 5), (120, 130))]
 rows = capacity_batch(prob, masks, params)
+memo = prob._interval_nu
 print(digest(np.array([r.value for r in rows]),
-             *[r.dual_measure for r in rows], *prob.interval_factor(256)))
+             *[r.dual_measure for r in rows], *prob.interval_factor(256),
+             np.array(sorted(memo)), *[memo[k] for k in sorted(memo)]))
 """
 
 
@@ -677,7 +680,8 @@ def test_plane_polish_bits_do_not_depend_on_blas_threads():
     # C08's square solves a 484-cell block; a plain LAPACK solve of it moves
     # the last bit of the value between 1 and 2 OpenBLAS threads.  A batch
     # of intervals on the line, up to the whole line, polishes with the
-    # shared interval factor, whose bits are checked too
+    # shared interval factor, and its last row is served from the memo of
+    # polished lengths; the factor's and the memo's bits are checked too
     outs = {subprocess.run([sys.executable, "-c", _SQUARE_BITS], check=True,
                            capture_output=True, text=True,
                            env={**os.environ, "OPENBLAS_NUM_THREADS": t}).stdout
@@ -790,6 +794,196 @@ def test_interval_factor_is_bounded_and_unused_off_intervals():
     W = _grow_inverse_factor(T, np.zeros((0, 0)))
     assert np.array_equal(W, np.eye(64))
     assert np.array_equal(_grow_inverse_factor(T[:128, :128], W), W)
+
+
+class _Reads(dict):
+    """A memo of polished lengths that records the lengths asked for
+    (`asked`) and those served (`served`)."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked, self.served = [], []
+
+    def __contains__(self, k):
+        self.asked.append(k)
+        return super().__contains__(k)
+
+    def __getitem__(self, k):
+        self.served.append(k)
+        return super().__getitem__(k)
+
+
+@pytest.mark.parametrize("N", [256, 512])
+def test_interval_memo_serves_a_length_bit_for_bit(N):
+    # an interval row whose length was polished before is served from the
+    # memo, and equals the same row polished on a fresh problem, bit for
+    # bit: its masses nu and its certified value, bounds and iterations
+    params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
+    grid = make_grid(1, 16.0, N)
+    prob = grid_problem(grid, params)
+    lengths = (3, 5, 64, 65, 130, N - 1)
+    # 1 or 2 cells and the whole line start at their solution: round 0 stops
+    capacity_batch(prob, [_interval(grid, 0, k)
+                          for k in (1, 2) + lengths + (N,)], params)
+    assert sorted(prob._interval_nu) == list(lengths)
+    for k in lengths:
+        mask = _interval(grid, (N - k) // 2, k)
+        E = mask.bools[None]
+        reads = prob._interval_nu = _Reads(prob._interval_nu)
+        nu = _polish(prob, params, E, E * grid.weights)
+        row = capacity(prob, mask, params)
+        assert reads.served == [k, k] and prob._interval_nu is reads
+        fresh = grid_problem(grid, params)
+        assert np.array_equal(nu, _polish(fresh, params, E, E * grid.weights))
+        assert np.array_equal(fresh._interval_nu[k], reads[k])
+        one = capacity(fresh, mask, params)
+        assert (row.value, row.lower, row.upper, row.iterations) == \
+            (one.value, one.lower, one.upper, one.iterations)
+        assert row.iterations == 0
+        assert np.array_equal(row.dual_measure, one.dual_measure)
+        audit_certificate(prob, row)
+
+
+@pytest.mark.parametrize("N", [256, 512])
+def test_interval_memo_holds_at_most_one_entry_per_length(N):
+    # every length polished twice, at two starts, in one batch: one entry
+    # of k masses per length, at most N entries
+    params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
+    grid = make_grid(1, 16.0, N)
+    prob = grid_problem(grid, params)
+    E = np.array([_interval(grid, start, k).bools for k in range(1, N + 1)
+                  for start in (0, (7 * k) % (N - k + 1))])
+    _polish(prob, params, E, E * grid.weights)
+    memo = prob._interval_nu
+    assert sorted(memo) == list(range(1, N + 1))
+    assert all(memo[k].shape == (1, k) for k in memo)
+
+
+def test_interval_memo_is_left_alone_off_positive_interval_starts():
+    # rows whose start has a zero cell, wrapped arcs, two-piece rows, rows at
+    # s = 1.5, plane rows and finite rows neither read nor write the memo
+    line = make_grid(1, 16.0, 256)
+    x = np.arange(256)
+    params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
+    prob = grid_problem(line, params)
+    capacity(prob, _interval(line, 0, 40), params)   # an entry to be read
+    reads = prob._interval_nu = _Reads(prob._interval_nu)
+    E = np.array([_interval(line, a, 40).bools for a in (0, 90)])
+    mu = E * line.weights
+    mu[:, [5, 100]] = 0.0   # a zero cell in the start of each row
+    assert _polish(prob, params, E, mu) is not None
+    for row in capacity_batch(prob, [SetMask(line, (x < 40) | (x >= 230)),
+                                     SetMask(line, (x < 40) | ((x >= 60)
+                                                               & (x < 70)))],
+                              params):
+        audit_certificate(prob, row)
+    assert (reads.asked, reads.served) == ([], [])
+    assert prob._interval_nu is reads and list(reads) == [40]
+    params = CapacityParams(alpha=0.5, s=1.5, tol=1e-6)
+    prob = grid_problem(line, params)
+    for row in capacity_batch(prob, [_interval(line, 0, 40),
+                                     _interval(line, 10, 40)], params):
+        audit_certificate(prob, row)
+    assert prob._interval_nu == {}
+    plane = make_grid(2, 12.0, 128)
+    params = CapacityParams(alpha=1.0, s=2.0, tol=1e-6)
+    prob = grid_problem(plane, params)
+    for E in (np.arange(plane.size) // 7 == 1300, _plane_sets(plane)["seam"]):
+        audit_certificate(prob, capacity(prob, SetMask(plane, E), params))
+    assert prob._interval_nu == {}
+    space = uspace(6)
+    prob = finite_problem(space, np.exp(-np.abs(np.subtract.outer(
+        np.arange(6.0), np.arange(6.0)))))
+    for row in capacity_batch(prob, [SetMask.from_indices(space, [0, 1, 2]),
+                                     SetMask.from_indices(space, [2, 3])],
+                              PARAMS):
+        audit_certificate(prob, row)
+    assert prob._interval_nu == {}
+
+
+def test_interval_memo_is_not_written_past_a_stopped_factor(monkeypatch):
+    # a factor stopped short by a block that is not positive definite serves
+    # only the lengths it covers: the longer intervals solve and write nothing
+    grid = make_grid(1, 16.0, 256)
+    params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
+    prob = grid_problem(grid, params)
+    factor = prob.interval_factor
+    monkeypatch.setattr(prob, "interval_factor",
+                        lambda k: (factor(k)[0], factor(k)[1][:64, :64]))
+    for k in (100, 200, 30, 100):
+        res = capacity(prob, _interval(grid, 3, k), params)
+        assert res.iterations == 0
+        audit_certificate(prob, res)
+    assert list(prob._interval_nu) == [30]
+
+
+def _padded_polish(problem, params, E, mu):
+    """`_polish` of grid rows at s = 2 off line intervals, with every Newton
+    round solving all of the row's cells, identity rows off S."""
+    grid = problem.space
+    out = np.zeros_like(mu)
+    for r in range(len(E)):
+        cells = np.flatnonzero(E[r])
+        at = np.unravel_index(cells, grid.shape)
+        G = problem.square.reshape(grid.shape)[
+            tuple((i[:, None] - i) % grid.N for i in at)] / 2.0
+        x = mu[r, cells][None]
+        S = x > 0.0
+        for _ in range(10):
+            kf = np.einsum("ij,...j->...i", G, x)
+            new = np.where(S, x > 0.0, kf < 1.0)
+            if (new == S).all() and \
+                    np.abs(kf - 1.0)[S].max(initial=0.0) <= 1e-10:
+                break
+            S = new
+            rhs = kf - 1.0 - np.einsum("...ij,...j->...i", G,
+                                       np.where(S, 0.0, x))
+            x = np.where(S, x - _solve(np.where(
+                S[:, :, None] & S[:, None, :], G, np.eye(cells.size)),
+                (rhs * S)[..., None])[..., 0], 0.0)
+        out[r, cells] = np.maximum(x, 0.0)
+    return out
+
+
+@pytest.mark.parametrize("N, kind", [(128, "square"), (256, "square"),
+                                     (128, "two squares")])
+def test_compact_rounds_match_the_padded_solve(monkeypatch, N, kind):
+    # Newton rounds that drop cells solve on the active cells alone: the
+    # masses agree with rounds padded by identity rows to 1e-12 relative,
+    # and the sets, C08's unit square at N=256 among them, still certify
+    # at iteration 0, within tol of the padded run
+    grid = make_grid(2, 12.0, N)
+    params = CapacityParams(alpha=1.0, s=2.0, tol=1e-6)
+    prob = grid_problem(grid, params)
+    mask = SetMask(grid, np.all(np.abs(grid.coords()) <= 0.5, axis=1)
+                   if kind == "square" else _plane_sets(grid)[kind])
+    E = mask.bools[None]
+    mu = E * grid.weights
+    cap = sys.modules["capflow.capacity"]
+    sizes, depth = [], [0]   # the unknowns of each Newton round's solve
+
+    def counted(A, B):   # `_solve` recurses through the module name
+        if not depth[0]:
+            sizes.append(A.shape[-1])
+        depth[0] += 1
+        try:
+            return _solve(A, B)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(cap, "_solve", counted)
+    nu = _polish(prob, params, E, mu)
+    monkeypatch.undo()
+    ref = _padded_polish(prob, params, E, mu)
+    assert np.count_nonzero(ref) < mask.cardinality   # a round dropped cells
+    assert sizes[0] == mask.cardinality > min(sizes)
+    assert np.abs(nu - ref).max() <= 1e-12 * np.abs(ref).max()
+    res = capacity(prob, mask, params)
+    monkeypatch.setattr(cap, "_polish", _padded_polish)
+    padded = capacity(prob, mask, params)
+    assert res.iterations == padded.iterations == 0
+    assert abs(res.value - padded.value) <= params.tol * padded.value
+    assert max(res.lower, padded.lower) <= min(res.upper, padded.upper)
+    audit_certificate(prob, res)
 
 
 def test_gather_dedups_skips_empty_and_serves_later_queries():

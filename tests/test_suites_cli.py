@@ -119,6 +119,45 @@ def test_suites_on_the_line_check_the_window_before_any_check(monkeypatch):
             ran.clear()
     run_suite("weights", CapflowConfig(s=2.0))
     assert ran == SUITES["weights"]
+    ran.clear()
+    # C08 also solves on the line at s = 2 and 1.5 with cfg.alpha: at
+    # alpha = 0.6 its s = 2 is outside the window though cfg.s = 1.5 is in
+    cfg = CapflowConfig(alpha=0.6, s=1.5)
+    for suite in on_line:
+        if "C08-sobolev-lower-bounds" in SUITES[suite]:
+            with pytest.raises(ValueError, match=rf"'{suite}'.*the s=2 of "
+                               r"C08-sobolev-lower-bounds.*s=2.0 > "
+                               r"n/alpha=1.66667"):
+                run_suite(suite, cfg)
+            assert not ran
+        else:
+            run_suite(suite, cfg)
+            assert ran == SUITES[suite]
+            ran.clear()
+    assert {s for s in on_line if "C08-sobolev-lower-bounds" in SUITES[s]} \
+        == {"all", "localization"}
+
+
+CAMPAIGN_MODULES = """
+import sys
+from capflow.cli import main
+for suite in ("localization", "blocks-duality"):
+    try:
+        main(["verify", "--suite", suite, "--quick", "--out", sys.argv[1]])
+    except SystemExit as stop:
+        assert not stop.code, stop.code
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_campaigns_load_no_numpy_ma(tmp_path):
+    # a fresh interpreter: a localization and a blocks-duality campaign
+    # leave numpy.ma unloaded (plain np.unique imports it on numpy >= 2.3)
+    out = subprocess.run([sys.executable, "-c", CAMPAIGN_MODULES,
+                          str(tmp_path / "v.json")],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "v.csv").exists()
 
 
 def test_unknown_and_empty_suite():
@@ -595,9 +634,13 @@ def test_cli_bad_inputs_exit_with_one_named_line(tmp_path, argv, names):
     ("[cap]\ns = 3\n", ["--suite", "all", "--quick", "--config",
                          "{tmp}/c.ini"],
      ["--config", "'all'", "[cap] alpha and s", "s=3.0 > n/alpha=2"]),
+    ("[cap]\nalpha = 0.6\ns = 1.5\n", ["--suite", "localization", "--quick",
+                                       "--config", "{tmp}/c.ini"],
+     ["--config", "'localization'", "C08-sobolev-lower-bounds",
+      "s=2.0 > n/alpha=1.66667"]),
 ], ids=["unknown-suite", "missing-config", "unknown-key", "not-a-number",
         "not-an-integer", "delta-above-one", "no-sections",
-        "s-outside-the-line-window"])
+        "s-outside-the-line-window", "c08-s-outside-the-line-window"])
 def test_cli_verify_bad_inputs_exit_with_one_named_line(tmp_path, config,
                                                         argv, names):
     # verify's suite and config errors end with one line naming the flag
