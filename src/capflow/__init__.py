@@ -29,7 +29,7 @@ from .blocks import (AtomicMeasure, Block, BlockDecomposition,
                      block_norm_upper_constructive, block_norm_upper_greedy,
                      block_norms_upper_greedy, lorentz_kothe_dual_norm,
                      trace_norm, trace_norm_inf_form, transport_decomposition,
-                     validate_block)
+                     validate_block, validate_blocks)
 from .suites import CapflowConfig, Verdict, run_suite, write_verdicts
 
 __version__ = "0.1.0"

@@ -6,7 +6,9 @@ normalized against a power of cap(E): exponent 1/q' for B-type blocks and
 1/p' for the script variant.  Block-norm infima are not computable; the
 artifact certifies upper bounds only, each carried by an explicit
 decomposition witness, and checks the inequality directions that the
-decompositions imply.
+decompositions imply.  `validate_blocks` checks the blocks of one
+decomposition as a stack, with one capacity gather and one `lorentz_norms`
+call; `validate_block` is its batch of one.
 
 The constructive decomposition splits a field over dyadic weight levels
 crossed with unit annuli around the origin (finite models carry no
@@ -25,8 +27,9 @@ is a caller of the multiplier module's one supremum engine, with the
 variations of a whole family taken as one product of its boolean set
 matrix with |mu|; the threshold form and the all-subsets multiplier norm
 read their capacities from one `CapacityOracle.gather` of the same matrix,
-and the block supports of the greedy decompositions of many fields are
-gathered in one batch too.
+the threshold form then bisecting on one scalar comparison, and the block
+supports of the greedy decompositions of many fields are gathered in one
+batch too.
 Lorentz norms of whole families (the block coefficients of a decomposition,
 the restricted rows of `m_norm_batch`) come from one `lorentz_norms` stack.
 
@@ -37,6 +40,7 @@ certified from below by its witness's pairing over its `lorentz_norms` norm.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -44,7 +48,7 @@ import numpy as np
 
 from .capacity import CapacityOracle, NormEstimate, SetMask, _measures
 from .grid import Grid
-from .measure import Field, LorentzExponents, lorentz_norm, lorentz_norms
+from .measure import Field, LorentzExponents, lorentz_norms
 from .multiplier import TestSetFamily, _sup_over_sets
 from .weights import Weight
 
@@ -53,6 +57,7 @@ __all__ = [
     "BlockDecomposition",
     "AtomicMeasure",
     "validate_block",
+    "validate_blocks",
     "block_norm_upper_constructive",
     "block_norm_upper_greedy",
     "block_norms_upper_greedy",
@@ -92,21 +97,40 @@ def _capacity_exponent(e: LorentzExponents, norm_type: str) -> float:
     raise ValueError(f"unknown block type {norm_type!r}")
 
 
+def validate_blocks(fields: list, supports: list, e: LorentzExponents,
+                    norm_type: str, oracle: CapacityOracle) -> list:
+    """Check each field's support and normalization; reject anything above
+    1 + 1e-12.  Zero fields get normalization 0; the others read their
+    capacities from one gather and their norms from one `lorentz_norms`
+    stack, each row with the bits of its own batch of one."""
+    space = oracle.space
+    if any(b.space is not space or m.space is not space
+           for b, m in zip(fields, supports)):
+        raise ValueError("block, support and oracle live on different spaces")
+    values = np.array([b.values for b in fields]).reshape(-1, space.size)
+    bits = np.array([m.bools for m in supports], dtype=bool).reshape(-1, space.size)
+    if np.any(values[~bits] != 0.0):
+        raise ValueError("block does not vanish off its support")
+    live = np.flatnonzero(np.any(values != 0.0, axis=1))
+    norms = np.zeros(len(values))
+    if live.size:
+        power = _capacity_exponent(e, norm_type)
+        if e.q == math.inf:
+            raise ValueError("q = inf is a distinct code path; use weak_lorentz_norm")
+        # libm's pow, as a scalar power; numpy's vector ** differs in the last bit
+        norms[live] = (np.float_power(oracle.gather(bits[live])[0], power)
+                       * lorentz_norms(values[live], space.weights, e))
+        over = np.flatnonzero(norms > 1.0 + _NORMALIZATION_SLACK)
+        if over.size:
+            raise ValueError(f"block normalization {norms[over[0]]} exceeds 1")
+    return [Block(b, m, e, norm_type, norm)
+            for b, m, norm in zip(fields, supports, norms.tolist())]
+
+
 def validate_block(b: Field, support: SetMask, e: LorentzExponents,
                    norm_type: str, oracle: CapacityOracle) -> Block:
-    """Check support and normalization; reject anything above 1 + 1e-12."""
-    if not (b.space is support.space is oracle.space):
-        raise ValueError("block, support and oracle live on different spaces")
-    off = ~support.bools
-    if np.any(b.values[off] != 0.0):
-        raise ValueError("block does not vanish off its support")
-    if float(np.abs(b.values).max(initial=0.0)) == 0.0:
-        return Block(b, support, e, norm_type, 0.0)
-    cap = float(oracle.gather(support.bools[None])[0][0])
-    norm = cap ** _capacity_exponent(e, norm_type) * lorentz_norm(b, e)
-    if norm > 1.0 + _NORMALIZATION_SLACK:
-        raise ValueError(f"block normalization {norm} exceeds 1")
-    return Block(b, support, e, norm_type, norm)
+    """The batch of one of `validate_blocks`."""
+    return validate_blocks([b], [support], e, norm_type, oracle)[0]
 
 
 def _combine(terms: list, space) -> np.ndarray:
@@ -150,19 +174,21 @@ def _tight_terms(pieces: list, e: LorentzExponents, norm_type: str,
                  oracle: CapacityOracle) -> list:
     """One term per (support, piece): lambda is the piece's Lorentz norm
     times the capacity factor and the block is piece / lambda, so its
-    normalization is exactly 1.  Pieces with lambda = 0 are dropped."""
+    normalization is exactly 1.  Pieces with lambda = 0 are dropped, and
+    the blocks are validated as one stack."""
     size = oracle.space.size
     caps = oracle.gather(np.array([mask.bools for mask, _ in pieces],
                                   dtype=bool).reshape(-1, size))[0].tolist()
     norms = lorentz_norms(np.reshape([piece for _, piece in pieces], (-1, size)),
                           oracle.space.weights, e).tolist()
-    terms = []
+    lams, blocks, supports = [], [], []
     for (mask, piece), cap, norm in zip(pieces, caps, norms):
         lam = norm * cap ** _capacity_exponent(e, norm_type)
         if lam != 0.0:
-            terms.append((lam, validate_block(Field(mask.space, piece / lam),
-                                              mask, e, norm_type, oracle)))
-    return terms
+            lams.append(lam)
+            blocks.append(Field(mask.space, piece / lam))
+            supports.append(mask)
+    return list(zip(lams, validate_blocks(blocks, supports, e, norm_type, oracle)))
 
 
 def _annulus_index(space) -> np.ndarray:
@@ -261,10 +287,12 @@ def transport_decomposition(decomp: BlockDecomposition,
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = np.where(fvals != 0.0, g.values / fvals, 0.0)
     terms = []
-    for lam, blk in decomp.terms:
-        moved = Field(g.space, blk.values * factor)
-        terms.append((lam, validate_block(moved, blk.support, blk.exponents,
-                                          blk.norm_type, oracle)))
+    for (e, norm_type), run in itertools.groupby(
+            decomp.terms, lambda t: (t[1].exponents, t[1].norm_type)):
+        lams, blocks = zip(*run)
+        moved = [Field(g.space, blk.values * factor) for blk in blocks]
+        terms += zip(lams, validate_blocks(moved, [blk.support for blk in blocks],
+                                           e, norm_type, oracle))
     return BlockDecomposition.build(terms, g)
 
 
@@ -306,10 +334,16 @@ def trace_norm(mu: AtomicMeasure, family: TestSetFamily,
 def trace_norm_inf_form(mu: AtomicMeasure, oracle: CapacityOracle) -> float:
     """Threshold form: the least a with |mu|(E) <= a cap(E) for all E.
 
-    Evaluated from the opposite side of the supremum form: bisection on the
-    threshold a, where feasibility scans every nonempty subset of the
-    finite model (<= 20 atoms) for a violated comparison.  The result must
-    agree with the all-subsets supremum form to roundoff plus capacity gaps.
+    Evaluated from the opposite side of the supremum form: 120 bisection
+    steps on the threshold a over [0, 2 max|mu|(E) / min cap(E)], where a is
+    feasible when no nonempty subset of the finite model (<= 20 atoms)
+    violates |mu|(E) <= a cap(E).  Rounding is monotone and every cap(E) is
+    positive, so feasibility is the test a >= t for t the least feasible
+    float; t is found in a few ulp steps from max |mu|(E)/cap(E) (by
+    bisection over the floats' bit patterns when the products overflow or
+    go subnormal), and the bisection is replayed on that one comparison.
+    The result must agree with the all-subsets supremum form to roundoff
+    plus capacity gaps.
     """
     sets = TestSetFamily.all_subsets().sets(oracle.space)
     caps = oracle.gather(sets)[0]
@@ -318,10 +352,29 @@ def trace_norm_inf_form(mu: AtomicMeasure, oracle: CapacityOracle) -> float:
     caps, variations = caps[keep], variations[keep]
     if variations.max(initial=0.0) <= 0.0:
         return 0.0
+
+    def feasible(k: int) -> bool:
+        """P at the nonnegative float of bit pattern k; such patterns are
+        ordered as their floats are."""
+        return bool(np.all(variations <= np.int64(k).view(np.float64) * caps))
+
+    no, yes = 0, int(np.float64(np.inf).view(np.int64))  # P(0) false, P(inf) true
+    k = int(np.max(variations / caps).view(np.int64))
+    for _ in range(8):   # a few ulps from t unless products leave the normal range
+        if feasible(k):
+            yes, k = k, k - 1
+        else:
+            no, k = k, k + 1
+        if yes - no == 1:
+            break
+    while yes - no > 1:
+        mid = (no + yes) // 2
+        no, yes = (no, mid) if feasible(mid) else (mid, yes)
+    t = float(np.int64(yes).view(np.float64))
     lo, hi = 0.0, 2.0 * float(variations.max()) / float(caps.min())
     for _ in range(120):
         mid = 0.5 * (lo + hi)
-        if np.all(variations <= mid * caps):
+        if mid >= t:
             hi = mid
         else:
             lo = mid

@@ -13,7 +13,9 @@ every other family on the same finite model.
 
 A family's sets for a space are one read-only (B, size) boolean matrix,
 one set per row, built directly for every family kind: rows in generation
-order, the first of any duplicate kept, empty rows dropped.
+order, the first of any duplicate kept, empty rows dropped.  All-subsets
+rows are distinct and non-empty as generated, so only the other kinds and
+unions pay for that screening.
 
 Every supremum over a family here and in `blocks` (the multiplier norms,
 both forms of the weak norm, the trace class) runs through one engine,
@@ -100,7 +102,12 @@ class TestSetFamily:
     # -- generation ----------------------------------------------------------
     def sets(self, space, f: Optional[Field] = None) -> np.ndarray:
         """The family's sets as a read-only (B, space.size) bool matrix: rows
-        in generation order, the first of any duplicate kept, none empty."""
+        in generation order, the first of any duplicate kept, none empty.
+        All-subsets rows are distinct and non-empty as generated."""
+        if self.kind == "all-subsets":
+            rows = self._rows(space, f)
+            rows.setflags(write=False)
+            return rows
         return _distinct_rows(self._rows(space, f))
 
     def _rows(self, space, f) -> np.ndarray:

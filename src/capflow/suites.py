@@ -15,7 +15,9 @@ it returns `fn(ctx) -> List[Verdict]`.  A check declared with `line=True`
 solves on the line at the config's alpha and s, and one declared with
 `line=(s1, ...)` at the config's alpha and those fixed exponents, so a
 campaign holding one checks the window s <= 1/alpha at each of them before
-its first check.  The body states each bound once:
+its first check, and builds the line kernel at that alpha on the line grid
+and, for a check declared `refined=True`, on the grid of twice the cells
+too.  The body states each bound once:
 `rows.bound(name, value, limit, what)` keeps the largest
 value under `name` in `rows.worst` and records failure `what` if
 value > limit, `rows.band` holds seed and refinement ratios to [0.5, 2],
@@ -191,7 +193,8 @@ def _fmt(x: float) -> str:
 
 CHECKS: List = []  # (cid, claims, fn) in registration order, C01..C18
 SUITES: Dict[str, List[str]] = {"all": []}  # campaign -> check ids, in order
-# check id -> the exponents it solves at on the line at cfg.alpha (None: cfg.s)
+# check id -> (the exponents it solves at on the line at cfg.alpha (None:
+# cfg.s), the multiples of cfg.grid_N it solves on)
 _LINE_CHECKS: Dict[str, tuple] = {}
 
 
@@ -254,12 +257,14 @@ class _Rows(_Tally):
                                      measured, claim, details))
 
 
-def _check(cid: str, *claims: str, suites: tuple = (), line=False):
+def _check(cid: str, *claims: str, suites: tuple = (), line=False,
+           refined: bool = False):
     """Register the decorated `body(ctx, rows)` as check `cid` testing
     `claims`, run by the campaign "all" and by each one in `suites`; it
     becomes `fn(ctx) -> List[Verdict]`.  `line` marks a check that solves
     on the line at the config's alpha and, if True, its s, else at each
-    exponent of the tuple `line`."""
+    exponent of the tuple `line`; `refined` one that also solves on the
+    line grid of twice the cells."""
     def register(body):
         @functools.wraps(body)
         def fn(ctx: RunContext) -> List[Verdict]:
@@ -272,7 +277,8 @@ def _check(cid: str, *claims: str, suites: tuple = (), line=False):
             return rows.verdicts
         CHECKS.append((cid, claims, fn))
         if line:
-            _LINE_CHECKS[cid] = (None,) if line is True else tuple(line)
+            _LINE_CHECKS[cid] = ((None,) if line is True else tuple(line),
+                                 (1, 2) if refined else (1,))
         for name in ("all",) + suites:
             SUITES.setdefault(name, []).append(cid)
         return fn
@@ -644,7 +650,7 @@ def check_capacitary_embeddings(ctx: RunContext, rows: _Rows) -> None:
 
 
 @_check("C07-strichartz-localization", "strichartz-localization",
-        suites=("localization",), line=True)
+        suites=("localization",), line=True, refined=True)
 def check_strichartz(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c07")
@@ -684,15 +690,18 @@ def _refine_mask(coarse: Grid, fine: Grid, mask: SetMask) -> SetMask:
 
 
 @_check("C08-sobolev-lower-bounds", "sobolev-lower-bounds",
-        suites=("localization",), line=(2.0, 1.5))
+        suites=("localization",), line=(2.0, 1.5), refined=True)
 def check_sobolev_bounds(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c08")
     configs = [
-        (1, cfg.alpha, 2.0, (0.5, 1.0)),            # alpha*s = n
-        (1, cfg.alpha, 1.5, (0.25, 0.5, 1.0)),      # alpha*s < n, window floor 1/4
+        (1, cfg.alpha, 2.0, (0.5, 1.0)),            # alpha*s = n at alpha = 1/2
+        (1, cfg.alpha, 1.5, (0.25, 0.5, 1.0)),      # window floor 1/4 at alpha = 1/2
     ]
     for n, alpha, s, eps_list in configs:
+        # each epsilon raised to the window floor (n - alpha*s)/n of cfg.alpha
+        floor = max(0.0, (n - alpha * s) / n)
+        eps_list = sorted({max(eps, floor) for eps in eps_list})
         coarse = ctx.grid_oracle(n, alpha=alpha, s=s)
         fine = ctx.grid_oracle(n, alpha=alpha, s=s, N=cfg.grid_N * 2)
         sets = _grid_set_corpus(rng, coarse.space, cfg.scale_grid_sets)
@@ -1435,9 +1444,14 @@ def _audit_verdict() -> Verdict:
 def check_line_window(suite: str, cfg: CapflowConfig) -> None:
     """Raise ValueError, naming the suite, if campaign `suite` solves on the
     line at the config's alpha and an exponent outside the window
-    s <= 1/alpha: the config's s, or one a check fixes (C08's 2 and 1.5)."""
+    s <= 1/alpha (the config's s, or one a check fixes: C08's 2 and 1.5),
+    or on a line grid too coarse for the kernel at that alpha.  The kernels
+    built here are cached for the campaign."""
+    sizes = set()
     for cid in SUITES[suite]:
-        for s in _LINE_CHECKS.get(cid, ()):
+        exponents, multiples = _LINE_CHECKS.get(cid, ((), ()))
+        sizes.update(cfg.grid_N * k for k in multiples)
+        for s in exponents:
             try:
                 CapacityParams(cfg.alpha, cfg.s if s is None else s,
                                cfg.tol).validate_for_dimension(1)
@@ -1445,6 +1459,12 @@ def check_line_window(suite: str, cfg: CapflowConfig) -> None:
                 at = "s" if s is None else f"the s={s:g} of {cid}"
                 raise ValueError(f"suite {suite!r} solves on the line at "
                                  f"[cap] alpha and {at}: {err}") from None
+    for N in sorted(sizes):
+        try:
+            bessel_kernel(make_grid(1, cfg.grid_L, N), cfg.alpha)
+        except ValueError as err:
+            raise ValueError(f"suite {suite!r} solves on the line grid of "
+                             f"N={N} at [cap] alpha: {err}") from None
 
 
 def run_suite(suite: str, cfg: CapflowConfig) -> List[Verdict]:

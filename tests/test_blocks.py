@@ -1,5 +1,6 @@
 """Blocks, decompositions, trace class, pairing chains, and the exact
 Lorentz dual."""
+import functools
 import importlib
 
 import numpy as np
@@ -15,7 +16,7 @@ from capflow.blocks import (AtomicMeasure,
                             lorentz_kothe_dual_norm,
                             m_norm_batch, trace_norm,
                             trace_norm_inf_form, transport_decomposition,
-                            validate_block)
+                            validate_block, validate_blocks)
 from capflow.capacity import (CapacityOracle, CapacityParams, NormEstimate,
                               SetMask, finite_problem, identity_problem)
 from capflow.measure import (DiscreteMeasureSpace, Field, LorentzExponents,
@@ -68,6 +69,95 @@ def test_validate_block_tight_zero_and_rejections(model):
     sblk = validate_block(Field.of(sp, tight_vals), E, e, "scriptB", oracle)
     assert sblk.normalization == pytest.approx(
         oracle.value(E) ** (1 / e.p_conj - 1 / e.q_conj), rel=1e-12)
+
+
+def _block_stack(rng, sp, oracle, e, count):
+    """`count` (field, support) pairs on random supports, some zero, each
+    with normalization at most 1 under both block types."""
+    fields, supports = [], []
+    for k in range(count):
+        bools = rng.random(sp.size) < 0.5
+        bools[rng.integers(sp.size)] = True
+        mask = SetMask(sp, bools)
+        vals = np.where(bools, rng.standard_normal(sp.size), 0.0)
+        if k % 4 == 3:
+            vals = np.zeros(sp.size)
+        else:
+            cap = oracle.value(mask)
+            vals /= (max(cap ** (1 / e.q_conj), cap ** (1 / e.p_conj))
+                     * lorentz_norm(Field.of(sp, vals), e) * rng.uniform(1, 3))
+        fields.append(Field.of(sp, vals))
+        supports.append(mask)
+    return fields, supports
+
+
+def test_stacked_normalizations_are_each_blocks_own_bits():
+    rng = np.random.default_rng(20)
+    for trial in range(6):
+        m = int(rng.integers(3, 9))
+        sp = DiscreteMeasureSpace(rng.random(m) + 0.3)
+        B = rng.random((m, m))
+        prob = (finite_problem(sp, (B + B.T) / 2 + np.eye(m)) if trial % 2
+                else identity_problem(sp))
+        oracle = CapacityOracle(prob, PARAMS)
+        for e in (LorentzExponents(2.0, 2.0), LorentzExponents(3.0, 1.5)):
+            fields, supports = _block_stack(rng, sp, oracle, e, 9)
+            for norm_type in ("B", "scriptB"):
+                stack = validate_blocks(fields, supports, e, norm_type, oracle)
+                power = bl._capacity_exponent(e, norm_type)
+                for blk, b, mask in zip(stack, fields, supports):
+                    one = validate_block(b, mask, e, norm_type, oracle)
+                    assert blk.normalization == one.normalization
+                    # the scalar formula: libm's pow of the capacity
+                    want = (0.0 if not b.values.any() else
+                            oracle.value(mask) ** power * lorentz_norm(b, e))
+                    assert blk.normalization == want
+                    assert (blk.field, blk.support, blk.norm_type) == \
+                        (b, mask, norm_type)
+    assert validate_blocks([], [], e, "B", oracle) == []
+
+
+def test_one_bad_row_fails_the_stack(model):
+    sp, oracle = model
+    rng = np.random.default_rng(21)
+    e = LorentzExponents(2.0, 2.0)
+    fields, supports = _block_stack(rng, sp, oracle, e, 8)
+    live = [i for i, b in enumerate(fields) if b.values.any()]
+    big = list(fields)
+    big[live[-1]] = Field.of(sp, 4.0 * fields[live[-1]].values)
+    with pytest.raises(ValueError, match="exceeds 1"):
+        validate_blocks(big, supports, e, "B", oracle)
+    spill = list(fields)
+    outside = np.flatnonzero(~supports[2].bools)
+    vals = fields[2].values.copy()
+    vals[outside[0]] = 1e-30
+    spill[2] = Field.of(sp, vals)
+    with pytest.raises(ValueError, match="does not vanish"):
+        validate_blocks(spill, supports, e, "B", oracle)
+    twin = DiscreteMeasureSpace(np.ones(6))
+    moved = list(supports)
+    moved[5] = SetMask(twin, supports[5].bools)
+    with pytest.raises(ValueError, match="different space"):
+        validate_blocks(fields, moved, e, "B", oracle)
+
+
+def test_an_all_zero_stack_asks_the_oracle_nothing():
+    rng = np.random.default_rng(22)
+    sp = DiscreteMeasureSpace(rng.random(5) + 0.3)
+    B = rng.random((5, 5))
+    oracle = CapacityOracle(finite_problem(sp, (B + B.T) / 2 + np.eye(5)),
+                            PARAMS)
+    masks = [SetMask.from_indices(sp, idx) for idx in ([0], [1, 2], [0, 4])]
+    zeros = [Field.of(sp, np.zeros(5)) for _ in masks]
+    e = LorentzExponents(2.0, 2.0)
+    blocks = validate_blocks(zeros, masks, e, "B", oracle)
+    assert [blk.normalization for blk in blocks] == [0.0, 0.0, 0.0]
+    assert oracle.queries == 0 and oracle.cache_size == 0
+    # one live block: one gather of that one row
+    vals = np.where(masks[1].bools, 0.1, 0.0)
+    validate_blocks(zeros[:1] + [Field.of(sp, vals)] + zeros[2:], masks, e,
+                    "B", oracle)
+    assert oracle.queries == 1 and oracle.batches == 1
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +410,71 @@ def test_trace_threshold_equality():
         inf_form = trace_norm_inf_form(mu, oracle)
         assert inf_form == pytest.approx(
             sup_form.value, rel=1e-9, abs=10 * sup_form.max_gap + 1e-12)
+
+
+def threshold_bisection(mu, oracle):
+    """The threshold form as a vector bisection: 120 halvings, each testing
+    every nonempty subset for a violated comparison |mu|(E) <= a cap(E)."""
+    sets = TestSetFamily.all_subsets().sets(oracle.space)
+    caps = oracle.gather(sets)[0]
+    variations = sets.astype(float) @ mu.total_variation
+    keep = caps > 0.0
+    caps, variations = caps[keep], variations[keep]
+    if variations.max(initial=0.0) <= 0.0:
+        return 0.0
+    lo, hi = 0.0, 2.0 * float(variations.max()) / float(caps.min())
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        if np.all(variations <= mid * caps):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@functools.lru_cache(maxsize=None)
+def _threshold_oracle(kind, m, seed):
+    """Identity (seed 0: unit weights, so ratios tie) or finite model of m
+    atoms, one memoized oracle per draw."""
+    rng = np.random.default_rng([m, seed])
+    sp = DiscreteMeasureSpace(np.ones(m) if seed == 0 else rng.random(m) + 0.3)
+    if kind == "identity":
+        return CapacityOracle(identity_problem(sp), PARAMS)
+    B = rng.random((m, m))
+    return CapacityOracle(finite_problem(sp, (B + B.T) / 2 + np.eye(m)), PARAMS)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["identity", "finite"]), st.integers(1, 12),
+       st.integers(0, 2), st.data(), st.integers(-150, 150))
+def test_threshold_form_replays_the_bisection_bit_for_bit(kind, m, seed, data,
+                                                          exponent):
+    oracle = _threshold_oracle(kind, m, seed)
+    # a small pool of masses gives zero atoms and ties in the largest ratio
+    pool = st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.5, 3.0])
+    masses = np.array(data.draw(st.lists(
+        pool | st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+        min_size=m, max_size=m))) * 10.0 ** exponent
+    mu = AtomicMeasure(oracle.space, masses)
+    got = trace_norm_inf_form(mu, oracle)
+    assert got.hex() == threshold_bisection(mu, oracle).hex()
+
+
+@pytest.mark.parametrize("weights, masses", [
+    ([2.0, 3.0], [1e308, 1e308]),                    # a variation overflows
+    ([1e-13, 1e-13], [1e-320, 3e-321]),              # products go subnormal
+    ([1e-13, 3e-13, 2e-13], [1e-315, 3e-316, 0.0]),
+    ([1e300, 1.0], [1e-300, 1e-300]),                # a ratio underflows
+], ids=["overflow", "subnormal", "subnormal-zero-atom", "underflow"])
+def test_threshold_form_outside_the_normal_range(weights, masses):
+    # the ulp walk from max |mu|(E)/cap(E) would take up to 2^52 steps
+    # here; the bisection over bit patterns keeps the reference's bits
+    sp = DiscreteMeasureSpace(np.array(weights))
+    oracle = CapacityOracle(identity_problem(sp), PARAMS)
+    mu = AtomicMeasure(sp, np.array(masses))
+    with np.errstate(over="ignore"):
+        got = trace_norm_inf_form(mu, oracle)
+        assert got.hex() == threshold_bisection(mu, oracle).hex()
 
 
 # ---------------------------------------------------------------------------

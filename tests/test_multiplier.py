@@ -11,9 +11,10 @@ from capflow.capacity import (CapacityOracle, CapacityParams, NormEstimate,
 from capflow.grid import Grid, make_grid
 from capflow.measure import (DiscreteMeasureSpace, Field, LorentzExponents,
                              lorentz_norm, weak_lorentz_norm)
-from capflow.multiplier import (TestSetFamily, char_m_via_weights,
-                                default_grid_family, m_norm, m_norm_local,
-                                script_m_norm, weak_script_m_norm)
+from capflow.multiplier import (TestSetFamily, _distinct_rows,
+                                char_m_via_weights, default_grid_family,
+                                m_norm, m_norm_local, script_m_norm,
+                                weak_script_m_norm)
 
 PARAMS = CapacityParams(alpha=1.0, s=2.0, tol=1e-6)
 
@@ -37,6 +38,26 @@ def test_family_determinism_and_cap(counting):
         assert [bool(x) for x in row] == [bool(b & (1 << i)) for i in range(4)]
     with pytest.raises(ValueError):
         TestSetFamily.all_subsets().sets(DiscreteMeasureSpace(np.ones(21)))
+
+
+def test_all_subsets_rows_are_built_distinct():
+    # the generated matrix skips the dedupe, which would keep every row in
+    # place: it must equal its own screening bit for bit, and stay read-only
+    for m in range(1, 15):
+        rows = TestSetFamily.all_subsets().sets(DiscreteMeasureSpace(np.ones(m)))
+        ref = _distinct_rows(rows)
+        assert rows.shape == ref.shape == ((1 << m) - 1, m)
+        assert rows.dtype == ref.dtype == bool
+        assert rows.tobytes() == ref.tobytes()
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = False
+    with pytest.raises(ValueError, match="limited to 20 atoms"):
+        TestSetFamily.all_subsets().sets(DiscreteMeasureSpace(np.ones(21)))
+    # a union with all subsets still drops its duplicates
+    sp = DiscreteMeasureSpace(np.ones(4))
+    both = (TestSetFamily.all_subsets() + TestSetFamily.all_subsets()).sets(sp)
+    assert both.tobytes() == TestSetFamily.all_subsets().sets(sp).tobytes()
 
 
 def test_indicator_norm_is_one_on_counting_model(counting):

@@ -1,4 +1,5 @@
 """Verification-suite plumbing and the command-line interface."""
+import collections
 import dataclasses
 import json
 import math
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from capflow import grid as grid_module
 from capflow import modelio
 from capflow import suites
 from capflow.capacity import CapacityParams, grid_problem
@@ -84,6 +86,49 @@ def test_config_rejects_bad_solver_and_weight_knobs(kwargs, match):
     # otherwise meet mid-campaign (delta = 2 raised in C09, after C01-C08)
     with pytest.raises(ValueError, match=match):
         CapflowConfig(**kwargs)
+
+
+def test_line_window_builds_the_line_kernel_on_each_line_grid():
+    # alpha = 0.3 clips kernel mass on the 256-cell line: every campaign
+    # that solves on the line at cfg.alpha raises before its first check
+    cfg = CapflowConfig(alpha=0.3)
+    for suite in SUITES:
+        if any(cid in suites._LINE_CHECKS for cid in SUITES[suite]):
+            with pytest.raises(ValueError, match=rf"'{suite}'.*line grid of "
+                                                 r"N=256.*too coarse"):
+                suites.check_line_window(suite, cfg)
+        else:
+            suites.check_line_window(suite, cfg)
+    # C07 and C08 also solve on the line of twice the cells, so their
+    # campaign builds that kernel too; the one of blocks-duality does not
+    for suite, alpha, sizes in (("localization", 0.45, {256, 512}),
+                                ("blocks-duality", 0.44, {256})):
+        suites.check_line_window(suite, CapflowConfig(alpha=alpha))
+        assert {key[2] for key in grid_module._kernel_cache
+                if key[0] == 1 and key[3] == alpha} == sizes
+
+
+def test_c08_epsilons_are_raised_to_the_window_floor(monkeypatch):
+    # C08 lists its epsilons for alpha = 1/2 and raises each to the floor
+    # (n - alpha*s)/n of cfg.alpha: at 1/2 the lists stay as written, and
+    # at 0.4, inside every line window, s = 1.5 starts at 0.4 and passes
+    seen = collections.defaultdict(set)
+    real = suites.lebesgue_lower_bound_check
+
+    def record(oracle, mask, eps):
+        rep = real(oracle, mask, eps)
+        seen[oracle.space.n, oracle.space.N, oracle.params.s].add(eps)
+        return rep
+
+    monkeypatch.setattr(suites, "lebesgue_lower_bound_check", record)
+    for alpha, low in ((0.5, 0.25), (0.4, 1.0 - 0.4 * 1.5)):
+        seen.clear()
+        cfg = CapflowConfig(alpha=alpha).quick()
+        verdicts = suites.check_sobolev_bounds(suites.RunContext(cfg))
+        assert [v.status for v in verdicts] == ["pass", "pass"]
+        for N in (cfg.grid_N, 2 * cfg.grid_N):
+            assert sorted(seen[1, N, 2.0]) == [0.5, 1.0]
+            assert sorted(seen[1, N, 1.5]) == [low, 0.5, 1.0]
 
 
 def test_config_leaves_the_exponent_window_to_grids():
@@ -638,9 +683,14 @@ def test_cli_bad_inputs_exit_with_one_named_line(tmp_path, argv, names):
                                        "--config", "{tmp}/c.ini"],
      ["--config", "'localization'", "C08-sobolev-lower-bounds",
       "s=2.0 > n/alpha=1.66667"]),
+    ("[cap]\nalpha = 0.3\n", ["--suite", "all", "--quick", "--config",
+                              "{tmp}/c.ini"],
+     ["--config", "'all'", "line grid of N=256",
+      "grid too coarse for alpha=0.3"]),
 ], ids=["unknown-suite", "missing-config", "unknown-key", "not-a-number",
         "not-an-integer", "delta-above-one", "no-sections",
-        "s-outside-the-line-window", "c08-s-outside-the-line-window"])
+        "s-outside-the-line-window", "c08-s-outside-the-line-window",
+        "line-grid-too-coarse-for-alpha"])
 def test_cli_verify_bad_inputs_exit_with_one_named_line(tmp_path, config,
                                                         argv, names):
     # verify's suite and config errors end with one line naming the flag
