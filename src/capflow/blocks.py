@@ -30,8 +30,8 @@ read their capacities from one `CapacityOracle.gather` of the same matrix,
 the threshold form then bisecting on one scalar comparison, and the block
 supports of the greedy decompositions of many fields are gathered in one
 batch too.
-Lorentz norms of whole families (the block coefficients of a decomposition,
-the restricted rows of `m_norm_batch`) come from one `lorentz_norms` stack.
+The block coefficients of a decomposition come from one `lorentz_norms`
+stack.
 
 The Koethe dual norm of L^{P,Q} on at most 6 atoms is exact: the level-
 function closed form, maximized over every order of the atoms in one stack,
@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -384,23 +384,6 @@ def trace_norm_inf_form(mu: AtomicMeasure, oracle: CapacityOracle) -> float:
 # ---------------------------------------------------------------------------
 # Integral duals
 # ---------------------------------------------------------------------------
-
-def m_norm_batch(space, e: LorentzExponents, oracle: CapacityOracle) -> Callable:
-    """Vectorized all-subsets multiplier norm over rows (small models): the
-    norms of every row restricted to every set, in one stack."""
-    sets = TestSetFamily.all_subsets().sets(space)
-    caps = oracle.gather(sets)[0]
-    keep = caps > 0.0
-    masks = sets[keep]
-    roots = np.float_power(caps[keep], 1.0 / e.q)
-
-    def norm_rows(G: np.ndarray) -> np.ndarray:
-        restricted = np.where(masks[:, None, :], G, 0.0).reshape(-1, space.size)
-        norms = lorentz_norms(restricted, space.weights, e).reshape(len(masks), -1)
-        return np.max(norms / roots[:, None], axis=0, initial=0.0)
-
-    return norm_rows
-
 
 def lorentz_kothe_dual_norm(f: Field, e: LorentzExponents) -> NormEstimate:
     """sup of int |f g| over ||g||_{P,Q} <= 1, e = (P, Q) with 1 < Q < inf,

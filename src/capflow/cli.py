@@ -27,7 +27,7 @@ from . import weights as wt
 from .capacity import (CapacityOracle, CapacityParams, SetMask, capacity,
                        finite_problem, grid_problem, identity_problem)
 from .measure import Field, LorentzExponents
-from .suites import (SUITES, CapflowConfig, any_failures, check_line_window,
+from .suites import (SUITES, CapflowConfig, ConfigError, any_failures,
                      run_suite, write_verdicts)
 
 __all__ = ["main"]
@@ -241,14 +241,16 @@ def _cmd_verify(args) -> int:
                         f"(choose from {', '.join(sorted(SUITES))})")
     try:   # a configparser error spans lines
         cfg = CapflowConfig.from_file(args.config) if args.config else CapflowConfig()
-        check_line_window(args.suite, cfg)
     except (OSError, ValueError, configparser.Error) as err:
         _bad("--config", " ".join(str(err).splitlines()))
     if args.quick:
         cfg = cfg.quick()
     if args.out and Path(args.out).suffix == ".csv":
         _bad("--out", f"{args.out}: give the JSON path; the CSV goes beside it")
-    verdicts = run_suite(args.suite, cfg)
+    try:
+        verdicts = run_suite(args.suite, cfg)
+    except ConfigError as err:
+        _bad("--config", str(err))
     if args.out:
         write_verdicts(verdicts, args.out, args.suite, cfg)
     for v in verdicts:

@@ -7,17 +7,20 @@ whose measured constant is reported but not bounded.  Determinism is part of
 the contract: identical config and seeds reproduce identical verdict tables,
 byte for byte.
 
-Each check is declared once, by `@_check(cid, *claims, suites=(...))` on a
-body `body(ctx, rows)`.  The decorator appends `(cid, claims, fn)` to
-`CHECKS` and `cid` to `SUITES["all"]` and to the `SUITES` entry of every
-campaign named in `suites=`, so `SUITES` is derived from the declarations;
-it returns `fn(ctx) -> List[Verdict]`.  A check declared with `line=True`
-solves on the line at the config's alpha and s, and one declared with
-`line=(s1, ...)` at the config's alpha and those fixed exponents, so a
-campaign holding one checks the window s <= 1/alpha at each of them before
-its first check, and builds the line kernel at that alpha on the line grid
-and, for a check declared `refined=True`, on the grid of twice the cells
-too.  The body states each bound once:
+Each check is declared once, by `@_check(cid, *claims, suites=(...),
+solves=(...))` on a body `body(ctx, rows)`.  The decorator appends
+`(cid, claims, fn)` to `CHECKS` and `cid` to `SUITES["all"]` and to the
+`SUITES` entry of every campaign named in `suites=`, so `SUITES` is derived
+from the declarations; it returns `fn(ctx) -> List[Verdict]`.  `solves`
+lists the capacity problems the body builds, each `(n, alpha, s, k)`: for
+n = 1 (line) or 2 (plane) the arguments of `RunContext.grid_oracle`, for
+n = 0 the `(alpha, s)` of its finite-model params (k is 1).  Before the
+first check, `run_suite` builds every declared grid oracle into the
+campaign's `RunContext` and checks every declared finite `CapacityParams`,
+so a config a campaign cannot solve raises `ConfigError`, naming the suite,
+the check, the problem and its config keys; so does a `[grid] L` too small
+for the test sets a check draws.  A campaign builds every weight with the
+one `RunContext.weights`.  The body states each bound once:
 `rows.bound(name, value, limit, what)` keeps the largest
 value under `name` in `rows.worst` and records failure `what` if
 value > limit, `rows.band` holds seed and refinement ratios to [0.5, 2],
@@ -57,7 +60,7 @@ from .capacity import (CapacityOracle, CapacityParams, CapacityProblem,
                        identity_problem, l1c_norm,
                        lebesgue_lower_bound_check, nonlinear_potential,
                        strichartz_check)
-from .grid import Grid, bessel_kernel, convolve, make_grid
+from .grid import DECAY_MARGIN, Grid, bessel_kernel, convolve, make_grid
 from .measure import (DiscreteMeasureSpace, Field, LorentzExponents,
                       distribution_function, gamma_norm, gamma_sandwich_bound,
                       lorentz_norm, lorentz_norms, pairing,
@@ -65,9 +68,9 @@ from .measure import (DiscreteMeasureSpace, Field, LorentzExponents,
 
 __all__ = [
     "CapflowConfig",
+    "ConfigError",
     "Verdict",
     "run_suite",
-    "check_line_window",
     "write_verdicts",
     "REQUIRED_CLAIMS",
     "SUITES",
@@ -133,7 +136,12 @@ class CapflowConfig:
                                  f"got {getattr(self, name)}")
         # before any check runs; s <= n/alpha needs a grid (grid_problem)
         CapacityParams(self.alpha, self.s, self.tol)
-        wt.WeightConfig(self.delta, self.slack, self.l1c_levels)
+        self.weights  # builds, so validates, the weight knobs
+
+    @property
+    def weights(self) -> wt.WeightConfig:
+        """The weight knobs: `[weights] delta`, `slack`, `[scale] l1c_levels`."""
+        return wt.WeightConfig(self.delta, self.slack, self.l1c_levels)
 
     @staticmethod
     def from_file(path) -> "CapflowConfig":
@@ -166,6 +174,10 @@ class CapflowConfig:
                 if not f.name.startswith("_")}
 
 
+class ConfigError(ValueError):
+    """A config a campaign cannot run, named by suite, check and config key."""
+
+
 @dataclass
 class Verdict:
     check_id: str
@@ -193,9 +205,13 @@ def _fmt(x: float) -> str:
 
 CHECKS: List = []  # (cid, claims, fn) in registration order, C01..C18
 SUITES: Dict[str, List[str]] = {"all": []}  # campaign -> check ids, in order
-# check id -> (the exponents it solves at on the line at cfg.alpha (None:
-# cfg.s), the multiples of cfg.grid_N it solves on)
-_LINE_CHECKS: Dict[str, tuple] = {}
+_SOLVES: Dict[str, tuple] = {}  # check id -> its declared (n, alpha, s, k)
+
+# declared problems: the line grid at [cap] alpha and s, finite models at
+# alpha = 1, s = 2 (`finite_oracle`), and those of `finite_corpus`
+_LINE = (1, None, None, 1)
+_FINITE = (0, 1.0, 2.0, 1)
+_CORPUS = tuple((0, 1.0, s, 1) for s in (1.5, 2.0, 3.0))
 
 
 class _Tally:
@@ -257,14 +273,11 @@ class _Rows(_Tally):
                                      measured, claim, details))
 
 
-def _check(cid: str, *claims: str, suites: tuple = (), line=False,
-           refined: bool = False):
+def _check(cid: str, *claims: str, suites: tuple = (), solves: tuple = ()):
     """Register the decorated `body(ctx, rows)` as check `cid` testing
     `claims`, run by the campaign "all" and by each one in `suites`; it
-    becomes `fn(ctx) -> List[Verdict]`.  `line` marks a check that solves
-    on the line at the config's alpha and, if True, its s, else at each
-    exponent of the tuple `line`; `refined` one that also solves on the
-    line grid of twice the cells."""
+    becomes `fn(ctx) -> List[Verdict]`.  `solves` lists every capacity
+    problem the body builds, as `(n, alpha, s, k)` (module docstring)."""
     def register(body):
         @functools.wraps(body)
         def fn(ctx: RunContext) -> List[Verdict]:
@@ -276,9 +289,7 @@ def _check(cid: str, *claims: str, suites: tuple = (), line=False,
                                  f"{sorted(missing)}")
             return rows.verdicts
         CHECKS.append((cid, claims, fn))
-        if line:
-            _LINE_CHECKS[cid] = ((None,) if line is True else tuple(line),
-                                 (1, 2) if refined else (1,))
+        _SOLVES[cid] = solves
         for name in ("all",) + suites:
             SUITES.setdefault(name, []).append(cid)
         return fn
@@ -290,10 +301,11 @@ def _check(cid: str, *claims: str, suites: tuple = (), line=False,
 # ---------------------------------------------------------------------------
 
 class RunContext:
-    """Per-run caches: oracles and corpora."""
+    """Per-run caches: oracles and corpora, and the run's weight knobs."""
 
     def __init__(self, cfg: CapflowConfig):
         self.cfg = cfg
+        self.weights = cfg.weights
         self._oracles: Dict = {}
         self._finite_corpus = None
 
@@ -303,14 +315,14 @@ class RunContext:
                                       zlib.crc32(tag.encode())])
 
     def grid_oracle(self, n: int = 1, alpha: Optional[float] = None,
-                    s: Optional[float] = None,
-                    N: Optional[int] = None) -> CapacityOracle:
+                    s: Optional[float] = None, k: int = 1) -> CapacityOracle:
+        """Oracle on the line (n = 1) or plane (n = 2) grid of k times the
+        configured points per axis; alpha and s default to `[cap]`'s."""
         cfg = self.cfg
         alpha = cfg.alpha if alpha is None else alpha
         s = cfg.s if s is None else s
         L = cfg.grid_L if n == 1 else cfg.grid2_L
-        if N is None:
-            N = cfg.grid_N if n == 1 else cfg.grid2_N
+        N = k * (cfg.grid_N if n == 1 else cfg.grid2_N)
         key = (n, L, N, alpha, s, cfg.tol)
         oracle = self._oracles.get(key)
         if oracle is None:
@@ -333,8 +345,7 @@ class RunContext:
             for i in range(self.cfg.scale_models):
                 m = int(rng.integers(4, 65))
                 problem = _random_finite_problem(rng, m)
-                params = CapacityParams(alpha=1.0, s=s_cycle[i % 3],
-                                           tol=self.cfg.tol)
+                params = CapacityParams(1.0, s_cycle[i % 3], self.cfg.tol)
                 mask = _random_mask(rng, problem.space)
                 out.append((problem, params, mask))
             self._finite_corpus = out
@@ -383,10 +394,14 @@ def _interval_mask(grid: Grid, center: float, half: float) -> SetMask:
 
 
 def _grid_set_corpus(rng, grid: Grid, count: int) -> List[SetMask]:
-    """Compact random sets respecting the wrap-around support margin."""
-    reach = (grid.L - 8.0) / 2.0
-    if reach <= 0.0:
-        raise ValueError(f"box L={grid.L} leaves no room for test supports")
+    """Compact random sets respecting the wrap-around support margin; the
+    widest is a thinned interval of half-width 1.8 on every box that fits it."""
+    least = 3.6 + DECAY_MARGIN
+    if grid.L < least:
+        raise ConfigError(f"{('[grid]', '[grid2]')[grid.n - 1]} L = "
+                          f"{grid.L:g} is below {least:g}, the widest test set "
+                          f"(diameter 3.6) plus the decay margin {DECAY_MARGIN:g}")
+    reach = (grid.L - DECAY_MARGIN) / 2.0
     out = []
     for _ in range(count):
         kind = rng.integers(0, 3)
@@ -406,8 +421,6 @@ def _grid_set_corpus(rng, grid: Grid, count: int) -> List[SetMask]:
             if not bools.any():
                 bools = base.bools
             out.append(SetMask(grid, bools))
-    for mask in out:
-        grid.check_support_margin(mask.diameter())
     return out
 
 
@@ -424,7 +437,7 @@ def _bump_field(grid: Grid, center: float, width: float,
 
 @_check("C01-capacity-certificates", "capacity-definition",
         "capacity-duality-certificate",
-        suites=("capacity", "determinism-core"))
+        suites=("capacity", "determinism-core"), solves=_CORPUS)
 def check_capacity_certificates(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
 
@@ -467,7 +480,8 @@ def check_capacity_certificates(ctx: RunContext, rows: _Rows) -> None:
 
 
 @_check("C02-equilibrium-identities", "equilibrium-identities",
-        "nonlinear-potential", suites=("capacity",), line=True)
+        "nonlinear-potential", suites=("capacity",),
+        solves=(_LINE,) + _CORPUS)
 def check_equilibrium(ctx: RunContext, rows: _Rows) -> None:
     instances = list(ctx.finite_corpus())
     g1 = ctx.grid_oracle(1)
@@ -501,13 +515,12 @@ def check_equilibrium(ctx: RunContext, rows: _Rows) -> None:
 
 
 @_check("C03-monotone-subadditive", "capacity-set-function-axioms",
-        suites=("capacity",))
+        suites=("capacity",), solves=(_FINITE,))
 def check_set_function_axioms(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c03")
     prob = _random_finite_problem(rng, 24)
-    params = CapacityParams(1.0, 2.0, tol=cfg.tol)
-    oracle = CapacityOracle(prob, params)
+    oracle = ctx.finite_oracle(prob)
     space = prob.space
     n = cfg.scale_pairs
     # every set is drawn first, then all are solved in one batch: rows
@@ -526,7 +539,7 @@ def check_set_function_axioms(ctx: RunContext, rows: _Rows) -> None:
     union, a, b = lower[2 * n::3], upper[2 * n + 1::3], upper[2 * n + 2::3]
     rows.failures += ["subadditivity"] * int(np.sum(union > (a + b) * (1 + 1e-12)))
     # absolute continuity on the discrete model: zero capacity iff empty
-    if capacity(prob, SetMask.empty(space), params).value != 0.0:
+    if capacity(prob, SetMask.empty(space), oracle.params).value != 0.0:
         rows.fail("empty set")
     if oracle.value(SetMask.from_indices(space, [0])) <= 0.0:
         rows.fail("null nonempty set")
@@ -611,7 +624,7 @@ def check_gamma_sandwich(ctx: RunContext, rows: _Rows) -> None:
 
 
 @_check("C06-capacitary-embeddings", "capacitary-embedding-constants",
-        "capacitary-lorentz-spaces", "l1c-norm", line=True)
+        "capacitary-lorentz-spaces", "l1c-norm", solves=(_LINE, _FINITE))
 def check_capacitary_embeddings(ctx: RunContext, rows: _Rows) -> None:
     rng = ctx.rng("c06")
     cases = []
@@ -650,12 +663,12 @@ def check_capacitary_embeddings(ctx: RunContext, rows: _Rows) -> None:
 
 
 @_check("C07-strichartz-localization", "strichartz-localization",
-        suites=("localization",), line=True, refined=True)
+        suites=("localization",), solves=(_LINE, (1, None, None, 2)))
 def check_strichartz(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c07")
     coarse = ctx.grid_oracle(1)
-    fine = ctx.grid_oracle(1, N=cfg.grid_N * 2)
+    fine = ctx.grid_oracle(1, k=2)
     sets = _grid_set_corpus(rng, coarse.space, cfg.scale_grid_sets + 2)
     refined = [_refine_mask(coarse.space, fine.space, m) for m in sets]
     # one batch per grid; the checks below are served from the memo
@@ -690,20 +703,19 @@ def _refine_mask(coarse: Grid, fine: Grid, mask: SetMask) -> SetMask:
 
 
 @_check("C08-sobolev-lower-bounds", "sobolev-lower-bounds",
-        suites=("localization",), line=(2.0, 1.5), refined=True)
+        suites=("localization",),
+        solves=((1, None, 2.0, 1), (1, None, 2.0, 2), (1, None, 1.5, 1),
+                (1, None, 1.5, 2), (2, 1.0, 2.0, 1), (2, 1.0, 2.0, 2)))
 def check_sobolev_bounds(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c08")
-    configs = [
-        (1, cfg.alpha, 2.0, (0.5, 1.0)),            # alpha*s = n at alpha = 1/2
-        (1, cfg.alpha, 1.5, (0.25, 0.5, 1.0)),      # window floor 1/4 at alpha = 1/2
-    ]
-    for n, alpha, s, eps_list in configs:
-        # each epsilon raised to the window floor (n - alpha*s)/n of cfg.alpha
-        floor = max(0.0, (n - alpha * s) / n)
+    # at alpha = 1/2, s = 2 meets alpha*s = n and s = 1.5 has window floor 1/4
+    for s, eps_list in ((2.0, (0.5, 1.0)), (1.5, (0.25, 0.5, 1.0))):
+        # each epsilon raised to the window floor 1 - alpha*s of cfg.alpha
+        floor = max(0.0, 1.0 - cfg.alpha * s)
         eps_list = sorted({max(eps, floor) for eps in eps_list})
-        coarse = ctx.grid_oracle(n, alpha=alpha, s=s)
-        fine = ctx.grid_oracle(n, alpha=alpha, s=s, N=cfg.grid_N * 2)
+        coarse = ctx.grid_oracle(1, s=s)
+        fine = ctx.grid_oracle(1, s=s, k=2)
         sets = _grid_set_corpus(rng, coarse.space, cfg.scale_grid_sets)
         refined = [_refine_mask(coarse.space, fine.space, m) for m in sets]
         # one batch per grid; the checks below are served from the memo
@@ -719,14 +731,14 @@ def check_sobolev_bounds(ctx: RunContext, rows: _Rows) -> None:
                 rows.band(f"drift {drift:.3f} (eps={eps})", drift)
                 rows.bound("ratio", rep.ratio)
     # window enforcement: epsilon below the admissible floor must be rejected
-    o = ctx.grid_oracle(1, alpha=cfg.alpha, s=1.5)
+    o = ctx.grid_oracle(1, s=1.5)
     rows.raises(lambda: lebesgue_lower_bound_check(
         o, _interval_mask(o.space, 0.0, 1.0), 0.1), "window not enforced")
     # square set on the plane: ratio recorded with one refinement
-    o2 = ctx.grid_oracle(2, alpha=1.0, s=2.0)
+    o2 = ctx.grid_oracle(2, 1.0, 2.0)
     sq = _square_mask(o2.space, 1.0)
     rep2 = lebesgue_lower_bound_check(o2, sq, 0.5)
-    o2f = ctx.grid_oracle(2, alpha=1.0, s=2.0, N=cfg.grid2_N * 2)
+    o2f = ctx.grid_oracle(2, 1.0, 2.0, k=2)
     rep2f = lebesgue_lower_bound_check(
         o2f, _refine_mask(o2.space, o2f.space, sq), 0.5)
     drift2 = rep2f.ratio / rep2.ratio if rep2.ratio > 0 else math.inf
@@ -759,39 +771,43 @@ def _draw_pairs(rng, space, count: int) -> tuple:
 
 @_check("C09-pairing-inequalities", "pairing-estimate",
         "pairing-direction-weak", "pairing-direction-n",
-        suites=("blocks-duality",))
+        suites=("blocks-duality",), solves=(_FINITE,))
 def check_pairing(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
 
-    def corpus_max(tag: str, p: float, q: float, count: int):
-        """Largest block-route ratio over grouped corpora, one oracle per
-        group, and the largest solve gap behind it.  A group's (f, g,
-        dictionary) triples are drawn first; its decompositions are built
-        by one `block_norms_upper_greedy` call, which solves every peel
-        support in one batch, before its estimates."""
+    def pairing_max(tag: str, groups, e_blocks, norm_type: str, estimate):
+        """Largest ratio |int f g| / (estimate(f, supports, oracle) *
+        sum|lambda|) over the (problem, count) groups that `groups(rng)`
+        draws lazily from the tag's rng, one oracle per group, and the
+        largest solve gap behind it.  A group's (f, g, dictionary) triples
+        are drawn first; the decompositions of its g's into `norm_type`
+        blocks are built by one `block_norms_upper_greedy` call, which
+        solves every peel support in one batch, before its estimates."""
         rng = ctx.rng(tag)
-        e = LorentzExponents(p, q)
-        e_dual = LorentzExponents(e.p_conj, e.q_conj)
-        remaining = count
-        group_index = 0
-        while remaining > 0:
-            batch = min(10, remaining)
-            remaining -= batch
-            if group_index % 2 == 0:
-                problem = identity_problem(_random_space(rng, 4, 17))
-            else:
-                problem = _random_finite_problem(rng, int(rng.integers(4, 17)))
-            group_index += 1
-            space = problem.space
+        for problem, count in groups(rng):
             oracle = ctx.finite_oracle(problem)
-            fs, gs, dicts = _draw_pairs(rng, space, batch)
+            fs, gs, dicts = _draw_pairs(rng, problem.space, count)
             for f, decomp in zip(fs, bl.block_norms_upper_greedy(
-                    gs, e_dual, dicts, oracle)):
-                est = mn.m_norm(f, e, decomp.supports(), oracle)
+                    gs, e_blocks, dicts, oracle, norm_type)):
+                est = estimate(f, decomp.supports(), oracle)
                 rows.bound(tag + "/gap", est.max_gap)
                 rows.bound(tag, pairing(f, decomp.reconstruction(), absolute=True)
                            / (est.value * decomp.sum_lambda))
         return rows.worst[tag], rows.worst[tag + "/gap"]
+
+    def corpus_max(tag: str, p: float, q: float, count: int):
+        """B-blocks against `m_norm`, in groups of at most 10 pairs on
+        identity and random kernels in turn."""
+        e = LorentzExponents(p, q)
+
+        def groups(rng):
+            for i, start in enumerate(range(0, count, 10)):
+                yield (identity_problem(_random_space(rng, 4, 17)) if i % 2 == 0
+                       else _random_finite_problem(rng, int(rng.integers(4, 17))),
+                       min(10, count - start))
+
+        return pairing_max(tag, groups, LorentzExponents(e.p_conj, e.q_conj),
+                           "B", lambda f, sets, o: mn.m_norm(f, e, sets, o))
 
     hi22, gap22 = corpus_max("c09-22-a", 2.0, 2.0, cfg.scale_pairs)
     rows.bound("p=q=2", hi22, 1.0 + 10.0 * max(gap22, 1e-12),
@@ -810,21 +826,14 @@ def check_pairing(ctx: RunContext, rows: _Rows) -> None:
              "pairing-estimate", unstable.summary("maxima within 2x across seeds"),
              unstable.status())
 
-    # weak route: script blocks with q <= 1 against the weak estimate
-    rng = ctx.rng("c09-weak")
-    p, qb = 2.0, 1.0
+    # weak route: script blocks with q <= 1 against the weak estimate at p = 2
     rounds = max(cfg.scale_pairs // 25, 2)
-    for _ in range(rounds):
-        space = _random_space(rng, 4, 13)
-        oracle = ctx.finite_oracle(identity_problem(space))
-        e_blocks = LorentzExponents(p / (p - 1.0), qb)
-        fs, gs, dicts = _draw_pairs(rng, space, 5)
-        for f, decomp in zip(fs, bl.block_norms_upper_greedy(
-                gs, e_blocks, dicts, oracle, norm_type="scriptB")):
-            est = mn.weak_script_m_norm(f, p, decomp.supports(), oracle)
-            rows.bound("weak", pairing(f, decomp.reconstruction(), absolute=True)
-                       / (est.value * decomp.sum_lambda))
-    rows.row("/weak-blocks", rows.worst["weak"], "pairing-direction-weak",
+    hi_weak, _ = pairing_max(
+        "c09-weak", lambda rng: ((identity_problem(_random_space(rng, 4, 13)), 5)
+                                 for _ in range(rounds)),
+        LorentzExponents(2.0, 1.0), "scriptB",
+        lambda f, sets, o: mn.weak_script_m_norm(f, 2.0, sets, o))
+    rows.row("/weak-blocks", hi_weak, "pairing-direction-weak",
              f"{5 * rounds} script-block pairs, q=1", "recorded")
 
     # weighted-infimum route: pair against the upper estimate of the dual norm
@@ -836,15 +845,15 @@ def check_pairing(ctx: RunContext, rows: _Rows) -> None:
         space = problem.space
         oracle = ctx.finite_oracle(problem)
         e = LorentzExponents(2.0, 2.0)
-        cands = [wt.potential_weight(oracle, _random_mask(rng, space),
-                                     wt.WeightConfig(delta=cfg.delta))
+        cands = [wt.potential_weight(oracle, _random_mask(rng, space), ctx.weights)
                  for _ in range(3)]
         fam = (mn.TestSetFamily.all_subsets() if m <= 10
                else mn.TestSetFamily.random_unions(8))
         for _ in range(5):
             f = _random_field(rng, space)
             g = _random_field(rng, space)
-            n_est = wt.n_norm_upper(Field(space, np.abs(g.values)), e, cands)
+            n_est = wt.n_norm_upper(Field(space, np.abs(g.values)), e, cands,
+                                    cfg=ctx.weights)
             est = mn.m_norm(f, e, fam, oracle)
             rows.bound("n", pairing(f, g, absolute=True)
                        / (est.value * n_est.value))
@@ -854,11 +863,10 @@ def check_pairing(ctx: RunContext, rows: _Rows) -> None:
 
 @_check("C10-block-decomposition", "block-decomposition-constructive",
         "block-space-definitions", "level-sum-bound", "block-solidity",
-        suites=("blocks-duality",), line=True)
+        suites=("blocks-duality",), solves=(_LINE, _FINITE))
 def check_block_decomposition(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c10")
-    wcfg = wt.WeightConfig(delta=cfg.delta, l1c_levels=cfg.l1c_levels)
 
     def run_instance(oracle, f, omega_weight, e):
         decomp = bl.block_norm_upper_constructive(f, e, omega_weight, oracle)
@@ -875,11 +883,11 @@ def check_block_decomposition(ctx: RunContext, rows: _Rows) -> None:
     for _ in range(8):
         space = _random_space(rng, 6, 25)
         oracle = ctx.finite_oracle(identity_problem(space))
-        wgt = wt.potential_weight(oracle, _random_mask(rng, space), wcfg)
+        wgt = wt.potential_weight(oracle, _random_mask(rng, space), ctx.weights)
         f = _random_field(rng, space)
         e = LorentzExponents(1.5, 2.5)   # p < q: the guaranteed window
         decomp = run_instance(oracle, f, wgt, e)
-        denom = wt.n_norm_upper(f, e, [wgt]).value
+        denom = wt.n_norm_upper(f, e, [wgt], cfg=ctx.weights).value
         if denom > 0:
             rows.bound("sum", decomp.sum_lambda / denom)
         rep = wt.level_sum_check(wgt.field, oracle, l1c_levels=cfg.l1c_levels)
@@ -889,7 +897,7 @@ def check_block_decomposition(ctx: RunContext, rows: _Rows) -> None:
     # grid instance
     g1 = ctx.grid_oracle(1)
     grid = g1.space
-    wgt = wt.potential_weight(g1, _interval_mask(grid, 0.0, 1.0), wcfg)
+    wgt = wt.potential_weight(g1, _interval_mask(grid, 0.0, 1.0), ctx.weights)
     f = Field(grid, np.round(_bump_field(grid, 1.0, 0.7).values * 4.0) / 4.0)
     decomp = run_instance(g1, f, wgt, LorentzExponents(1.5, 2.5))
     rep = wt.level_sum_check(wgt.field, g1, l1c_levels=cfg.l1c_levels)
@@ -935,12 +943,9 @@ def check_block_decomposition(ctx: RunContext, rows: _Rows) -> None:
 
 
 @_check("C11-weight-characterization", "weight-characterization",
-        "weight-averaging", suites=("weights",), line=True)
+        "weight-averaging", suites=("weights",), solves=(_LINE,))
 def check_weight_characterization(ctx: RunContext, rows: _Rows) -> None:
-    cfg = ctx.cfg
     ratios = {}
-    wcfg = wt.WeightConfig(delta=cfg.delta, slack=cfg.slack,
-                           l1c_levels=cfg.l1c_levels)
     g1 = ctx.grid_oracle(1)
     grid = g1.space
     weight_cache = {}
@@ -948,7 +953,7 @@ def check_weight_characterization(ctx: RunContext, rows: _Rows) -> None:
     def cached_weight(mask):
         hit = weight_cache.get(mask.key)
         if hit is None:
-            hit = wt.potential_weight(g1, mask, wcfg)
+            hit = wt.potential_weight(g1, mask, ctx.weights)
             weight_cache[mask.key] = hit
         return hit
 
@@ -958,7 +963,7 @@ def check_weight_characterization(ctx: RunContext, rows: _Rows) -> None:
         f = _bump_field(grid, rng.uniform(-1.5, 1.5), rng.uniform(0.5, 1.2))
         for (p, q) in ((2.0, 2.0), (3.0, 2.0)):
             rep = mn.char_m_via_weights(f, LorentzExponents(p, q), masks, g1,
-                                        wcfg, weight_for=cached_weight)
+                                        ctx.weights, weight_for=cached_weight)
             # the smallest margin, kept as the largest shortfall below zero
             rows.bound("shortfall", -rep.per_set_margin,
                        1e-9 * max(rep.sets_form, 1.0),
@@ -979,7 +984,7 @@ def check_weight_characterization(ctx: RunContext, rows: _Rows) -> None:
         w1 = cached_weight(m1)
         w2 = cached_weight(m2)
         lam = float(rng.uniform(0.2, 0.8))
-        mixed = wt.average_weights([(lam, w1), (1.0 - lam, w2)], g1, wcfg)
+        mixed = wt.average_weights([(lam, w1), (1.0 - lam, w2)], g1, ctx.weights)
         if mixed.a1_constant > max(w1.a1_constant, w2.a1_constant) + 1e-10:
             averaging.fail("averaging constant")
     rows.failures.extend(averaging.failures)
@@ -994,7 +999,7 @@ def check_weight_characterization(ctx: RunContext, rows: _Rows) -> None:
 
 
 @_check("C12-trace-formula", "trace-threshold-equality", "trace-class",
-        suites=("blocks-duality",))
+        suites=("blocks-duality",), solves=(_FINITE,))
 def check_trace_formula(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c12")
@@ -1057,9 +1062,8 @@ def check_kothe_oracle(ctx: RunContext, rows: _Rows) -> None:
 
 @_check("C14-maximal-probes", "maximal-boundedness-probe",
         "local-maximal-operator", "a1loc-class", "n-space-definition",
-        suites=("weights",), line=True)
+        suites=("weights",), solves=(_LINE,))
 def check_maximal(ctx: RunContext, rows: _Rows) -> None:
-    cfg = ctx.cfg
     g1 = ctx.grid_oracle(1)
     grid = g1.space
     rng = ctx.rng("c14")
@@ -1084,9 +1088,7 @@ def check_maximal(ctx: RunContext, rows: _Rows) -> None:
     rows.bound("a1", abs(a1_one - 1.0), 1e-12, "a1 of constant")
 
     # local-A1 calibration over potential weights
-    wcfg = wt.WeightConfig(delta=cfg.delta, slack=cfg.slack,
-                           l1c_levels=cfg.l1c_levels)
-    cands = [wt.potential_weight(g1, m, wcfg)
+    cands = [wt.potential_weight(g1, m, ctx.weights)
              for m in _grid_set_corpus(ctx.rng("c14-weights"), grid, 3)]
     a1_max = max(w.a1_constant for w in cands)
 
@@ -1099,13 +1101,9 @@ def check_maximal(ctx: RunContext, rows: _Rows) -> None:
             rngc.uniform(0.5, 2.0)).values))
             for _ in range(3)]
 
-        def m_est(f):
-            return mn.m_norm(f, e, mn.default_grid_family(f), g1)
-
-        def n_est(f):
-            return wt.n_norm_upper(f, e, cands, a1_cap=a1_max * cfg.slack)
-
-        rep = wt.maximal_boundedness_probe(grid, corpus, m_est, n_est)
+        rep = wt.maximal_boundedness_probe(
+            grid, corpus, lambda f: mn.m_norm(f, e, mn.default_grid_family(f), g1),
+            lambda f: wt.n_norm_upper(f, e, cands, cfg=ctx.weights))
         if not (math.isfinite(rep.m_max) and math.isfinite(rep.n_max)):
             rows.fail("probe infinite")
         probe_max[tag] = rep
@@ -1141,7 +1139,8 @@ def check_maximal(ctx: RunContext, rows: _Rows) -> None:
              "weighted-infimum upper bounds under the maximal operator")
 
 
-@_check("C15-determinism", "artifact-determinism", suites=("determinism",))
+@_check("C15-determinism", "artifact-determinism", suites=("determinism",),
+        solves=sum((_SOLVES[cid] for cid in SUITES["determinism-core"]), ()))
 def check_determinism(ctx: RunContext, rows: _Rows) -> None:
     first = _render_csv(run_suite("determinism-core", ctx.cfg.quick()))
     if _render_csv(run_suite("determinism-core", ctx.cfg.quick())) != first:
@@ -1154,7 +1153,7 @@ def check_determinism(ctx: RunContext, rows: _Rows) -> None:
         "script-multiplier-coincidence", "weak-multiplier-identity",
         "norm-switching-suprema", "linf-embedding",
         "lorentz-embedding-r-le-q", "quasi-norm-axioms", "fatou-monotone",
-        "r-convexity", suites=("lorentz-core",))
+        "r-convexity", suites=("lorentz-core",), solves=(_FINITE,))
 def check_multiplier_invariants(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c16")
@@ -1277,7 +1276,7 @@ def check_multiplier_invariants(ctx: RunContext, rows: _Rows) -> None:
 
 
 @_check("C17-diam1-localization", "diam1-localization",
-        suites=("localization",), line=True)
+        suites=("localization",), solves=(_LINE,))
 def check_localization_diam1(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     rng = ctx.rng("c17")
@@ -1307,20 +1306,20 @@ def check_localization_diam1(ctx: RunContext, rows: _Rows) -> None:
 
 
 @_check("C18-kernel-diagnostics", "bessel-kernel-spectral",
-        "convolution-pairing-symmetry", suites=("capacity",))
+        "convolution-pairing-symmetry", suites=("capacity",),
+        solves=((2, 1.0, 2.0, 1),))
 def check_kernel_diagnostics(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
     from scipy.integrate import quad as _quad
-    grids = [(1, cfg.grid_L, cfg.grid_N, cfg.alpha),
-             (1, cfg.grid_L, cfg.grid_N, 1.0),
-             (2, cfg.grid2_L, cfg.grid2_N, 1.0)]
-    for n, L, N, alpha in grids:
-        grid = make_grid(n, L, N)
-        spec = bessel_kernel(grid, alpha)
-        mass = spec.kernel.sum() * grid.cell_measure
+    grid = make_grid(1, cfg.grid_L, cfg.grid_N)
+    spec = bessel_kernel(grid, 1.0)
+    plane = ctx.grid_oracle(2, 1.0, 2.0)
+    for g, kernel in ((grid, bessel_kernel(grid, cfg.alpha)), (grid, spec),
+                      (plane.space, plane.problem.kernel)):
+        mass = kernel.kernel.sum() * g.cell_measure
         rows.bound("mass", abs(mass - 1.0), 1e-10, "mass")
-        ker = spec.kernel.reshape(grid.shape)
-        if n == 1:
+        ker = kernel.kernel.reshape(g.shape)
+        if g.n == 1:
             flipped = np.roll(ker[::-1], 1)
         else:
             flipped = np.roll(ker[::-1, ::-1], (1, 1), axis=(0, 1))
@@ -1332,8 +1331,6 @@ def check_kernel_diagnostics(ctx: RunContext, rows: _Rows) -> None:
                 "coarse grid accepted")
 
     # direct band-limited inverse-transform quadrature at two probe points
-    grid = make_grid(1, cfg.grid_L, cfg.grid_N)
-    spec = bessel_kernel(grid, 1.0)
     band = math.pi / grid.h
     for x in (0.0, 1.0):
         ref, _ = _quad(lambda xi: (1 + xi ** 2) ** (-0.5) * math.cos(xi * x)
@@ -1441,48 +1438,48 @@ def _audit_verdict() -> Verdict:
                    "every registered claim has at least one check")
 
 
-def check_line_window(suite: str, cfg: CapflowConfig) -> None:
-    """Raise ValueError, naming the suite, if campaign `suite` solves on the
-    line at the config's alpha and an exponent outside the window
-    s <= 1/alpha (the config's s, or one a check fixes: C08's 2 and 1.5),
-    or on a line grid too coarse for the kernel at that alpha.  The kernels
-    built here are cached for the campaign."""
-    sizes = set()
-    for cid in SUITES[suite]:
-        exponents, multiples = _LINE_CHECKS.get(cid, ((), ()))
-        sizes.update(cfg.grid_N * k for k in multiples)
-        for s in exponents:
-            try:
-                CapacityParams(cfg.alpha, cfg.s if s is None else s,
-                               cfg.tol).validate_for_dimension(1)
-            except ValueError as err:
-                at = "s" if s is None else f"the s={s:g} of {cid}"
-                raise ValueError(f"suite {suite!r} solves on the line at "
-                                 f"[cap] alpha and {at}: {err}") from None
-    for N in sorted(sizes):
-        try:
-            bessel_kernel(make_grid(1, cfg.grid_L, N), cfg.alpha)
-        except ValueError as err:
-            raise ValueError(f"suite {suite!r} solves on the line grid of "
-                             f"N={N} at [cap] alpha: {err}") from None
+def _problem_keys(entry: tuple, cfg: CapflowConfig) -> str:
+    """Declared problem `entry` with the config keys it reads."""
+    n, alpha, s, k = entry
+    g = ("", "grid", "grid2")[n]
+    where = "finite models" if not n else (
+        f"{('line', 'plane')[n - 1]} grid {f'{k} x ' * (k > 1)}[{g}] N = "
+        f"{k * getattr(cfg, g + '_N')}, [{g}] L = {getattr(cfg, g + '_L'):g}")
+    exps = [f"{name} = {v:g}" if v is not None
+            else f"[cap] {name} = {getattr(cfg, name):g}"
+            for name, v in (("alpha", alpha), ("s", s))]
+    return f"{where} at {', '.join(exps)} and [cap] tol = {cfg.tol:g}"
 
 
 def run_suite(suite: str, cfg: CapflowConfig) -> List[Verdict]:
     """Execute the named campaign deterministically; verdict order is fixed
-    by check id.  Missing suite names raise, and so does a config outside
-    the line window of a campaign that solves on the line."""
+    by check id.  Missing suite names raise.  Before the first check, every
+    problem a check of the campaign declares is built into the campaign's
+    `RunContext` (grid oracles) or checked (finite params); a config that
+    fails there, or in a check, raises `ConfigError` naming the suite, the
+    check, the problem and its config keys."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; "
                          f"choose from {sorted(SUITES)}")
-    check_line_window(suite, cfg)
-    wanted = SUITES[suite]
     ctx = RunContext(cfg)
-    verdicts: List[Verdict] = [_audit_verdict()]
-    verdicts.append(Verdict("C00-seeds", "recorded", float(cfg.master_seed),
-                            "artifact-determinism", "master seed"))
-    for cid, _claims, fn in CHECKS:
-        if cid in wanted:
+    checks = [(cid, fn) for cid, _claims, fn in CHECKS if cid in SUITES[suite]]
+    for cid, _fn in checks:
+        for entry in _SOLVES[cid]:
+            try:
+                if entry[0]:
+                    ctx.grid_oracle(*entry)
+                else:
+                    CapacityParams(entry[1], entry[2], cfg.tol)
+            except ValueError as err:
+                raise ConfigError(f"suite {suite!r}, check {cid}: "
+                                  f"{_problem_keys(entry, cfg)}: {err}") from None
+    verdicts = [_audit_verdict(), Verdict("C00-seeds", "recorded", float(
+        cfg.master_seed), "artifact-determinism", "master seed")]
+    for cid, fn in checks:
+        try:
             verdicts.extend(fn(ctx))
+        except ConfigError as err:
+            raise ConfigError(f"suite {suite!r}, check {cid}: {err}") from None
     verdicts.sort(key=lambda v: v.check_id)
     return verdicts
 

@@ -212,15 +212,14 @@ def average_weights(terms: Sequence, oracle: CapacityOracle,
 # ---------------------------------------------------------------------------
 
 def n_norm_upper(f: Field, e: LorentzExponents, candidates: Sequence[Weight],
-                 a1_cap: Optional[float] = None,
                  cfg: WeightConfig = WeightConfig(),
                  oracle: Optional[CapacityOracle] = None) -> NormEstimate:
     """Upper bound of the weighted infimum norm over admissible candidates.
 
     Each candidate is rescaled by (the upper end of) its L1-capacity
     estimate, which makes the rescaled norm at most one, then screened
-    against the local-A1 cap (calibrated corpus maximum times slack; by
-    default the corpus is the candidate list itself).  The estimate is the
+    against the local-A1 cap: `cfg.slack` times the largest constant among
+    the candidates, their corpus maximum.  The estimate is the
     minimum of ||f w^(-1/q')|| over survivors.  When an oracle is given
     (the mixtures' certificates need it), the two best candidates are then
     convexly re-averaged until the improvement falls below 1e-4 relative.
@@ -234,8 +233,7 @@ def n_norm_upper(f: Field, e: LorentzExponents, candidates: Sequence[Weight],
         raise ValueError("no weight candidates supplied")
     if float(np.abs(f.values).max(initial=0.0)) == 0.0:
         return NormEstimate(0.0, "upper-bound", witness=None, lo=0.0, hi=0.0)
-    if a1_cap is None:
-        a1_cap = cfg.slack * max(w.a1_constant for w in cands)
+    a1_limit = cfg.slack * max(w.a1_constant for w in cands)
 
     qc = e.q_conj
 
@@ -245,7 +243,7 @@ def n_norm_upper(f: Field, e: LorentzExponents, candidates: Sequence[Weight],
         weighted = f.values * (w.values / scale) ** (-1.0 / qc)
         return lorentz_norm(Field(f.space, weighted), e)
 
-    admissible = [w for w in cands if w.a1_constant <= a1_cap * (1.0 + 1e-12)]
+    admissible = [w for w in cands if w.a1_constant <= a1_limit * (1.0 + 1e-12)]
     if not admissible:
         raise ValueError("no candidate passed the local-A1 screening")
     scored = sorted(((score(w), i, w) for i, w in enumerate(admissible)),
@@ -260,7 +258,7 @@ def n_norm_upper(f: Field, e: LorentzExponents, candidates: Sequence[Weight],
             for lam in (0.25, 0.5, 0.75):
                 mixed = average_weights([(lam, best_w), (1.0 - lam, second_w)],
                                         oracle, cfg)
-                if mixed.a1_constant > a1_cap * (1.0 + 1e-12):
+                if mixed.a1_constant > a1_limit * (1.0 + 1e-12):
                     continue
                 v = score(mixed)
                 if v < current * (1.0 - 1e-4):

@@ -13,8 +13,7 @@ from capflow.blocks import (AtomicMeasure,
                             block_norm_upper_constructive,
                             block_norm_upper_greedy,
                             block_norms_upper_greedy,
-                            lorentz_kothe_dual_norm,
-                            m_norm_batch, trace_norm,
+                            lorentz_kothe_dual_norm, trace_norm,
                             trace_norm_inf_form, transport_decomposition,
                             validate_block, validate_blocks)
 from capflow.capacity import (CapacityOracle, CapacityParams, NormEstimate,
@@ -530,6 +529,43 @@ def kothe_dual_norm_bruteforce(f, norm_rows, n_starts=256, n_steps=60,
                         lo=float(best_vals[i]), hi=np.inf)
 
 
+def m_norm_batch(space, e, oracle):
+    """Vectorized all-subsets multiplier norm over rows (small models): the
+    norms of every row restricted to every set, in one stack; the unit ball
+    `kothe_dual_norm_bruteforce` searches for the Koethe dual of M."""
+    sets = TestSetFamily.all_subsets().sets(space)
+    caps = oracle.gather(sets)[0]
+    keep = caps > 0.0
+    masks = sets[keep]
+    roots = np.float_power(caps[keep], 1.0 / e.q)
+
+    def norm_rows(G):
+        restricted = np.where(masks[:, None, :], G, 0.0).reshape(-1, space.size)
+        norms = lorentz_norms(restricted, space.weights, e).reshape(len(masks), -1)
+        return np.max(norms / roots[:, None], axis=0, initial=0.0)
+
+    return norm_rows
+
+
+def test_m_norm_batch_rows_equal_m_norm_bit_for_bit():
+    # both paths take the capacity roots through libm's pow; numpy's vector
+    # ** in either one shows as a last-bit mismatch
+    rng = np.random.default_rng(11)
+    for trial in range(6):
+        m = int(rng.integers(3, 7))
+        sp = DiscreteMeasureSpace(rng.random(m) + 0.3)
+        B = rng.random((m, m))
+        prob = (finite_problem(sp, (B + B.T) / 2 + np.eye(m)) if trial % 2
+                else identity_problem(sp))
+        oracle = CapacityOracle(prob, PARAMS)
+        for e in (LorentzExponents(2.0, 2.0), LorentzExponents(3.0, 1.5),
+                  LorentzExponents(1.5, 2.5)):
+            G = rng.standard_normal((40, m))
+            want = [m_norm(Field.of(sp, row), e, TestSetFamily.all_subsets(),
+                           oracle).value for row in G]
+            assert m_norm_batch(sp, e, oracle)(G).tolist() == want
+
+
 def _lorentz_rows(sp, e):
     return lambda G: lorentz_norms(G, sp.weights, e)
 
@@ -651,25 +687,6 @@ def test_kothe_against_multiplier_ball(model):
         <= 1.0 + 1e-9
     assert pairing(Field.of(sp, np.abs(f.values)), witness) == \
         pytest.approx(dual.value, rel=1e-12)
-
-
-def test_m_norm_batch_rows_equal_m_norm_bit_for_bit():
-    # both paths take the capacity roots through libm's pow; numpy's vector
-    # ** in either one shows as a last-bit mismatch
-    rng = np.random.default_rng(11)
-    for trial in range(6):
-        m = int(rng.integers(3, 7))
-        sp = DiscreteMeasureSpace(rng.random(m) + 0.3)
-        B = rng.random((m, m))
-        prob = (finite_problem(sp, (B + B.T) / 2 + np.eye(m)) if trial % 2
-                else identity_problem(sp))
-        oracle = CapacityOracle(prob, PARAMS)
-        for e in (LorentzExponents(2.0, 2.0), LorentzExponents(3.0, 1.5),
-                  LorentzExponents(1.5, 2.5)):
-            G = rng.standard_normal((40, m))
-            want = [m_norm(Field.of(sp, row), e, TestSetFamily.all_subsets(),
-                           oracle).value for row in G]
-            assert m_norm_batch(sp, e, oracle)(G).tolist() == want
 
 
 def test_batch_norms_match_scalar_path(model):

@@ -1,6 +1,7 @@
 """Verification-suite plumbing and the command-line interface."""
 import collections
 import dataclasses
+import inspect
 import json
 import math
 import subprocess
@@ -12,11 +13,14 @@ import pytest
 from capflow import grid as grid_module
 from capflow import modelio
 from capflow import suites
+from capflow import weights as wt
 from capflow.capacity import CapacityParams, grid_problem
 from capflow.grid import make_grid
 from capflow.measure import DiscreteMeasureSpace
 from capflow.suites import (CHECKS, REQUIRED_CLAIMS, SUITES, CapflowConfig,
-                            Verdict, any_failures, run_suite, write_verdicts)
+                            ConfigError, Verdict, any_failures, run_suite,
+                            write_verdicts)
+from capflow.weights import WeightConfig
 from capflow.cli import main as cli_main
 
 
@@ -88,22 +92,45 @@ def test_config_rejects_bad_solver_and_weight_knobs(kwargs, match):
         CapflowConfig(**kwargs)
 
 
-def test_line_window_builds_the_line_kernel_on_each_line_grid():
+@pytest.fixture()
+def stub_checks(monkeypatch):
+    """Every check replaced by a stub that records its id, so `run_suite`
+    builds the declared problems and nothing else; returns the record."""
+    ran = []
+    monkeypatch.setattr(suites, "CHECKS", [
+        (cid, claims, lambda ctx, cid=cid: ran.append(cid) or [])
+        for cid, claims, _fn in suites.CHECKS])
+    return ran
+
+
+def _first_on_the_line(suite):
+    """The first check of `suite` that declares a line grid, or None."""
+    return next((cid for cid in SUITES[suite]
+                 if any(entry[0] == 1 for entry in suites._SOLVES[cid])), None)
+
+
+def test_line_window_builds_the_line_kernel_on_each_line_grid(stub_checks):
     # alpha = 0.3 clips kernel mass on the 256-cell line: every campaign
-    # that solves on the line at cfg.alpha raises before its first check
+    # with a check declared on the line at [cap] alpha raises before its
+    # first check, naming the suite, that check, the grid and the key
     cfg = CapflowConfig(alpha=0.3)
     for suite in SUITES:
-        if any(cid in suites._LINE_CHECKS for cid in SUITES[suite]):
-            with pytest.raises(ValueError, match=rf"'{suite}'.*line grid of "
-                                                 r"N=256.*too coarse"):
-                suites.check_line_window(suite, cfg)
-        else:
-            suites.check_line_window(suite, cfg)
-    # C07 and C08 also solve on the line of twice the cells, so their
+        cid = _first_on_the_line(suite)
+        if cid is None:
+            run_suite(suite, cfg)
+            assert stub_checks == SUITES[suite]
+            stub_checks.clear()
+            continue
+        with pytest.raises(ConfigError, match=rf"^suite '{suite}', check "
+                           rf"{cid}: line grid \[grid\] N = 256, \[grid\] L "
+                           r"= 16 at \[cap\] alpha = 0.3, .*too coarse"):
+            run_suite(suite, cfg)
+        assert not stub_checks
+    # C07 and C08 also declare the line of twice the cells, so their
     # campaign builds that kernel too; the one of blocks-duality does not
     for suite, alpha, sizes in (("localization", 0.45, {256, 512}),
                                 ("blocks-duality", 0.44, {256})):
-        suites.check_line_window(suite, CapflowConfig(alpha=alpha))
+        run_suite(suite, CapflowConfig(alpha=alpha))
         assert {key[2] for key in grid_module._kernel_cache
                 if key[0] == 1 and key[3] == alpha} == sizes
 
@@ -140,47 +167,135 @@ def test_config_leaves_the_exponent_window_to_grids():
         grid_problem(make_grid(1, cfg.grid_L, cfg.grid_N), params)
 
 
-def test_suites_on_the_line_check_the_window_before_any_check(monkeypatch):
+def test_suites_on_the_line_check_the_window_before_any_check(stub_checks):
     # s = 3 at alpha = 0.5 lies outside the line's window s <= 1/alpha:
-    # every campaign with a check that solves on the line at cfg.s raises
+    # every campaign with a check declared on the line at [cap] s raises
     # before its first check; the others have none and run
     cfg = CapflowConfig(s=3.0)
-    ran = []
-    monkeypatch.setattr(suites, "CHECKS", [
-        (cid, claims, lambda ctx, cid=cid: ran.append(cid) or [])
-        for cid, claims, _fn in suites.CHECKS])
     on_line = {"all", "capacity", "localization", "blocks-duality", "weights"}
     assert set(SUITES) == on_line | {"lorentz-core", "determinism-core",
                                      "determinism"}
+    assert {s for s in SUITES if _first_on_the_line(s)} == on_line
     for suite in SUITES:
         if suite in on_line:
-            with pytest.raises(ValueError, match=rf"'{suite}'.*s=3.0 > "
-                                                 r"n/alpha=2"):
+            with pytest.raises(ConfigError, match=(
+                    rf"^suite '{suite}', check {_first_on_the_line(suite)}: "
+                    r"line grid .* at \[cap\] alpha = 0.5, \[cap\] s = 3 and "
+                    r"\[cap\] tol = 1e-06: .*s=3.0 > n/alpha=2")):
                 run_suite(suite, cfg)
-            assert not ran
+            assert not stub_checks
         else:
             run_suite(suite, cfg)
-            assert ran and set(ran) <= set(SUITES[suite])
-            ran.clear()
+            assert stub_checks == SUITES[suite]
+            stub_checks.clear()
     run_suite("weights", CapflowConfig(s=2.0))
-    assert ran == SUITES["weights"]
-    ran.clear()
-    # C08 also solves on the line at s = 2 and 1.5 with cfg.alpha: at
+    assert stub_checks == SUITES["weights"]
+    stub_checks.clear()
+    # C08 also declares the line at s = 2 and 1.5 with [cap] alpha: at
     # alpha = 0.6 its s = 2 is outside the window though cfg.s = 1.5 is in
     cfg = CapflowConfig(alpha=0.6, s=1.5)
     for suite in on_line:
         if "C08-sobolev-lower-bounds" in SUITES[suite]:
-            with pytest.raises(ValueError, match=rf"'{suite}'.*the s=2 of "
-                               r"C08-sobolev-lower-bounds.*s=2.0 > "
-                               r"n/alpha=1.66667"):
+            with pytest.raises(ConfigError, match=(
+                    rf"^suite '{suite}', check C08-sobolev-lower-bounds: line "
+                    r"grid \[grid\] N = 256, \[grid\] L = 16 at \[cap\] alpha "
+                    r"= 0.6, s = 2 and \[cap\] tol = 1e-06: exponent window "
+                    r"violated: s=2.0 > n/alpha=1.66667$")):
                 run_suite(suite, cfg)
-            assert not ran
+            assert not stub_checks
         else:
             run_suite(suite, cfg)
-            assert ran == SUITES[suite]
-            ran.clear()
+            assert stub_checks == SUITES[suite]
+            stub_checks.clear()
     assert {s for s in on_line if "C08-sobolev-lower-bounds" in SUITES[s]} \
         == {"all", "localization"}
+
+
+@pytest.mark.parametrize("config, suite, cid, names", [
+    (dict(grid2_N=64), "localization", "C08-sobolev-lower-bounds",
+     "plane grid [grid2] N = 64, [grid2] L = 12 at alpha = 1, s = 2"),
+    (dict(grid2_N=64), "capacity", "C18-kernel-diagnostics",
+     "plane grid [grid2] N = 64"),
+    (dict(tol=2.5e-9), "determinism", "C15-determinism",
+     "finite models at alpha = 1, s = 3 and [cap] tol = 2.5e-09"),
+    (dict(s=1.5, tol=1.6e-9), "lorentz-core", "C16-multiplier-invariants",
+     "finite models at alpha = 1, s = 2 and [cap] tol = 1.6e-09"),
+], ids=["plane-C08", "plane-C18", "finite-s3", "finite-s2"])
+def test_plane_and_finite_declarations_are_checked_before_any_check(
+        stub_checks, config, suite, cid, names):
+    # the plane grids of C08 and C18 and the finite params of every check
+    # are built or checked with the line's, before the first check
+    with pytest.raises(ConfigError) as err:
+        run_suite(suite, CapflowConfig(**config))
+    assert str(err.value).startswith(f"suite {suite!r}, check {cid}: {names}")
+    assert not stub_checks
+
+
+def test_checks_solve_exactly_the_problems_they_declare(monkeypatch):
+    # at quick scale each check asks `grid_oracle` for every grid it
+    # declares and no other, and builds finite-model params at exactly
+    # the (alpha, s) it declares; its declared grids are built first, as
+    # `run_suite` builds them, so the body makes no grid params of its own
+    real = suites.RunContext.grid_oracle
+    signature = inspect.signature(real)
+    asked, made = set(), set()
+
+    def recording_oracle(self, *args, **kwargs):
+        bound = signature.bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        asked.add(tuple(bound.arguments.values())[1:])
+        return real(self, *args, **kwargs)
+
+    class RecordedParams(CapacityParams):
+        def __post_init__(self):
+            super().__post_init__()
+            made.add((self.alpha, self.s))
+
+    cfg = CapflowConfig().quick()
+    for cid, _claims, fn in CHECKS:
+        declared = suites._SOLVES[cid]
+        ctx = suites.RunContext(cfg)
+        grids = {entry for entry in declared if entry[0]}
+        for entry in grids:
+            ctx.grid_oracle(*entry)
+        asked.clear()
+        made.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(suites.RunContext, "grid_oracle", recording_oracle)
+            patch.setattr(suites, "CapacityParams", RecordedParams)
+            # C15's quick config is this one, validated before the record
+            patch.setattr(CapflowConfig, "quick", lambda self: cfg)
+            fn(ctx)
+        assert asked == grids, cid
+        assert made == {entry[1:3] for entry in declared if not entry[0]}, cid
+
+
+def test_weight_settings_reach_every_weight_of_a_campaign(monkeypatch):
+    # [weights] slack and [scale] l1c_levels reach the weights of C09, C10,
+    # C11 and C14, and every n_norm_upper screening of them
+    want = WeightConfig(0.5, 1.5, 7)
+    seen = collections.defaultdict(set)
+    real_weight, real_norm = wt.potential_weight, wt.n_norm_upper
+
+    def weight(oracle, mask, cfg=WeightConfig()):
+        seen["potential_weight"].add(cfg)
+        return real_weight(oracle, mask, cfg)
+
+    def norm(f, e, candidates, cfg=WeightConfig(), oracle=None):
+        seen["n_norm_upper"].add(cfg)
+        return real_norm(f, e, candidates, cfg, oracle)
+
+    monkeypatch.setattr(wt, "potential_weight", weight)
+    monkeypatch.setattr(wt, "n_norm_upper", norm)
+    cfg = CapflowConfig(slack=1.5, l1c_levels=7).quick()
+    for check, screened in ((suites.check_pairing, True),
+                            (suites.check_block_decomposition, True),
+                            (suites.check_weight_characterization, False),
+                            (suites.check_maximal, True)):
+        seen.clear()
+        check(suites.RunContext(cfg))
+        assert seen["potential_weight"] == {want}, check.__name__
+        assert seen["n_norm_upper"] == ({want} if screened else set())
 
 
 CAMPAIGN_MODULES = """
@@ -243,6 +358,7 @@ def scratch_registry(monkeypatch):
     """An empty CHECKS list, so test checks never reach the real registry."""
     monkeypatch.setattr(suites, "CHECKS", [])
     monkeypatch.setattr(suites, "SUITES", {})
+    monkeypatch.setattr(suites, "_SOLVES", {})
     return suites.CHECKS
 
 
@@ -678,23 +794,53 @@ def test_cli_bad_inputs_exit_with_one_named_line(tmp_path, argv, names):
      ["--config", "no section headers"]),
     ("[cap]\ns = 3\n", ["--suite", "all", "--quick", "--config",
                          "{tmp}/c.ini"],
-     ["--config", "'all'", "[cap] alpha and s", "s=3.0 > n/alpha=2"]),
+     ["--config", "suite 'all'", "check C02-equilibrium-identities",
+      "[cap] s = 3", "s=3.0 > n/alpha=2"]),
     ("[cap]\nalpha = 0.6\ns = 1.5\n", ["--suite", "localization", "--quick",
                                        "--config", "{tmp}/c.ini"],
-     ["--config", "'localization'", "C08-sobolev-lower-bounds",
-      "s=2.0 > n/alpha=1.66667"]),
+     ["--config", "suite 'localization'", "check C08-sobolev-lower-bounds",
+      "[cap] alpha = 0.6, s = 2", "s=2.0 > n/alpha=1.66667"]),
     ("[cap]\nalpha = 0.3\n", ["--suite", "all", "--quick", "--config",
                               "{tmp}/c.ini"],
-     ["--config", "'all'", "line grid of N=256",
-      "grid too coarse for alpha=0.3"]),
+     ["--config", "suite 'all'", "check C02-equilibrium-identities",
+      "[grid] N = 256", "[cap] alpha = 0.3", "grid too coarse for alpha=0.3"]),
+    ("[grid2]\nN = 64\n", ["--suite", "localization", "--quick", "--config",
+                           "{tmp}/c.ini"],
+     ["--config", "suite 'localization'", "check C08-sobolev-lower-bounds",
+      "[grid2] N = 64", "grid too coarse for alpha=1.0"]),
+    ("[grid2]\nN = 64\n", ["--suite", "capacity", "--quick", "--config",
+                           "{tmp}/c.ini"],
+     ["--config", "suite 'capacity'", "check C18-kernel-diagnostics",
+      "[grid2] N = 64", "grid too coarse for alpha=1.0"]),
+    ("[grid2]\nN = 16\n", ["--suite", "all", "--quick", "--config",
+                           "{tmp}/c.ini"],
+     ["--config", "suite 'all'", "check C08-sobolev-lower-bounds",
+      "[grid2] N = 16", "spacing h=0.75 exceeds 1/4"]),
+    ("[cap]\ntol = 2.5e-9\n", ["--suite", "capacity", "--quick", "--config",
+                               "{tmp}/c.ini"],
+     ["--config", "suite 'capacity'", "check C01-capacity-certificates",
+      "s = 3 and [cap] tol = 2.5e-09", "not above the gap floor 3e-09"]),
+    ("[cap]\ns = 1.5\ntol = 1.6e-9\n", ["--suite", "blocks-duality", "--quick",
+                                        "--config", "{tmp}/c.ini"],
+     ["--config", "suite 'blocks-duality'", "check C09-pairing-inequalities",
+      "s = 2 and [cap] tol = 1.6e-09", "not above the gap floor 2e-09"]),
+    ("[grid]\nL = 10\n", ["--suite", "localization", "--quick", "--config",
+                          "{tmp}/c.ini"],
+     ["--config", "suite 'localization'", "check C07-strichartz-localization",
+      "[grid] L = 10 is below 11.6"]),
 ], ids=["unknown-suite", "missing-config", "unknown-key", "not-a-number",
         "not-an-integer", "delta-above-one", "no-sections",
         "s-outside-the-line-window", "c08-s-outside-the-line-window",
-        "line-grid-too-coarse-for-alpha"])
+        "line-grid-too-coarse-for-alpha", "plane-grid-too-coarse-in-c08",
+        "plane-grid-too-coarse-in-c18", "plane-spacing-above-a-quarter",
+        "tol-below-the-s3-gap-floor", "tol-below-the-s2-gap-floor",
+        "line-box-too-small-for-the-test-sets"])
 def test_cli_verify_bad_inputs_exit_with_one_named_line(tmp_path, config,
                                                         argv, names):
-    # verify's suite and config errors end with one line naming the flag
-    # and the config key, before any check runs; no traceback
+    # verify's suite and config errors end with one line naming the flag,
+    # and for a config a campaign cannot run the suite, the check and the
+    # config key; all but a too small [grid] L are found before any check
+    # runs; no traceback, no stdout and no verdict file
     if config is not None:
         (tmp_path / "c.ini").write_text(config)
     argv = ["verify"] + [a.format(tmp=tmp_path) for a in argv] + \
