@@ -19,8 +19,8 @@ from .capacity import (CapacityOracle, CapacityParams, CapacityProblem,
                        identity_problem, l1c_norm, lebesgue_lower_bound_check,
                        nonlinear_potential, strichartz_check, unit_cover)
 from .multiplier import (TestSetFamily, char_m_via_weights, default_grid_family,
-                         m_norm, m_norm_local, script_m_norm,
-                         weak_script_m_norm)
+                         m_norm, m_norm_local, m_norms, script_m_norm,
+                         weak_script_m_norm, weak_script_m_norms)
 from .weights import (Weight, WeightConfig, a1loc_constant, average_weights,
                       level_sum_check, local_maximal,
                       maximal_boundedness_probe, n_norm_upper,
@@ -28,7 +28,7 @@ from .weights import (Weight, WeightConfig, a1loc_constant, average_weights,
 from .blocks import (AtomicMeasure, Block, BlockDecomposition,
                      block_norm_upper_constructive, block_norm_upper_greedy,
                      block_norms_upper_greedy, lorentz_kothe_dual_norm,
-                     trace_norm, trace_norm_inf_form, transport_decomposition,
+                     trace_norm, transport_decomposition,
                      validate_block, validate_blocks)
 from .suites import CapflowConfig, Verdict, run_suite, write_verdicts
 

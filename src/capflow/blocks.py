@@ -6,15 +6,18 @@ normalized against a power of cap(E): exponent 1/q' for B-type blocks and
 1/p' for the script variant.  Block-norm infima are not computable; the
 artifact certifies upper bounds only, each carried by an explicit
 decomposition witness, and checks the inequality directions that the
-decompositions imply.  `validate_blocks` checks the blocks of one
-decomposition as a stack, with one capacity gather and one `lorentz_norms`
-call; `validate_block` is its batch of one.
+decompositions imply.  `validate_blocks` checks blocks as a stack, with
+one capacity gather and one `lorentz_norms` call; `validate_block` is its
+batch of one.
 
 The constructive decomposition splits a field over dyadic weight levels
 crossed with unit annuli around the origin (finite models carry no
 geometry, so there the annulus index collapses to a single band); every
 emitted block is tight by construction and reconstruction is exact on the
-covered cells.
+covered cells.  `block_norms_upper_greedy` decomposes a group of fields on
+one oracle as one stack: lockstep peels, one solve batch of every peel
+support, and one gather, `lorentz_norms` stack and `validate_blocks` call
+for the terms of all fields; each field keeps the bits of its batch of one.
 
 A decomposition is paired against a multiplier-space function through its
 two views: `supports()`, the block supports as an explicit test-set family
@@ -22,16 +25,10 @@ over which the multiplier norm is taken, and `reconstruction()`, the field
 sum_k lambda_k b_k, so that |int f g| <= ||f||_M * sum_k |lambda_k| can be
 checked with the multiplier module's estimates and `measure.pairing`.
 
-The trace class is a supremum over sets of |mu|(K)/cap(K), so `trace_norm`
-is a caller of the multiplier module's one supremum engine, with the
-variations of a whole family taken as one product of its boolean set
-matrix with |mu|; the threshold form and the all-subsets multiplier norm
-read their capacities from one `CapacityOracle.gather` of the same matrix,
-the threshold form then bisecting on one scalar comparison, and the block
-supports of the greedy decompositions of many fields are gathered in one
-batch too.
-The block coefficients of a decomposition come from one `lorentz_norms`
-stack.
+The trace class is a supremum over sets of |mu|(K)/cap(K): `trace_norm`
+feeds the multiplier module's one supremum engine and the threshold form
+(a bisection on one scalar comparison) from one `CapacityOracle.gather` of
+the family's set matrix and one product of that matrix with |mu|.
 
 The Koethe dual norm of L^{P,Q} on at most 6 atoms is exact: the level-
 function closed form, maximized over every order of the atoms in one stack,
@@ -46,7 +43,8 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import CapacityOracle, NormEstimate, SetMask, _measures
+from .capacity import (CapacityOracle, NormEstimate, SetMask, _measures,
+                       _stack_rows)
 from .grid import Grid
 from .measure import Field, LorentzExponents, lorentz_norms
 from .multiplier import TestSetFamily, _sup_over_sets
@@ -63,7 +61,6 @@ __all__ = [
     "block_norms_upper_greedy",
     "transport_decomposition",
     "trace_norm",
-    "trace_norm_inf_form",
     "lorentz_kothe_dual_norm",
 ]
 
@@ -170,25 +167,26 @@ class BlockDecomposition:
         return Field(self.target.space, _combine(self.terms, self.target.space))
 
 
-def _tight_terms(pieces: list, e: LorentzExponents, norm_type: str,
+def _tight_terms(bits: np.ndarray, pieces: np.ndarray, ends,
+                 e: LorentzExponents, norm_type: str,
                  oracle: CapacityOracle) -> list:
-    """One term per (support, piece): lambda is the piece's Lorentz norm
-    times the capacity factor and the block is piece / lambda, so its
-    normalization is exactly 1.  Pieces with lambda = 0 are dropped, and
-    the blocks are validated as one stack."""
-    size = oracle.space.size
-    caps = oracle.gather(np.array([mask.bools for mask, _ in pieces],
-                                  dtype=bool).reshape(-1, size))[0].tolist()
-    norms = lorentz_norms(np.reshape([piece for _, piece in pieces], (-1, size)),
-                          oracle.space.weights, e).tolist()
-    lams, blocks, supports = [], [], []
-    for (mask, piece), cap, norm in zip(pieces, caps, norms):
-        lam = norm * cap ** _capacity_exponent(e, norm_type)
-        if lam != 0.0:
-            lams.append(lam)
-            blocks.append(Field(mask.space, piece / lam))
-            supports.append(mask)
-    return list(zip(lams, validate_blocks(blocks, supports, e, norm_type, oracle)))
+    """One term list per segment ends[k]:ends[k + 1] of the rows of the
+    support matrix `bits` and the piece matrix `pieces`: lambda is the
+    piece's Lorentz norm times the capacity factor and the block is
+    piece / lambda, so its normalization is exactly 1; pieces with
+    lambda = 0 are dropped.  All segments take one gather, one
+    `lorentz_norms` stack and one `validate_blocks` call, each row with the
+    bits of its batch of one."""
+    space = oracle.space
+    # libm's pow, as a scalar power; numpy's vector ** differs in the last bit
+    lams = (lorentz_norms(pieces, space.weights, e) * np.float_power(
+        oracle.gather(bits)[0], _capacity_exponent(e, norm_type))).tolist()
+    keep = [i for i, lam in enumerate(lams) if lam != 0.0]
+    blocks = dict(zip(keep, validate_blocks(
+        [Field(space, pieces[i] / lams[i]) for i in keep],
+        [SetMask(space, bits[i]) for i in keep], e, norm_type, oracle)))
+    return [[(lams[i], blocks[i]) for i in range(a, b) if i in blocks]
+            for a, b in zip(ends[:-1], ends[1:])]
 
 
 def _annulus_index(space) -> np.ndarray:
@@ -216,40 +214,53 @@ def block_norm_upper_constructive(f: Field, e: LorentzExponents, omega: Weight,
     live = vals != 0.0
     level_of = np.ceil(np.log2(w)).astype(int)
     keys = sorted({(int(k), int(l)) for k, l in zip(level_of[live], ann[live])})
-    masks = [SetMask(f.space, (level_of == k) & (ann == l) & live) for k, l in keys]
-    pieces = [(m, np.where(m.bools, vals, 0.0)) for m in masks]
-    return BlockDecomposition.build(_tight_terms(pieces, e, "B", oracle), f)
+    bits = np.array([(level_of == k) & (ann == l) & live for k, l in keys],
+                    dtype=bool).reshape(-1, f.space.size)
+    pieces = np.where(bits, vals, 0.0)
+    terms = _tight_terms(bits, pieces, [0, len(bits)], e, "B", oracle)[0]
+    return BlockDecomposition.build(terms, f)
 
 
-def _greedy_peels(f: Field, sets: np.ndarray, space) -> list:
-    """(support on `space`, piece) peels of f over the rows of a bool set
-    matrix, largest residual energy first; they need no capacity."""
-    residual = f.values.copy()
-    peels = []
-    while np.any(residual != 0.0):
-        energies = _measures(f.space.weights * residual ** 2, sets)
-        i = int(np.argmax(energies))   # the first set of the largest energy
-        if energies[i] <= 0.0:
-            leftover = int((residual != 0.0).sum())
-            raise ValueError(
-                f"dictionary does not cover the field support "
-                f"({leftover} cells uncovered)")
-        peels.append((SetMask(space, sets[i]), np.where(sets[i], residual, 0.0)))
-        residual = np.where(sets[i], 0.0, residual)
-    return peels
+def _greedy_peels(fields: list, sets: list, space) -> tuple:
+    """The peels of each field over the rows of its bool set matrix, largest
+    residual energy first, the first such set on ties, as a (supports,
+    pieces, ends) stack with field k's peels in rows ends[k]:ends[k + 1];
+    they need no capacity.  The fields peel in lockstep rounds, one
+    `_measures` call per round over the sets of every field.  The first
+    field its dictionary does not cover raises."""
+    bits, owner, ends = _stack_rows(sets, space.size)
+    residual = np.reshape([f.values for f in fields], (-1, space.size))
+    peels, uncovered = [[] for _ in fields], {}   # per field, (row, piece)
+    while (live := np.flatnonzero(np.any(residual != 0.0, axis=1))).size:
+        energies = _measures(space.weights * residual[owner] ** 2, bits)
+        for k in live:
+            i = ends[k] + int(np.argmax(energies[ends[k]:ends[k + 1]]))
+            if energies[i] <= 0.0:   # no set reaches the rest: stop peeling it
+                uncovered[k] = int((residual[k] != 0.0).sum())
+                residual[k] = 0.0
+                continue
+            peels[k].append((i, np.where(bits[i], residual[k], 0.0)))
+            residual[k] = np.where(bits[i], 0.0, residual[k])
+    if uncovered:
+        raise ValueError(f"dictionary does not cover the field support "
+                         f"({uncovered[min(uncovered)]} cells uncovered)")
+    flat = [peel for ps in peels for peel in ps]   # field by field
+    return (bits[[i for i, _ in flat]],
+            np.reshape([piece for _, piece in flat], (-1, space.size)),
+            np.cumsum([0] + [len(ps) for ps in peels]))
 
 
 def block_norms_upper_greedy(fields: list, e: LorentzExponents,
                              dictionaries: list, oracle: CapacityOracle,
                              norm_type: str = "B") -> list:
-    """`block_norm_upper_greedy` of each (field, dictionary) pair, with the
-    peel supports of every field solved in one batch first."""
-    peels = [_greedy_peels(f, d.sets(oracle.space, f), oracle.space)
-             for f, d in zip(fields, dictionaries)]
-    oracle.gather(np.array([m.bools for ps in peels for m, _ in ps],
-                           dtype=bool).reshape(-1, oracle.space.size))
-    return [BlockDecomposition.build(_tight_terms(ps, e, norm_type, oracle), f)
-            for f, ps in zip(fields, peels)]
+    """`block_norm_upper_greedy` of each (field, dictionary) pair, as one
+    stack (module docstring): the gather of `_tight_terms` solves every peel
+    support in one batch."""
+    space = oracle.space
+    peels = _greedy_peels(fields, [d.sets(space, f) for f, d in
+                                   zip(fields, dictionaries)], space)
+    return [BlockDecomposition.build(terms, f) for f, terms in
+            zip(fields, _tight_terms(*peels, e, norm_type, oracle))]
 
 
 def block_norm_upper_greedy(f: Field, e: LorentzExponents,
@@ -323,35 +334,28 @@ class AtomicMeasure:
 
 
 def trace_norm(mu: AtomicMeasure, family: TestSetFamily,
-               oracle: CapacityOracle) -> NormEstimate:
-    """sup over test sets of |mu|(K)/cap(K); exact for all-subsets on a
-    finite model."""
-    sets = family.sets(oracle.space)
-    return _sup_over_sets(family, sets, sets.astype(float) @ mu.total_variation,
-                          oracle, 1.0)
+               oracle: CapacityOracle) -> tuple:
+    """(sup form, threshold form) of the trace norm of mu over the family's
+    sets, from one gather and one product of the set matrix with |mu|.
 
-
-def trace_norm_inf_form(mu: AtomicMeasure, oracle: CapacityOracle) -> float:
-    """Threshold form: the least a with |mu|(E) <= a cap(E) for all E.
-
-    Evaluated from the opposite side of the supremum form: 120 bisection
-    steps on the threshold a over [0, 2 max|mu|(E) / min cap(E)], where a is
-    feasible when no nonempty subset of the finite model (<= 20 atoms)
-    violates |mu|(E) <= a cap(E).  Rounding is monotone and every cap(E) is
-    positive, so feasibility is the test a >= t for t the least feasible
-    float; t is found in a few ulp steps from max |mu|(E)/cap(E) (by
-    bisection over the floats' bit patterns when the products overflow or
-    go subnormal), and the bisection is replayed on that one comparison.
-    The result must agree with the all-subsets supremum form to roundoff
-    plus capacity gaps.
+    The sup form estimates sup |mu|(K)/cap(K), exactly for all subsets of a
+    finite model.  The threshold form, the least a with |mu|(E) <= a cap(E)
+    for every set E, takes 120 bisection steps on a over
+    [0, 2 max|mu|(E) / min cap(E)].  Feasibility is monotone under rounding,
+    so it is the test a >= t for t the least feasible float, found in a few
+    ulp steps from max |mu|(E)/cap(E) (by bisection over bit patterns when
+    the products overflow or go subnormal); the bisection is replayed on
+    that one comparison.  The forms agree to roundoff plus capacity gaps.
     """
-    sets = TestSetFamily.all_subsets().sets(oracle.space)
-    caps = oracle.gather(sets)[0]
+    sets = family.sets(oracle.space)
+    gathered = oracle.gather(sets)
     variations = sets.astype(float) @ mu.total_variation
-    keep = caps > 0.0
-    caps, variations = caps[keep], variations[keep]
+    sup_form = _sup_over_sets([family], sets, gathered, variations,
+                              [0, len(sets)], oracle.space, 1.0)[0]
+    keep = gathered[0] > 0.0
+    caps, variations = gathered[0][keep], variations[keep]
     if variations.max(initial=0.0) <= 0.0:
-        return 0.0
+        return sup_form, 0.0
 
     def feasible(k: int) -> bool:
         """P at the nonnegative float of bit pattern k; such patterns are
@@ -378,7 +382,7 @@ def trace_norm_inf_form(mu: AtomicMeasure, oracle: CapacityOracle) -> float:
             hi = mid
         else:
             lo = mid
-    return hi
+    return sup_form, hi
 
 
 # ---------------------------------------------------------------------------

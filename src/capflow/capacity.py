@@ -199,14 +199,28 @@ def _diameter(space, bools: np.ndarray) -> float:
 
 
 def _measures(weights: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """`SetMask.measure` of every row of a bool matrix, bit for bit: the rows
-    of one cardinality, compacted, are summed as 1-D sums are."""
+    """`SetMask.measure` of every row of a bool matrix, bit for bit, under
+    one weight vector or a stack of one per row: the rows of one
+    cardinality, compacted, are summed as 1-D sums are."""
     counts = bits.sum(axis=1)
+    picked = np.broadcast_to(weights, bits.shape)[bits]   # row by row, in order
+    order = np.argsort(counts, kind="stable")
+    starts = (np.cumsum(counts) - counts)[order]
+    kinds, first = np.unique(counts[order], return_index=True)
     out = np.zeros(len(bits))
-    for c in _unique(counts[counts > 0]):
-        rows = counts == c
-        out[rows] = weights[bits[rows].nonzero()[1].reshape(-1, c)].sum(axis=1)
+    for c, a, b in zip(kinds.tolist(), first.tolist(),
+                       first[1:].tolist() + [len(bits)]):
+        if c:
+            out[order[a:b]] = picked[starts[a:b, None] + np.arange(c)].sum(axis=1)
     return out
+
+
+def _stack_rows(mats: Sequence[np.ndarray], size: int) -> tuple:
+    """(rows, owner, ends): the (n_k, size) matrices stacked in order, the
+    matrix each row comes from, and matrix k's rows as ends[k]:ends[k + 1]."""
+    ends = np.cumsum([0] + [len(m) for m in mats])
+    rows = np.concatenate([np.zeros((0, size), dtype=bool), *mats])
+    return rows, np.repeat(np.arange(len(mats)), np.diff(ends)), ends
 
 
 class CapacityProblem:
@@ -867,8 +881,9 @@ class CapacityOracle:
             self._cache.update(zip(todo, capacity_batch(self.problem, masks,
                                                         self.params)))
             self.solved, self.batches = self.solved + len(todo), self.batches + 1
-        out[:, live] = np.array([(r.value, r.lower, r.upper, r.gap) for r in
-                                 map(self._cache.get, keys)]).reshape(-1, 4).T
+        found = [self._cache[k] for k in keys]   # no tuple per row
+        out[:, live] = [[r.value for r in found], [r.lower for r in found],
+                        [r.upper for r in found], [r.gap for r in found]]
         return out
 
     def value(self, mask: SetMask) -> float:

@@ -19,11 +19,14 @@ unions pay for that screening.
 
 Every supremum over a family here and in `blocks` (the multiplier norms,
 both forms of the weak norm, the trace class) runs through one engine,
-`_sup_over_sets`: the caller supplies the set matrix and one numerator per
-row, the engine reads all capacities from one `CapacityOracle.gather` and
-returns the certified estimate, with a `SetMask` built for the witness
-only.  The numerators ||f chi_K|| of a family are one `lorentz_norms` call
-on the stack of restricted fields, strong and weak alike.
+`_sup_over_sets`, which takes segments: the caller stacks the set matrices
+of many (field, family) pairs (`capacity._stack_rows`) with one numerator
+per row and one `CapacityOracle.gather` of the stack, and gets one
+certified estimate per segment, each with the bits of its batch of one and
+a `SetMask` built for its witness only.  The numerators ||f chi_K|| of the
+stack are one `lorentz_norms` call, strong and weak alike, so `m_norms`
+estimates a group of fields on one oracle for the price of one call;
+`m_norm` is its batch of one.
 """
 from __future__ import annotations
 
@@ -33,7 +36,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import CapacityOracle, NormEstimate, SetMask, _diameter, unit_cover
+from .capacity import (CapacityOracle, NormEstimate, SetMask, _diameter,
+                       _stack_rows, unit_cover)
 from .grid import Grid
 from .measure import (DiscreteMeasureSpace, Field, LorentzExponents, _levels,
                       _thinned, lorentz_norm, lorentz_norms)
@@ -44,8 +48,10 @@ __all__ = [
     "TestSetFamily",
     "default_grid_family",
     "m_norm",
+    "m_norms",
     "script_m_norm",
     "weak_script_m_norm",
+    "weak_script_m_norms",
     "m_norm_local",
     "char_m_via_weights",
 ]
@@ -191,49 +197,57 @@ def default_grid_family(f: Optional[Field] = None) -> TestSetFamily:
 # Supremum estimates
 # ---------------------------------------------------------------------------
 
-def _sup_over_sets(family: TestSetFamily, bits: np.ndarray, numerators,
-                   oracle: CapacityOracle, cap_exponent: float) -> NormEstimate:
-    """sup over the rows K of the set matrix `bits` (the family's sets) of
-    numerators[K] / cap(K)^cap_exponent.
-
-    The one supremum engine.  Zero-capacity sets are skipped, the witness is
-    the first set attaining the maximum, lo and hi put the certified upper
-    and lower capacity bounds in place of cap(K), and max_gap is the worst
-    gap among the counted sets.
-    """
-    if not len(bits):
-        raise ValueError("empty effective test-set family")
-    value, lower, upper, gap = oracle.gather(bits)
-    keep = np.flatnonzero(value > 0.0)
-    if keep.size == 0:
-        raise ValueError("every set in the family has zero capacity")
-    num = np.asarray(numerators, dtype=float)[keep]
-
-    def ratios(caps):
+def _sup_over_sets(families: Sequence[TestSetFamily], bits: np.ndarray,
+                   gathered: np.ndarray, numerators, ends, space,
+                   cap_exponent: float) -> list:
+    """The one supremum engine: sup over the rows K of the set matrix `bits`
+    of numerators[K] / cap(K)^cap_exponent, one estimate per family, whose
+    sets are the rows ends[k]:ends[k + 1], `gathered` being the oracle's
+    gather of `bits`.  Each estimate has the bits of its batch of one.
+    Zero-capacity sets are skipped, the witness is the first set attaining
+    the maximum, lo and hi put the certified upper and lower capacity bounds
+    in place of cap(K), and max_gap is the worst gap among the counted sets.
+    A family with no sets, or zero-capacity ones only, raises."""
+    value, lower, upper, gap = gathered
+    keep = value > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
         # libm's pow, as a scalar power; numpy's vector ** differs in the last bit
-        return num / np.float_power(caps[keep], cap_exponent)
+        ratio, lo, hi = (
+            np.where(keep, numerators / np.float_power(caps, cap_exponent), -np.inf)
+            for caps in (value, upper, np.maximum(lower, 1e-300)))
+    gap = np.where(keep, gap, 0.0)
+    out = []
+    for family, a, b in zip(families, ends[:-1], ends[1:]):
+        if a == b:
+            raise ValueError("empty effective test-set family")
+        if not keep[a:b].any():
+            raise ValueError("every set in the family has zero capacity")
+        i = a + int(np.argmax(ratio[a:b]))
+        exact = (family.kind == "all-subsets"
+                 and isinstance(space, DiscreteMeasureSpace))
+        out.append(NormEstimate(float(ratio[i]), "exact" if exact else "lower-bound",
+                                witness=SetMask(space, bits[i]),
+                                lo=float(lo[a:b].max()), hi=float(hi[a:b].max()),
+                                max_gap=max(0.0, float(gap[a:b].max()))))
+    return out
 
-    ratio = ratios(value)
-    i = int(np.argmax(ratio))
-    exact = (family.kind == "all-subsets"
-             and isinstance(oracle.space, DiscreteMeasureSpace))
-    return NormEstimate(float(ratio[i]), "exact" if exact else "lower-bound",
-                        witness=SetMask(oracle.space, bits[keep[i]]),
-                        lo=float(ratios(upper).max()),
-                        hi=float(ratios(np.maximum(lower, 1e-300)).max()),
-                        max_gap=max(0.0, float(gap[keep].max())))
 
-
-def _restricted_sup(f: Field, e: LorentzExponents, family: TestSetFamily,
-                    oracle: CapacityOracle, cap_exponent: float,
-                    sets: Optional[np.ndarray] = None) -> NormEstimate:
-    """The engine with numerators ||f chi_K||_{p,q} (weak when q = inf),
-    over the set matrix `sets` when given, else over the family's sets
-    for f."""
+def _restricted_sups(fields: Sequence[Field], e: LorentzExponents,
+                     families: Sequence[TestSetFamily], oracle: CapacityOracle,
+                     cap_exponent: float, sets: Optional[list] = None) -> list:
+    """The engine with numerators ||f chi_K||_{p,q} (weak when q = inf), one
+    segment per field over sets[k] when given, else over its family's sets
+    for it, from one gather and one `lorentz_norms` stack."""
+    space = oracle.space
+    if any(f.space is not space for f in fields):
+        raise ValueError("field and oracle live on different spaces")
     if sets is None:
-        sets = family.sets(oracle.space, f)
-    nums = lorentz_norms(np.where(sets, f.values, 0.0), f.space.weights, e)
-    return _sup_over_sets(family, sets, nums, oracle, cap_exponent)
+        sets = [fam.sets(space, f) for f, fam in zip(fields, families)]
+    bits, owner, ends = _stack_rows(sets, space.size)
+    values = np.reshape([f.values for f in fields], (-1, space.size))
+    nums = lorentz_norms(np.where(bits, values[owner], 0.0), space.weights, e)
+    return _sup_over_sets(families, bits, oracle.gather(bits), nums, ends,
+                          space, cap_exponent)
 
 
 def _check_strong(e: LorentzExponents) -> None:
@@ -241,11 +255,19 @@ def _check_strong(e: LorentzExponents) -> None:
         raise ValueError("multiplier norm needs 1 < p, q < inf")
 
 
+def m_norms(fields: Sequence[Field], e: LorentzExponents,
+            families: Sequence[TestSetFamily], oracle: CapacityOracle) -> list:
+    """`m_norm` of each (field, family) pair, from one gather and one
+    `lorentz_norms` stack; each estimate has the bits of its batch of one."""
+    _check_strong(e)
+    return _restricted_sups(fields, e, families, oracle, 1.0 / e.q)
+
+
 def m_norm(f: Field, e: LorentzExponents, family: TestSetFamily,
            oracle: CapacityOracle) -> NormEstimate:
-    """sup over test sets of ||f chi_K||_{p,q} / cap(K)^(1/q)."""
-    _check_strong(e)
-    return _restricted_sup(f, e, family, oracle, 1.0 / e.q)
+    """sup over test sets of ||f chi_K||_{p,q} / cap(K)^(1/q): the batch of
+    one of `m_norms`."""
+    return m_norms([f], e, [family], oracle)[0]
 
 
 def script_m_norm(f: Field, e: LorentzExponents, family: TestSetFamily,
@@ -253,12 +275,14 @@ def script_m_norm(f: Field, e: LorentzExponents, family: TestSetFamily,
     """sup over test sets of ||f chi_K||_{p,q} / cap(K)^(1/p) (coincides
     with m_norm when p = q)."""
     _check_strong(e)
-    return _restricted_sup(f, e, family, oracle, 1.0 / e.p)
+    return _restricted_sups([f], e, [family], oracle, 1.0 / e.p)[0]
 
 
-def weak_script_m_norm(f: Field, p: float, family: TestSetFamily,
-                       oracle: CapacityOracle) -> NormEstimate:
-    """Weak multiplier norm, evaluated in both equivalent forms.
+def weak_script_m_norms(fields: Sequence[Field], p: float,
+                        families: Sequence[TestSetFamily],
+                        oracle: CapacityOracle) -> list:
+    """Weak multiplier norm of each (field, family) pair, evaluated in both
+    equivalent forms; `weak_script_m_norm` is its batch of one.
 
     Form A takes the weak Lorentz norm per test set; form B sweeps the
     breakpoints t and takes t times the (p, p)-estimate of the indicator of
@@ -266,26 +290,35 @@ def weak_script_m_norm(f: Field, p: float, family: TestSetFamily,
     pairs, so they must agree to roundoff given identical cached
     capacities; disagreement raises.  Both forms range over the family's
     sets for f, generated once: a family built from f (superlevels) would
-    give the indicators of form B other sets.
+    give the indicators of form B other sets.  Form A is one segmented
+    call, and form B one per level rank, over the j-th level indicator of
+    every field, so no call holds more rows than form A's.
     """
     if not (1.0 < p < math.inf):
         raise ValueError("weak multiplier norm needs 1 < p < inf")
-    e = LorentzExponents(p, p)
-    sets = family.sets(oracle.space, f)
-    form_a = _restricted_sup(f, LorentzExponents(p, math.inf), family, oracle,
-                             1.0 / p, sets)
-
-    vals = np.abs(f.values)
-    form_b = 0.0
-    for u in _levels(f)[0]:
-        ind = Field(f.space, (vals >= u).astype(float))
-        est = _restricted_sup(ind, e, family, oracle, 1.0 / p, sets)
-        form_b = max(form_b, u * est.value)
-    scale = max(form_a.value, form_b, 1e-300)
-    if abs(form_a.value - form_b) > 1e-9 * scale:
-        raise AssertionError(
-            f"weak-norm forms disagree: {form_a.value} vs {form_b}")
+    sets = [fam.sets(oracle.space, f) for f, fam in zip(fields, families)]
+    form_a = _restricted_sups(fields, LorentzExponents(p, math.inf), families,
+                              oracle, 1.0 / p, sets)
+    levels = [_levels(f)[0] for f in fields]
+    form_b = [0.0] * len(fields)
+    for j in range(max(map(len, levels), default=0)):
+        ks = [k for k, u in enumerate(levels) if j < len(u)]
+        inds = [Field(oracle.space, (np.abs(fields[k].values) >= levels[k][j])
+                      .astype(float)) for k in ks]
+        ests = _restricted_sups(inds, LorentzExponents(p, p), [families[k] for k in ks],
+                                oracle, 1.0 / p, [sets[k] for k in ks])
+        for k, est in zip(ks, ests):
+            form_b[k] = max(form_b[k], levels[k][j] * est.value)
+    for a, b in zip(form_a, form_b):
+        if abs(a.value - b) > 1e-9 * max(a.value, b, 1e-300):
+            raise AssertionError(f"weak-norm forms disagree: {a.value} vs {b}")
     return form_a
+
+
+def weak_script_m_norm(f: Field, p: float, family: TestSetFamily,
+                       oracle: CapacityOracle) -> NormEstimate:
+    """The batch of one of `weak_script_m_norms`."""
+    return weak_script_m_norms([f], p, [family], oracle)[0]
 
 
 @dataclass
@@ -317,9 +350,8 @@ def m_norm_local(f: Field, e: LorentzExponents,
     local = _distinct_rows(np.concatenate(
         [base[diam <= 1.0 + 1e-12], tiles, pieces.reshape(-1, grid.size)]))
     glob = _distinct_rows(np.concatenate([base, local]))
-    oracle.gather(glob)   # one batch for both estimates
-    loc = _restricted_sup(f, e, family, oracle, 1.0 / e.q, local)
-    glo = _restricted_sup(f, e, family, oracle, 1.0 / e.q, glob)
+    loc, glo = _restricted_sups([f, f], e, [family, family], oracle, 1.0 / e.q,
+                                [local, glob])
     ratio = glo.value / loc.value if loc.value > 0 else math.inf
     return LocalizationReport(loc, glo, ratio)
 

@@ -409,7 +409,7 @@ def _grid_set_corpus(rng, grid: Grid, count: int) -> List[SetMask]:
             c = rng.uniform(-reach * 0.5, reach * 0.5)
             out.append(_interval_mask(grid, c, rng.uniform(0.3, 1.5)))
         elif kind == 1:
-            far = max(reach - 1.0, 0.6)
+            far = reach - 1.0
             a = _interval_mask(grid, rng.uniform(-far, -0.5), rng.uniform(0.2, 0.8))
             b = _interval_mask(grid, rng.uniform(0.5, far), rng.uniform(0.2, 0.8))
             out.append(a.union(b))
@@ -754,18 +754,15 @@ def _square_mask(grid: Grid, side: float) -> SetMask:
     return SetMask(grid, np.all(np.abs(c) <= side / 2.0, axis=1))
 
 
-def _covering_dictionary(space, seed: int) -> mn.TestSetFamily:
-    """Random unions plus singletons, so greedy peeling always terminates."""
+def _draw_pairs(rng, space, count: int) -> tuple:
+    """Lists fs, gs, dictionaries of `count` (f, g, covering) draws.  A
+    covering dictionary is random unions plus the singletons, so greedy
+    peeling always terminates; the draws share one singletons family."""
     singles = mn.TestSetFamily.explicit(
         [SetMask.from_indices(space, [i]) for i in range(space.size)])
-    return mn.TestSetFamily.random_unions(6, seed=seed) + singles
-
-
-def _draw_pairs(rng, space, count: int) -> tuple:
-    """Lists fs, gs, dictionaries of `count` (f, g, covering) draws."""
     triples = [(_random_field(rng, space), _random_field(rng, space),
-                _covering_dictionary(space, int(rng.integers(2**31))))
-               for _ in range(count)]
+                mn.TestSetFamily.random_unions(6, seed=int(rng.integers(2**31)))
+                + singles) for _ in range(count)]
     return tuple(map(list, zip(*triples)))
 
 
@@ -776,27 +773,26 @@ def check_pairing(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
 
     def pairing_max(tag: str, groups, e_blocks, norm_type: str, estimate):
-        """Largest ratio |int f g| / (estimate(f, supports, oracle) *
-        sum|lambda|) over the (problem, count) groups that `groups(rng)`
-        draws lazily from the tag's rng, one oracle per group, and the
-        largest solve gap behind it.  A group's (f, g, dictionary) triples
-        are drawn first; the decompositions of its g's into `norm_type`
-        blocks are built by one `block_norms_upper_greedy` call, which
-        solves every peel support in one batch, before its estimates."""
+        """Largest ratio |int f g| / (estimate * sum|lambda|) over the
+        (problem, count) groups that `groups(rng)` draws lazily from the
+        tag's rng, one oracle per group, and the largest solve gap behind
+        it.  A group is one stack: one `block_norms_upper_greedy` call for
+        its g's, then one `estimate(fs, supports, oracle)` call."""
         rng = ctx.rng(tag)
         for problem, count in groups(rng):
             oracle = ctx.finite_oracle(problem)
             fs, gs, dicts = _draw_pairs(rng, problem.space, count)
-            for f, decomp in zip(fs, bl.block_norms_upper_greedy(
-                    gs, e_blocks, dicts, oracle, norm_type)):
-                est = estimate(f, decomp.supports(), oracle)
+            decomps = bl.block_norms_upper_greedy(gs, e_blocks, dicts, oracle,
+                                                  norm_type)
+            for f, decomp, est in zip(fs, decomps, estimate(
+                    fs, [d.supports() for d in decomps], oracle)):
                 rows.bound(tag + "/gap", est.max_gap)
                 rows.bound(tag, pairing(f, decomp.reconstruction(), absolute=True)
                            / (est.value * decomp.sum_lambda))
         return rows.worst[tag], rows.worst[tag + "/gap"]
 
     def corpus_max(tag: str, p: float, q: float, count: int):
-        """B-blocks against `m_norm`, in groups of at most 10 pairs on
+        """B-blocks against `m_norms`, in groups of at most 10 pairs on
         identity and random kernels in turn."""
         e = LorentzExponents(p, q)
 
@@ -807,7 +803,7 @@ def check_pairing(ctx: RunContext, rows: _Rows) -> None:
                        min(10, count - start))
 
         return pairing_max(tag, groups, LorentzExponents(e.p_conj, e.q_conj),
-                           "B", lambda f, sets, o: mn.m_norm(f, e, sets, o))
+                           "B", lambda fs, fams, o: mn.m_norms(fs, e, fams, o))
 
     hi22, gap22 = corpus_max("c09-22-a", 2.0, 2.0, cfg.scale_pairs)
     rows.bound("p=q=2", hi22, 1.0 + 10.0 * max(gap22, 1e-12),
@@ -832,7 +828,7 @@ def check_pairing(ctx: RunContext, rows: _Rows) -> None:
         "c09-weak", lambda rng: ((identity_problem(_random_space(rng, 4, 13)), 5)
                                  for _ in range(rounds)),
         LorentzExponents(2.0, 1.0), "scriptB",
-        lambda f, sets, o: mn.weak_script_m_norm(f, 2.0, sets, o))
+        lambda fs, fams, o: mn.weak_script_m_norms(fs, 2.0, fams, o))
     rows.row("/weak-blocks", hi_weak, "pairing-direction-weak",
              f"{5 * rounds} script-block pairs, q=1", "recorded")
 
@@ -849,12 +845,12 @@ def check_pairing(ctx: RunContext, rows: _Rows) -> None:
                  for _ in range(3)]
         fam = (mn.TestSetFamily.all_subsets() if m <= 10
                else mn.TestSetFamily.random_unions(8))
-        for _ in range(5):
-            f = _random_field(rng, space)
-            g = _random_field(rng, space)
+        pairs = [(_random_field(rng, space), _random_field(rng, space))
+                 for _ in range(5)]
+        for (f, g), est in zip(pairs, mn.m_norms([f for f, _ in pairs], e,
+                                                 [fam] * 5, oracle)):
             n_est = wt.n_norm_upper(Field(space, np.abs(g.values)), e, cands,
                                     cfg=ctx.weights)
-            est = mn.m_norm(f, e, fam, oracle)
             rows.bound("n", pairing(f, g, absolute=True)
                        / (est.value * n_est.value))
     rows.row("/n-route", rows.worst["n"], "pairing-direction-n",
@@ -1011,8 +1007,8 @@ def check_trace_formula(ctx: RunContext, rows: _Rows) -> None:
         oracle = ctx.finite_oracle(problem)
         masses = rng.standard_normal(problem.space.size) * 3.0
         mu = bl.AtomicMeasure(problem.space, masses)
-        sup_form = bl.trace_norm(mu, mn.TestSetFamily.all_subsets(), oracle)
-        inf_form = bl.trace_norm_inf_form(mu, oracle)
+        sup_form, inf_form = bl.trace_norm(mu, mn.TestSetFamily.all_subsets(),
+                                           oracle)
         gap_slack = 10.0 * sup_form.max_gap * max(sup_form.value, 1.0)
         dev = abs(sup_form.value - inf_form)
         rows.bound("dev", dev, 1e-9 * max(sup_form.value, 1.0) + gap_slack,

@@ -2,6 +2,7 @@
 Lorentz dual."""
 import functools
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capflow import blocks as bl
+from capflow import measure
+from capflow import multiplier as mn
+from capflow import suites
 from capflow.blocks import (AtomicMeasure,
                             block_norm_upper_constructive,
                             block_norm_upper_greedy,
                             block_norms_upper_greedy,
                             lorentz_kothe_dual_norm, trace_norm,
-                            trace_norm_inf_form, transport_decomposition,
+                            transport_decomposition,
                             validate_block, validate_blocks)
 from capflow.capacity import (CapacityOracle, CapacityParams, NormEstimate,
                               SetMask, finite_problem, identity_problem)
@@ -320,6 +324,60 @@ def test_greedy_batch_is_the_singles(kind):
     assert bad.queries == bad.batches == 0
 
 
+def _terms_bits(decomp):
+    """Every term of a decomposition, bit for bit."""
+    return ([(lam.hex(), blk.support.key, blk.values.tobytes(),
+              blk.normalization.hex()) for lam, blk in decomp.terms],
+            decomp.sum_lambda.hex(), decomp.residual.hex())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["identity", "finite"]), st.integers(2, 12),
+       st.integers(0, 10), st.integers(0, 2**31 - 1),
+       st.sampled_from([(LorentzExponents(2.0, 2.0), "B"),
+                        (LorentzExponents(1.5, 3.0), "B"),
+                        (LorentzExponents(2.0, 1.0), "scriptB")]))
+def test_greedy_group_is_its_fields_term_for_term(kind, m, count, seed, blocks):
+    e, norm_type = blocks
+    rng = np.random.default_rng(seed)
+    problem = (identity_problem(_random_space(rng, m, m + 1)) if kind == "identity"
+               else _random_finite_problem(rng, m))
+    _fs, gs, dicts = (draws[:count] for draws in
+                      _draw_pairs(rng, problem.space, max(count, 1)))
+    # an empty group, zero fields and tied values; a dictionary of all
+    # subsets ties energies
+    if count:
+        gs[0] = Field.of(problem.space, np.zeros(m))
+        gs[-1] = Field.of(problem.space, np.round(gs[-1].values))
+        if m <= 8:
+            dicts[count // 2] = TestSetFamily.all_subsets()
+    oracle = CapacityOracle(problem, PARAMS)
+    group = block_norms_upper_greedy(gs, e, dicts, oracle, norm_type)
+    # on identity models the singles agree from a fresh memo; a finite
+    # model's memo is primed by the group's one gather of its supports
+    again = oracle if kind == "finite" else CapacityOracle(problem, PARAMS)
+    solved = oracle.solved
+    singles = [block_norm_upper_greedy(g, e, d, again, norm_type=norm_type)
+               for g, d in zip(gs, dicts)]
+    assert oracle.solved == solved
+    assert [_terms_bits(d) for d in group] == [_terms_bits(d) for d in singles]
+    assert len(group) == count and all(d.terms == [] for d in group[:1])
+    # an uncovered field raises as the first of the singles to fail does
+    hole = TestSetFamily.explicit([SetMask.from_indices(problem.space, [0])])
+    bad = (dicts[:-1] + [hole])[:count]
+    if count > 1:
+        bad[0] = hole
+    for g, d in zip(gs, bad):
+        try:
+            block_norm_upper_greedy(g, e, d, again, norm_type=norm_type)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                block_norms_upper_greedy(gs, e, bad, again, norm_type)
+            break
+    else:
+        block_norms_upper_greedy(gs, e, bad, again, norm_type)
+
+
 def test_c09_finite_groups_make_one_solve_batch_each(monkeypatch):
     # default scale: 9 finite-model groups of 10 pairs across the corpora,
     # each decomposed by one batch call and estimated from the memo
@@ -335,6 +393,53 @@ def test_c09_finite_groups_make_one_solve_batch_each(monkeypatch):
     finite = [(o, n) for o, n in seen if not o.problem.is_identity]
     assert len(finite) == 9 and all(n == 10 for _o, n in finite)
     assert all(o.batches == 1 and o.solved == o.cache_size for o, _n in finite)
+
+
+def test_c09_group_calls_do_not_depend_on_its_pair_count(monkeypatch):
+    # every group of C09's pairing loop is one stack: it makes as many
+    # gathers and lorentz_norms calls for 3, 5 or 10 pairs; the weak route
+    # adds one of each per level rank of its fields (weak form B)
+    groups, tags = [], []   # per group [tag, pairs, gathers, lorentz_norms, ranks]
+
+    def counted(fn, slot):
+        def call(*args, **kwargs):
+            if groups and groups[-1]:
+                groups[-1][slot] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    def before(fn, hook):
+        def call(*args, **kwargs):
+            hook(*args)
+            return fn(*args, **kwargs)
+        return call
+
+    def drawn(rng, space, count):
+        fs, gs, dicts = _draw_pairs(rng, space, count)
+        ranks = max(len(_levels(f)[0]) for f in fs)
+        groups.append([tags[-1], count, 0, 0, ranks])
+        return fs, gs, dicts
+
+    monkeypatch.setattr(CapacityOracle, "gather", counted(CapacityOracle.gather, 2))
+    for mod in (bl, mn, measure):
+        monkeypatch.setattr(mod, "lorentz_norms", counted(measure.lorentz_norms, 3))
+    monkeypatch.setattr(RunContext, "rng", before(
+        RunContext.rng, lambda _ctx, tag: tags.append(tag)))
+    # a group opens with its draws; the next oracle, a group's or the
+    # n-route's, closes it
+    monkeypatch.setattr(RunContext, "finite_oracle", before(
+        RunContext.finite_oracle, lambda *_: groups.append(None)))
+    monkeypatch.setattr(suites, "_draw_pairs", drawn)
+    check_pairing(RunContext(CapflowConfig(scale_pairs=13)))
+    routes = {}   # weak or not -> {(pairs, gathers, lorentz_norms calls)}
+    for tag, n, gathers, norms, ranks in filter(None, groups):
+        per_rank = ranks if tag == "c09-weak" else 0
+        routes.setdefault(tag == "c09-weak", set()).add(
+            (n, gathers - per_rank, norms - per_rank))
+    assert {n for n, _g, _l in routes[False]} == {3, 5, 10}
+    assert {n for n, _g, _l in routes[True]} == {5}
+    for seen in routes.values():
+        assert len({(g, l) for _n, g, l in seen}) == 1, seen
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +486,15 @@ def test_trace_norm_examples():
     sp = DiscreteMeasureSpace(np.ones(2))
     oracle = CapacityOracle(identity_problem(sp), PARAMS)
     mu = AtomicMeasure(sp, np.array([3.0, -1.0]))
-    est = trace_norm(mu, TestSetFamily.all_subsets(), oracle)
+    est, threshold = trace_norm(mu, TestSetFamily.all_subsets(), oracle)
     assert est.value == pytest.approx(3.0)
     assert est.witness.cardinality == 1 and est.witness.bools[0]
-    assert est.mode == "exact"
-    assert trace_norm(AtomicMeasure(sp, np.zeros(2)),
-                      TestSetFamily.all_subsets(), oracle).value == 0.0
+    assert est.mode == "exact" and threshold == pytest.approx(3.0)
+    zero, zero_threshold = trace_norm(AtomicMeasure(sp, np.zeros(2)),
+                                      TestSetFamily.all_subsets(), oracle)
+    assert zero.value == zero_threshold == 0.0
     delta = AtomicMeasure(sp, np.array([0.0, 4.5]))
-    assert trace_norm(delta, TestSetFamily.all_subsets(), oracle).value == \
+    assert trace_norm(delta, TestSetFamily.all_subsets(), oracle)[0].value == \
         pytest.approx(4.5)
 
 
@@ -405,8 +511,7 @@ def test_trace_threshold_equality():
             prob = identity_problem(sp)
         oracle = CapacityOracle(prob, PARAMS)
         mu = AtomicMeasure(sp, rng.standard_normal(m) * 2.0)
-        sup_form = trace_norm(mu, TestSetFamily.all_subsets(), oracle)
-        inf_form = trace_norm_inf_form(mu, oracle)
+        sup_form, inf_form = trace_norm(mu, TestSetFamily.all_subsets(), oracle)
         assert inf_form == pytest.approx(
             sup_form.value, rel=1e-9, abs=10 * sup_form.max_gap + 1e-12)
 
@@ -455,7 +560,7 @@ def test_threshold_form_replays_the_bisection_bit_for_bit(kind, m, seed, data,
         pool | st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
         min_size=m, max_size=m))) * 10.0 ** exponent
     mu = AtomicMeasure(oracle.space, masses)
-    got = trace_norm_inf_form(mu, oracle)
+    got = trace_norm(mu, TestSetFamily.all_subsets(), oracle)[1]
     assert got.hex() == threshold_bisection(mu, oracle).hex()
 
 
@@ -472,7 +577,7 @@ def test_threshold_form_outside_the_normal_range(weights, masses):
     oracle = CapacityOracle(identity_problem(sp), PARAMS)
     mu = AtomicMeasure(sp, np.array(masses))
     with np.errstate(over="ignore"):
-        got = trace_norm_inf_form(mu, oracle)
+        got = trace_norm(mu, TestSetFamily.all_subsets(), oracle)[1]
         assert got.hex() == threshold_bisection(mu, oracle).hex()
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capflow.capacity import (CapacityOracle, CapacityParams,
-                              CapacityProblem, SetMask, _diameter,
+                              CapacityProblem, SetMask, _diameter, _measures,
                               _grow_inverse_factor, _polish, _solve,
                               audit_certificate,
                               capacitary_lorentz_norm,
@@ -1047,6 +1047,24 @@ def test_identity_gather_is_the_measure_bit_for_bit(size):
     # capacity_batch's identity branch takes the same closed form
     batch = capacity_batch(identity_problem(sp), [SetMask(sp, r) for r in bits], PARAMS)
     assert [r.value for r in batch] == measures
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 40), st.integers(0, 2**31 - 1))
+def test_measures_of_a_value_stack_are_set_measures_row_by_row(size, rows, seed):
+    # one weight row per set row, as greedy peels weigh each field's
+    # residual energy; tied and widely scaled values, some rows empty
+    rng = np.random.default_rng(seed)
+    values = rng.choice([1.0, 2.0, 0.1, 3.0], (rows, size)) * \
+        10.0 ** rng.integers(-30, 30, (rows, size)) * rng.lognormal(0.0, 1.0, (rows, 1))
+    bits = rng.random((rows, size)) < rng.uniform(0.0, 1.0, (rows, 1))
+    got = _measures(values, bits)
+    want = [SetMask(DiscreteMeasureSpace(w), row).measure
+            for w, row in zip(values, bits)]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    # one shared vector is the stack of its copies
+    assert _measures(values[0], bits).tobytes() == \
+        _measures(np.tile(values[0], (rows, 1)), bits).tobytes()
 
 
 def _finite_oracle(seed, m):
