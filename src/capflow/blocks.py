@@ -350,8 +350,8 @@ def trace_norm(mu: AtomicMeasure, family: TestSetFamily,
     sets = family.sets(oracle.space)
     gathered = oracle.gather(sets)
     variations = sets.astype(float) @ mu.total_variation
-    sup_form = _sup_over_sets([family], sets, gathered, variations,
-                              [0, len(sets)], oracle.space, 1.0)[0]
+    sup_form = _sup_over_sets([family], [sets], gathered, variations,
+                              oracle.space, 1.0)[0]
     keep = gathered[0] > 0.0
     caps, variations = gathered[0][keep], variations[keep]
     if variations.max(initial=0.0) <= 0.0:
@@ -404,7 +404,8 @@ def lorentz_kothe_dual_norm(f: Field, e: LorentzExponents) -> NormEstimate:
     over all m! orders, taken as one stack; on weighted atoms the order of
     |f| alone can fall short.  The witness is g_k = s_k^(Q'-1) along the
     best order; `lo` is its pairing with |f| over its `lorentz_norms` norm,
-    `hi` the closed form.
+    `hi` the closed form.  A nonzero field whose max |f| or norm is not a
+    normal float raises ValueError (subnormals carry no relative precision).
     """
     m = f.space.size
     if m > 6:
@@ -428,5 +429,8 @@ def lorentz_kothe_dual_norm(f: Field, e: LorentzExponents) -> NormEstimate:
     g = np.zeros(m)
     g[orders[best]] = s[best] ** (qc - 1.0)
     hi = scale * float(totals[best] ** (1.0 / qc))
+    if not (np.finfo(float).tiny <= scale and np.finfo(float).tiny <= hi < math.inf):
+        raise ValueError(f"exact Lorentz dual: max |f| = {scale!r} or the norm "
+                         f"{hi!r} is not a normal float")
     lo = scale * float(np.sum(a * g * w) / lorentz_norms(g[None], w, e)[0])
     return NormEstimate(hi, "exact", witness=g, lo=lo, hi=hi)

@@ -23,9 +23,11 @@ s = 2 every interval of a line grid polishes from one inverse Cholesky
 factor per problem (`CapacityProblem.interval_factor`), and each interval
 length once.
 
-There is one solver, `capacity_batch`, and `capacity` is its batch of one;
-`CapacityOracle.gather` answers a family of sets, a (B, size) boolean
-matrix, from one batch.
+There is one solver, `_solve_sets`, which takes the sets as a (B, size)
+boolean matrix and writes every field of a `CapacityResult` as a column,
+one row per set.  `capacity_batch` builds its results from the columns and
+`capacity` is its batch of one; `CapacityOracle.gather` answers a family
+of sets from one batch and builds no object per row.
 
 Layer-cake functionals over capacities (the L1-capacity norm and the
 capacitary Lorentz norms) are evaluated exactly over the finitely many
@@ -200,18 +202,22 @@ def _diameter(space, bools: np.ndarray) -> float:
 
 def _measures(weights: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """`SetMask.measure` of every row of a bool matrix, bit for bit, under
-    one weight vector or a stack of one per row: the rows of one
-    cardinality, compacted, are summed as 1-D sums are."""
-    counts = bits.sum(axis=1)
-    picked = np.broadcast_to(weights, bits.shape)[bits]   # row by row, in order
+    one weight vector or a stack of one per row.  numpy sums fewer than 8
+    terms in order, as a cumulative sum along the masked row does; the
+    larger rows of one cardinality, compacted, are summed as 1-D sums are."""
+    if bits.shape[1] < 8 or (counts := bits.sum(axis=1)).max(initial=0) < 8:
+        return np.add.accumulate(np.where(bits, weights, 0.0), axis=1)[:, -1]
+    weights = np.broadcast_to(weights, bits.shape)
+    few, out = counts < 8, np.zeros(len(bits))
+    out[few] = np.add.accumulate(np.where(bits[few], weights[few], 0.0), axis=1)[:, -1]
+    rows = np.flatnonzero(~few)
+    counts, picked = counts[rows], weights[rows][bits[rows]]   # in row order
     order = np.argsort(counts, kind="stable")
     starts = (np.cumsum(counts) - counts)[order]
     kinds, first = np.unique(counts[order], return_index=True)
-    out = np.zeros(len(bits))
     for c, a, b in zip(kinds.tolist(), first.tolist(),
-                       first[1:].tolist() + [len(bits)]):
-        if c:
-            out[order[a:b]] = picked[starts[a:b, None] + np.arange(c)].sum(axis=1)
+                       first[1:].tolist() + [rows.size]):
+        out[rows[order[a:b]]] = picked[starts[a:b, None] + np.arange(c)].sum(axis=1)
     return out
 
 
@@ -409,13 +415,15 @@ def capacity(problem: CapacityProblem, mask: SetMask,
 
 def capacity_batch(problem: CapacityProblem, masks: Sequence[SetMask],
                    params: CapacityParams) -> list:
-    """Solve the capacity program for every mask, one result per mask.
+    """Solve the capacity program for every mask, one result per mask,
+    each built from the columns of the one solver, `_solve_sets`.
 
     The empty set has capacity zero by convention and identity kernels give
     the exact counting answer, with no solve.  Infeasibility (a kernel row
     vanishing identically on E) is detected up front from the problem's
-    cached `reach` = K 1 and reported.  The other rows run one accelerated
-    projected dual ascent vectorized over rows, in chunks of at most
+    cached `reach` = K 1 and reported.  These rows are sorted out by array
+    operations.  The other rows run one accelerated projected dual ascent
+    vectorized over rows (`_solve_rows`), in chunks of at most
     MAX_CELLS / size rows; non-convergence within the iteration budget
     returns the best certified bounds with converged=False.  Each row keeps
     its own step, momentum, best bounds and optimizers, and on grids the
@@ -434,66 +442,93 @@ def capacity_batch(problem: CapacityProblem, masks: Sequence[SetMask],
     momentum (adaptive restart).  At iteration 0 and every fifth iteration
     the certificates are computed from the current measures and from their
     polish (`_polish`), each from freshly applied potentials, never from
-    the combination, and the rows with gap <= tol retire: they leave the
-    state arrays, which are compacted.
+    the combination, and the rows with gap <= tol retire: they are written
+    to the columns and leave the state arrays, which are compacted.
     """
-    results: list = [None] * len(masks)
-    rows = []
-    size = problem.space.size
-    w = problem.space.weights
     if any(mask.space is not problem.space for mask in masks):
         raise ValueError("mask lives on a different space than the problem")
+    cols = _solve_sets(problem, np.array([m.bools for m in masks], dtype=bool)
+                       .reshape(-1, problem.space.size), params)
+    return [cols.result(i, mask) for i, mask in enumerate(masks)]
+
+
+class _Columns:
+    """The solves of the rows of a (B, size) bool matrix E, one array per
+    `CapacityResult` field: `bounds` is value, lower, upper and gap as a
+    (4, B) array, converged, iterations and infeasible are (B,), and
+    `vectors` the (B, size) optimizer, potential and dual measure.
+    `result(i)` builds row i's `CapacityResult` on views of these."""
+
+    def __init__(self, space, E: np.ndarray, params: CapacityParams):
+        self.space, self.E, self.params = space, E, params
+        self.bounds = np.zeros((4, len(E)))
+        self.converged = np.ones(len(E), dtype=bool)
+        self.infeasible = ~self.converged
+        self.iterations = np.zeros(len(E), dtype=int)
+        self._vectors: Optional[np.ndarray] = None
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Allocated on first use: a solve's first retirement comes after
+        its first polish, so these never add to that polish's peak."""
+        if self._vectors is None:
+            self._vectors = np.zeros((3,) + self.E.shape)
+        return self._vectors
+
+    def result(self, i: int, mask: Optional[SetMask] = None) -> CapacityResult:
+        value, lower, upper, gap = self.bounds[:, i].tolist()
+        f, u, mu = self.vectors[:, i]
+        # only a row not converged can keep an infinite upper bound, and such
+        # a row (infeasible, or solved without a finite candidate) has no optimizer
+        none = upper == math.inf and not self.converged[i]
+        return CapacityResult(
+            value, lower, upper, gap, bool(self.converged[i]), int(self.iterations[i]),
+            SetMask(self.space, self.E[i]) if mask is None else mask, self.params,
+            optimizer=None if none else f, potential=None if none else u,
+            dual_measure=None if self.infeasible[i] else mu,
+            infeasible=bool(self.infeasible[i]))
+
+
+def _solve_sets(problem: CapacityProblem, E: np.ndarray,
+                params: CapacityParams) -> _Columns:
+    """`capacity_batch` on the rows of a (B, size) bool matrix, into columns."""
+    cols = _Columns(problem.space, E, params)
+    w = problem.space.weights
     if problem.is_identity:
-        measures = _measures(w, np.array([m.bools for m in masks]).reshape(-1, size))
-    for i, mask in enumerate(masks):
-        E = mask.bools
-        if mask.is_empty:
-            results[i] = CapacityResult(0.0, 0.0, 0.0, 0.0, True, 0, mask, params,
-                                        optimizer=np.zeros(size),
-                                        potential=np.zeros(size),
-                                        dual_measure=np.zeros(size))
-        elif problem.is_identity:
-            val = float(measures[i])
-            f = E.astype(float)
-            results[i] = CapacityResult(val, val, val, 0.0, True, 0, mask, params,
-                                        optimizer=f, potential=f.copy(),
-                                        dual_measure=np.where(E, w, 0.0))
-        elif np.any(problem.reach[E] <= 0.0):
-            results[i] = CapacityResult(math.inf, math.inf, math.inf, math.inf,
-                                        False, 0, mask, params, infeasible=True)
-        else:
-            rows.append(i)
-    chunk = max(1, MAX_CELLS // size)
-    for start in range(0, len(rows), chunk):
-        part = rows[start:start + chunk]
-        # np.where evaluates both branches; degenerate rows take the guarded
-        # one.  Near s = 1 the power s' - 1 is large: an overflowing
-        # candidate gets F = inf, fails the sufficient-decrease test and is
-        # backtracked, and an overflowed bound is inf or nan, never better
-        # than the best one kept.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            solved = _solve_rows(problem, [masks[i] for i in part], params)
-        for i, res in zip(part, solved):
-            results[i] = res
-    return results
+        cols.bounds[:3] = _measures(w, E)
+        cols.vectors[:2], cols.vectors[2] = E, np.where(E, w, 0.0)
+        return cols
+    live = np.flatnonzero(E.any(axis=1))
+    if live.size:   # reach is applied on first use only
+        bad = (E[live] & (problem.reach <= 0.0)).any(axis=1)
+        cols.bounds[:, live[bad]] = math.inf
+        cols.converged[live[bad]], cols.infeasible[live[bad]] = False, True
+        live = live[~bad]
+    chunk = max(1, MAX_CELLS // E.shape[1])
+    # np.where evaluates both branches; degenerate rows take the guarded
+    # one.  Near s = 1 the power s' - 1 is large: an overflowing candidate
+    # gets F = inf, fails the sufficient-decrease test and is backtracked,
+    # and an overflowed bound is inf or nan, never better than the best one
+    # kept.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for start in range(0, live.size, chunk):
+            _solve_rows(problem, live[start:start + chunk], params, cols)
+    return cols
 
 
-def _solve_rows(problem: CapacityProblem, masks: list,
-                params: CapacityParams) -> list:
-    """The accelerated dual ascent of `capacity_batch` on feasible rows.
-
-    Row-wise reductions go through `np.add.reduce` and friends, whose
-    per-call overhead is the cost on small models.  Whole-grid temporaries
-    are updated in place on the array their step just made, never on one
-    another name holds.
+def _solve_rows(problem: CapacityProblem, live: np.ndarray,
+                params: CapacityParams, cols: _Columns) -> None:
+    """The dual ascent of `capacity_batch` on the feasible rows `live` of
+    the columns, retired into them.  Row-wise reductions go through
+    `np.add.reduce` and friends, whose per-call overhead is the cost on
+    small models.  Whole-grid temporaries are updated in place on the array
+    their step just made, never on one another name holds.
     """
     w, s, sp = problem.space.weights, params.s, params.s_conj
     energy_coef = (s - 1.0) * s ** (-sp)
     rowsum, rowmin = np.add.reduce, np.minimum.reduce
-    E = np.stack([m.bools for m in masks])
+    E = cols.E[live]   # live[r]: the column row of state row r
     on = E.astype(float)   # 1 on E, 0 off E
-    live = np.arange(len(masks))   # mask index of each state row
-    results: list = [None] * len(masks)
 
     def energy(a):   # row sums of w max(a, 0)^s'
         t = np.maximum(a, 0.0)
@@ -548,8 +583,8 @@ def _solve_rows(problem: CapacityProblem, masks: list,
     Fy = neg_dual(y, ay)
     mu_prev, a_prev = y, ay
     best_lower, best_upper, best_mu, best_f, best_u = 0.0, np.inf, 0.0, 0.0, 0.0
-    since = np.zeros((len(masks), 1), dtype=int)   # iterations since restart
-    step = np.ones(len(masks))
+    since = np.zeros((len(live), 1), dtype=int)   # iterations since restart
+    step = np.ones(len(live))
     betas = _betas(64)
 
     for iterations in range(params.max_iter + 1):
@@ -571,19 +606,17 @@ def _solve_rows(problem: CapacityProblem, masks: list,
             gap = (best_upper - best_lower) / np.maximum(best_upper, 1e-300)
             done = gap <= params.tol
             retire = done | last
-            for r in retire.nonzero()[0]:
-                i = live[r]
-                finite = bool(np.isfinite(best_upper[r]))
-                results[i] = CapacityResult(
-                    float(best_upper[r]), float(best_lower[r]),
-                    float(best_upper[r]), float(gap[r]), bool(done[r]),
-                    iterations, masks[i], params,
-                    optimizer=best_f[r].copy() if finite else None,
-                    potential=best_u[r].copy() if finite else None,
-                    dual_measure=best_mu[r] / s)
+            at = retire.nonzero()[0]
+            i, r = live[at], (slice(None) if at.size == retire.size else at)
+            cols.bounds[:, i] = best_upper[r], best_lower[r], best_upper[r], gap[r]
+            cols.converged[i], cols.iterations[i] = done[r], iterations
+            dual = best_mu[r]   # a view only when every row retires and the solve ends
+            dual /= s
+            f, u, mu = cols.vectors
+            f[i], u[i], mu[i] = best_f[r], best_u[r], dual
             keep = (~retire).nonzero()[0]
             if not keep.size:
-                break
+                return
             if keep.size < retire.size:
                 live, E, on, since, step, Fy = (live[keep], E[keep], on[keep],
                                                 since[keep], step[keep], Fy[keep])
@@ -625,7 +658,6 @@ def _solve_rows(problem: CapacityProblem, masks: list,
         Fy = F_next
         mu_prev, a_prev = mu_new, a_new
         step *= 1.5
-    return results
 
 
 def _polish(problem: CapacityProblem, params: CapacityParams, E: np.ndarray,
@@ -823,10 +855,16 @@ class CapacityOracle:
 
     Results are memoized by the mask bit pattern, so identical sets seen by
     different estimators share one certified value exactly (several
-    inequality chains rely on that cancellation).  `gather` answers a
-    whole family, sharing the memo and its keys with `result`.  The memo is
-    not bounded; counters report `queries` (rows asked), `hits` (answered
-    from the memo) and `solved` rows, in `batches` calls of `capacity_batch`.
+    inequality chains rely on that cancellation).  The memo maps each key
+    to a row of a (4, rows) table of value, lower, upper and gap, and
+    `gather` reads a family's rows from it with one fancy index.  A set
+    first asked of `result` is solved by `capacity`, whose result is kept;
+    the sets `gather` solves keep their other fields in the columns of
+    their batch (`_solve_sets`), and a row's `CapacityResult` is built when
+    `result` or `results` first asks for it, then kept, so two requests get
+    one object.  The memo is not bounded; counters report `queries` (rows
+    asked), `hits` (answered from the memo) and `solved` rows, in
+    `batches` solver calls.
     """
 
     def __init__(self, problem: CapacityProblem, params: CapacityParams):
@@ -834,13 +872,32 @@ class CapacityOracle:
             params.validate_for_dimension(problem.dimension)
         self.problem = problem
         self.params = params
-        self._cache: dict = {}
+        self._memo: dict = {}         # key -> row of the table
+        self._table = np.zeros((4, 0))
+        self._batches: list = []      # (first row, columns) of each gather batch
+        self._made: dict = {}         # row -> its CapacityResult, once built
         self.queries = self.hits = self.solved = self.batches = 0
 
     @staticmethod
     def _keys(bits: np.ndarray) -> list:
         """Memo keys of the rows of a (B, size) bool matrix: the packed bits."""
-        return [row.tobytes() for row in np.packbits(bits, axis=1)]
+        return np.packbits(bits, axis=1).view(
+            f"V{-(-bits.shape[1] // 8)}").ravel().tolist()
+
+    def _add(self, keys: list, table: np.ndarray) -> int:
+        """Memoize the keys at new table rows; returns the first."""
+        row = len(self._memo)
+        self._memo.update(zip(keys, range(row, row + len(keys))))
+        self._table = np.concatenate([self._table, table], axis=1)
+        self.solved, self.batches = self.solved + len(keys), self.batches + 1
+        return row
+
+    def _result(self, row: int) -> CapacityResult:
+        res = self._made.get(row)
+        if res is None:   # a gathered row: the latest batch at or before it
+            start, cols = next(b for b in reversed(self._batches) if b[0] <= row)
+            res = self._made[row] = cols.result(row - start)
+        return res
 
     def result(self, mask: SetMask) -> CapacityResult:
         # the memo key is the bit pattern alone, which another space of the
@@ -848,18 +905,24 @@ class CapacityOracle:
         if mask.space is not self.problem.space:
             raise ValueError("mask lives on a different space than the oracle")
         key = self._keys(mask.bools[None])[0]
-        hit = key in self._cache
-        self.queries, self.hits = self.queries + 1, self.hits + hit
-        if not hit:
-            self._cache[key] = capacity(self.problem, mask, self.params)
-            self.solved, self.batches = self.solved + 1, self.batches + 1
-        return self._cache[key]
+        row = self._memo.get(key)
+        self.queries, self.hits = self.queries + 1, self.hits + (row is not None)
+        if row is None:
+            res = capacity(self.problem, mask, self.params)
+            row = self._add([key], np.c_[[res.value, res.lower, res.upper, res.gap]])
+            self._made[row] = res
+        return self._result(row)
+
+    def results(self) -> list:
+        """The `CapacityResult` of every memoized set, in memo order."""
+        return [self._result(row) for row in range(len(self._memo))]
 
     def gather(self, bits) -> np.ndarray:
         """Certified (value, lower, upper, gap) of every row of a (B, size)
         bool matrix, as a (4, B) array.  Identity kernels are answered in
         closed form; otherwise the uncached non-empty rows are solved in one
-        batch, each distinct set once, in row order."""
+        batch, each distinct set once, in row order, and no `SetMask` or
+        `CapacityResult` is built."""
         bits = np.asarray(bits, dtype=bool)
         if bits.ndim != 2 or bits.shape[1] != self.space.size:
             raise ValueError(f"set matrix has shape {bits.shape}, "
@@ -870,20 +933,16 @@ class CapacityOracle:
             out[:3] = _measures(self.space.weights, bits)
             return out
         live = np.flatnonzero(bits.any(axis=1))
-        keys = self._keys(bits[live])
-        todo: dict = {}
-        for key, i in zip(keys, live):
-            if key not in self._cache:
+        keys, memo, todo = self._keys(bits[live]), self._memo, {}
+        for key, i in zip(keys, live.tolist()):
+            if key not in memo:
                 todo.setdefault(key, i)
         self.hits += len(live) - len(todo)
         if todo:
-            masks = [SetMask(self.space, bits[i]) for i in todo.values()]
-            self._cache.update(zip(todo, capacity_batch(self.problem, masks,
-                                                        self.params)))
-            self.solved, self.batches = self.solved + len(todo), self.batches + 1
-        found = [self._cache[k] for k in keys]   # no tuple per row
-        out[:, live] = [[r.value for r in found], [r.lower for r in found],
-                        [r.upper for r in found], [r.gap for r in found]]
+            cols = _solve_sets(self.problem, bits[list(todo.values())], self.params)
+            self._batches.append((self._add(list(todo), cols.bounds), cols))
+        out[:, live] = self._table[:, np.fromiter(map(memo.__getitem__, keys),
+                                                  int, len(keys))]
         return out
 
     def value(self, mask: SetMask) -> float:
@@ -895,7 +954,7 @@ class CapacityOracle:
 
     @property
     def cache_size(self) -> int:
-        return len(self._cache)
+        return len(self._memo)
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,12 @@ unions pay for that screening.
 
 Every supremum over a family here and in `blocks` (the multiplier norms,
 both forms of the weak norm, the trace class) runs through one engine,
-`_sup_over_sets`, which takes segments: the caller stacks the set matrices
-of many (field, family) pairs (`capacity._stack_rows`) with one numerator
-per row and one `CapacityOracle.gather` of the stack, and gets one
-certified estimate per segment, each with the bits of its batch of one and
-a `SetMask` built for its witness only.  The numerators ||f chi_K|| of the
+`_sup_over_sets`, which takes segments: the caller passes the set matrices
+of many (field, family) pairs with one numerator per row and the
+capacities of their rows in turn, and gets one certified estimate per
+segment, each with the bits of its batch of one and a `SetMask` built for
+its witness only.  A field-independent family that several fields share
+is built once and its matrix gathered once.  The numerators ||f chi_K|| of the
 stack are one `lorentz_norms` call, strong and weak alike, so `m_norms`
 estimates a group of fields on one oracle for the price of one call;
 `m_norm` is its batch of one.
@@ -197,17 +198,18 @@ def default_grid_family(f: Optional[Field] = None) -> TestSetFamily:
 # Supremum estimates
 # ---------------------------------------------------------------------------
 
-def _sup_over_sets(families: Sequence[TestSetFamily], bits: np.ndarray,
-                   gathered: np.ndarray, numerators, ends, space,
+def _sup_over_sets(families: Sequence[TestSetFamily], sets: Sequence[np.ndarray],
+                   gathered: np.ndarray, numerators, space,
                    cap_exponent: float) -> list:
-    """The one supremum engine: sup over the rows K of the set matrix `bits`
-    of numerators[K] / cap(K)^cap_exponent, one estimate per family, whose
-    sets are the rows ends[k]:ends[k + 1], `gathered` being the oracle's
-    gather of `bits`.  Each estimate has the bits of its batch of one.
-    Zero-capacity sets are skipped, the witness is the first set attaining
-    the maximum, lo and hi put the certified upper and lower capacity bounds
-    in place of cap(K), and max_gap is the worst gap among the counted sets.
-    A family with no sets, or zero-capacity ones only, raises."""
+    """The one supremum engine: sup over the rows K of each family's set
+    matrix in `sets` of numerators[K] / cap(K)^cap_exponent, one estimate
+    per family, `numerators` and `gathered` (capacities from the oracle's
+    gather) holding the rows of every matrix in turn.  Each estimate has
+    the bits of its batch of one.  Zero-capacity sets are skipped, the
+    witness is the first set attaining the maximum, lo and hi put the
+    certified upper and lower capacity bounds in place of cap(K), and
+    max_gap is the worst gap among the counted sets.  A family with no
+    sets, or zero-capacity ones only, raises."""
     value, lower, upper, gap = gathered
     keep = value > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -216,20 +218,33 @@ def _sup_over_sets(families: Sequence[TestSetFamily], bits: np.ndarray,
             np.where(keep, numerators / np.float_power(caps, cap_exponent), -np.inf)
             for caps in (value, upper, np.maximum(lower, 1e-300)))
     gap = np.where(keep, gap, 0.0)
-    out = []
-    for family, a, b in zip(families, ends[:-1], ends[1:]):
+    out, b = [], 0
+    for family, bits in zip(families, sets):
+        a, b = b, b + len(bits)
         if a == b:
             raise ValueError("empty effective test-set family")
         if not keep[a:b].any():
             raise ValueError("every set in the family has zero capacity")
-        i = a + int(np.argmax(ratio[a:b]))
+        i = int(np.argmax(ratio[a:b]))
         exact = (family.kind == "all-subsets"
                  and isinstance(space, DiscreteMeasureSpace))
-        out.append(NormEstimate(float(ratio[i]), "exact" if exact else "lower-bound",
+        out.append(NormEstimate(float(ratio[a + i]),
+                                "exact" if exact else "lower-bound",
                                 witness=SetMask(space, bits[i]),
                                 lo=float(lo[a:b].max()), hi=float(hi[a:b].max()),
                                 max_gap=max(0.0, float(gap[a:b].max()))))
     return out
+
+
+def _family_sets(families: Sequence[TestSetFamily], fields: Sequence[Field],
+                 space) -> list:
+    """Each family's set matrix for its field.  One that reads no field
+    (neither superlevels nor a union, which may hold them) is built once,
+    however many fields share it."""
+    built = {fam: fam.sets(space) for fam in dict.fromkeys(families)
+             if fam.kind not in ("superlevels", "union")}
+    return [built[fam] if fam in built else fam.sets(space, f)
+            for f, fam in zip(fields, families)]
 
 
 def _restricted_sups(fields: Sequence[Field], e: LorentzExponents,
@@ -237,16 +252,24 @@ def _restricted_sups(fields: Sequence[Field], e: LorentzExponents,
                      cap_exponent: float, sets: Optional[list] = None) -> list:
     """The engine with numerators ||f chi_K||_{p,q} (weak when q = inf), one
     segment per field over sets[k] when given, else over its family's sets
-    for it, from one gather and one `lorentz_norms` stack."""
+    for it, from one `lorentz_norms` stack and one gather, in which a set
+    matrix that several segments share appears once."""
     space = oracle.space
     if any(f.space is not space for f in fields):
         raise ValueError("field and oracle live on different spaces")
     if sets is None:
-        sets = [fam.sets(space, f) for f, fam in zip(fields, families)]
-    bits, owner, ends = _stack_rows(sets, space.size)
-    values = np.reshape([f.values for f in fields], (-1, space.size))
-    nums = lorentz_norms(np.where(bits, values[owner], 0.0), space.weights, e)
-    return _sup_over_sets(families, bits, oracle.gather(bits), nums, ends,
+        sets = _family_sets(families, fields, space)
+    ends = np.cumsum([0] + [len(bits) for bits in sets]).tolist()
+    stack = np.zeros((ends[-1], space.size))
+    for f, bits, a in zip(fields, sets, ends):
+        np.copyto(stack[a:a + len(bits)], f.values, where=bits)
+    nums = lorentz_norms(stack, space.weights, e)
+    distinct = list({id(bits): bits for bits in sets}.values())
+    rows, _owner, starts = _stack_rows(distinct, space.size)
+    at = dict(zip(map(id, distinct), starts.tolist()))
+    cols = np.concatenate([np.zeros(0, dtype=int)] +
+                          [at[id(bits)] + np.arange(len(bits)) for bits in sets])
+    return _sup_over_sets(families, sets, oracle.gather(rows)[:, cols], nums,
                           space, cap_exponent)
 
 
@@ -296,7 +319,7 @@ def weak_script_m_norms(fields: Sequence[Field], p: float,
     """
     if not (1.0 < p < math.inf):
         raise ValueError("weak multiplier norm needs 1 < p < inf")
-    sets = [fam.sets(oracle.space, f) for f, fam in zip(fields, families)]
+    sets = _family_sets(families, fields, oracle.space)
     form_a = _restricted_sups(fields, LorentzExponents(p, math.inf), families,
                               oracle, 1.0 / p, sets)
     levels = [_levels(f)[0] for f in fields]

@@ -138,7 +138,7 @@ def test_campaign_solves_pass_the_certificate_audit(ctx):
         check_localization_diam1(ctx)
     sample = []
     for oracle in ctx._oracles.values():
-        solved = [r for r in oracle._cache.values()
+        solved = [r for r in oracle.results()
                   if r.converged and not r.is_zero]
         sample += [(oracle, r) for r in solved[::max(1, len(solved) // 8)]]
     assert len(sample) >= 8
@@ -157,18 +157,19 @@ def test_campaign_solves_pass_the_certificate_audit(ctx):
 ])
 def test_every_campaign_solve_is_a_converged_audited_certificate(
         monkeypatch, suite, before):
-    # every row that `capacity_batch` solves in the campaign, batched or
-    # single, must be converged with gap <= tol and pass the audit
+    # every row that the solver (`_solve_sets`, behind `capacity_batch` and
+    # `CapacityOracle.gather`) solves in the campaign, batched or single,
+    # must be converged with gap <= tol and pass the audit
     cap = sys.modules["capflow.capacity"]
-    solve, seen = cap.capacity_batch, []
+    solve, seen = cap._solve_sets, []
 
-    def audited(problem, masks, params):
-        rows = solve(problem, masks, params)
-        seen.extend((problem, r) for r in rows if not (
+    def audited(problem, E, params):
+        cols = solve(problem, E, params)
+        seen.extend((problem, r) for r in map(cols.result, range(len(E))) if not (
             r.is_zero or r.infeasible or problem.is_identity))
-        return rows
+        return cols
 
-    monkeypatch.setattr(cap, "capacity_batch", audited)
+    monkeypatch.setattr(cap, "_solve_sets", audited)
     verdicts = run_suite(suite, CapflowConfig())
     assert not [v for v in verdicts if v.status == "fail"]
     assert seen

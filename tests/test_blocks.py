@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capflow import blocks as bl
@@ -275,8 +275,8 @@ def test_decompositions_on_identity_oracles_solve_nothing(model, monkeypatch):
     e = LorentzExponents(1.5, 2.5)
     w = weight_of(oracle, sp, [0, 1, 2])
     calls = []
-    solve = cap.capacity_batch
-    monkeypatch.setattr(cap, "capacity_batch",
+    solve = cap._solve_sets   # the one solver, behind every query path
+    monkeypatch.setattr(cap, "_solve_sets",
                         lambda *a, **k: calls.append(a) or solve(*a, **k))
     f = Field.of(sp, rng.standard_normal(6))
     constructive = block_norm_upper_constructive(f, e, w, oracle)
@@ -680,12 +680,24 @@ def _lorentz_rows(sp, e):
            st.lists(st.floats(0.2, 1.2), min_size=m, max_size=m),
            st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m))),
        st.sampled_from([(2.0, 2.0), (3.0, 3.0), (2.5, 1.5)]))
+# outside the normal floats: a subnormal max |f| and an overflowing norm
+@example(case=([1.2, 1.2], [5e-324, 5e-324]), pq=(2.0, 2.0))
+@example(case=([1.2, 1.2], [1.7e308, 1.7e308]), pq=(2.0, 2.0))
 def test_exact_lorentz_dual_bounds_the_search_and_certifies(case, pq):
     weights, values = case
     sp = DiscreteMeasureSpace(np.array(weights))
     f = Field.of(sp, np.array(values))
     e = LorentzExponents(*pq)
     dual_e = LorentzExponents(e.p_conj, e.q_conj)
+    scale, tiny = float(np.abs(f.values).max()), np.finfo(float).tiny
+    if scale > 0.0:
+        # by homogeneity the norm is scale times that of f / scale, bit for bit
+        norm = scale * lorentz_kothe_dual_norm(Field.of(sp, f.values / scale),
+                                               dual_e).hi
+        if not (scale >= tiny and tiny <= norm < np.inf):
+            with pytest.raises(ValueError, match="not a normal float"):
+                lorentz_kothe_dual_norm(f, dual_e)
+            return
     exact = lorentz_kothe_dual_norm(f, dual_e)
     assert exact.mode == "exact" and exact.value == exact.hi
     assert np.all(exact.witness >= 0.0)

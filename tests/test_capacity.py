@@ -1093,6 +1093,118 @@ def test_gather_and_result_share_one_memo():
     assert counts() == (8 + 2 * len(bits), 8 + len(bits), len(bits), 5)
 
 
+_FIELDS = ("value", "lower", "upper", "gap", "converged", "iterations",
+           "infeasible", "optimizer", "potential", "dual_measure")
+
+
+def _field_bits(res):
+    """Every field of a result, floats by their bits and arrays by bytes."""
+    out = []
+    for name in _FIELDS:
+        x = getattr(res, name)
+        out.append(x.hex() if isinstance(x, float) else
+                   None if x is None else
+                   (x.dtype.str, x.tobytes()) if isinstance(x, np.ndarray) else x)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["identity", "finite", "line"]), st.integers(0, 2**31 - 1))
+def test_batch_rows_gather_columns_and_results_agree_bit_for_bit(kind, seed):
+    # the same distinct non-empty rows, in the same order, make the same
+    # solve batch in `capacity_batch` and in `gather`, so every field agrees
+    # bit for bit, finite-model BLAS paths included; the oracle's memo takes
+    # two batches, the first rows and then the rest
+    rng = np.random.default_rng(seed)
+    if kind == "line":
+        space = make_grid(1, 8.0, 64)
+        params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
+        problems = [grid_problem(space, params) for _ in range(2)]
+    else:
+        size = int(rng.integers(2, 9))
+        space, params = DiscreteMeasureSpace(rng.random(size) + 0.25), PARAMS
+        B = rng.random((size, size))
+        M = (B + B.T) / 2 + np.eye(size)
+        M[0], M[:, 0] = 0.0, 0.0   # sets holding atom 0 are infeasible
+        problems = [identity_problem(space) if kind == "identity"
+                    else finite_problem(space, M) for _ in range(2)]
+    drawn = rng.random((int(rng.integers(1, 12)), space.size)) < rng.uniform(0.05, 0.6)
+    drawn[0, int(rng.integers(space.size))] = True
+    distinct = TestSetFamily.explicit([SetMask(space, r) for r in drawn]).sets(space)
+    bits = np.vstack([distinct, np.zeros((1, space.size), dtype=bool),
+                      distinct[rng.integers(0, len(distinct), 3)]])   # repeats
+    half = int(rng.integers(0, len(distinct) + 1))
+    batches = [capacity_batch(problems[0], [SetMask(space, r) for r in part], params)
+               for part in (distinct[:half], distinct[half:])]
+    empty = capacity(problems[0], SetMask.empty(space), params)
+    want = [empty if not row.any() else (batches[0] + batches[1])[
+        int(np.flatnonzero((distinct == row).all(axis=1))[0])] for row in bits]
+    oracle = CapacityOracle(problems[1], params)
+    oracle.gather(distinct[:half])
+    columns = oracle.gather(bits)
+    for k, (row, ref) in enumerate(zip(bits, want)):
+        assert [x.hex() for x in columns[:, k]] == [
+            ref.value.hex(), ref.lower.hex(), ref.upper.hex(), ref.gap.hex()]
+        res = oracle.result(SetMask(space, row))
+        assert _field_bits(res) == _field_bits(ref)
+        assert oracle.result(SetMask(space, row)) is res
+    assert oracle.cache_size == len(distinct) + 1   # and the empty set
+    if kind == "finite":
+        assert any(r.infeasible for r in want) == bool(distinct[:, 0].any())
+
+
+def test_oracle_counters_on_a_fixed_script():
+    # queries, hits, solved, batches and memo size after each call of a
+    # fixed script of gathers and results, as the per-row memo counted them
+    rng = np.random.default_rng(23)
+    B = rng.random((6, 6))
+    sp = DiscreteMeasureSpace(rng.random(6) + 0.25)
+    bits = rng.random((12, 6)) < 0.4
+    bits[3] = False
+    bits[7], bits[9] = bits[2], bits[0]
+    log = []
+    for problem in (finite_problem(sp, (B + B.T) / 2 + np.eye(6)),
+                    identity_problem(sp)):
+        oracle = CapacityOracle(problem, PARAMS)
+        counts = lambda: (oracle.queries, oracle.hits, oracle.solved,
+                          oracle.batches, oracle.cache_size)
+        oracle.gather(bits)
+        log.append(counts())
+        for row in (bits[2], ~bits[2], bits[3], bits[3], bits[5]):
+            oracle.result(SetMask(sp, row))
+            log.append(counts())
+        for rows in (np.vstack([bits[::2], ~bits[:3]]),
+                     np.zeros((2, 6), dtype=bool), bits):
+            oracle.gather(rows)
+            log.append(counts())
+        assert len(oracle.results()) == oracle.cache_size
+    assert log == [
+        (12, 2, 9, 1, 9), (13, 3, 9, 1, 9), (14, 3, 10, 2, 10),
+        (15, 3, 11, 3, 11), (16, 4, 11, 3, 11), (17, 5, 11, 3, 11),
+        (26, 13, 12, 4, 12), (28, 13, 12, 4, 12), (40, 24, 12, 4, 12),
+        (12, 0, 0, 0, 0), (13, 0, 1, 1, 1), (14, 0, 2, 2, 2), (15, 0, 3, 3, 3),
+        (16, 1, 3, 3, 3), (17, 1, 4, 4, 4), (26, 1, 4, 4, 4), (28, 1, 4, 4, 4),
+        (40, 1, 4, 4, 4)]
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_measures_at_every_cardinality_are_set_measures(stacked):
+    # rows of 0 to 20 members: the ordered sums below 8 members and the
+    # grouped ones from 8 on, under one weight vector or one per row
+    rng = np.random.default_rng(20)
+    size = 20
+    bits = np.zeros((21 * 4, size), dtype=bool)
+    for i, c in enumerate(np.repeat(np.arange(21), 4)):
+        bits[i, rng.permutation(size)[:c]] = True
+    rng.shuffle(bits)
+    weights = rng.lognormal(0.0, 1.0, (len(bits) if stacked else 1, size)) * \
+        10.0 ** rng.uniform(-3.0, 3.0, (1, size))
+    got = _measures(weights if stacked else weights[0], bits)
+    want = [SetMask(DiscreteMeasureSpace(w), row).measure
+            for w, row in zip(np.broadcast_to(weights, bits.shape), bits)]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 def test_gather_rows_match_single_results_on_the_line():
     grid = make_grid(1, 16.0, 256)
     params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
