@@ -19,11 +19,11 @@ from .capacity import (CapacityOracle, CapacityParams, CapacityProblem,
                        identity_problem, l1c_norm, lebesgue_lower_bound_check,
                        nonlinear_potential, strichartz_check, unit_cover)
 from .multiplier import (TestSetFamily, char_m_via_weights, default_grid_family,
-                         m_norm, m_norm_local, m_norms, script_m_norm,
+                         m_norm, m_norm_local, m_norms,
+                         maximal_boundedness_probe, script_m_norm,
                          weak_script_m_norm, weak_script_m_norms)
 from .weights import (Weight, WeightConfig, a1loc_constant, average_weights,
-                      level_sum_check, local_maximal,
-                      maximal_boundedness_probe, n_norm_upper,
+                      level_sum_check, local_maximal, n_norm_upper,
                       potential_weight)
 from .blocks import (AtomicMeasure, Block, BlockDecomposition,
                      block_norm_upper_constructive, block_norm_upper_greedy,

@@ -12,6 +12,9 @@ Negative ringing of the inverse transform is clipped to zero (capacity
 theory needs a nonnegative kernel); the clipped mass is recorded and grids
 whose clipped mass exceeds CLIP_TOLERANCE of the total are rejected as too
 coarse for the requested alpha.
+
+Kernels and the local maximal operator's ball transfers share one spectral
+cache, bounded to the CACHE_GEOMETRIES most recently used entries.
 """
 from __future__ import annotations
 
@@ -151,25 +154,25 @@ class KernelSpec:
     clipped_mass: float = 0.0
 
 
-CACHE_GEOMETRIES = 16  # entries kept by the kernel and ball-transfer caches
+CACHE_GEOMETRIES = 16  # entries kept by the one cache of kernels and ball transfers
 
 _kernel_cache: OrderedDict = OrderedDict()
 _kernel_lock = threading.Lock()
 
 
-def _cache_get(cache: OrderedDict, key):
-    """Entry of a bounded cache, marked most recently used; None if absent."""
-    hit = cache.get(key)
-    if hit is not None:
-        cache.move_to_end(key)
-    return hit
-
-
-def _cache_put(cache: OrderedDict, key, value) -> None:
-    """Store an entry, evicting the least recently used beyond the bound."""
-    cache[key] = value
-    if len(cache) > CACHE_GEOMETRIES:
-        cache.popitem(last=False)
+def _cached(key, build):
+    """The spectral cache's entry under `key`, marked most recently used.
+    On a miss `build()` makes it under the lock, so each key is built once,
+    and the least recently used entry beyond CACHE_GEOMETRIES is evicted."""
+    with _kernel_lock:
+        hit = _kernel_cache.get(key)
+        if hit is not None:
+            _kernel_cache.move_to_end(key)
+            return hit
+        hit = _kernel_cache[key] = build()
+        if len(_kernel_cache) > CACHE_GEOMETRIES:
+            _kernel_cache.popitem(last=False)
+        return hit
 
 
 def _frequency_grid(grid: Grid) -> np.ndarray:
@@ -188,17 +191,13 @@ def bessel_kernel(grid: Grid, alpha: float) -> KernelSpec:
     realized kernel is even by construction (real even symbol), so the
     induced convolution is symmetric in the integral pairing.
 
-    Construction is cached per (grid geometry, alpha), for the
-    CACHE_GEOMETRIES most recently used keys; concurrent readers are safe
-    and the lock enforces a single construction per cached key.
+    Construction is cached per (grid geometry, alpha) in the spectral cache
+    (`_cached`); concurrent readers are safe and each key is built once.
     """
     if not (0.0 < alpha <= grid.n):
         raise ValueError(f"alpha must lie in (0, n]={grid.n}, got {alpha}")
-    key = (grid.n, grid.L, grid.N, float(alpha))
-    with _kernel_lock:
-        spec = _cache_get(_kernel_cache, key)
-        if spec is not None:
-            return spec
+
+    def build() -> KernelSpec:
         sym = (1.0 + _frequency_grid(grid)) ** (-alpha / 2.0)
         raw = np.fft.ifftn(sym).real / grid.cell_measure
         negative = raw[raw < 0.0]
@@ -213,10 +212,28 @@ def bessel_kernel(grid: Grid, alpha: float) -> KernelSpec:
         ker.setflags(write=False)
         transfer.setflags(write=False)
         sym.setflags(write=False)
-        spec = KernelSpec(grid=grid, alpha=float(alpha), symbol=sym,
-                          kernel=ker, transfer=transfer, clipped_mass=clipped)
-        _cache_put(_kernel_cache, key, spec)
-        return spec
+        return KernelSpec(grid=grid, alpha=float(alpha), symbol=sym, kernel=ker,
+                          transfer=transfer, clipped_mass=clipped)
+
+    return _cached((grid.n, grid.L, grid.N, float(alpha)), build)
+
+
+def _ball_transfers(grid: Grid) -> list:
+    """FFT transfer functions of the normalized ball indicators, one
+    `(transfer, r, cells)` per radius r in {h, 2h, ..., floor(1/h) h}, kept
+    in the spectral cache under ("balls", n, L, N)."""
+    def build() -> list:
+        h = grid.h
+        # displacement distances j*h, FFT-indexed with periodic wrap
+        d = np.abs(np.fft.fftfreq(grid.N) * grid.N) * h
+        dist = d if grid.n == 1 else np.sqrt(d[:, None] ** 2 + d[None, :] ** 2)
+        transfers = []
+        for r in (k * h for k in range(1, int(math.floor(1.0 / h)) + 1)):
+            ball = (dist <= r + 1e-12).astype(float)
+            transfers.append((np.fft.fftn(ball / ball.sum()), r, int(ball.sum())))
+        return transfers
+
+    return _cached(("balls", grid.n, grid.L, grid.N), build)
 
 
 def convolve(grid: Grid, kernel: KernelSpec, f: Field) -> Field:

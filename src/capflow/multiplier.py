@@ -27,7 +27,9 @@ its witness only.  A field-independent family that several fields share
 is built once and its matrix gathered once.  The numerators ||f chi_K|| of the
 stack are one `lorentz_norms` call, strong and weak alike, so `m_norms`
 estimates a group of fields on one oracle for the price of one call;
-`m_norm` is its batch of one.
+`m_norm` is its batch of one.  The application checks run whole corpora
+through it: `maximal_boundedness_probe` estimates a corpus and its images
+under the local maximal operator in one `m_norms` call.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ from .capacity import (CapacityOracle, NormEstimate, SetMask, _diameter,
 from .grid import Grid
 from .measure import (DiscreteMeasureSpace, Field, LorentzExponents, _levels,
                       _thinned, lorentz_norm, lorentz_norms)
-from .weights import Weight, WeightConfig, potential_weight
+from .weights import Weight, WeightConfig, local_maximal, n_norm_upper
 
 __all__ = [
     "DEFAULT_SEED",
@@ -54,6 +56,7 @@ __all__ = [
     "weak_script_m_norm",
     "weak_script_m_norms",
     "m_norm_local",
+    "maximal_boundedness_probe",
     "char_m_via_weights",
 ]
 
@@ -379,6 +382,39 @@ def m_norm_local(f: Field, e: LorentzExponents,
     return LocalizationReport(loc, glo, ratio)
 
 
+@dataclass
+class ProbeReport:
+    m_ratios: list
+    n_ratios: list
+    m_max: float
+    n_max: float
+
+
+def maximal_boundedness_probe(corpus: Sequence[Field], e: LorentzExponents,
+                              oracle: CapacityOracle,
+                              candidates: Sequence[Weight] = (),
+                              cfg: WeightConfig = WeightConfig()) -> ProbeReport:
+    """Ratios est(M_loc f)/est(f) over the corpus fields with est(f) > 0,
+    M_loc the local maximal operator: the multiplier estimates of every
+    field and image are one `m_norms` call, each over `default_grid_family`
+    of its own field, and with weight candidates the weighted-infimum upper
+    bounds are one `n_norm_upper` call per field and per image.  The probe
+    only measures; the suites check finiteness and seed stability."""
+    images = [local_maximal(oracle.space, f) for f in corpus]
+    fields = list(corpus) + images
+    ests = [est.value for est in m_norms(
+        fields, e, [default_grid_family(f) for f in fields], oracle)]
+    m_ratios = [mf / base for base, mf in zip(ests, ests[len(images):])
+                if base > 0.0]
+    n_ratios = []
+    for f, mf in zip(corpus, images) if candidates else ():
+        base = n_norm_upper(f, e, candidates, cfg).value
+        if base > 0.0:
+            n_ratios.append(n_norm_upper(mf, e, candidates, cfg).value / base)
+    return ProbeReport(m_ratios, n_ratios, max(m_ratios, default=0.0),
+                       max(n_ratios, default=0.0))
+
+
 # ---------------------------------------------------------------------------
 # Weight characterization
 # ---------------------------------------------------------------------------
@@ -394,11 +430,11 @@ class WeightCharReport:
 
 
 def char_m_via_weights(f: Field, e: LorentzExponents, masks: Sequence[SetMask],
-                       oracle: CapacityOracle,
-                       cfg: WeightConfig = WeightConfig(),
-                       weight_for=None) -> WeightCharReport:
+                       weights: Sequence[Weight], oracle: CapacityOracle,
+                       cfg: WeightConfig = WeightConfig()) -> WeightCharReport:
     """Two-sided comparison of the weight form with the set form.
 
+    `weights` holds one potential weight per test set, built with `cfg`.
     For each test set K the potential weight w_K = (V^K)^delta / cap(K)
     dominates b^delta / cap(K) on K, where b is the measured minimum of the
     potential on K; hence
@@ -413,17 +449,20 @@ def char_m_via_weights(f: Field, e: LorentzExponents, masks: Sequence[SetMask],
         raise ValueError("weight characterization needs 1 < q <= p < inf")
     if not masks:
         raise ValueError("need at least one test set")
-    if weight_for is None:
-        weight_for = lambda mask: potential_weight(oracle, mask, cfg)
+    if len(weights) != len(masks):
+        raise ValueError(f"need one weight per test set, got {len(weights)} "
+                         f"for {len(masks)}")
+    if any(x.space is not oracle.space
+           for x in [f, *masks, *(w.field for w in weights)]):
+        raise ValueError("field, sets, weights and oracle live on different spaces")
     weights_form = 0.0
     sets_form = 0.0
     margin = math.inf
     worst_band = 0.0
-    for mask in masks:
+    for mask, wgt in zip(masks, weights):
         res = oracle.result(mask)
         if res.value <= 0.0:
             continue
-        wgt = weight_for(mask)
         # measured potential floor on K, recovered from the weight
         b = float((wgt.values[mask.bools] * res.value).min()) ** (1.0 / cfg.delta)
         lhs = lorentz_norm(f.restrict(mask), e) / res.value ** (1.0 / e.q)

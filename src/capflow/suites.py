@@ -944,22 +944,14 @@ def check_weight_characterization(ctx: RunContext, rows: _Rows) -> None:
     ratios = {}
     g1 = ctx.grid_oracle(1)
     grid = g1.space
-    weight_cache = {}
-
-    def cached_weight(mask):
-        hit = weight_cache.get(mask.key)
-        if hit is None:
-            hit = wt.potential_weight(g1, mask, ctx.weights)
-            weight_cache[mask.key] = hit
-        return hit
-
     for tag in ("a", "b"):
         rng = ctx.rng(f"c11-{tag}")
         masks = _grid_set_corpus(rng, grid, 3)
         f = _bump_field(grid, rng.uniform(-1.5, 1.5), rng.uniform(0.5, 1.2))
+        weights = [wt.potential_weight(g1, m, ctx.weights) for m in masks]
         for (p, q) in ((2.0, 2.0), (3.0, 2.0)):
-            rep = mn.char_m_via_weights(f, LorentzExponents(p, q), masks, g1,
-                                        ctx.weights, weight_for=cached_weight)
+            rep = mn.char_m_via_weights(f, LorentzExponents(p, q), masks,
+                                        weights, g1, ctx.weights)
             # the smallest margin, kept as the largest shortfall below zero
             rows.bound("shortfall", -rep.per_set_margin,
                        1e-9 * max(rep.sets_form, 1.0),
@@ -977,8 +969,8 @@ def check_weight_characterization(ctx: RunContext, rows: _Rows) -> None:
     for _ in range(6):
         m1 = _grid_set_corpus(rng, grid, 1)[0]
         m2 = _grid_set_corpus(rng, grid, 1)[0]
-        w1 = cached_weight(m1)
-        w2 = cached_weight(m2)
+        w1 = wt.potential_weight(g1, m1, ctx.weights)
+        w2 = wt.potential_weight(g1, m2, ctx.weights)
         lam = float(rng.uniform(0.2, 0.8))
         mixed = wt.average_weights([(lam, w1), (1.0 - lam, w2)], g1, ctx.weights)
         if mixed.a1_constant > max(w1.a1_constant, w2.a1_constant) + 1e-10:
@@ -1096,10 +1088,7 @@ def check_maximal(ctx: RunContext, rows: _Rows) -> None:
             grid, rngc.uniform(-1.5, 1.5), rngc.uniform(0.4, 1.2),
             rngc.uniform(0.5, 2.0)).values))
             for _ in range(3)]
-
-        rep = wt.maximal_boundedness_probe(
-            grid, corpus, lambda f: mn.m_norm(f, e, mn.default_grid_family(f), g1),
-            lambda f: wt.n_norm_upper(f, e, cands, cfg=ctx.weights))
+        rep = mn.maximal_boundedness_probe(corpus, e, g1, cands, ctx.weights)
         if not (math.isfinite(rep.m_max) and math.isfinite(rep.n_max)):
             rows.fail("probe infinite")
         probe_max[tag] = rep
@@ -1116,9 +1105,7 @@ def check_maximal(ctx: RunContext, rows: _Rows) -> None:
     sweep = {}
     for p_over_q in (1.0, 1.25, 1.5):
         es = LorentzExponents(2.0 * p_over_q, 2.0)
-        rep = wt.maximal_boundedness_probe(
-            grid, sweep_corpus,
-            lambda f, es=es: mn.m_norm(f, es, mn.default_grid_family(f), g1))
+        rep = mn.maximal_boundedness_probe(sweep_corpus, es, g1)
         sweep[p_over_q] = rep.m_max
         if not math.isfinite(rep.m_max):
             rows.fail(f"sweep p/q={p_over_q}")
@@ -1157,32 +1144,34 @@ def check_multiplier_invariants(ctx: RunContext, rows: _Rows) -> None:
     oracle = ctx.finite_oracle(identity_problem(space))
     allfam = mn.TestSetFamily.all_subsets()
 
-    # counting model: the sup of mass ratios for an indicator is one
+    # one stack: the counting indicator over all subsets, and f over all
+    # subsets, a random-union subfamily and that subfamily plus superlevels
     A = SetMask.from_indices(space, [0, 2])
     chiA = Field(space, A.bools.astype(float))
-    est = mn.m_norm(chiA, LorentzExponents(2.0, 2.0), allfam, oracle)
+    f = _random_field(rng, space)
+    e = LorentzExponents(2.0, 2.0)
+    sub = mn.TestSetFamily.random_unions(6, seed=cfg.master_seed)
+    est, est_all, est_sub, est_big = mn.m_norms(
+        [chiA, f, f, f], e, [allfam, allfam, sub, sub +
+                             mn.TestSetFamily.superlevels()], oracle)
+
+    # counting model: the sup of mass ratios for an indicator is one
     if abs(est.value - 1.0) > 1e-12 or not est.witness.issubset(A):
         rows.fail("counting exactness")
     if est.mode != "exact":
         rows.fail("exactness tag")
 
     # p = q: both multiplier norms coincide
-    f = _random_field(rng, space)
-    e = LorentzExponents(2.0, 2.0)
-    if abs(mn.m_norm(f, e, allfam, oracle).value -
-           mn.script_m_norm(f, e, allfam, oracle).value) > 1e-15:
+    if abs(est_all.value - mn.script_m_norm(f, e, allfam, oracle).value) > 1e-15:
         rows.fail("p=q coincidence")
 
     # weak two-form identity (raises internally on disagreement)
     mn.weak_script_m_norm(f, 2.0, allfam, oracle)
 
     # all-subsets dominates any family; families are monotone
-    sub = mn.TestSetFamily.random_unions(6, seed=cfg.master_seed)
-    est_sub = mn.m_norm(f, e, sub, oracle)
-    if est_sub.value > mn.m_norm(f, e, allfam, oracle).value * (1 + 1e-15):
+    if est_sub.value > est_all.value * (1 + 1e-15):
         rows.fail("all-subsets domination")
-    bigger = sub + mn.TestSetFamily.superlevels()
-    if mn.m_norm(f, e, bigger, oracle).value < est_sub.value * (1 - 1e-15):
+    if est_big.value < est_sub.value * (1 - 1e-15):
         rows.fail("family monotonicity")
 
     # bounded fields: per-set domination by the sup norm
@@ -1227,28 +1216,27 @@ def check_multiplier_invariants(ctx: RunContext, rows: _Rows) -> None:
         rows.fail("monotone convergence")
 
     # r-convexity transfers from the norm level to the estimates
-    rconv_fail = 0
     rngr = ctx.rng("c16-rconv")
     p, q, r = 2.5, 2.0, 1.5
     er = LorentzExponents(p, q)
     e_low = LorentzExponents(p / r, q / r)
-    tuples = []
+    stack = []   # each tuple's mixture and its three fields, in turn
     for _ in range(cfg.scale_tuples):
         fs = [_random_field(rngr, space) for _ in range(3)]
-        tuples.append(fs)
+        mix = sum(np.abs(g.values) ** r for g in fs) ** (1.0 / r)
+        stack += [Field(space, mix)] + fs
         parts = [np.where(sets, np.abs(g.values) ** r, 0.0) for g in fs]
         norms = lorentz_norms(np.concatenate([sum(parts)] + parts),
                               space.weights, e_low).reshape(4, -1)
         rows.bound("kappa_r", float(np.max(norms[0] / sum(norms[1:]))),
                    start=1.0)
     kappa_est = rows.worst["kappa_r"] ** (1.0 / r) * (1.0 + 1e-9)
-    for fs in tuples:
-        mix = Field(space, (sum(np.abs(g.values) ** r for g in fs)) ** (1.0 / r))
-        lhs = mn.m_norm(mix, er, allfam, oracle).value
-        rhs = kappa_est * sum(mn.m_norm(g, er, allfam, oracle).value ** r
-                              for g in fs) ** (1.0 / r)
-        if lhs > rhs * (1 + 1e-12):
-            rconv_fail += 1
+    ests = [est.value for est in mn.m_norms(stack, er, [allfam] * len(stack),
+                                            oracle)]
+    rconv_fail = 0
+    for i in range(0, len(ests), 4):
+        rhs = kappa_est * sum(v ** r for v in ests[i + 1:i + 4]) ** (1.0 / r)
+        rconv_fail += ests[i] > rhs * (1 + 1e-12)
     if rconv_fail:
         rows.fail(f"r-convexity ({rconv_fail})")
 

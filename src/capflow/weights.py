@@ -5,7 +5,9 @@ most 1 (radius set {h, 2h, ..., floor(1/h) h}); discrete balls collect cells
 by center distance and their measure is the cell count times the cell
 measure, which makes averages of constants exact.  Finite models carry no
 geometry: there the balls degenerate to singletons, the maximal operator is
-|f|, and every floored weight has local-A1 constant 1.
+|f|, and every floored weight has local-A1 constant 1.  The balls' FFT
+transfers are kept in `grid`'s one bounded spectral cache, beside the
+kernels.
 
 Weights enter the N-norm search only after certification: a local-A1
 constant and an L1-capacity norm estimate must both be attached.  The
@@ -16,16 +18,14 @@ carries the calibration used.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .capacity import (CapacityOracle, NormEstimate, SetMask, l1c_norm,
                        nonlinear_potential)
-from .grid import Grid, _cache_get, _cache_put
+from .grid import Grid, _ball_transfers
 from .measure import Field, LorentzExponents, lorentz_norm
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "average_weights",
     "n_norm_upper",
     "level_sum_check",
-    "maximal_boundedness_probe",
 ]
 
 WEIGHT_FLOOR = 1e-12
@@ -47,36 +46,6 @@ WEIGHT_FLOOR = 1e-12
 # ---------------------------------------------------------------------------
 # Local maximal operator
 # ---------------------------------------------------------------------------
-
-_ball_cache: OrderedDict = OrderedDict()
-_ball_lock = threading.Lock()
-
-
-def _ball_transfers(grid: Grid) -> list:
-    """FFT transfer functions of the normalized ball indicators, one per
-    radius in {h, 2h, ..., floor(1/h) h}; cached per grid geometry, for the
-    grid.CACHE_GEOMETRIES most recently used geometries."""
-    key = (grid.n, grid.L, grid.N)
-    with _ball_lock:
-        hit = _cache_get(_ball_cache, key)
-        if hit is not None:
-            return hit
-        h = grid.h
-        radii = [k * h for k in range(1, int(math.floor(1.0 / h)) + 1)]
-        # displacement distances j*h, FFT-indexed with periodic wrap
-        d = np.abs(np.fft.fftfreq(grid.N) * grid.N) * h
-        if grid.n == 1:
-            dist = d
-        else:
-            dist = np.sqrt(d[:, None] ** 2 + d[None, :] ** 2)
-        transfers = []
-        for r in radii:
-            ball = (dist <= r + 1e-12).astype(float)
-            count = ball.sum()
-            transfers.append((np.fft.fftn(ball / count), r, int(count)))
-        _cache_put(_ball_cache, key, transfers)
-        return transfers
-
 
 def local_maximal(space, f: Field) -> Field:
     """Largest ball average of |f| over the radius set (radii <= 1).
@@ -89,23 +58,21 @@ def local_maximal(space, f: Field) -> Field:
     a = np.abs(f.values)
     if not isinstance(space, Grid):
         return Field(space, a)
-    v = a.reshape(space.shape)
-    vhat = np.fft.fftn(v)
+    vhat = np.fft.fftn(a.reshape(space.shape))
     out = np.zeros(space.size)
     for transfer, _r, _c in _ball_transfers(space):
-        avg = np.fft.ifftn(vhat * transfer).real.ravel()
-        np.maximum(out, avg, out=out)
+        np.maximum(out, np.fft.ifftn(vhat * transfer).real.ravel(), out=out)
     return Field(space, np.maximum(out, 0.0))
 
 
-def a1loc_constant(space, omega: Field, floor: float = WEIGHT_FLOOR) -> float:
+def a1loc_constant(space, omega: Field) -> float:
     """Exact discrete local-A1 constant: max over cells of M_loc(w)/w.
 
-    The weight is floored at `floor` first (stand-in for positivity almost
-    everywhere); the result is always >= 1 up to transform roundoff because
-    the radius-h ball contains its center.
+    The weight is floored at WEIGHT_FLOOR first (stand-in for positivity
+    almost everywhere); the result is always >= 1 up to transform roundoff
+    because the radius-h ball contains its center.
     """
-    w = np.maximum(omega.values, floor)
+    w = np.maximum(omega.values, WEIGHT_FLOOR)
     m = local_maximal(space, Field(space, w)).values
     return float(np.max(m / w))
 
@@ -198,11 +165,11 @@ def average_weights(terms: Sequence, oracle: CapacityOracle,
     lam = np.array([t[0] for t in terms], dtype=float)
     if np.any(lam < 0.0) or lam.sum() <= 0.0:
         raise ValueError("coefficients must be nonnegative with positive sum")
-    space = terms[0][1].field.space
+    space = oracle.space
     acc = np.zeros(space.size)
     for coeff, wgt in terms:
         if wgt.field.space is not space:
-            raise ValueError("weights live on different spaces")
+            raise ValueError("weight and oracle live on different spaces")
         acc += coeff * wgt.values
     return _certified_weight(oracle, acc / lam.sum(), cfg, "average")
 
@@ -231,6 +198,9 @@ def n_norm_upper(f: Field, e: LorentzExponents, candidates: Sequence[Weight],
     cands = list(candidates)
     if not cands:
         raise ValueError("no weight candidates supplied")
+    if any(w.field.space is not f.space for w in cands) or (
+            oracle is not None and oracle.space is not f.space):
+        raise ValueError("field, weights and oracle live on different spaces")
     if float(np.abs(f.values).max(initial=0.0)) == 0.0:
         return NormEstimate(0.0, "upper-bound", witness=None, lo=0.0, hi=0.0)
     a1_limit = cfg.slack * max(w.a1_constant for w in cands)
@@ -320,40 +290,3 @@ def level_sum_check(omega: Field, oracle: CapacityOracle,
     est = l1c_norm(omega, oracle, max_levels=l1c_levels)
     ratio = (total + tail) / est.lo if est.lo > 0 else math.inf
     return LevelSumReport(total, est.value, ratio, len(bands), tail)
-
-
-# ---------------------------------------------------------------------------
-# Boundedness probes
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ProbeReport:
-    m_ratios: list
-    n_ratios: list
-    m_max: float
-    n_max: float
-
-
-def maximal_boundedness_probe(space, corpus: Sequence[Field],
-                              m_estimator, n_estimator=None) -> ProbeReport:
-    """Ratios of multiplier/weighted estimates under the maximal operator.
-
-    For each corpus field the probe records est(M_loc f)/est(f) for the
-    supplied estimator callables (field -> NormEstimate).  No numeric bound
-    is asserted here: the probe only measures; the suites check finiteness
-    and seed stability.
-    """
-    m_ratios, n_ratios = [], []
-    for f in corpus:
-        mf = local_maximal(space, f)
-        base = m_estimator(f).value
-        if base > 0.0:
-            m_ratios.append(m_estimator(mf).value / base)
-        if n_estimator is not None:
-            nbase = n_estimator(f).value
-            if nbase > 0.0:
-                n_ratios.append(n_estimator(mf).value / nbase)
-    return ProbeReport(
-        m_ratios, n_ratios,
-        max(m_ratios) if m_ratios else 0.0,
-        max(n_ratios) if n_ratios else 0.0)

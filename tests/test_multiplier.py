@@ -16,8 +16,11 @@ from capflow.measure import (DiscreteMeasureSpace, Field, LorentzExponents,
                              lorentz_norm, lorentz_norms, weak_lorentz_norm)
 from capflow.multiplier import (TestSetFamily, _distinct_rows,
                                 char_m_via_weights, default_grid_family,
-                                m_norm, m_norm_local, m_norms, script_m_norm,
+                                m_norm, m_norm_local, m_norms,
+                                maximal_boundedness_probe, script_m_norm,
                                 weak_script_m_norm, weak_script_m_norms)
+from capflow.suites import CapflowConfig, RunContext, check_multiplier_invariants
+from capflow.weights import local_maximal, n_norm_upper, potential_weight
 
 PARAMS = CapacityParams(alpha=1.0, s=2.0, tol=1e-6)
 
@@ -173,11 +176,89 @@ def test_char_via_weights_banded_lower_bound():
     masks = [SetMask(grid, np.abs(x) <= 0.8),
              SetMask(grid, np.abs(x - 2.0) <= 0.5)]
     f = Field.of(grid, np.exp(-x ** 2 / 2))
-    rep = char_m_via_weights(f, LorentzExponents(2.0, 2.0), masks, oracle)
+    weights = [potential_weight(oracle, m) for m in masks]
+    rep = char_m_via_weights(f, LorentzExponents(2.0, 2.0), masks, weights,
+                             oracle)
     assert rep.per_set_margin >= -1e-9 * max(rep.sets_form, 1.0)
     assert rep.weights_form > 0 and rep.sets_form > 0
     with pytest.raises(ValueError):
-        char_m_via_weights(f, LorentzExponents(2.0, 3.0), masks, oracle)
+        char_m_via_weights(f, LorentzExponents(2.0, 3.0), masks, weights,
+                           oracle)
+    with pytest.raises(ValueError, match="one weight per test set"):
+        char_m_via_weights(f, LorentzExponents(2.0, 2.0), masks, weights[:1],
+                           oracle)
+
+
+def test_char_via_weights_rejects_weights_of_another_space():
+    # two 4-atom spaces: a weight of b must not certify a set of a
+    a, b = DiscreteMeasureSpace(np.ones(4)), DiscreteMeasureSpace(np.ones(4))
+    oracle_a, oracle_b = (CapacityOracle(identity_problem(sp), PARAMS)
+                          for sp in (a, b))
+    mask_a = SetMask.from_indices(a, [0, 1])
+    w_b = potential_weight(oracle_b, SetMask.from_indices(b, [0, 1]))
+    f_a = Field.of(a, [1.0, 2.0, 0.5, 3.0])
+    e = LorentzExponents(2.0, 2.0)
+    with pytest.raises(ValueError, match="live on different spaces"):
+        char_m_via_weights(f_a, e, [mask_a], [w_b], oracle_a)
+    w_a = potential_weight(oracle_a, mask_a)
+    assert char_m_via_weights(f_a, e, [mask_a], [w_a], oracle_a).sets_form > 0
+
+
+def _bump_corpus(grid):
+    x = grid.coords()[:, 0]
+    return [Field.of(grid, h * np.exp(-(x - c) ** 2 / w))
+            for c, w, h in ((-1.0, 0.5, 1.0), (0.5, 1.2, 2.0), (1.2, 0.3, 0.7))]
+
+
+def test_probe_ratios_equal_per_field_estimates_bit_for_bit():
+    grid = make_grid(1, 16.0, 256)
+    params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
+    oracle = CapacityOracle(grid_problem(grid, params), params)
+    x = grid.coords()[:, 0]
+    cands = [potential_weight(oracle, SetMask(grid, np.abs(x - c) <= 0.6))
+             for c in (-1.0, 1.0)]
+    corpus = _bump_corpus(grid)
+    e = LorentzExponents(2.0, 2.0)
+    rep = maximal_boundedness_probe(corpus, e, oracle, cands)
+    # the references solve their sets alone, on an oracle of their own
+    fresh = CapacityOracle(grid_problem(grid, params), params)
+    m_want, n_want = [], []
+    for f in corpus:
+        mf = local_maximal(grid, f)
+        m_want.append(m_norm(mf, e, default_grid_family(mf), fresh).value /
+                      m_norm(f, e, default_grid_family(f), fresh).value)
+        n_want.append(n_norm_upper(mf, e, cands).value /
+                      n_norm_upper(f, e, cands).value)
+    assert rep.m_ratios == m_want and rep.n_ratios == n_want
+    assert (rep.m_max, rep.n_max) == (max(m_want), max(n_want))
+
+
+def test_probe_and_c16_make_one_m_norms_call_per_stack(monkeypatch):
+    grid = make_grid(1, 16.0, 256)
+    params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
+    oracle = CapacityOracle(grid_problem(grid, params), params)
+    corpus = _bump_corpus(grid) + [Field.of(grid, np.ones(grid.size))]
+    calls, real = [], mn.m_norms
+
+    def counted(fields, *rest):
+        calls.append(len(fields))
+        return real(fields, *rest)
+
+    monkeypatch.setattr(mn, "m_norms", counted)
+    for fields in (corpus[:1], corpus):
+        calls.clear()
+        maximal_boundedness_probe(fields, LorentzExponents(2.0, 2.0), oracle)
+        assert calls == [2 * len(fields)]
+    # C16: the estimator laws and r-convexity are one call each, however
+    # many tuples the r-convexity law draws
+    counts = []
+    for tuples in (2, 6):
+        calls.clear()
+        verdicts = check_multiplier_invariants(RunContext(
+            CapflowConfig(scale_fields=2, scale_tuples=tuples)))
+        assert all(v.status != "fail" for v in verdicts)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 2
 
 
 def test_default_grid_family_contents():

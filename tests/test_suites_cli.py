@@ -287,6 +287,7 @@ def test_weight_settings_reach_every_weight_of_a_campaign(monkeypatch):
 
     monkeypatch.setattr(wt, "potential_weight", weight)
     monkeypatch.setattr(wt, "n_norm_upper", norm)
+    monkeypatch.setattr(suites.mn, "n_norm_upper", norm)   # C14's probe
     cfg = CapflowConfig(slack=1.5, l1c_levels=7).quick()
     for check, screened in ((suites.check_pairing, True),
                             (suites.check_block_decomposition, True),

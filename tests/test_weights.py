@@ -7,13 +7,13 @@ import pytest
 
 from capflow.capacity import (CapacityOracle, CapacityParams, SetMask,
                               grid_problem, identity_problem, l1c_norm)
-from capflow import weights as weights_mod
-from capflow.grid import CACHE_GEOMETRIES, make_grid
+from capflow import grid as grid_mod
+from capflow.grid import CACHE_GEOMETRIES, bessel_kernel, make_grid
 from capflow.measure import DiscreteMeasureSpace, Field, LorentzExponents
+from capflow.multiplier import maximal_boundedness_probe
 from capflow.weights import (WEIGHT_FLOOR, WeightConfig,
                              a1loc_constant, average_weights, level_sum_check,
-                             local_maximal, maximal_boundedness_probe,
-                             n_norm_upper, potential_weight)
+                             local_maximal, n_norm_upper, potential_weight)
 
 PARAMS = CapacityParams(alpha=1.0, s=2.0, tol=1e-6)
 
@@ -45,18 +45,22 @@ def test_single_cell_average(grid):
 
 
 def test_ball_cache_is_bounded_lru(monkeypatch):
-    # more geometries than the bound: the cache stays at the bound, a
-    # repeated geometry returns the same transfers, and an evicted one is
-    # rebuilt equal to its first build
-    monkeypatch.setattr(weights_mod, "_ball_cache", OrderedDict())
+    # ball transfers share the kernel cache: with more geometries than the
+    # bound, kernels and balls together stay at the bound, a repeated
+    # geometry returns the same transfers, and an evicted one is rebuilt
+    # equal to its first build
+    monkeypatch.setattr(grid_mod, "_kernel_cache", OrderedDict())
     g = make_grid(1, 4.0, 16)
-    first = weights_mod._ball_transfers(g)
-    assert weights_mod._ball_transfers(make_grid(1, 4.0, 16)) is first
+    first = grid_mod._ball_transfers(g)
+    assert grid_mod._ball_transfers(make_grid(1, 4.0, 16)) is first
     for k in range(CACHE_GEOMETRIES + 2):
-        weights_mod._ball_transfers(make_grid(1, 4.0 + 0.25 * k, 64))
-        assert len(weights_mod._ball_cache) <= CACHE_GEOMETRIES
-    assert len(weights_mod._ball_cache) == CACHE_GEOMETRIES
-    again = weights_mod._ball_transfers(g)
+        geometry = make_grid(1, 4.0 + 0.25 * k, 64)
+        grid_mod._ball_transfers(geometry)
+        bessel_kernel(geometry, 0.5)
+        assert len(grid_mod._kernel_cache) <= CACHE_GEOMETRIES
+    assert len(grid_mod._kernel_cache) == CACHE_GEOMETRIES
+    assert {key[0] for key in grid_mod._kernel_cache} == {"balls", 1}
+    again = grid_mod._ball_transfers(g)
     assert again is not first and len(again) == len(first)
     for (t1, r1, c1), (t2, r2, c2) in zip(first, again):
         assert np.array_equal(t1, t2) and (r1, c1) == (r2, c2)
@@ -154,6 +158,24 @@ def test_average_weights(fine_oracle):
         average_weights([], fine_oracle, cfg)
     with pytest.raises(ValueError):
         average_weights([(0.0, w1)], fine_oracle, cfg)
+
+
+def test_weights_from_another_space_fail_loudly():
+    # two 4-atom spaces: a weight of b neither scores nor averages on a
+    a, b = DiscreteMeasureSpace(np.ones(4)), DiscreteMeasureSpace(np.ones(4))
+    oracle_a, oracle_b = (CapacityOracle(identity_problem(sp), PARAMS)
+                          for sp in (a, b))
+    w_a = potential_weight(oracle_a, SetMask.from_indices(a, [0, 1]))
+    w_b = potential_weight(oracle_b, SetMask.from_indices(b, [0, 1]))
+    f_a = Field.of(a, [1.0, 2.0, 0.5, 3.0])
+    e = LorentzExponents(2.0, 2.0)
+    with pytest.raises(ValueError, match="live on different spaces"):
+        n_norm_upper(f_a, e, [w_b])
+    with pytest.raises(ValueError, match="live on different spaces"):
+        n_norm_upper(f_a, e, [w_a], oracle=oracle_b)
+    with pytest.raises(ValueError, match="live on different spaces"):
+        average_weights([(1.0, w_b)], oracle_a)
+    assert n_norm_upper(f_a, e, [w_a]).value > 0.0
 
 
 @pytest.mark.parametrize("levels", [0, -1])
@@ -268,12 +290,10 @@ def test_level_sum_divides_by_the_lower_end():
 
 
 def test_probe_constant_field(fine_oracle):
+    # M 1 = 1 exactly on the line, so the constant's multiplier ratio is one
     g = fine_oracle.space
     ones = Field.of(g, np.ones(g.size))
-
-    def fake_est(f):
-        from capflow.capacity import NormEstimate
-        return NormEstimate(float(np.abs(f.values).max()), "lower-bound")
-
-    rep = maximal_boundedness_probe(g, [ones], fake_est)
-    assert rep.m_max <= 1.0 + 1e-10
+    rep = maximal_boundedness_probe([ones], LorentzExponents(2.0, 2.0),
+                                    fine_oracle)
+    assert rep.m_ratios == [1.0] and rep.m_max == 1.0
+    assert rep.n_ratios == [] and rep.n_max == 0.0
