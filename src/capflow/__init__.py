@@ -9,8 +9,7 @@ campaigns over every finitely checkable inequality the estimates satisfy.
 from .measure import (DiscreteMeasureSpace, Field, LorentzExponents,
                       StepFunction, decreasing_rearrangement,
                       distribution_function, gamma_norm, lorentz_norm,
-                      lorentz_norms, pairing, power_identity_check,
-                      weak_lorentz_norm)
+                      lorentz_norms, pairing, power_identity_check)
 from .grid import Grid, KernelSpec, bessel_kernel, convolve, make_grid
 from .capacity import (CapacityOracle, CapacityParams, CapacityProblem,
                        CapacityResult, NormEstimate, SetMask, capacity,
@@ -28,8 +27,7 @@ from .weights import (Weight, WeightConfig, a1loc_constant, average_weights,
 from .blocks import (AtomicMeasure, Block, BlockDecomposition,
                      block_norm_upper_constructive, block_norm_upper_greedy,
                      block_norms_upper_greedy, lorentz_kothe_dual_norm,
-                     trace_norm, transport_decomposition,
-                     validate_block, validate_blocks)
+                     trace_norm, transport_decomposition, validate_blocks)
 from .suites import CapflowConfig, Verdict, run_suite, write_verdicts
 
 __version__ = "0.1.0"

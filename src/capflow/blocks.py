@@ -7,8 +7,7 @@ normalized against a power of cap(E): exponent 1/q' for B-type blocks and
 artifact certifies upper bounds only, each carried by an explicit
 decomposition witness, and checks the inequality directions that the
 decompositions imply.  `validate_blocks` checks blocks as a stack, with
-one capacity gather and one `lorentz_norms` call; `validate_block` is its
-batch of one.
+one capacity gather and one `lorentz_norms` call.
 
 The constructive decomposition splits a field over dyadic weight levels
 crossed with unit annuli around the origin (finite models carry no
@@ -46,7 +45,7 @@ import numpy as np
 from .capacity import (CapacityOracle, NormEstimate, SetMask, _measures,
                        _stack_rows)
 from .grid import Grid
-from .measure import Field, LorentzExponents, lorentz_norms
+from .measure import Field, LorentzExponents, _same_space, lorentz_norms
 from .multiplier import TestSetFamily, _sup_over_sets
 from .weights import Weight
 
@@ -54,7 +53,6 @@ __all__ = [
     "Block",
     "BlockDecomposition",
     "AtomicMeasure",
-    "validate_block",
     "validate_blocks",
     "block_norm_upper_constructive",
     "block_norm_upper_greedy",
@@ -101,9 +99,7 @@ def validate_blocks(fields: list, supports: list, e: LorentzExponents,
     capacities from one gather and their norms from one `lorentz_norms`
     stack, each row with the bits of its own batch of one."""
     space = oracle.space
-    if any(b.space is not space or m.space is not space
-           for b, m in zip(fields, supports)):
-        raise ValueError("block, support and oracle live on different spaces")
+    _same_space(space, *fields, *supports)
     values = np.array([b.values for b in fields]).reshape(-1, space.size)
     bits = np.array([m.bools for m in supports], dtype=bool).reshape(-1, space.size)
     if np.any(values[~bits] != 0.0):
@@ -113,7 +109,7 @@ def validate_blocks(fields: list, supports: list, e: LorentzExponents,
     if live.size:
         power = _capacity_exponent(e, norm_type)
         if e.q == math.inf:
-            raise ValueError("q = inf is a distinct code path; use weak_lorentz_norm")
+            raise ValueError("blocks need q < inf")
         # libm's pow, as a scalar power; numpy's vector ** differs in the last bit
         norms[live] = (np.float_power(oracle.gather(bits[live])[0], power)
                        * lorentz_norms(values[live], space.weights, e))
@@ -122,12 +118,6 @@ def validate_blocks(fields: list, supports: list, e: LorentzExponents,
             raise ValueError(f"block normalization {norms[over[0]]} exceeds 1")
     return [Block(b, m, e, norm_type, norm)
             for b, m, norm in zip(fields, supports, norms.tolist())]
-
-
-def validate_block(b: Field, support: SetMask, e: LorentzExponents,
-                   norm_type: str, oracle: CapacityOracle) -> Block:
-    """The batch of one of `validate_blocks`."""
-    return validate_blocks([b], [support], e, norm_type, oracle)[0]
 
 
 def _combine(terms: list, space) -> np.ndarray:
@@ -208,6 +198,7 @@ def block_norm_upper_constructive(f: Field, e: LorentzExponents, omega: Weight,
     bound needs p <= q; other exponent pairs are accepted as a heuristic
     and simply recorded.
     """
+    _same_space(oracle.space, f, omega.field)
     w = omega.values
     vals = f.values
     ann = _annulus_index(f.space)
@@ -257,6 +248,7 @@ def block_norms_upper_greedy(fields: list, e: LorentzExponents,
     stack (module docstring): the gather of `_tight_terms` solves every peel
     support in one batch."""
     space = oracle.space
+    _same_space(space, *fields)
     peels = _greedy_peels(fields, [d.sets(space, f) for f, d in
                                    zip(fields, dictionaries)], space)
     return [BlockDecomposition.build(terms, f) for f, terms in
@@ -347,6 +339,7 @@ def trace_norm(mu: AtomicMeasure, family: TestSetFamily,
     the products overflow or go subnormal); the bisection is replayed on
     that one comparison.  The forms agree to roundoff plus capacity gaps.
     """
+    _same_space(oracle.space, mu)
     sets = family.sets(oracle.space)
     gathered = oracle.gather(sets)
     variations = sets.astype(float) @ mu.total_variation

@@ -46,7 +46,7 @@ import numpy as np
 
 from .grid import Grid, KernelSpec, bessel_kernel, _convolve_values
 from .measure import (MAX_CELLS, DiscreteMeasureSpace, Field, LorentzExponents,
-                      _layer_cake, _levels, _thinned, _unique)
+                      _layer_cake, _levels, _same_space, _thinned, _unique)
 
 __all__ = [
     "CapacityParams",
@@ -60,7 +60,6 @@ __all__ = [
     "capacity_batch",
     "audit_certificate",
     "CapacityOracle",
-    "NonlinearPotential",
     "nonlinear_potential",
     "equilibrium_checks",
     "NormEstimate",
@@ -162,9 +161,6 @@ class SetMask:
 
     def union(self, other: "SetMask") -> "SetMask":
         return SetMask(self.space, self.bools | other.bools)
-
-    def intersect(self, other: "SetMask") -> "SetMask":
-        return SetMask(self.space, self.bools & other.bools)
 
     def issubset(self, other: "SetMask") -> bool:
         return bool(np.all(~self.bools | other.bools))
@@ -445,8 +441,7 @@ def capacity_batch(problem: CapacityProblem, masks: Sequence[SetMask],
     the combination, and the rows with gap <= tol retire: they are written
     to the columns and leave the state arrays, which are compacted.
     """
-    if any(mask.space is not problem.space for mask in masks):
-        raise ValueError("mask lives on a different space than the problem")
+    _same_space(problem.space, *masks)
     cols = _solve_sets(problem, np.array([m.bools for m in masks], dtype=bool)
                        .reshape(-1, problem.space.size), params)
     return [cols.result(i, mask) for i, mask in enumerate(masks)]
@@ -824,6 +819,7 @@ def audit_certificate(problem: CapacityProblem, result: CapacityResult) -> float
         if not ok:
             raise ValueError(f"certificate audit failed: {what} ({result.mask!r})")
 
+    _same_space(problem.space, result.mask)
     params = result.params
     s, sp = params.s, params.s_conj
     w = problem.space.weights
@@ -902,8 +898,7 @@ class CapacityOracle:
     def result(self, mask: SetMask) -> CapacityResult:
         # the memo key is the bit pattern alone, which another space of the
         # same size shares
-        if mask.space is not self.problem.space:
-            raise ValueError("mask lives on a different space than the oracle")
+        _same_space(self.space, mask)
         key = self._keys(mask.bools[None])[0]
         row = self._memo.get(key)
         self.queries, self.hits = self.queries + 1, self.hits + (row is not None)
@@ -961,22 +956,16 @@ class CapacityOracle:
 # Nonlinear potential and equilibrium identities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NonlinearPotential:
-    """V = K (K mu)^(s'-1): nonnegative and finite on the whole space."""
-
-    field: Field
-    source_masses: np.ndarray = field(repr=False)
-
-
 def nonlinear_potential(problem: CapacityProblem, params: CapacityParams,
-                        masses: np.ndarray) -> NonlinearPotential:
+                        masses: np.ndarray) -> Field:
+    """The field V = K (K mu)^(s'-1) of the measure mu = masses:
+    nonnegative and finite on the whole space."""
     mu = np.asarray(masses, dtype=float)
     if np.any(mu < 0.0):
         raise ValueError("potential source measure must be nonnegative")
     a = problem.potential_of_measure(mu)
     V = problem.apply(np.maximum(a, 0.0) ** (params.s_conj - 1.0))
-    return NonlinearPotential(Field(problem.space, np.maximum(V, 0.0)), mu)
+    return Field(problem.space, np.maximum(V, 0.0))
 
 
 def equilibrium_checks(problem: CapacityProblem, result: CapacityResult) -> dict:
@@ -987,6 +976,7 @@ def equilibrium_checks(problem: CapacityProblem, result: CapacityResult) -> dict
     capacity at the optimum; each residual is reported relative to the
     certified value.
     """
+    _same_space(problem.space, result.mask)
     if not result.converged or result.dual_measure is None:
         raise ValueError("equilibrium checks need a converged result")
     if result.is_zero:
@@ -1045,6 +1035,7 @@ def l1c_norm(omega: Field, oracle: CapacityOracle,
     the returned value is then the upper end, mode 'upper-bound', with the
     lower end in `lo`.
     """
+    _same_space(oracle.space, omega)
     vals = omega.values
     if np.any(vals < 0.0):
         raise ValueError("l1c norm requires a nonnegative field")
@@ -1078,6 +1069,7 @@ def capacitary_lorentz_norm(f: Field, e: LorentzExponents,
     case is the breakpoint supremum sup_i u_i cap({|f| >= u_i})^(1/p), with
     the level that attains it as witness.
     """
+    _same_space(oracle.space, f)
     vals = np.abs(f.values)
     levels = _levels(f)[0]
     if levels.size == 0:
@@ -1134,6 +1126,7 @@ def strichartz_check(oracle: CapacityOracle, mask: SetMask) -> StrichartzReport:
     ratio sum/cap(E) is recorded, not bounded.
     """
     grid = oracle.space
+    _same_space(grid, mask)
     if not isinstance(grid, Grid):
         raise ValueError("localization check needs a grid model")
     value, lower, upper, gap = oracle.gather(_cover_rows(grid, mask.bools))
@@ -1169,6 +1162,7 @@ def lebesgue_lower_bound_check(oracle: CapacityOracle, mask: SetMask,
     refinement stability are asserted by the verification suites.
     """
     grid = oracle.space
+    _same_space(grid, mask)
     if not isinstance(grid, Grid):
         raise ValueError("lower-bound check needs a grid model")
     p = oracle.params

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import MAX_CELLS, Field
+from .measure import MAX_CELLS, Field, _same_space
 
 __all__ = [
     "Grid",
@@ -112,13 +112,6 @@ class Grid:
         """|x| at every cell center (flat)."""
         c = self.coords()
         return np.sqrt((c ** 2).sum(axis=1))
-
-    def check_support_margin(self, support_diameter: float) -> None:
-        """Box must exceed the data diameter by the decay margin."""
-        if self.L < support_diameter + DECAY_MARGIN:
-            raise ValueError(
-                f"box L={self.L} too small for support diameter "
-                f"{support_diameter:.3g} plus decay margin {DECAY_MARGIN}")
 
     def __repr__(self) -> str:
         return f"Grid(n={self.n}, L={self.L}, N={self.N}, h={self.h:.4g})"
@@ -249,8 +242,7 @@ def convolve(grid: Grid, kernel: KernelSpec, f: Field) -> Field:
     # kernels are cached by geometry, so compare by value, not identity
     if (kernel.grid.n, kernel.grid.L, kernel.grid.N) != (grid.n, grid.L, grid.N):
         raise ValueError("kernel was built for a different grid")
-    if f.space is not grid:
-        raise ValueError("field lives on a different grid")
+    _same_space(grid, f)
     return Field(grid, _convolve_values(grid, kernel, f.values))
 
 

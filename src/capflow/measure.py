@@ -10,8 +10,8 @@ consumes the metrology defined here:
   * lorentz_norms       -- exact closed-form evaluation of the layer-cake
                            quasi-norm  p^(1/q) (int mu({|f|>t})^(q/p) t^q dt/t)^(1/q)
                            (the weak norm at q = inf) of every field of a
-                           (B, size) stack; lorentz_norm and weak_lorentz_norm
-                           are its batch of one.
+                           (B, size) stack; lorentz_norm is its batch of one,
+                           for every q.
   * _stack_levels       -- the one extraction of levels and tie masses.
   * _layer_cake         -- the closed form over given levels and masses, shared
                            with the capacitary norms (capacity in place of mu).
@@ -40,7 +40,6 @@ __all__ = [
     "decreasing_rearrangement",
     "lorentz_norm",
     "lorentz_norms",
-    "weak_lorentz_norm",
     "gamma_norm",
     "power_identity_check",
     "pairing",
@@ -111,9 +110,12 @@ class Field:
         return Field(space, np.asarray(values, dtype=float))
 
     def restrict(self, mask) -> "Field":
-        """Pointwise product with an indicator (mask broadcastable to values)."""
-        m = np.asarray(getattr(mask, "bools", mask))
-        return Field(self.space, np.where(m, self.values, 0.0))
+        """Pointwise product with an indicator: a mask on this field's space,
+        or a bool array broadcastable to the values."""
+        if hasattr(mask, "bools"):
+            _same_space(self.space, mask)
+            mask = mask.bools
+        return Field(self.space, np.where(mask, self.values, 0.0))
 
     def __repr__(self) -> str:
         return f"Field(n={self.space.size}, max|.|={np.abs(self.values).max():.6g})"
@@ -317,23 +319,23 @@ def lorentz_norms(values: np.ndarray, weights: np.ndarray,
 
 
 def lorentz_norm(f: Field, e: LorentzExponents) -> float:
-    """Exact closed-form Lorentz quasi-norm for q < inf: `lorentz_norms`
-    of the one field."""
-    if e.q == math.inf:
-        raise ValueError("q = inf is a distinct code path; use weak_lorentz_norm")
+    """Exact closed-form Lorentz quasi-norm, weak when q = inf:
+    `lorentz_norms` of the one field."""
     return float(lorentz_norms(f.values[None], f.space.weights, e)[0])
 
 
-def weak_lorentz_norm(f: Field, p: float) -> float:
-    """sup_t t * mu({|f| > t})^(1/p); attained at some level from below."""
-    return float(lorentz_norms(f.values[None], f.space.weights,
-                               LorentzExponents(p, math.inf))[0])
+def _same_space(space, *items) -> None:
+    """The one space rule: every item (a field, mask, measure or oracle)
+    must live on `space` itself, not on an equal copy of it."""
+    bad = next((x for x in items if x.space is not space), None)
+    if bad is not None:
+        raise ValueError(f"{type(bad).__name__} and {type(space).__name__} "
+                         "live on different spaces")
 
 
 def pairing(f: Field, g: Field, absolute: bool = False) -> float:
     """Integral pairing sum_i f_i g_i w_i (absolute variant on request)."""
-    if f.space is not g.space:
-        raise ValueError("fields live on different spaces")
+    _same_space(f.space, g)
     prod = f.values * g.values
     if absolute:
         prod = np.abs(prod)

@@ -43,7 +43,7 @@ from .capacity import (CapacityOracle, NormEstimate, SetMask, _diameter,
                        _stack_rows, unit_cover)
 from .grid import Grid
 from .measure import (DiscreteMeasureSpace, Field, LorentzExponents, _levels,
-                      _thinned, lorentz_norm, lorentz_norms)
+                      _same_space, _thinned, lorentz_norm, lorentz_norms)
 from .weights import Weight, WeightConfig, local_maximal, n_norm_upper
 
 __all__ = [
@@ -124,8 +124,7 @@ class TestSetFamily:
         if self.kind == "union":
             return np.concatenate([fam._rows(space, f) for fam in self.members])
         if self.kind == "explicit":
-            if any(m.space is not space for m in self.members):
-                raise ValueError("explicit member lives on a different space")
+            _same_space(space, *self.members)
             return np.array([m.bools for m in self.members],
                             dtype=bool).reshape(-1, space.size)
         if self.kind == "all-subsets":
@@ -258,8 +257,7 @@ def _restricted_sups(fields: Sequence[Field], e: LorentzExponents,
     for it, from one `lorentz_norms` stack and one gather, in which a set
     matrix that several segments share appears once."""
     space = oracle.space
-    if any(f.space is not space for f in fields):
-        raise ValueError("field and oracle live on different spaces")
+    _same_space(space, *fields)
     if sets is None:
         sets = _family_sets(families, fields, space)
     ends = np.cumsum([0] + [len(bits) for bits in sets]).tolist()
@@ -452,9 +450,7 @@ def char_m_via_weights(f: Field, e: LorentzExponents, masks: Sequence[SetMask],
     if len(weights) != len(masks):
         raise ValueError(f"need one weight per test set, got {len(weights)} "
                          f"for {len(masks)}")
-    if any(x.space is not oracle.space
-           for x in [f, *masks, *(w.field for w in weights)]):
-        raise ValueError("field, sets, weights and oracle live on different spaces")
+    _same_space(oracle.space, f, *masks, *(w.field for w in weights))
     weights_form = 0.0
     sets_form = 0.0
     margin = math.inf

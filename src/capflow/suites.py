@@ -497,7 +497,7 @@ def check_equilibrium(ctx: RunContext, rows: _Rows) -> None:
             continue
         resid = max(equilibrium_checks(problem, res).values())
         rows.bound("resid", resid, 50.0 * params.tol, f"residual {resid:.2e}")
-        pot = nonlinear_potential(problem, params, res.dual_measure).field
+        pot = nonlinear_potential(problem, params, res.dual_measure)
         band = 10.0 * params.tol
         low = float(pot.values[mask.bools].min())
         supp = res.dual_measure > 0.0

@@ -26,7 +26,7 @@ import numpy as np
 from .capacity import (CapacityOracle, NormEstimate, SetMask, l1c_norm,
                        nonlinear_potential)
 from .grid import Grid, _ball_transfers
-from .measure import Field, LorentzExponents, lorentz_norm
+from .measure import Field, LorentzExponents, _same_space, lorentz_norm
 
 __all__ = [
     "WEIGHT_FLOOR",
@@ -53,8 +53,7 @@ def local_maximal(space, f: Field) -> Field:
     Sublinear and positively homogeneous; fixes constants exactly.  On
     finite models the balls are singletons, so the result is |f|.
     """
-    if f.space is not space:
-        raise ValueError("field lives on a different space")
+    _same_space(space, f)
     a = np.abs(f.values)
     if not isinstance(space, Grid):
         return Field(space, a)
@@ -72,6 +71,7 @@ def a1loc_constant(space, omega: Field) -> float:
     almost everywhere); the result is always >= 1 up to transform roundoff
     because the radius-h ball contains its center.
     """
+    _same_space(space, omega)
     w = np.maximum(omega.values, WEIGHT_FLOOR)
     m = local_maximal(space, Field(space, w)).values
     return float(np.max(m / w))
@@ -92,13 +92,10 @@ class Weight:
     field: Field
     a1_constant: float
     l1c_estimate: NormEstimate
-    provenance: str = "user"
 
     def __post_init__(self):
         if np.any(self.field.values <= 0.0):
             raise ValueError("weight must be strictly positive after flooring")
-        if self.provenance not in ("potential", "average", "user"):
-            raise ValueError(f"unknown weight provenance {self.provenance!r}")
 
     @property
     def values(self) -> np.ndarray:
@@ -124,11 +121,11 @@ class WeightConfig:
 
 
 def _certified_weight(oracle: CapacityOracle, values: np.ndarray,
-                      cfg: WeightConfig, provenance: str = "user") -> Weight:
+                      cfg: WeightConfig) -> Weight:
     """The weight max(values, WEIGHT_FLOOR) with both certificates."""
     f = Field(oracle.space, np.maximum(values, WEIGHT_FLOOR))
     return Weight(f, a1loc_constant(oracle.space, f),
-                  l1c_norm(f, oracle, max_levels=cfg.l1c_levels), provenance)
+                  l1c_norm(f, oracle, max_levels=cfg.l1c_levels))
 
 
 def potential_weight(oracle: CapacityOracle, mask: SetMask,
@@ -146,8 +143,8 @@ def potential_weight(oracle: CapacityOracle, mask: SetMask,
     if res.is_zero:
         raise ValueError("potential weight of the empty set is undefined")
     pot = nonlinear_potential(oracle.problem, oracle.params, res.dual_measure)
-    powered = np.maximum(pot.field.values, 0.0) ** cfg.delta
-    return _certified_weight(oracle, powered / res.value, cfg, "potential")
+    powered = np.maximum(pot.values, 0.0) ** cfg.delta
+    return _certified_weight(oracle, powered / res.value, cfg)
 
 
 def average_weights(terms: Sequence, oracle: CapacityOracle,
@@ -165,13 +162,9 @@ def average_weights(terms: Sequence, oracle: CapacityOracle,
     lam = np.array([t[0] for t in terms], dtype=float)
     if np.any(lam < 0.0) or lam.sum() <= 0.0:
         raise ValueError("coefficients must be nonnegative with positive sum")
-    space = oracle.space
-    acc = np.zeros(space.size)
-    for coeff, wgt in terms:
-        if wgt.field.space is not space:
-            raise ValueError("weight and oracle live on different spaces")
-        acc += coeff * wgt.values
-    return _certified_weight(oracle, acc / lam.sum(), cfg, "average")
+    _same_space(oracle.space, *(wgt.field for _c, wgt in terms))
+    acc = sum(coeff * wgt.values for coeff, wgt in terms)
+    return _certified_weight(oracle, acc / lam.sum(), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +191,8 @@ def n_norm_upper(f: Field, e: LorentzExponents, candidates: Sequence[Weight],
     cands = list(candidates)
     if not cands:
         raise ValueError("no weight candidates supplied")
-    if any(w.field.space is not f.space for w in cands) or (
-            oracle is not None and oracle.space is not f.space):
-        raise ValueError("field, weights and oracle live on different spaces")
+    _same_space(f.space, *(w.field for w in cands),
+                *([] if oracle is None else [oracle]))
     if float(np.abs(f.values).max(initial=0.0)) == 0.0:
         return NormEstimate(0.0, "upper-bound", witness=None, lo=0.0, hi=0.0)
     a1_limit = cfg.slack * max(w.a1_constant for w in cands)
@@ -269,6 +261,7 @@ def level_sum_check(omega: Field, oracle: CapacityOracle,
     the lower end of the norm's certified bracket, which `l1c_levels` may
     thin.
     """
+    _same_space(oracle.space, omega)
     vals = omega.values
     if np.any(vals < 0.0):
         raise ValueError("level sum requires a nonnegative field")

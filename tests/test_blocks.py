@@ -18,8 +18,7 @@ from capflow.blocks import (AtomicMeasure,
                             block_norm_upper_greedy,
                             block_norms_upper_greedy,
                             lorentz_kothe_dual_norm, trace_norm,
-                            transport_decomposition,
-                            validate_block, validate_blocks)
+                            transport_decomposition, validate_blocks)
 from capflow.capacity import (CapacityOracle, CapacityParams, NormEstimate,
                               SetMask, finite_problem, identity_problem)
 from capflow.measure import (DiscreteMeasureSpace, Field, LorentzExponents,
@@ -50,26 +49,27 @@ def test_validate_block_tight_zero_and_rejections(model):
     chi = Field.of(sp, E.bools.astype(float))
     tight_vals = chi.values / (oracle.value(E) ** (1 / e.q_conj)
                                * lorentz_norm(chi, e))
-    blk = validate_block(Field.of(sp, tight_vals), E, e, "B", oracle)
+    blk = validate_blocks([Field.of(sp, tight_vals)], [E], e, "B", oracle)[0]
     assert blk.normalization == pytest.approx(1.0, abs=1e-12)
 
-    zero = validate_block(Field.of(sp, np.zeros(6)), E, e, "B", oracle)
+    zero = validate_blocks([Field.of(sp, np.zeros(6))], [E], e, "B", oracle)[0]
     assert zero.normalization == 0.0
 
     with pytest.raises(ValueError, match="exceeds 1"):
-        validate_block(Field.of(sp, 2 * tight_vals), E, e, "B", oracle)
+        validate_blocks([Field.of(sp, 2 * tight_vals)], [E], e, "B", oracle)[0]
     off = np.zeros(6)
     off[0] = 1.0
     with pytest.raises(ValueError, match="support"):
-        validate_block(Field.of(sp, off), E, e, "B", oracle)
+        validate_blocks([Field.of(sp, off)], [E], e, "B", oracle)[0]
     # the capacity is read from the oracle, so its space must be the block's
     twin = DiscreteMeasureSpace(np.ones(6))
     other = CapacityOracle(identity_problem(twin), PARAMS)
     with pytest.raises(ValueError, match="different space"):
-        validate_block(Field.of(sp, tight_vals), E, e, "B", other)
+        validate_blocks([Field.of(sp, tight_vals)], [E], e, "B", other)[0]
 
     # script variant uses the other conjugate exponent
-    sblk = validate_block(Field.of(sp, tight_vals), E, e, "scriptB", oracle)
+    sblk = validate_blocks([Field.of(sp, tight_vals)], [E], e, "scriptB",
+                           oracle)[0]
     assert sblk.normalization == pytest.approx(
         oracle.value(E) ** (1 / e.p_conj - 1 / e.q_conj), rel=1e-12)
 
@@ -109,7 +109,7 @@ def test_stacked_normalizations_are_each_blocks_own_bits():
                 stack = validate_blocks(fields, supports, e, norm_type, oracle)
                 power = bl._capacity_exponent(e, norm_type)
                 for blk, b, mask in zip(stack, fields, supports):
-                    one = validate_block(b, mask, e, norm_type, oracle)
+                    one = validate_blocks([b], [mask], e, norm_type, oracle)[0]
                     assert blk.normalization == one.normalization
                     # the scalar formula: libm's pow of the capacity
                     want = (0.0 if not b.values.any() else

@@ -4,14 +4,19 @@ import os
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capflow.blocks import (AtomicMeasure, block_norm_upper_constructive,
+                            block_norm_upper_greedy, block_norms_upper_greedy,
+                            trace_norm)
 from capflow.capacity import (CapacityOracle, CapacityParams,
-                              CapacityProblem, SetMask, _diameter, _measures,
+                              CapacityProblem, NormEstimate, SetMask,
+                              _diameter, _measures,
                               _grow_inverse_factor, _polish, _solve,
                               audit_certificate,
                               capacitary_lorentz_norm,
@@ -23,6 +28,7 @@ from capflow.capacity import (CapacityOracle, CapacityParams,
 from capflow.grid import make_grid
 from capflow.measure import DiscreteMeasureSpace, Field, LorentzExponents
 from capflow.multiplier import TestSetFamily
+from capflow.weights import Weight, a1loc_constant, level_sum_check
 
 PARAMS = CapacityParams(alpha=1.0, s=2.0, tol=1e-6)
 
@@ -58,7 +64,6 @@ def test_mask_basics():
     assert m.cardinality == 2 and m.measure == 2.0 and not m.is_empty
     assert m.issubset(SetMask.full(sp))
     assert m.union(SetMask.from_indices(sp, [0])).cardinality == 3
-    assert m.intersect(SetMask.from_indices(sp, [3])).cardinality == 1
     assert SetMask.empty(sp).is_empty
 
 
@@ -167,16 +172,16 @@ def test_equilibrium_identities_and_potential():
     resid = equilibrium_checks(prob, res)
     assert max(resid.values()) <= 5e-5
     pot = nonlinear_potential(prob, res.params, res.dual_measure)
-    assert pot.field.values.min() >= 1.0 - 1e-5
+    assert pot.values.min() >= 1.0 - 1e-5
 
     # identity kernel: a point mass pushes through both stages unchanged
     spi = uspace(3)
     probi = identity_problem(spi)
     mass = np.array([0.0, 1.0, 0.0])
     pot = nonlinear_potential(probi, PARAMS, mass)
-    assert np.array_equal(pot.field.values, mass)
+    assert np.array_equal(pot.values, mass)
     assert np.array_equal(
-        nonlinear_potential(probi, PARAMS, np.zeros(3)).field.values, np.zeros(3))
+        nonlinear_potential(probi, PARAMS, np.zeros(3)).values, np.zeros(3))
 
 
 @settings(max_examples=40, deadline=None)
@@ -191,7 +196,7 @@ def test_counting_capacity_is_modular(weights, bits_a, bits_b):
     a = SetMask(sp, np.array([(bits_a >> i) & 1 for i in range(m)], dtype=bool))
     b = SetMask(sp, np.array([(bits_b >> i) & 1 for i in range(m)], dtype=bool))
     val = lambda mask: capacity(prob, mask, PARAMS).value
-    union_plus_meet = val(a.union(b)) + val(a.intersect(b))
+    union_plus_meet = val(a.union(b)) + val(SetMask(sp, a.bools & b.bools))
     assert union_plus_meet == pytest.approx(val(a) + val(b), rel=1e-15, abs=1e-15)
     assert val(a) <= val(a.union(b)) + 1e-15
 
@@ -1031,6 +1036,63 @@ def test_oracle_rejects_masks_of_another_space():
         oracle.gather(np.ones((1, 4), dtype=bool))
     with pytest.raises(ValueError, match="shape"):
         oracle.gather(np.ones(3, dtype=bool))
+
+
+def _two_of_each():
+    """Two 4-atom spaces and two 256-point lines of equal size; each oracle,
+    problem and weight lives on the first of its pair, each other input on
+    the second."""
+    sp, twin = uspace(4), uspace(4)
+    line, twin_line = make_grid(1, 16.0, 256), make_grid(1, 16.0, 256)
+    line_params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
+    weight = lambda space: Weight(Field.of(space, np.ones(4)), 1.0,
+                                  NormEstimate(4.0, "exact"))
+    return SimpleNamespace(
+        sp=sp, oracle=CapacityOracle(identity_problem(sp), PARAMS),
+        field=Field.of(sp, np.arange(4.0)), weight=weight(sp),
+        f=Field.of(twin, np.arange(4.0)), zero=Field.of(twin, np.zeros(4)),
+        twin_weight=weight(twin), mu=AtomicMeasure(twin, np.ones(4)),
+        result=capacity(identity_problem(twin), SetMask.full(twin), PARAMS),
+        line_oracle=CapacityOracle(grid_problem(line, line_params), line_params),
+        line_mask=SetMask(twin_line, np.abs(twin_line.axis_coords()) <= 1.0),
+        line_empty=SetMask.empty(twin_line))
+
+
+E22 = LorentzExponents(2.0, 2.0)
+ANOTHER_SPACE = {
+    "block_norms_upper_greedy": lambda o: block_norms_upper_greedy(
+        [o.f], E22, [TestSetFamily.all_subsets()], o.oracle),
+    "block_norm_upper_greedy": lambda o: block_norm_upper_greedy(
+        o.f, E22, TestSetFamily.all_subsets(), o.oracle),
+    "block_norm_upper_constructive-field": lambda o:
+        block_norm_upper_constructive(o.f, E22, o.weight, o.oracle),
+    "block_norm_upper_constructive-weight": lambda o:
+        block_norm_upper_constructive(o.field, E22, o.twin_weight, o.oracle),
+    "trace_norm": lambda o: trace_norm(o.mu, TestSetFamily.all_subsets(),
+                                       o.oracle),
+    "strichartz_check": lambda o: strichartz_check(o.line_oracle, o.line_mask),
+    # an empty set returns `skipped`, but only after the check
+    "lebesgue_lower_bound_check": lambda o: lebesgue_lower_bound_check(
+        o.line_oracle, o.line_empty, 0.5),
+    "l1c_norm": lambda o: l1c_norm(o.f, o.oracle),
+    "capacitary_lorentz_norm": lambda o: capacitary_lorentz_norm(
+        o.f, E22, o.oracle),
+    # an all-zero field returns early, but only after the check
+    "level_sum_check": lambda o: level_sum_check(o.zero, o.oracle),
+    "a1loc_constant": lambda o: a1loc_constant(o.sp, o.f),
+    "audit_certificate": lambda o: audit_certificate(o.oracle.problem, o.result),
+    "equilibrium_checks": lambda o: equilibrium_checks(o.oracle.problem,
+                                                       o.result),
+    "Field.restrict": lambda o: o.field.restrict(SetMask.full(o.f.space)),
+}
+
+
+@pytest.mark.parametrize("call", ANOTHER_SPACE.values(), ids=ANOTHER_SPACE)
+def test_every_entry_point_rejects_another_space(call):
+    # the spaces of a pair are equal in all but identity, so no shape or
+    # size test can tell them apart
+    with pytest.raises(ValueError, match="different spaces"):
+        call(_two_of_each())
 
 
 @pytest.mark.parametrize("size", range(2, 25))

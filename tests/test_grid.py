@@ -48,13 +48,6 @@ def test_cell_centers_and_measure():
     assert g.cell_measure * g.size == pytest.approx(g.total_mass)
 
 
-def test_support_margin_guard():
-    g = make_grid(1, 16.0, 256)
-    g.check_support_margin(3.0)
-    with pytest.raises(ValueError):
-        g.check_support_margin(9.0)
-
-
 def test_kernel_mass_and_evenness():
     g = make_grid(1, 16.0, 256)
     for alpha in (0.5, 1.0):

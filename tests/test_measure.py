@@ -16,8 +16,7 @@ import capflow
 from capflow.measure import (DiscreteMeasureSpace, Field, LorentzExponents,
                              decreasing_rearrangement, distribution_function,
                              gamma_norm, gamma_sandwich_bound, lorentz_norm,
-                             lorentz_norms, pairing, power_identity_check,
-                             weak_lorentz_norm)
+                             lorentz_norms, pairing, power_identity_check)
 
 
 def space(*weights):
@@ -130,9 +129,13 @@ def test_two_level_hand_value():
     assert got == pytest.approx(2 * (math.sqrt(2) + 1), rel=1e-14)
 
 
-def test_rejects_infinite_q():
-    with pytest.raises(ValueError):
-        lorentz_norm(fld(space(1), 1), LorentzExponents(2, math.inf))
+def test_infinite_q_is_the_weak_row_of_the_stack():
+    # candidates 1*sqrt(2) and 2*1: the top level wins, by hand
+    f = fld(space(1, 1), 2, 1)
+    e = LorentzExponents(2, math.inf)
+    assert lorentz_norm(f, e) == 2.0
+    assert lorentz_norm(f, e) == \
+        lorentz_norms(f.values[None], f.space.weights, e)[0]
 
 
 def layer_cake_quadrature(f, p, q):
@@ -160,11 +163,12 @@ def test_closed_form_matches_quadrature(seed):
 
 def test_weak_norm_breakpoints():
     # candidates 1*sqrt(2) and 2*1: the top level wins
-    assert weak_lorentz_norm(fld(space(1, 1), 2, 1), 2.0) == pytest.approx(2.0)
+    weak = LorentzExponents(2.0, math.inf)
+    assert lorentz_norm(fld(space(1, 1), 2, 1), weak) == pytest.approx(2.0)
     # single level: c * mu(E)^(1/p)
-    assert weak_lorentz_norm(fld(space(2, 1), 3, 0), 2.0) == \
+    assert lorentz_norm(fld(space(2, 1), 3, 0), weak) == \
         pytest.approx(3 * math.sqrt(2), rel=1e-14)
-    assert weak_lorentz_norm(fld(space(1, 1), 0, 0), 2.0) == 0.0
+    assert lorentz_norm(fld(space(1, 1), 0, 0), weak) == 0.0
 
 
 def test_weak_below_strong_small_q():
@@ -175,7 +179,7 @@ def test_weak_below_strong_small_q():
             sp = DiscreteMeasureSpace(rng.random(m) + 0.1)
             f = Field.of(sp, rng.lognormal(0, 1, m))
             p = rng.uniform(0.8, 3.0)
-            weak = weak_lorentz_norm(f, p)
+            weak = lorentz_norm(f, LorentzExponents(p, math.inf))
             strong = lorentz_norm(f, LorentzExponents(p, q))
             assert weak <= (q / p) ** (1 / q) * strong * (1 + 1e-12)
 
@@ -240,8 +244,7 @@ def test_stacked_norms_match_per_field_reference_bit_for_bit(p, q):
         sp = DiscreteMeasureSpace(w)
         want = [reference_norm(Field.of(sp, row), e) for row in V]
         assert lorentz_norms(V, w, e).tolist() == want
-        single = [weak_lorentz_norm(Field.of(sp, row), p) if q == math.inf
-                  else lorentz_norm(Field.of(sp, row), e) for row in V]
+        single = [lorentz_norm(Field.of(sp, row), e) for row in V]
         assert single == want
 
 
@@ -271,7 +274,7 @@ def test_norms_raise_when_the_top_level_power_is_not_normal(level, q):
         with pytest.raises(ValueError, match="not a normal float"):
             call()
     # the weak norm takes no power of the levels
-    assert weak_lorentz_norm(f, 2.0) == level * math.sqrt(2.0)
+    assert lorentz_norm(f, LorentzExponents(2.0, math.inf)) == level * math.sqrt(2.0)
 
 
 def test_norms_of_normal_fields_keep_their_bits():

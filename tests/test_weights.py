@@ -121,7 +121,6 @@ def test_potential_weight_identity_model():
     # the potential is the indicator, so the weight is it, floored
     assert w.values[1] == pytest.approx(1.0)   # 1/cap({atom}) with cap = 1
     assert w.values[0] == WEIGHT_FLOOR
-    assert w.provenance == "potential"
     # recorded two-sided ratio: the layer cake of V^delta equals the capacity
     est = l1c_norm(Field.of(sp, np.array([0.0, 1.0, 0.0])), oracle)
     assert est.value / oracle.value(mask) == pytest.approx(1.0)
@@ -153,7 +152,6 @@ def test_average_weights(fine_oracle):
     assert np.abs(dup.values - w1.values).max() <= 1e-15
     mixed = average_weights([(0.3, w1), (0.7, w2)], fine_oracle, cfg)
     assert mixed.a1_constant <= max(w1.a1_constant, w2.a1_constant) + 1e-10
-    assert mixed.provenance == "average"
     with pytest.raises(ValueError):
         average_weights([], fine_oracle, cfg)
     with pytest.raises(ValueError):
