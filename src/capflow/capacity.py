@@ -126,12 +126,15 @@ class SetMask:
         self.space = space
         self.bools = b.copy()
         self.bools.setflags(write=False)
-        self._key = self.bools.tobytes()
 
     @staticmethod
     def from_indices(space, indices) -> "SetMask":
+        idx = np.asarray(indices)
+        if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0
+                         or idx.max() >= space.size):
+            raise ValueError(f"mask indices must be integers in [0, {space.size})")
         b = np.zeros(space.size, dtype=bool)
-        b[np.asarray(indices, dtype=int)] = True
+        b[idx.astype(int)] = True
         return SetMask(space, b)
 
     @staticmethod
@@ -157,12 +160,14 @@ class SetMask:
 
     @property
     def key(self) -> bytes:
-        return self._key
+        return self.bools.tobytes()
 
     def union(self, other: "SetMask") -> "SetMask":
+        _same_space(self.space, other)
         return SetMask(self.space, self.bools | other.bools)
 
     def issubset(self, other: "SetMask") -> bool:
+        _same_space(self.space, other)
         return bool(np.all(~self.bools | other.bools))
 
     def diameter(self) -> float:
@@ -368,7 +373,6 @@ class CapacityResult:
     mask: SetMask
     params: CapacityParams
     optimizer: Optional[np.ndarray] = field(default=None, repr=False)
-    potential: Optional[np.ndarray] = field(default=None, repr=False)
     dual_measure: Optional[np.ndarray] = field(default=None, repr=False)
     infeasible: bool = False
 
@@ -451,7 +455,7 @@ class _Columns:
     """The solves of the rows of a (B, size) bool matrix E, one array per
     `CapacityResult` field: `bounds` is value, lower, upper and gap as a
     (4, B) array, converged, iterations and infeasible are (B,), and
-    `vectors` the (B, size) optimizer, potential and dual measure.
+    `vectors` the (B, size) optimizer and dual measure.
     `result(i)` builds row i's `CapacityResult` on views of these."""
 
     def __init__(self, space, E: np.ndarray, params: CapacityParams):
@@ -467,19 +471,19 @@ class _Columns:
         """Allocated on first use: a solve's first retirement comes after
         its first polish, so these never add to that polish's peak."""
         if self._vectors is None:
-            self._vectors = np.zeros((3,) + self.E.shape)
+            self._vectors = np.zeros((2,) + self.E.shape)
         return self._vectors
 
     def result(self, i: int, mask: Optional[SetMask] = None) -> CapacityResult:
         value, lower, upper, gap = self.bounds[:, i].tolist()
-        f, u, mu = self.vectors[:, i]
+        f, mu = self.vectors[:, i]
         # only a row not converged can keep an infinite upper bound, and such
         # a row (infeasible, or solved without a finite candidate) has no optimizer
         none = upper == math.inf and not self.converged[i]
         return CapacityResult(
             value, lower, upper, gap, bool(self.converged[i]), int(self.iterations[i]),
             SetMask(self.space, self.E[i]) if mask is None else mask, self.params,
-            optimizer=None if none else f, potential=None if none else u,
+            optimizer=None if none else f,
             dual_measure=None if self.infeasible[i] else mu,
             infeasible=bool(self.infeasible[i]))
 
@@ -491,7 +495,7 @@ def _solve_sets(problem: CapacityProblem, E: np.ndarray,
     w = problem.space.weights
     if problem.is_identity:
         cols.bounds[:3] = _measures(w, E)
-        cols.vectors[:2], cols.vectors[2] = E, np.where(E, w, 0.0)
+        cols.vectors[0], cols.vectors[1] = E, np.where(E, w, 0.0)
         return cols
     live = np.flatnonzero(E.any(axis=1))
     if live.size:   # reach is applied on first use only
@@ -550,13 +554,10 @@ def _solve_rows(problem: CapacityProblem, live: np.ndarray,
 
     def primal_upper(a):
         f = density(a)
-        u = problem.apply(f)
-        floor = rowmin(np.where(E, u, np.inf), 1)
-        scale = (floor * (1.0 - _FEAS_MARGIN))[:, None]
-        f /= scale
-        u /= scale
+        floor = rowmin(np.where(E, problem.apply(f), np.inf), 1)
+        f /= (floor * (1.0 - _FEAS_MARGIN))[:, None]
         upper = np.where(floor > 0.0, rowsum(w * f ** s, 1), np.inf)
-        return upper, f, u
+        return upper, f
 
     def descend(y, grad, step, Fy):
         """Projected gradient step from y: the candidate, its potential and
@@ -577,7 +578,7 @@ def _solve_rows(problem: CapacityProblem, live: np.ndarray,
     y, ay, _ = ray_rescale(mu_new, a_new)
     Fy = neg_dual(y, ay)
     mu_prev, a_prev = y, ay
-    best_lower, best_upper, best_mu, best_f, best_u = 0.0, np.inf, 0.0, 0.0, 0.0
+    best_lower, best_upper, best_mu, best_f = 0.0, np.inf, 0.0, 0.0
     since = np.zeros((len(live), 1), dtype=int)   # iterations since restart
     step = np.ones(len(live))
     betas = _betas(64)
@@ -590,14 +591,13 @@ def _solve_rows(problem: CapacityProblem, live: np.ndarray,
             if nu is not None:   # certified from fresh applies, as the iterate
                 cands.append(ray_rescale(nu, problem.potential_of_measure(nu)))
             for mu_r, a_r, lower in cands:
-                upper, f_up, u_up = primal_upper(a_r)
+                upper, f_up = primal_upper(a_r)
                 better = lower > best_lower
                 best_lower = np.where(better, lower, best_lower)
                 best_mu = np.where(better[:, None], mu_r, best_mu)
                 better = upper < best_upper
                 best_upper = np.where(better, upper, best_upper)
                 best_f = np.where(better[:, None], f_up, best_f)
-                best_u = np.where(better[:, None], u_up, best_u)
             gap = (best_upper - best_lower) / np.maximum(best_upper, 1e-300)
             done = gap <= params.tol
             retire = done | last
@@ -607,8 +607,8 @@ def _solve_rows(problem: CapacityProblem, live: np.ndarray,
             cols.converged[i], cols.iterations[i] = done[r], iterations
             dual = best_mu[r]   # a view only when every row retires and the solve ends
             dual /= s
-            f, u, mu = cols.vectors
-            f[i], u[i], mu[i] = best_f[r], best_u[r], dual
+            f, mu = cols.vectors
+            f[i], mu[i] = best_f[r], dual
             keep = (~retire).nonzero()[0]
             if not keep.size:
                 return
@@ -618,7 +618,7 @@ def _solve_rows(problem: CapacityProblem, live: np.ndarray,
                 y, ay = y[keep], ay[keep]
                 mu_prev, a_prev = mu_prev[keep], a_prev[keep]
                 best_lower, best_upper = best_lower[keep], best_upper[keep]
-                best_mu, best_f, best_u = best_mu[keep], best_f[keep], best_u[keep]
+                best_mu, best_f = best_mu[keep], best_f[keep]
 
         grad = problem.apply(density(ay))
         grad -= 1.0

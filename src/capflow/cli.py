@@ -173,7 +173,7 @@ def _cmd_nnorm(args) -> int:
             mask = SetMask(space, modelio.read_mask_values(path, space))
             cands.append(wt.potential_weight(oracle, mask, cfg))
         else:
-            cands.append(wt._certified_weight(
+            cands.append(wt.Weight(
                 oracle, modelio.field_from_file(path, space).values, cfg))
     est = wt.n_norm_upper(f, LorentzExponents(args.p, args.q), cands,
                           cfg=cfg, oracle=oracle)
@@ -208,7 +208,7 @@ def _cmd_block(args) -> int:
             weight = _model_field("--weight-field", args.weight,
                                   modelio.read_finite_model(args.weight)[1],
                                   args.weight_field, space)
-        omega = wt._certified_weight(oracle, weight.values, cfg)
+        omega = wt.Weight(oracle, weight.values, cfg)
     if args.mode == "constructive":
         if omega is None:
             _bad("--mode", "constructive mode needs --weight")

@@ -128,7 +128,7 @@ def make_grid(n: int, L: float, N: int) -> Grid:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Realized nonnegative convolution kernel with its spectral provenance.
+    """Realized nonnegative convolution kernel and its transform.
 
     `kernel` is the displacement table g(x_j - x_m) indexed like an FFT
     (entry 0 = zero displacement).  `transfer` is the cell-measure-scaled
@@ -141,7 +141,6 @@ class KernelSpec:
 
     grid: Grid
     alpha: float
-    symbol: np.ndarray = field(repr=False)
     kernel: np.ndarray = field(repr=False)
     transfer: np.ndarray = field(repr=False)
     clipped_mass: float = 0.0
@@ -204,17 +203,16 @@ def bessel_kernel(grid: Grid, alpha: float) -> KernelSpec:
         transfer = np.fft.rfftn(ker).real * grid.cell_measure  # even => real
         ker.setflags(write=False)
         transfer.setflags(write=False)
-        sym.setflags(write=False)
-        return KernelSpec(grid=grid, alpha=float(alpha), symbol=sym, kernel=ker,
+        return KernelSpec(grid=grid, alpha=float(alpha), kernel=ker,
                           transfer=transfer, clipped_mass=clipped)
 
     return _cached((grid.n, grid.L, grid.N, float(alpha)), build)
 
 
 def _ball_transfers(grid: Grid) -> list:
-    """FFT transfer functions of the normalized ball indicators, one
-    `(transfer, r, cells)` per radius r in {h, 2h, ..., floor(1/h) h}, kept
-    in the spectral cache under ("balls", n, L, N)."""
+    """FFT transfer functions of the normalized ball indicators, one per
+    radius r in {h, 2h, ..., floor(1/h) h}, kept in the spectral cache under
+    ("balls", n, L, N)."""
     def build() -> list:
         h = grid.h
         # displacement distances j*h, FFT-indexed with periodic wrap
@@ -223,7 +221,7 @@ def _ball_transfers(grid: Grid) -> list:
         transfers = []
         for r in (k * h for k in range(1, int(math.floor(1.0 / h)) + 1)):
             ball = (dist <= r + 1e-12).astype(float)
-            transfers.append((np.fft.fftn(ball / ball.sum()), r, int(ball.sum())))
+            transfers.append(np.fft.fftn(ball / ball.sum()))
         return transfers
 
     return _cached(("balls", grid.n, grid.L, grid.N), build)

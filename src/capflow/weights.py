@@ -9,11 +9,12 @@ geometry: there the balls degenerate to singletons, the maximal operator is
 transfers are kept in `grid`'s one bounded spectral cache, beside the
 kernels.
 
-Weights enter the N-norm search only after certification: a local-A1
-constant and an L1-capacity norm estimate must both be attached.  The
-admissible class is calibrated empirically (the corpus maximum of the
-potential-weight constants, times a configured slack), and every report
-carries the calibration used.
+Weights enter the N-norm search only after certification: a weight's
+local-A1 constant is computed when it is built, and its L1-capacity norm
+estimate when the search first reads it, to score it.  The admissible class
+is calibrated empirically (the corpus maximum of the potential-weight
+constants, times a configured slack), and every report carries the
+calibration used.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ def local_maximal(space, f: Field) -> Field:
         return Field(space, a)
     vhat = np.fft.fftn(a.reshape(space.shape))
     out = np.zeros(space.size)
-    for transfer, _r, _c in _ball_transfers(space):
+    for transfer in _ball_transfers(space):
         np.maximum(out, np.fft.ifftn(vhat * transfer).real.ravel(), out=out)
     return Field(space, np.maximum(out, 0.0))
 
@@ -82,27 +83,6 @@ def a1loc_constant(space, omega: Field) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Weight:
-    """Positive weight with its certificates attached.
-
-    Both certificates (the local-A1 constant and the L1-capacity norm
-    estimate) must be present before the weight may enter an N-norm search.
-    """
-
-    field: Field
-    a1_constant: float
-    l1c_estimate: NormEstimate
-
-    def __post_init__(self):
-        if np.any(self.field.values <= 0.0):
-            raise ValueError("weight must be strictly positive after flooring")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.field.values
-
-
-@dataclass(frozen=True)
 class WeightConfig:
     """Knobs for potential-weight construction and admissibility screening."""
 
@@ -120,12 +100,31 @@ class WeightConfig:
                 f"l1c_levels must be None or at least 1, got {self.l1c_levels}")
 
 
-def _certified_weight(oracle: CapacityOracle, values: np.ndarray,
-                      cfg: WeightConfig) -> Weight:
-    """The weight max(values, WEIGHT_FLOOR) with both certificates."""
-    f = Field(oracle.space, np.maximum(values, WEIGHT_FLOOR))
-    return Weight(f, a1loc_constant(oracle.space, f),
-                  l1c_norm(f, oracle, max_levels=cfg.l1c_levels))
+class Weight:
+    """The positive weight max(values, WEIGHT_FLOOR) on the oracle's space.
+
+    Its local-A1 constant is computed here, and its L1-capacity norm
+    estimate (`l1c_norm` at `cfg.l1c_levels`) on first read, then kept.
+    The N-norm search reads the estimate to score a candidate, so every
+    scored candidate is certified.
+    """
+
+    def __init__(self, oracle: CapacityOracle, values: np.ndarray,
+                 cfg: WeightConfig):
+        self.field = Field(oracle.space, np.maximum(values, WEIGHT_FLOOR))
+        self.a1_constant = a1loc_constant(oracle.space, self.field)
+        self._l1c = (oracle, cfg.l1c_levels)   # the estimate's inputs, until read
+
+    @property
+    def l1c_estimate(self) -> NormEstimate:
+        l1c = self._l1c   # once read, the oracle and its memo are let go
+        if isinstance(l1c, tuple):
+            l1c = self._l1c = l1c_norm(self.field, *l1c)
+        return l1c
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.field.values
 
 
 def potential_weight(oracle: CapacityOracle, mask: SetMask,
@@ -133,9 +132,9 @@ def potential_weight(oracle: CapacityOracle, mask: SetMask,
     """Weight (V^E)^delta / cap(E) from the equilibrium potential of E.
 
     The potential is ~1 on E and on the support of the extracted measure, so
-    the weight dominates (1 - band)^delta / cap(E) on E; its certificates
-    are computed here and the two-sided ratio of the L1-capacity norm of
-    (V^E)^delta to cap(E) is recorded via the estimate.
+    the weight dominates (1 - band)^delta / cap(E) on E; the two-sided ratio
+    of the L1-capacity norm of (V^E)^delta to cap(E) is recorded via the
+    weight's estimate.
     """
     res = oracle.result(mask)
     if not res.converged:
@@ -144,7 +143,7 @@ def potential_weight(oracle: CapacityOracle, mask: SetMask,
         raise ValueError("potential weight of the empty set is undefined")
     pot = nonlinear_potential(oracle.problem, oracle.params, res.dual_measure)
     powered = np.maximum(pot.values, 0.0) ** cfg.delta
-    return _certified_weight(oracle, powered / res.value, cfg)
+    return Weight(oracle, powered / res.value, cfg)
 
 
 def average_weights(terms: Sequence, oracle: CapacityOracle,
@@ -153,8 +152,8 @@ def average_weights(terms: Sequence, oracle: CapacityOracle,
 
     By sublinearity of the maximal operator the combined local-A1 constant
     is at most the largest constituent constant; the exact constant is
-    recomputed (and may only be smaller).  The L1-capacity estimate is
-    recomputed outright.
+    recomputed (and may only be smaller).  The L1-capacity estimate is the
+    mixture's own.
     """
     terms = list(terms)
     if not terms:
@@ -164,7 +163,7 @@ def average_weights(terms: Sequence, oracle: CapacityOracle,
         raise ValueError("coefficients must be nonnegative with positive sum")
     _same_space(oracle.space, *(wgt.field for _c, wgt in terms))
     acc = sum(coeff * wgt.values for coeff, wgt in terms)
-    return _certified_weight(oracle, acc / lam.sum(), cfg)
+    return Weight(oracle, acc / lam.sum(), cfg)
 
 
 # ---------------------------------------------------------------------------

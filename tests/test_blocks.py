@@ -209,19 +209,14 @@ def test_constructive_on_plane_annuli():
     # unit annuli around the origin partition the plane pieces
     from capflow.capacity import CapacityOracle, CapacityParams, grid_problem
     from capflow.grid import make_grid
-    from capflow.weights import WEIGHT_FLOOR, Weight
-    from capflow.capacity import l1c_norm
-    from capflow.weights import a1loc_constant
+    from capflow.weights import Weight, WeightConfig
 
     grid = make_grid(2, 8.0, 64)
     params = CapacityParams(alpha=1.0, s=2.0, tol=1e-6)
     oracle = CapacityOracle(grid_problem(grid, params), params)
     c = grid.coords()
     r = np.sqrt((c ** 2).sum(axis=1))
-    omega_vals = np.maximum(np.exp(-r), WEIGHT_FLOOR)
-    wfield = Field.of(grid, omega_vals)
-    omega = Weight(wfield, a1loc_constant(grid, wfield),
-                   l1c_norm(wfield, oracle, max_levels=6))
+    omega = Weight(oracle, np.exp(-r), WeightConfig(l1c_levels=6))
     f_vals = np.where(r <= 1.6, 1.0, 0.0)
     f = Field.of(grid, f_vals)
     e = LorentzExponents(1.5, 2.5)

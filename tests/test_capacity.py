@@ -15,7 +15,7 @@ from capflow.blocks import (AtomicMeasure, block_norm_upper_constructive,
                             block_norm_upper_greedy, block_norms_upper_greedy,
                             trace_norm)
 from capflow.capacity import (CapacityOracle, CapacityParams,
-                              CapacityProblem, NormEstimate, SetMask,
+                              CapacityProblem, SetMask,
                               _diameter, _measures,
                               _grow_inverse_factor, _polish, _solve,
                               audit_certificate,
@@ -28,7 +28,8 @@ from capflow.capacity import (CapacityOracle, CapacityParams,
 from capflow.grid import make_grid
 from capflow.measure import DiscreteMeasureSpace, Field, LorentzExponents
 from capflow.multiplier import TestSetFamily
-from capflow.weights import Weight, a1loc_constant, level_sum_check
+from capflow.weights import (Weight, WeightConfig, a1loc_constant,
+                             level_sum_check)
 
 PARAMS = CapacityParams(alpha=1.0, s=2.0, tol=1e-6)
 
@@ -65,6 +66,17 @@ def test_mask_basics():
     assert m.issubset(SetMask.full(sp))
     assert m.union(SetMask.from_indices(sp, [0])).cardinality == 3
     assert SetMask.empty(sp).is_empty
+
+
+def test_mask_indices_are_integers_in_range():
+    sp = uspace(4)
+    assert SetMask.from_indices(sp, []).is_empty
+    assert SetMask.from_indices(sp, np.array([3, 0], dtype=np.uint8)).bools.tolist() \
+        == [True, False, False, True]
+    # -1 would mark the last atom and 1.7 atom 1
+    for bad in ([-1], [4], [1.7], [2.0], [True]):
+        with pytest.raises(ValueError, match=r"integers in \[0, 4\)"):
+            SetMask.from_indices(sp, bad)
 
 
 def test_identity_kernel_is_counting():
@@ -121,7 +133,7 @@ def test_two_by_two_instance_against_bruteforce():
     assert res.value == pytest.approx(8.0 / 9.0, rel=1e-7)
     assert np.abs(res.optimizer - 2.0 / 3.0).max() < 1e-4
     # KKT: the potential meets the constraint exactly on the active set
-    assert np.abs(res.potential - 1.0).max() < 1e-6
+    assert np.abs(prob.apply(res.optimizer) - 1.0).max() < 1e-6
 
 
 def test_empty_set_and_infeasibility():
@@ -632,8 +644,7 @@ def test_plane_batch_rows_repeat_their_batch_of_one(kinds):
             assert (row.value, row.lower, row.upper, row.iterations) == \
                 (one.value, one.lower, one.upper, one.iterations)
             for got, ref in ((row.dual_measure, one.dual_measure),
-                             (row.optimizer, one.optimizer),
-                             (row.potential, one.potential)):
+                             (row.optimizer, one.optimizer)):
                 assert np.array_equal(got, ref)
             assert _scalar_reference(prob, mask, params) == \
                 (row.value, row.lower, row.iterations)
@@ -1045,13 +1056,14 @@ def _two_of_each():
     sp, twin = uspace(4), uspace(4)
     line, twin_line = make_grid(1, 16.0, 256), make_grid(1, 16.0, 256)
     line_params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
-    weight = lambda space: Weight(Field.of(space, np.ones(4)), 1.0,
-                                  NormEstimate(4.0, "exact"))
+    oracle, twin_oracle = (CapacityOracle(identity_problem(space), PARAMS)
+                           for space in (sp, twin))
     return SimpleNamespace(
-        sp=sp, oracle=CapacityOracle(identity_problem(sp), PARAMS),
-        field=Field.of(sp, np.arange(4.0)), weight=weight(sp),
+        sp=sp, oracle=oracle, twin=twin, field=Field.of(sp, np.arange(4.0)),
+        weight=Weight(oracle, np.ones(4), WeightConfig()),
         f=Field.of(twin, np.arange(4.0)), zero=Field.of(twin, np.zeros(4)),
-        twin_weight=weight(twin), mu=AtomicMeasure(twin, np.ones(4)),
+        twin_weight=Weight(twin_oracle, np.ones(4), WeightConfig()),
+        mu=AtomicMeasure(twin, np.ones(4)),
         result=capacity(identity_problem(twin), SetMask.full(twin), PARAMS),
         line_oracle=CapacityOracle(grid_problem(line, line_params), line_params),
         line_mask=SetMask(twin_line, np.abs(twin_line.axis_coords()) <= 1.0),
@@ -1084,6 +1096,10 @@ ANOTHER_SPACE = {
     "equilibrium_checks": lambda o: equilibrium_checks(o.oracle.problem,
                                                        o.result),
     "Field.restrict": lambda o: o.field.restrict(SetMask.full(o.f.space)),
+    # equal sizes: the bits would mix, and a subset test would answer
+    "SetMask.union": lambda o: SetMask.full(o.sp).union(SetMask.full(o.twin)),
+    "SetMask.issubset": lambda o: SetMask.empty(o.sp).issubset(
+        SetMask.full(o.twin)),
 }
 
 
@@ -1156,7 +1172,7 @@ def test_gather_and_result_share_one_memo():
 
 
 _FIELDS = ("value", "lower", "upper", "gap", "converged", "iterations",
-           "infeasible", "optimizer", "potential", "dual_measure")
+           "infeasible", "optimizer", "dual_measure")
 
 
 def _field_bits(res):

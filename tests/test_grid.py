@@ -82,7 +82,7 @@ def test_kernel_cache_is_bounded_lru(monkeypatch):
     assert len(grid_mod._kernel_cache) == CACHE_GEOMETRIES
     again = bessel_kernel(g, 0.5)
     assert again is not first                          # evicted, rebuilt
-    for name in ("symbol", "kernel", "transfer"):
+    for name in ("kernel", "transfer"):
         assert np.array_equal(getattr(again, name), getattr(first, name))
     assert again.clipped_mass == first.clipped_mass
     assert bessel_kernel(g, 0.5) is again

@@ -299,6 +299,41 @@ def test_weight_settings_reach_every_weight_of_a_campaign(monkeypatch):
         assert seen["n_norm_upper"] == ({want} if screened else set())
 
 
+def test_c11_builds_no_certificate_and_eager_ones_move_no_row(monkeypatch):
+    # C11 never reads a weight's L1-capacity certificate, so it builds none;
+    # building every weight's certificate as the weight is made leaves every
+    # row of the campaign as it is
+    in_c11, calls = [False], []
+    real_l1c, real_init = wt.l1c_norm, wt.Weight.__init__
+
+    def l1c(*args, **kwargs):
+        calls.append(in_c11[0])
+        return real_l1c(*args, **kwargs)
+
+    def tagged(cid, fn):
+        def run(ctx):
+            in_c11[0] = cid.startswith("C11-")
+            try:
+                return fn(ctx)
+            finally:
+                in_c11[0] = False
+        return run
+
+    def eager(self, *args):
+        real_init(self, *args)
+        self.l1c_estimate
+
+    monkeypatch.setattr(suites, "CHECKS", [(cid, claims, tagged(cid, fn))
+                                           for cid, claims, fn in CHECKS])
+    monkeypatch.setattr(wt, "l1c_norm", l1c)
+    lazy = list(map(repr, run_suite("weights", CapflowConfig())))
+    assert calls and not any(calls)   # only C14's candidates are read
+    calls.clear()
+    monkeypatch.setattr(wt.Weight, "__init__", eager)
+    assert list(map(repr, run_suite("weights", CapflowConfig()))) == lazy
+    assert any(calls)
+
+
 CAMPAIGN_MODULES = """
 import sys
 from capflow.cli import main

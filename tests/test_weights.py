@@ -1,5 +1,7 @@
 """Local maximal operator, A1 constants, weight constructors, N-norm bounds."""
+import gc
 import math
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -8,10 +10,11 @@ import pytest
 from capflow.capacity import (CapacityOracle, CapacityParams, SetMask,
                               grid_problem, identity_problem, l1c_norm)
 from capflow import grid as grid_mod
+from capflow import weights as wt_mod
 from capflow.grid import CACHE_GEOMETRIES, bessel_kernel, make_grid
 from capflow.measure import DiscreteMeasureSpace, Field, LorentzExponents
 from capflow.multiplier import maximal_boundedness_probe
-from capflow.weights import (WEIGHT_FLOOR, WeightConfig,
+from capflow.weights import (WEIGHT_FLOOR, Weight, WeightConfig,
                              a1loc_constant, average_weights, level_sum_check,
                              local_maximal, n_norm_upper, potential_weight)
 
@@ -62,8 +65,8 @@ def test_ball_cache_is_bounded_lru(monkeypatch):
     assert {key[0] for key in grid_mod._kernel_cache} == {"balls", 1}
     again = grid_mod._ball_transfers(g)
     assert again is not first and len(again) == len(first)
-    for (t1, r1, c1), (t2, r2, c2) in zip(first, again):
-        assert np.array_equal(t1, t2) and (r1, c1) == (r2, c2)
+    for t1, t2 in zip(first, again):
+        assert np.array_equal(t1, t2)
 
 
 def test_sup_bound_and_sublinearity(grid):
@@ -174,6 +177,36 @@ def test_weights_from_another_space_fail_loudly():
     with pytest.raises(ValueError, match="live on different spaces"):
         average_weights([(1.0, w_b)], oracle_a)
     assert n_norm_upper(f_a, e, [w_a]).value > 0.0
+
+
+def test_certificate_is_built_on_first_read_and_kept(fine_oracle, monkeypatch):
+    # building a weight builds no L1-capacity certificate; the first read
+    # builds it once, with the bits of one built outright, and later reads
+    # return that same estimate; then the weight lets go of its oracle
+    calls, real = [], wt_mod.l1c_norm
+
+    def counting(*args, **kwargs):
+        calls.append(len(args))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(wt_mod, "l1c_norm", counting)
+    g = fine_oracle.space
+    w = potential_weight(fine_oracle, SetMask(g, np.abs(g.axis_coords()) <= 1.0),
+                         WeightConfig(l1c_levels=8))
+    assert not calls
+    est = w.l1c_estimate
+    assert len(calls) == 1 and w.l1c_estimate is est and len(calls) == 1
+    ref = real(w.field, fine_oracle, max_levels=8)
+    assert (est.value, est.lo, est.hi) == (ref.value, ref.lo, ref.hi)
+    oracle = CapacityOracle(identity_problem(DiscreteMeasureSpace(np.ones(4))),
+                            PARAMS)
+    w, alive = Weight(oracle, np.ones(4), WeightConfig()), weakref.ref(oracle)
+    del oracle
+    gc.collect()
+    assert alive() is not None
+    w.l1c_estimate
+    gc.collect()
+    assert alive() is None
 
 
 @pytest.mark.parametrize("levels", [0, -1])
