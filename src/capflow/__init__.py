@@ -24,10 +24,10 @@ from .multiplier import (TestSetFamily, char_m_via_weights, default_grid_family,
 from .weights import (Weight, WeightConfig, a1loc_constant, average_weights,
                       level_sum_check, local_maximal, n_norm_upper,
                       potential_weight)
-from .blocks import (AtomicMeasure, Block, BlockDecomposition,
+from .blocks import (AtomicMeasure, BlockDecomposition,
                      block_norm_upper_constructive, block_norm_upper_greedy,
                      block_norms_upper_greedy, lorentz_kothe_dual_norm,
-                     trace_norm, transport_decomposition, validate_blocks)
+                     trace_norm, transport_decomposition)
 from .suites import CapflowConfig, Verdict, run_suite, write_verdicts
 
 __version__ = "0.1.0"

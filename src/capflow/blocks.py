@@ -6,21 +6,21 @@ normalized against a power of cap(E): exponent 1/q' for B-type blocks and
 1/p' for the script variant.  Block-norm infima are not computable; the
 artifact certifies upper bounds only, each carried by an explicit
 decomposition witness, and checks the inequality directions that the
-decompositions imply.  `validate_blocks` checks blocks as a stack, with
-one capacity gather and one `lorentz_norms` call.
+decompositions imply.
 
-The constructive decomposition splits a field over dyadic weight levels
-crossed with unit annuli around the origin (finite models carry no
+A `BlockDecomposition` is the columns it is built from: the coefficients,
+the block matrix, its support matrix and the normalizations, one row per
+term.  The constructive decomposition splits a field over dyadic weight
+levels crossed with unit annuli around the origin (finite models carry no
 geometry, so there the annulus index collapses to a single band); every
 emitted block is tight by construction and reconstruction is exact on the
 covered cells.  `block_norms_upper_greedy` decomposes a group of fields on
 one oracle as one stack: lockstep peels, one solve batch of every peel
-support, and one gather, `lorentz_norms` stack and `validate_blocks` call
-for the terms of all fields; each field keeps the bits of its batch of one.
-
-A decomposition is paired against a multiplier-space function through its
-two views: `supports()`, the block supports as an explicit test-set family
-over which the multiplier norm is taken, and `reconstruction()`, the field
+support, and one gather and one `lorentz_norms` stack for the terms of all
+fields, then one more of each to validate the blocks; each field keeps the
+bits of its batch of one.  A decomposition pairs against a
+multiplier-space function through `support_family()`, the supports as an
+explicit test-set family, and `reconstruction()`, the field
 sum_k lambda_k b_k, so that |int f g| <= ||f||_M * sum_k |lambda_k| can be
 checked with the multiplier module's estimates and `measure.pairing`.
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -50,10 +50,8 @@ from .multiplier import TestSetFamily, _sup_over_sets
 from .weights import Weight
 
 __all__ = [
-    "Block",
     "BlockDecomposition",
     "AtomicMeasure",
-    "validate_blocks",
     "block_norm_upper_constructive",
     "block_norm_upper_greedy",
     "block_norms_upper_greedy",
@@ -69,21 +67,6 @@ _NORMALIZATION_SLACK = 1e-12
 # Blocks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Block:
-    """Normalized building block supported in a test set."""
-
-    field: Field
-    support: SetMask
-    exponents: LorentzExponents
-    norm_type: str            # 'B' (1/q') or 'scriptB' (1/p')
-    normalization: float
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.field.values
-
-
 def _capacity_exponent(e: LorentzExponents, norm_type: str) -> float:
     if norm_type == "B":
         return 1.0 / e.q_conj
@@ -92,91 +75,92 @@ def _capacity_exponent(e: LorentzExponents, norm_type: str) -> float:
     raise ValueError(f"unknown block type {norm_type!r}")
 
 
-def validate_blocks(fields: list, supports: list, e: LorentzExponents,
-                    norm_type: str, oracle: CapacityOracle) -> list:
-    """Check each field's support and normalization; reject anything above
-    1 + 1e-12.  Zero fields get normalization 0; the others read their
-    capacities from one gather and their norms from one `lorentz_norms`
-    stack, each row with the bits of its own batch of one."""
-    space = oracle.space
-    _same_space(space, *fields, *supports)
-    values = np.array([b.values for b in fields]).reshape(-1, space.size)
-    bits = np.array([m.bools for m in supports], dtype=bool).reshape(-1, space.size)
-    if np.any(values[~bits] != 0.0):
+def _validate_blocks(blocks: np.ndarray, supports: np.ndarray,
+                     e: LorentzExponents, norm_type: str,
+                     oracle: CapacityOracle) -> np.ndarray:
+    """The normalizations of the rows of the block matrix on the rows of the
+    bool support matrix; anything above 1 + 1e-12 raises.  Zero rows get 0;
+    the others read their capacities from one gather and their norms from
+    one `lorentz_norms` stack, each row with the bits of its own batch of
+    one."""
+    if np.any(blocks[~supports] != 0.0):
         raise ValueError("block does not vanish off its support")
-    live = np.flatnonzero(np.any(values != 0.0, axis=1))
-    norms = np.zeros(len(values))
+    live = np.flatnonzero(np.any(blocks != 0.0, axis=1))
+    norms = np.zeros(len(blocks))
     if live.size:
         power = _capacity_exponent(e, norm_type)
         if e.q == math.inf:
             raise ValueError("blocks need q < inf")
         # libm's pow, as a scalar power; numpy's vector ** differs in the last bit
-        norms[live] = (np.float_power(oracle.gather(bits[live])[0], power)
-                       * lorentz_norms(values[live], space.weights, e))
+        norms[live] = (np.float_power(oracle.gather(supports[live])[0], power)
+                       * lorentz_norms(blocks[live], oracle.space.weights, e))
         over = np.flatnonzero(norms > 1.0 + _NORMALIZATION_SLACK)
         if over.size:
             raise ValueError(f"block normalization {norms[over[0]]} exceeds 1")
-    return [Block(b, m, e, norm_type, norm)
-            for b, m, norm in zip(fields, supports, norms.tolist())]
+    return norms
 
 
-def _combine(terms: list, space) -> np.ndarray:
-    """sum_k lambda_k block_k."""
-    acc = np.zeros(space.size)
-    for lam, blk in terms:
-        acc += lam * blk.values
-    return acc
-
-
-@dataclass
+@dataclass(eq=False)
 class BlockDecomposition:
-    """Terms (lambda_k, block_k) with the reconstruction residual recorded."""
+    """target = sum_k lambdas[k] blocks[k], as columns: the coefficients
+    (K,), the blocks (K, size), their bool supports (K, size) and their
+    normalizations (K,), all of one exponent pair and block type ('B', with
+    capacity exponent 1/q', or 'scriptB', with 1/p').  The constructor
+    records the reconstruction residual and sum |lambda_k|."""
 
-    terms: list
+    lambdas: np.ndarray
+    blocks: np.ndarray
+    supports: np.ndarray
+    normalization: np.ndarray
+    exponents: LorentzExponents
+    norm_type: str
     target: Field
-    residual: float
-    sum_lambda: float
+    residual: float = field(init=False)
+    sum_lambda: float = field(init=False)
 
-    @staticmethod
-    def build(terms: list, target: Field) -> "BlockDecomposition":
-        acc = _combine(terms, target.space)
-        residual = float(np.abs(target.values - acc).max(initial=0.0))
-        scale = float(np.abs(target.values).max(initial=0.0))
-        if residual > 1e-9 * max(scale, 1e-300) and scale > 0.0:
-            raise ValueError(
-                f"reconstruction residual {residual:.3e} exceeds 1e-9*scale")
-        sum_lambda = float(sum(abs(lam) for lam, _ in terms))
-        return BlockDecomposition(terms, target, residual, sum_lambda)
+    def __post_init__(self):
+        acc = self.reconstruction().values
+        self.residual = float(np.abs(self.target.values - acc).max(initial=0.0))
+        scale = float(np.abs(self.target.values).max(initial=0.0))
+        if scale > 0.0 and self.residual > 1e-9 * max(scale, 1e-300):
+            raise ValueError(f"reconstruction residual {self.residual:.3e} "
+                             f"exceeds 1e-9*scale")
+        self.sum_lambda = float(sum(abs(lam) for lam in self.lambdas.tolist()))
 
-    def supports(self) -> TestSetFamily:
+    def support_family(self) -> TestSetFamily:
         """The block supports, as an explicit test-set family."""
-        return TestSetFamily.explicit([blk.support for _lam, blk in self.terms])
+        space = self.target.space
+        return TestSetFamily.explicit([SetMask(space, row) for row in self.supports])
 
     def reconstruction(self) -> Field:
-        """sum_k lambda_k block_k."""
-        return Field(self.target.space, _combine(self.terms, self.target.space))
+        """sum_k lambda_k block_k, term by term in order."""
+        acc = np.zeros(self.target.space.size)
+        for lam, row in zip(self.lambdas.tolist(), self.blocks):
+            acc += lam * row
+        return Field(self.target.space, acc)
 
 
-def _tight_terms(bits: np.ndarray, pieces: np.ndarray, ends,
+def _tight_terms(targets: list, bits: np.ndarray, pieces: np.ndarray, ends,
                  e: LorentzExponents, norm_type: str,
                  oracle: CapacityOracle) -> list:
-    """One term list per segment ends[k]:ends[k + 1] of the rows of the
+    """The decomposition of targets[k] from rows ends[k]:ends[k + 1] of the
     support matrix `bits` and the piece matrix `pieces`: lambda is the
     piece's Lorentz norm times the capacity factor and the block is
     piece / lambda, so its normalization is exactly 1; pieces with
     lambda = 0 are dropped.  All segments take one gather, one
-    `lorentz_norms` stack and one `validate_blocks` call, each row with the
+    `lorentz_norms` stack and one `_validate_blocks` call, each row with the
     bits of its batch of one."""
     space = oracle.space
     # libm's pow, as a scalar power; numpy's vector ** differs in the last bit
-    lams = (lorentz_norms(pieces, space.weights, e) * np.float_power(
-        oracle.gather(bits)[0], _capacity_exponent(e, norm_type))).tolist()
-    keep = [i for i, lam in enumerate(lams) if lam != 0.0]
-    blocks = dict(zip(keep, validate_blocks(
-        [Field(space, pieces[i] / lams[i]) for i in keep],
-        [SetMask(space, bits[i]) for i in keep], e, norm_type, oracle)))
-    return [[(lams[i], blocks[i]) for i in range(a, b) if i in blocks]
-            for a, b in zip(ends[:-1], ends[1:])]
+    lams = lorentz_norms(pieces, space.weights, e) * np.float_power(
+        oracle.gather(bits)[0], _capacity_exponent(e, norm_type))
+    kept = np.flatnonzero(lams != 0.0)
+    blocks, supports = pieces[kept] / lams[kept, None], bits[kept]
+    norms = _validate_blocks(blocks, supports, e, norm_type, oracle)
+    cuts = np.searchsorted(kept, ends)
+    return [BlockDecomposition(lams[kept[a:b]], blocks[a:b], supports[a:b],
+                               norms[a:b], e, norm_type, f)
+            for f, a, b in zip(targets, cuts[:-1], cuts[1:])]
 
 
 def _annulus_index(space) -> np.ndarray:
@@ -208,8 +192,7 @@ def block_norm_upper_constructive(f: Field, e: LorentzExponents, omega: Weight,
     bits = np.array([(level_of == k) & (ann == l) & live for k, l in keys],
                     dtype=bool).reshape(-1, f.space.size)
     pieces = np.where(bits, vals, 0.0)
-    terms = _tight_terms(bits, pieces, [0, len(bits)], e, "B", oracle)[0]
-    return BlockDecomposition.build(terms, f)
+    return _tight_terms([f], bits, pieces, [0, len(bits)], e, "B", oracle)[0]
 
 
 def _greedy_peels(fields: list, sets: list, space) -> tuple:
@@ -251,8 +234,7 @@ def block_norms_upper_greedy(fields: list, e: LorentzExponents,
     _same_space(space, *fields)
     peels = _greedy_peels(fields, [d.sets(space, f) for f, d in
                                    zip(fields, dictionaries)], space)
-    return [BlockDecomposition.build(terms, f) for f, terms in
-            zip(fields, _tight_terms(*peels, e, norm_type, oracle))]
+    return _tight_terms(fields, *peels, e, norm_type, oracle)
 
 
 def block_norm_upper_greedy(f: Field, e: LorentzExponents,
@@ -284,19 +266,15 @@ def transport_decomposition(decomp: BlockDecomposition,
     Lorentz norms do not increase, so the transported terms are valid
     blocks with the same coefficients and they reconstruct g exactly.
     """
+    _same_space(oracle.space, g, decomp.target)
     fvals = decomp.target.values
     if np.any(np.abs(g.values) > np.abs(fvals) * (1.0 + 1e-15)):
         raise ValueError("transport requires |g| <= |f| pointwise")
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = np.where(fvals != 0.0, g.values / fvals, 0.0)
-    terms = []
-    for (e, norm_type), run in itertools.groupby(
-            decomp.terms, lambda t: (t[1].exponents, t[1].norm_type)):
-        lams, blocks = zip(*run)
-        moved = [Field(g.space, blk.values * factor) for blk in blocks]
-        terms += zip(lams, validate_blocks(moved, [blk.support for blk in blocks],
-                                           e, norm_type, oracle))
-    return BlockDecomposition.build(terms, g)
+    moved = decomp.blocks * factor
+    return replace(decomp, blocks=moved, target=g, normalization=_validate_blocks(
+        moved, decomp.supports, decomp.exponents, decomp.norm_type, oracle))
 
 
 # ---------------------------------------------------------------------------

@@ -866,6 +866,9 @@ class CapacityOracle:
     def __init__(self, problem: CapacityProblem, params: CapacityParams):
         if problem.dimension is not None:
             params.validate_for_dimension(problem.dimension)
+        if problem.kernel is not None and params.alpha != problem.kernel.alpha:
+            raise ValueError(f"params alpha={params.alpha!r} is not the "
+                             f"kernel's alpha={problem.kernel.alpha!r}")
         self.problem = problem
         self.params = params
         self._memo: dict = {}         # key -> row of the table
@@ -1108,8 +1111,6 @@ def unit_cover(grid: Grid) -> np.ndarray:
 
 @dataclass
 class StrichartzReport:
-    capacity_value: float
-    localized_sum: float
     ratio: float
     pieces: int
     subadditive_ok: bool
@@ -1133,8 +1134,8 @@ def strichartz_check(oracle: CapacityOracle, mask: SetMask) -> StrichartzReport:
     total, total_upper = sum(value[1:]), sum(upper[1:])
     ok = lower[0] <= total_upper * (1.0 + 1e-12) + 1e-300
     ratio = total / value[0] if value[0] > 0 else math.inf
-    return StrichartzReport(float(value[0]), float(total), float(ratio),
-                            len(value) - 1, bool(ok), float(gap.max()))
+    return StrichartzReport(float(ratio), len(value) - 1, bool(ok),
+                            float(gap.max()))
 
 
 def _cover_rows(grid: Grid, bools: np.ndarray) -> np.ndarray:
@@ -1147,9 +1148,7 @@ def _cover_rows(grid: Grid, bools: np.ndarray) -> np.ndarray:
 @dataclass
 class LowerBoundReport:
     measure: float
-    capacity_value: float
     ratio: float
-    epsilon: float
     skipped: bool = False
 
 
@@ -1179,7 +1178,7 @@ def lebesgue_lower_bound_check(oracle: CapacityOracle, mask: SetMask,
             f"epsilon={epsilon} outside the admissible window "
             f"[{lo_eps:.6g}, 1]")
     if mask.is_empty:
-        return LowerBoundReport(0.0, 0.0, 0.0, epsilon, skipped=True)
+        return LowerBoundReport(0.0, 0.0, skipped=True)
     res = oracle.result(mask)
     ratio = mask.measure ** epsilon / res.value
-    return LowerBoundReport(mask.measure, res.value, ratio, epsilon)
+    return LowerBoundReport(mask.measure, ratio)

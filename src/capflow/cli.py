@@ -218,15 +218,16 @@ def _cmd_block(args) -> int:
         decomp = bl.block_norm_upper_greedy(f, e, family, oracle, omega)
     out = Path(args.out)
     entries = []
-    for i, (lam, blk) in enumerate(decomp.terms):
+    for i, (lam, block, support) in enumerate(zip(
+            decomp.lambdas.tolist(), decomp.blocks, decomp.supports)):
         block_file = out.with_name(f"{out.stem}_block_{i:03d}.txt")
         if args.grid:
-            modelio.write_grid_field(block_file, space, blk.values)
+            modelio.write_grid_field(block_file, space, block)
         else:
-            modelio.write_finite_model(block_file, space, {"block": blk.values})
+            modelio.write_finite_model(block_file, space, {"block": block})
         entries.append({
             "lambda": lam,
-            "support_cells": np.flatnonzero(blk.support.bools).tolist(),
+            "support_cells": np.flatnonzero(support).tolist(),
             "block_file": block_file.name,
         })
     out.write_text(json.dumps(entries, indent=2) + "\n")

@@ -424,7 +424,6 @@ class WeightCharReport:
     per_set_margin: float   # min over sets of banded slack (>= 0 on pass)
     ratio_ws: float
     ratio_sw: float
-    band: float
 
 
 def char_m_via_weights(f: Field, e: LorentzExponents, masks: Sequence[SetMask],
@@ -454,7 +453,6 @@ def char_m_via_weights(f: Field, e: LorentzExponents, masks: Sequence[SetMask],
     weights_form = 0.0
     sets_form = 0.0
     margin = math.inf
-    worst_band = 0.0
     for mask, wgt in zip(masks, weights):
         res = oracle.result(mask)
         if res.value <= 0.0:
@@ -466,8 +464,6 @@ def char_m_via_weights(f: Field, e: LorentzExponents, masks: Sequence[SetMask],
         weights_form = max(weights_form, rhs)
         sets_form = max(sets_form, lhs)
         margin = min(margin, b ** (-cfg.delta / e.q) * rhs - lhs)
-        worst_band = max(worst_band, abs(1.0 - b))
     ratio_ws = weights_form / sets_form if sets_form > 0 else math.inf
     ratio_sw = sets_form / weights_form if weights_form > 0 else math.inf
-    return WeightCharReport(weights_form, sets_form, margin,
-                            ratio_ws, ratio_sw, worst_band)
+    return WeightCharReport(weights_form, sets_form, margin, ratio_ws, ratio_sw)

@@ -243,7 +243,6 @@ class LevelSumReport:
     level_sum: float
     l1c_value: float
     ratio: float
-    levels: int
     truncated_bound: float
 
 
@@ -266,7 +265,7 @@ def level_sum_check(omega: Field, oracle: CapacityOracle,
         raise ValueError("level sum requires a nonnegative field")
     top = float(vals.max(initial=0.0))
     if top == 0.0:
-        return LevelSumReport(0.0, 0.0, 0.0, 0, 0.0)
+        return LevelSumReport(0.0, 0.0, 0.0, 0.0)
     k_hi = int(math.ceil(math.log2(top)))
     k_lo = int(math.floor(math.log2(top * 2.0 ** -20)))
     bands = {k: (vals > 2.0 ** (k - 1)) & (vals <= 2.0 ** k)
@@ -281,4 +280,4 @@ def level_sum_check(omega: Field, oracle: CapacityOracle,
     tail = 2.0 ** k_lo * caps[-1] if dropped.any() else 0.0
     est = l1c_norm(omega, oracle, max_levels=l1c_levels)
     ratio = (total + tail) / est.lo if est.lo > 0 else math.inf
-    return LevelSumReport(total, est.value, ratio, len(bands), tail)
+    return LevelSumReport(total, est.value, ratio, tail)

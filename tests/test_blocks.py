@@ -18,7 +18,7 @@ from capflow.blocks import (AtomicMeasure,
                             block_norm_upper_greedy,
                             block_norms_upper_greedy,
                             lorentz_kothe_dual_norm, trace_norm,
-                            transport_decomposition, validate_blocks)
+                            transport_decomposition)
 from capflow.capacity import (CapacityOracle, CapacityParams, NormEstimate,
                               SetMask, finite_problem, identity_problem)
 from capflow.measure import (DiscreteMeasureSpace, Field, LorentzExponents,
@@ -47,51 +47,43 @@ def test_validate_block_tight_zero_and_rejections(model):
     E = SetMask.from_indices(sp, [1, 2])
     e = LorentzExponents(2.0, 2.0)
     chi = Field.of(sp, E.bools.astype(float))
-    tight_vals = chi.values / (oracle.value(E) ** (1 / e.q_conj)
-                               * lorentz_norm(chi, e))
-    blk = validate_blocks([Field.of(sp, tight_vals)], [E], e, "B", oracle)[0]
-    assert blk.normalization == pytest.approx(1.0, abs=1e-12)
+    tight = chi.values / (oracle.value(E) ** (1 / e.q_conj) * lorentz_norm(chi, e))
+    bits = E.bools[None]
 
-    zero = validate_blocks([Field.of(sp, np.zeros(6))], [E], e, "B", oracle)[0]
-    assert zero.normalization == 0.0
+    def norms(rows, norm_type="B"):
+        return bl._validate_blocks(np.reshape(rows, (-1, 6)), bits, e,
+                                   norm_type, oracle)
 
+    assert norms(tight)[0] == pytest.approx(1.0, abs=1e-12)
+    assert norms(np.zeros(6)).tolist() == [0.0]
     with pytest.raises(ValueError, match="exceeds 1"):
-        validate_blocks([Field.of(sp, 2 * tight_vals)], [E], e, "B", oracle)[0]
+        norms(2 * tight)
     off = np.zeros(6)
     off[0] = 1.0
     with pytest.raises(ValueError, match="support"):
-        validate_blocks([Field.of(sp, off)], [E], e, "B", oracle)[0]
-    # the capacity is read from the oracle, so its space must be the block's
-    twin = DiscreteMeasureSpace(np.ones(6))
-    other = CapacityOracle(identity_problem(twin), PARAMS)
-    with pytest.raises(ValueError, match="different space"):
-        validate_blocks([Field.of(sp, tight_vals)], [E], e, "B", other)[0]
-
+        norms(off)
     # script variant uses the other conjugate exponent
-    sblk = validate_blocks([Field.of(sp, tight_vals)], [E], e, "scriptB",
-                           oracle)[0]
-    assert sblk.normalization == pytest.approx(
+    assert norms(tight, "scriptB")[0] == pytest.approx(
         oracle.value(E) ** (1 / e.p_conj - 1 / e.q_conj), rel=1e-12)
 
 
 def _block_stack(rng, sp, oracle, e, count):
-    """`count` (field, support) pairs on random supports, some zero, each
-    with normalization at most 1 under both block types."""
-    fields, supports = [], []
+    """A (count, size) block matrix on a bool support matrix of random
+    supports, some rows zero, each row with normalization at most 1 under
+    both block types."""
+    blocks, supports = np.zeros((count, sp.size)), np.zeros((count, sp.size), bool)
     for k in range(count):
         bools = rng.random(sp.size) < 0.5
         bools[rng.integers(sp.size)] = True
-        mask = SetMask(sp, bools)
         vals = np.where(bools, rng.standard_normal(sp.size), 0.0)
         if k % 4 == 3:
             vals = np.zeros(sp.size)
         else:
-            cap = oracle.value(mask)
+            cap = oracle.value(SetMask(sp, bools))
             vals /= (max(cap ** (1 / e.q_conj), cap ** (1 / e.p_conj))
                      * lorentz_norm(Field.of(sp, vals), e) * rng.uniform(1, 3))
-        fields.append(Field.of(sp, vals))
-        supports.append(mask)
-    return fields, supports
+        blocks[k], supports[k] = vals, bools
+    return blocks, supports
 
 
 def test_stacked_normalizations_are_each_blocks_own_bits():
@@ -104,44 +96,37 @@ def test_stacked_normalizations_are_each_blocks_own_bits():
                 else identity_problem(sp))
         oracle = CapacityOracle(prob, PARAMS)
         for e in (LorentzExponents(2.0, 2.0), LorentzExponents(3.0, 1.5)):
-            fields, supports = _block_stack(rng, sp, oracle, e, 9)
+            blocks, supports = _block_stack(rng, sp, oracle, e, 9)
             for norm_type in ("B", "scriptB"):
-                stack = validate_blocks(fields, supports, e, norm_type, oracle)
+                stack = bl._validate_blocks(blocks, supports, e, norm_type, oracle)
                 power = bl._capacity_exponent(e, norm_type)
-                for blk, b, mask in zip(stack, fields, supports):
-                    one = validate_blocks([b], [mask], e, norm_type, oracle)[0]
-                    assert blk.normalization == one.normalization
+                for i, (row, bools) in enumerate(zip(blocks, supports)):
+                    one = bl._validate_blocks(blocks[i:i + 1], supports[i:i + 1],
+                                              e, norm_type, oracle)
+                    assert stack[i] == one[0]
                     # the scalar formula: libm's pow of the capacity
-                    want = (0.0 if not b.values.any() else
-                            oracle.value(mask) ** power * lorentz_norm(b, e))
-                    assert blk.normalization == want
-                    assert (blk.field, blk.support, blk.norm_type) == \
-                        (b, mask, norm_type)
-    assert validate_blocks([], [], e, "B", oracle) == []
+                    want = (0.0 if not row.any() else
+                            oracle.value(SetMask(sp, bools)) ** power
+                            * lorentz_norm(Field.of(sp, row), e))
+                    assert stack[i] == want
+    empty = np.zeros((0, sp.size))
+    assert bl._validate_blocks(empty, empty.astype(bool), e, "B", oracle).shape == (0,)
 
 
 def test_one_bad_row_fails_the_stack(model):
     sp, oracle = model
     rng = np.random.default_rng(21)
     e = LorentzExponents(2.0, 2.0)
-    fields, supports = _block_stack(rng, sp, oracle, e, 8)
-    live = [i for i, b in enumerate(fields) if b.values.any()]
-    big = list(fields)
-    big[live[-1]] = Field.of(sp, 4.0 * fields[live[-1]].values)
+    blocks, supports = _block_stack(rng, sp, oracle, e, 8)
+    live = np.flatnonzero(blocks.any(axis=1))
+    big = blocks.copy()
+    big[live[-1]] *= 4.0
     with pytest.raises(ValueError, match="exceeds 1"):
-        validate_blocks(big, supports, e, "B", oracle)
-    spill = list(fields)
-    outside = np.flatnonzero(~supports[2].bools)
-    vals = fields[2].values.copy()
-    vals[outside[0]] = 1e-30
-    spill[2] = Field.of(sp, vals)
+        bl._validate_blocks(big, supports, e, "B", oracle)
+    spill = blocks.copy()
+    spill[2, np.flatnonzero(~supports[2])[0]] = 1e-30
     with pytest.raises(ValueError, match="does not vanish"):
-        validate_blocks(spill, supports, e, "B", oracle)
-    twin = DiscreteMeasureSpace(np.ones(6))
-    moved = list(supports)
-    moved[5] = SetMask(twin, supports[5].bools)
-    with pytest.raises(ValueError, match="different space"):
-        validate_blocks(fields, moved, e, "B", oracle)
+        bl._validate_blocks(spill, supports, e, "B", oracle)
 
 
 def test_an_all_zero_stack_asks_the_oracle_nothing():
@@ -150,17 +135,40 @@ def test_an_all_zero_stack_asks_the_oracle_nothing():
     B = rng.random((5, 5))
     oracle = CapacityOracle(finite_problem(sp, (B + B.T) / 2 + np.eye(5)),
                             PARAMS)
-    masks = [SetMask.from_indices(sp, idx) for idx in ([0], [1, 2], [0, 4])]
-    zeros = [Field.of(sp, np.zeros(5)) for _ in masks]
+    supports = np.array([SetMask.from_indices(sp, idx).bools
+                         for idx in ([0], [1, 2], [0, 4])])
+    zeros = np.zeros((3, 5))
     e = LorentzExponents(2.0, 2.0)
-    blocks = validate_blocks(zeros, masks, e, "B", oracle)
-    assert [blk.normalization for blk in blocks] == [0.0, 0.0, 0.0]
+    assert bl._validate_blocks(zeros, supports, e, "B", oracle).tolist() == \
+        [0.0, 0.0, 0.0]
     assert oracle.queries == 0 and oracle.cache_size == 0
     # one live block: one gather of that one row
-    vals = np.where(masks[1].bools, 0.1, 0.0)
-    validate_blocks(zeros[:1] + [Field.of(sp, vals)] + zeros[2:], masks, e,
-                    "B", oracle)
+    zeros[1] = np.where(supports[1], 0.1, 0.0)
+    bl._validate_blocks(zeros, supports, e, "B", oracle)
     assert oracle.queries == 1 and oracle.batches == 1
+
+
+def test_decomposition_records_its_residual_and_coefficient_sum(model):
+    sp, _oracle = model
+    e = LorentzExponents(2.0, 2.0)
+    rng = np.random.default_rng(23)
+    lams = rng.uniform(0.1, 1.0, 3) * [1.0, -1.0, 1.0]
+    blocks = rng.standard_normal((3, 6))
+    target = Field.of(sp, blocks.T @ lams + 1e-12)
+    decomp = bl.BlockDecomposition(lams, blocks, np.ones((3, 6), bool),
+                                   np.ones(3), e, "B", target)
+    # term by term in order, not numpy's pairwise sums
+    acc = np.zeros(6)
+    for lam, row in zip(lams.tolist(), blocks):
+        acc += lam * row
+    assert decomp.reconstruction().values.tobytes() == acc.tobytes()
+    assert decomp.residual == np.abs(target.values - acc).max()
+    assert decomp.sum_lambda == sum(abs(lam) for lam in lams.tolist())
+    with pytest.raises(ValueError, match="residual"):
+        bl.BlockDecomposition(lams, blocks, np.ones((3, 6), bool), np.ones(3),
+                              e, "B", Field.of(sp, target.values + 1e-6))
+    family = decomp.support_family()
+    assert family.sets(sp).tolist() == [[True] * 6]   # one distinct set
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +187,13 @@ def test_constructive_reconstruction_and_tightness(model):
     e = LorentzExponents(1.5, 2.5)
     f = Field.of(sp, rng.standard_normal(6))
     decomp = block_norm_upper_constructive(f, e, w, oracle)
-    for lam, blk in decomp.terms:
-        assert lam >= 0.0
-        assert abs(blk.normalization - 1.0) <= 1e-12
+    assert np.all(decomp.lambdas >= 0.0)
+    assert np.all(np.abs(decomp.normalization - 1.0) <= 1e-12)
+    assert (decomp.exponents, decomp.norm_type) == (e, "B")
     assert decomp.residual <= 1e-9 * np.abs(f.values).max()
     zero = block_norm_upper_constructive(
         Field.of(sp, np.zeros(6)), e, w, oracle)
-    assert zero.terms == [] and zero.sum_lambda == 0.0
+    assert zero.blocks.shape == (0, 6) and zero.sum_lambda == 0.0
 
 
 def test_single_tight_block_roundtrip(model):
@@ -198,7 +206,7 @@ def test_single_tight_block_roundtrip(model):
                                        * lorentz_norm(chi, e)))
     decomp = block_norm_upper_constructive(tight, e, w, oracle)
     assert decomp.sum_lambda == pytest.approx(1.0, rel=1e-12)
-    assert len(decomp.terms) == 1
+    assert len(decomp.lambdas) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +230,10 @@ def test_constructive_on_plane_annuli():
     e = LorentzExponents(1.5, 2.5)
     decomp = block_norm_upper_constructive(f, e, omega, oracle)
     assert decomp.residual <= 1e-9
-    assert len(decomp.terms) >= 2   # at least two annular bands
-    for _lam, blk in decomp.terms:
-        assert abs(blk.normalization - 1.0) <= 1e-12
-        assert blk.support.diameter() <= 2 * 1.6 + 2 * grid.h
+    assert len(decomp.lambdas) >= 2   # at least two annular bands
+    assert np.all(np.abs(decomp.normalization - 1.0) <= 1e-12)
+    for row in decomp.supports:
+        assert SetMask(grid, row).diameter() <= 2 * 1.6 + 2 * grid.h
 
 
 def test_greedy_tight_block_and_coverage_error(model):
@@ -254,8 +262,10 @@ def test_solidity_transport(model):
     moved = transport_decomposition(decomp, g, oracle)
     assert moved.sum_lambda == decomp.sum_lambda
     assert moved.residual <= 1e-9 * np.abs(g.values).max()
-    for (_l, blk) in moved.terms:
-        assert blk.normalization <= 1.0 + 1e-12
+    assert moved.lambdas.tobytes() == decomp.lambdas.tobytes()
+    assert moved.blocks.tobytes() == (decomp.blocks * (g.values / f.values)).tobytes()
+    assert np.all(moved.normalization <= 1.0 + 1e-12)
+    assert (moved.exponents, moved.norm_type) == (e, "B")
     with pytest.raises(ValueError):
         transport_decomposition(decomp, Field.of(sp, f.values * 3.0), oracle)
 
@@ -276,13 +286,13 @@ def test_decompositions_on_identity_oracles_solve_nothing(model, monkeypatch):
     f = Field.of(sp, rng.standard_normal(6))
     constructive = block_norm_upper_constructive(f, e, w, oracle)
     greedy = block_norm_upper_greedy(f, e, TestSetFamily.all_subsets(), oracle)
-    assert constructive.terms and greedy.terms
+    assert constructive.lambdas.size and greedy.lambdas.size
     assert calls == []
 
 
 def _bits(decomp):
-    return ([blk.support.key for _lam, blk in decomp.terms],
-            [lam for lam, _blk in decomp.terms], decomp.sum_lambda, decomp.residual)
+    return (decomp.supports.tobytes(), decomp.lambdas.tolist(),
+            decomp.sum_lambda, decomp.residual)
 
 
 @pytest.mark.parametrize("kind", ["identity", "finite"])
@@ -309,8 +319,7 @@ def test_greedy_batch_is_the_singles(kind):
         # batch, so a fresh solve of a support lands elsewhere in its
         # certified bracket: same supports, coefficients within the gap
         assert _bits(one)[0] == _bits(b)[0]
-        for (lam, _), (lam1, _) in zip(b.terms, one.terms):
-            assert abs(lam - lam1) <= PARAMS.tol * lam1
+        assert np.all(np.abs(b.lambdas - one.lambdas) <= PARAMS.tol * one.lambdas)
     # the peels come before any solve: an uncovered field fails unsolved
     bad = CapacityOracle(problem, PARAMS)
     hole = TestSetFamily.explicit([SetMask.from_indices(problem.space, [0])])
@@ -320,9 +329,10 @@ def test_greedy_batch_is_the_singles(kind):
 
 
 def _terms_bits(decomp):
-    """Every term of a decomposition, bit for bit."""
-    return ([(lam.hex(), blk.support.key, blk.values.tobytes(),
-              blk.normalization.hex()) for lam, blk in decomp.terms],
+    """Every column of a decomposition, bit for bit."""
+    return ([a.tobytes() for a in (decomp.lambdas, decomp.blocks,
+                                   decomp.supports, decomp.normalization)],
+            decomp.blocks.shape, decomp.exponents, decomp.norm_type,
             decomp.sum_lambda.hex(), decomp.residual.hex())
 
 
@@ -356,7 +366,7 @@ def test_greedy_group_is_its_fields_term_for_term(kind, m, count, seed, blocks):
                for g, d in zip(gs, dicts)]
     assert oracle.solved == solved
     assert [_terms_bits(d) for d in group] == [_terms_bits(d) for d in singles]
-    assert len(group) == count and all(d.terms == [] for d in group[:1])
+    assert len(group) == count and all(d.lambdas.size == 0 for d in group[:1])
     # an uncovered field raises as the first of the singles to fail does
     hole = TestSetFamily.explicit([SetMask.from_indices(problem.space, [0])])
     bad = (dicts[:-1] + [hole])[:count]
@@ -454,7 +464,7 @@ def test_pairing_ratio_below_one(model):
         pairs.append((f, decomp))
     ratios = []
     for f, decomp in pairs:
-        denom = m_norm(f, e, decomp.supports(), oracle).value * decomp.sum_lambda
+        denom = m_norm(f, e, decomp.support_family(), oracle).value * decomp.sum_lambda
         assert denom > 0.0
         ratios.append(pairing(f, decomp.reconstruction(), absolute=True) / denom)
     assert max(ratios) <= 1.0 + 1e-10
@@ -466,8 +476,7 @@ def test_decomposition_supports_and_reconstruction(model):
     g = Field.of(sp, rng.standard_normal(6))
     decomp = block_norm_upper_greedy(g, LorentzExponents(2.0, 2.0),
                                      TestSetFamily.all_subsets(), oracle)
-    rows = decomp.supports().sets(sp)
-    assert np.array_equal(rows, [blk.support.bools for _lam, blk in decomp.terms])
+    assert np.array_equal(decomp.support_family().sets(sp), decomp.supports)
     back = decomp.reconstruction()
     assert back.space is sp
     assert np.max(np.abs(back.values - g.values)) == decomp.residual

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from capflow.blocks import (AtomicMeasure, block_norm_upper_constructive,
                             block_norm_upper_greedy, block_norms_upper_greedy,
-                            trace_norm)
+                            trace_norm, transport_decomposition)
 from capflow.capacity import (CapacityOracle, CapacityParams,
                               CapacityProblem, SetMask,
                               _diameter, _measures,
@@ -1080,6 +1080,10 @@ ANOTHER_SPACE = {
         block_norm_upper_constructive(o.f, E22, o.weight, o.oracle),
     "block_norm_upper_constructive-weight": lambda o:
         block_norm_upper_constructive(o.field, E22, o.twin_weight, o.oracle),
+    # f on the oracle's space, |g| <= |f| on the twin
+    "transport_decomposition": lambda o: transport_decomposition(
+        block_norm_upper_greedy(o.field, E22, TestSetFamily.all_subsets(),
+                                o.oracle), o.f, o.oracle),
     "trace_norm": lambda o: trace_norm(o.mu, TestSetFamily.all_subsets(),
                                        o.oracle),
     "strichartz_check": lambda o: strichartz_check(o.line_oracle, o.line_mask),
@@ -1474,6 +1478,20 @@ def test_lebesgue_lower_bound_windows(grid_oracle):
     with pytest.raises(ValueError):
         lebesgue_lower_bound_check(oracle, mask, 0.1)
     assert lebesgue_lower_bound_check(oracle, mask, 0.25).ratio > 0
+
+
+def test_oracle_rejects_params_of_another_kernel(grid_oracle):
+    # the lower-bound check reads its epsilon window from the params: at
+    # alpha = 2/3 on a kernel built at 1/2, s = 1.5 would open the window
+    # [1/4, 1] to all of (0, 1]
+    grid = grid_oracle.space
+    params = CapacityParams(alpha=0.5, s=1.5, tol=1e-6)
+    problem = grid_problem(grid, params)
+    with pytest.raises(ValueError, match="kernel's alpha=0.5"):
+        CapacityOracle(problem, CapacityParams(alpha=2.0 / 3.0, s=1.5, tol=1e-6))
+    with pytest.raises(ValueError, match="admissible window"):
+        lebesgue_lower_bound_check(CapacityOracle(problem, params),
+                                   interval(grid, 0.0, 1.0), 0.1)
 
 
 def test_diameter_matches_brute_force():
