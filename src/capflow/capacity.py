@@ -21,7 +21,9 @@ active set on (K f(mu))_S = 1 for its support S (`_polish`), and certified
 as the iterate is; on the campaigns' sets that closes the gap at once.  At
 s = 2 every interval of a line grid polishes from one inverse Cholesky
 factor per problem (`CapacityProblem.interval_factor`), and each interval
-length once.
+length once.  LAPACK sees blocks of at most 64 unknowns and `_mul` runs
+the matrix products as BLAS calls on 64 x 64 x 64 tiles, added in a fixed
+order, so the polish gives the same bits at any BLAS thread count.
 
 There is one solver, `_solve_sets`, which takes the sets as a (B, size)
 boolean matrix and writes every field of a `CapacityResult` as a column,
@@ -40,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -382,6 +385,7 @@ class CapacityResult:
 
 
 _FEAS_MARGIN = 1e-9  # constraints enforced as (Kf) >= 1 - margin, then rescaled
+_TILE = 64  # `_mul`'s tile side
 
 _BETAS = np.zeros(1)  # FISTA extrapolation weights, grown on demand
 
@@ -697,9 +701,10 @@ def _polish(problem: CapacityProblem, params: CapacityParams, E: np.ndarray,
             T, W = problem.interval_factor(k)   # leading blocks
             G, W = T[:k, :k], (W[:k, :k] if len(W) >= k else None)
         elif s == 2.0 and grid:   # (K^2)_jk sits at the difference of j and k
-            at = np.unravel_index(cells, space.shape)
-            G = problem.square.reshape(space.shape)[
-                tuple((i[:, None] - i) % space.N for i in at)] / 2.0
+            G = 0   # first the int32 flat index of each difference
+            for i in np.array(np.unravel_index(cells, space.shape), np.int32):
+                G = G * space.N + (i[:, None] - i) % space.N
+            G = np.take(problem.square / 2.0, G)
         elif s == 2.0:
             G = problem.square[np.ix_(cells, cells)] / 2.0
         else:
@@ -712,7 +717,7 @@ def _polish(problem: CapacityProblem, params: CapacityParams, E: np.ndarray,
             a = np.maximum(np.einsum("bk,kn->bn", x, P), 0.0) / s
             d = w * (sp - 1.0) / s * np.where(a > 0.0, a ** (sp - 2.0), 0.0)
             return (np.einsum("bn,kn->bk", w * a ** (sp - 1.0), P),
-                    np.einsum("bin,jn->bij", P * d[:, None], P))
+                    _mul(P * d[:, None], P.T))
         for start in range(0, len(rows), chunk):
             part = np.ix_(rows[start:start + chunk], cells)
             x, inE = mu[part], E[part]
@@ -760,10 +765,10 @@ def _polish(problem: CapacityProblem, params: CapacityParams, E: np.ndarray,
 
 def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """X with A X = B for stacks of positive semidefinite A and of B.  LAPACK
-    solves blocks of at most 64 unknowns, on one thread, and `einsum`, which
-    calls no BLAS, forms the Schur complements, so the bits do not depend
-    on the BLAS thread count.  A singular block (twin atoms) is solved with
-    a ridge of 1e-14 of its largest entry, else gives nan."""
+    solves blocks of at most 64 unknowns, on one thread, and `_mul` forms
+    the Schur complements, so the bits do not depend on the BLAS thread
+    count.  A singular block (twin atoms) is solved with a ridge of 1e-14
+    of its largest entry, else gives nan."""
     k = A.shape[-1]
     if k <= 64:
         for ridge in (0.0, 1e-14 * np.abs(A).max()):
@@ -772,13 +777,26 @@ def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             except np.linalg.LinAlgError:
                 pass
         return B * np.nan
-    mul = partial(np.einsum, "...ij,...jk->...ik")
     X = _solve(A[..., :64, :64],
                np.concatenate([A[..., :64, 64:], B[..., :64, :]], -1))
     low = A[..., 64:, :64]
-    Y = _solve(A[..., 64:, 64:] - mul(low, X[..., :k - 64]),
-               B[..., 64:, :] - mul(low, X[..., k - 64:]))
-    return np.concatenate([X[..., k - 64:] - mul(X[..., :k - 64], Y), Y], -2)
+    Y = _solve(A[..., 64:, 64:] - _mul(low, X[..., :k - 64]),
+               B[..., 64:, :] - _mul(low, X[..., k - 64:]))
+    return np.concatenate([X[..., k - 64:] - _mul(X[..., :k - 64], Y), Y], -2)
+
+
+def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for stacks, as BLAS products of tiles of at most 64 x 64 x 64,
+    each partial product over the inner dimension added into the result in
+    order.  OpenBLAS runs a product of m n k <= 64^3 on one thread, and the
+    tiles, which follow from the shapes alone, fix the order of every sum,
+    so the bits do not depend on the BLAS thread count."""
+    (m, k), n, t = A.shape[-2:], B.shape[-1], _TILE
+    out = np.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (m, n))
+    for i, j, h in product(range(0, m, t), range(0, n, t), range(0, k, t)):
+        out[..., i:i + t, j:j + t] += (A[..., i:i + t, h:h + t]
+                                       @ B[..., h:h + t, j:j + t])
+    return out
 
 
 def _grow_inverse_factor(T: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -786,23 +804,22 @@ def _grow_inverse_factor(T: np.ndarray, W: np.ndarray) -> np.ndarray:
     W by block rows of 64, with the blocking of `_solve`.  Block row I is
     L_I< = T_I< W^T and L_II = chol(T_II - L_I< L_I<^T), then W_II = L_II^-1
     and W_I< = -W_II L_I< W; LAPACK sees only the 64 x 64 diagonal blocks and
-    `einsum`, which calls no BLAS, does the rest, so the bits depend neither
-    on the BLAS thread count nor on the sizes W was grown through.  Stops
-    at a block that is not positive definite, returning the rows before."""
+    `_mul` does the rest, so the bits depend neither on the BLAS thread
+    count nor on the sizes W was grown through.  Stops at a block that is
+    not positive definite, returning the rows before."""
     m, done = len(T), len(W)
     out = np.zeros((m, m))
     out[:done, :done] = W
     for i in range(done, m, 64):
         j = min(i + 64, m)
-        low = np.einsum("ak,ck->ac", T[i:j, :i], out[:i, :i])
+        low = _mul(T[i:j, :i], out[:i, :i].T)
         try:
             diag = np.linalg.inv(np.linalg.cholesky(
-                T[i:j, i:j] - np.einsum("ak,bk->ab", low, low)))
+                T[i:j, i:j] - _mul(low, low.T)))
         except np.linalg.LinAlgError:
             return out[:i, :i].copy()
         out[i:j, i:j] = diag
-        out[i:j, :i] = -np.einsum("ab,bk->ak", diag,
-                                  np.einsum("ac,ck->ak", low, out[:i, :i]))
+        out[i:j, :i] = -_mul(diag, _mul(low, out[:i, :i]))
     return out
 
 
@@ -1114,7 +1131,6 @@ class StrichartzReport:
     ratio: float
     pieces: int
     subadditive_ok: bool
-    max_gap: float
 
 
 def strichartz_check(oracle: CapacityOracle, mask: SetMask) -> StrichartzReport:
@@ -1130,12 +1146,11 @@ def strichartz_check(oracle: CapacityOracle, mask: SetMask) -> StrichartzReport:
     _same_space(grid, mask)
     if not isinstance(grid, Grid):
         raise ValueError("localization check needs a grid model")
-    value, lower, upper, gap = oracle.gather(_cover_rows(grid, mask.bools))
+    value, lower, upper, _ = oracle.gather(_cover_rows(grid, mask.bools))
     total, total_upper = sum(value[1:]), sum(upper[1:])
     ok = lower[0] <= total_upper * (1.0 + 1e-12) + 1e-300
     ratio = total / value[0] if value[0] > 0 else math.inf
-    return StrichartzReport(float(ratio), len(value) - 1, bool(ok),
-                            float(gap.max()))
+    return StrichartzReport(float(ratio), len(value) - 1, bool(ok))
 
 
 def _cover_rows(grid: Grid, bools: np.ndarray) -> np.ndarray:
@@ -1147,7 +1162,6 @@ def _cover_rows(grid: Grid, bools: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LowerBoundReport:
-    measure: float
     ratio: float
     skipped: bool = False
 
@@ -1178,7 +1192,6 @@ def lebesgue_lower_bound_check(oracle: CapacityOracle, mask: SetMask,
             f"epsilon={epsilon} outside the admissible window "
             f"[{lo_eps:.6g}, 1]")
     if mask.is_empty:
-        return LowerBoundReport(0.0, 0.0, skipped=True)
+        return LowerBoundReport(0.0, skipped=True)
     res = oracle.result(mask)
-    ratio = mask.measure ** epsilon / res.value
-    return LowerBoundReport(mask.measure, ratio)
+    return LowerBoundReport(mask.measure ** epsilon / res.value)

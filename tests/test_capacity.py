@@ -17,7 +17,7 @@ from capflow.blocks import (AtomicMeasure, block_norm_upper_constructive,
 from capflow.capacity import (CapacityOracle, CapacityParams,
                               CapacityProblem, SetMask,
                               _diameter, _measures,
-                              _grow_inverse_factor, _polish, _solve,
+                              _grow_inverse_factor, _mul, _polish, _solve,
                               audit_certificate,
                               capacitary_lorentz_norm,
                               capacity, capacity_batch,
@@ -689,6 +689,21 @@ memo = prob._interval_nu
 print(digest(np.array([r.value for r in rows]),
              *[r.dual_measure for r in rows], *prob.interval_factor(256),
              np.array(sorted(memo)), *[memo[k] for k in sorted(memo)]))
+line = make_grid(1, 16.0, 512)
+params = CapacityParams(alpha=0.5, s=1.5, tol=1e-6)
+prob = grid_problem(line, params)
+masks = [SetMask(line, (np.arange(512) >= a) & (np.arange(512) < a + k))
+         for a, k in ((200, 60), (10, 80))]
+rows = capacity_batch(prob, masks, params)
+print(digest(np.array([r.value for r in rows]), *[r.dual_measure for r in rows]))
+from capflow.suites import _random_finite_problem
+rng = np.random.default_rng(3)
+prob = _random_finite_problem(rng, 60)
+params = CapacityParams(alpha=1.0, s=3.0, tol=1e-8)
+masks = [SetMask(prob.space, rng.random(60) < 0.5) for _ in range(4)]
+rows = capacity_batch(prob, masks, params)
+print(digest(np.array([(r.value, r.iterations) for r in rows]),
+             *[r.dual_measure for r in rows]))
 """
 
 
@@ -697,12 +712,39 @@ def test_plane_polish_bits_do_not_depend_on_blas_threads():
     # the last bit of the value between 1 and 2 OpenBLAS threads.  A batch
     # of intervals on the line, up to the whole line, polishes with the
     # shared interval factor, and its last row is served from the memo of
-    # polished lengths; the factor's and the memo's bits are checked too
+    # polished lengths; the factor's and the memo's bits are checked too.
+    # s = 1.5 intervals of 60 and 80 cells on the 512-point line take the
+    # Jacobian P diag(d) P^T, and a 60-atom finite model at s = 3 iterates
+    # as C01's and C02's do.  Three threads split 64-row tiles unevenly
     outs = {subprocess.run([sys.executable, "-c", _SQUARE_BITS], check=True,
                            capture_output=True, text=True,
                            env={**os.environ, "OPENBLAS_NUM_THREADS": t}).stdout
-            for t in ("1", "2")}
+            for t in ("1", "2", "3")}
     assert len(outs) == 1
+
+
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_tiled_products_match_einsum_tile_by_tile(stack):
+    # `_mul` is A @ B to 1e-13 of |A| |B|, stacked, unstacked and with B
+    # broadcast over A's stack, and each 64 x 64 tile of the product has
+    # the bits of `_mul` on that tile's rows of A and columns of B alone
+    rng = np.random.default_rng(7)
+    for k in (1, 63, 64, 65, 200):
+        for m in (1, 65):
+            for n in (1, 65):
+                A = rng.standard_normal(stack + (m, k))
+                for B in (rng.standard_normal(stack + (k, n)),
+                          rng.standard_normal((k, n))):
+                    got = _mul(A, B)
+                    ref = np.einsum("...ij,...jk->...ik", A, B)
+                    assert got.shape == ref.shape
+                    assert (np.abs(got - ref)
+                            <= 1e-13 * np.abs(A) @ np.abs(B)).all()
+                    for i in range(0, m, 64):
+                        for j in range(0, n, 64):
+                            tile = _mul(A[..., i:i + 64, :], B[..., j:j + 64])
+                            assert np.array_equal(
+                                got[..., i:i + 64, j:j + 64], tile)
 
 
 def _interval(grid, start, length):
