@@ -154,8 +154,9 @@ class SetMask:
 
     @property
     def measure(self) -> float:
-        """Reference measure of the set (count * cell measure on grids)."""
-        return float(self.space.weights[self.bools].sum())
+        """Reference measure of the set: its weights summed in atom order
+        (`_measures`, of which this is the batch of one)."""
+        return float(_measures(self.space.weights, self.bools[None])[0])
 
     @property
     def is_empty(self) -> bool:
@@ -205,24 +206,16 @@ def _diameter(space, bools: np.ndarray) -> float:
 
 
 def _measures(weights: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """`SetMask.measure` of every row of a bool matrix, bit for bit, under
-    one weight vector or a stack of one per row.  numpy sums fewer than 8
-    terms in order, as a cumulative sum along the masked row does; the
-    larger rows of one cardinality, compacted, are summed as 1-D sums are."""
-    if bits.shape[1] < 8 or (counts := bits.sum(axis=1)).max(initial=0) < 8:
-        return np.add.accumulate(np.where(bits, weights, 0.0), axis=1)[:, -1]
-    weights = np.broadcast_to(weights, bits.shape)
-    few, out = counts < 8, np.zeros(len(bits))
-    out[few] = np.add.accumulate(np.where(bits[few], weights[few], 0.0), axis=1)[:, -1]
-    rows = np.flatnonzero(~few)
-    counts, picked = counts[rows], weights[rows][bits[rows]]   # in row order
-    order = np.argsort(counts, kind="stable")
-    starts = (np.cumsum(counts) - counts)[order]
-    kinds, first = np.unique(counts[order], return_index=True)
-    for c, a, b in zip(kinds.tolist(), first.tolist(),
-                       first[1:].tolist() + [rows.size]):
-        out[rows[order[a:b]]] = picked[starts[a:b, None] + np.arange(c)].sum(axis=1)
-    return out
+    """The measure of every row of a bool matrix, under one weight vector or
+    a stack of one per row: the member weights summed in atom order, as a
+    cumulative sum along the masked row (adding 0.0 changes no bit)."""
+    return np.add.accumulate(np.where(bits, weights, 0.0), axis=1)[:, -1]
+
+
+def _row_keys(bits: np.ndarray) -> np.ndarray:
+    """One opaque item per row of a bool matrix: its packed bits."""
+    packed = np.packbits(bits, axis=1)
+    return packed.view(f"V{packed.shape[1]}").ravel()
 
 
 def _stack_rows(mats: Sequence[np.ndarray], size: int) -> tuple:
@@ -894,12 +887,6 @@ class CapacityOracle:
         self._made: dict = {}         # row -> its CapacityResult, once built
         self.queries = self.hits = self.solved = self.batches = 0
 
-    @staticmethod
-    def _keys(bits: np.ndarray) -> list:
-        """Memo keys of the rows of a (B, size) bool matrix: the packed bits."""
-        return np.packbits(bits, axis=1).view(
-            f"V{-(-bits.shape[1] // 8)}").ravel().tolist()
-
     def _add(self, keys: list, table: np.ndarray) -> int:
         """Memoize the keys at new table rows; returns the first."""
         row = len(self._memo)
@@ -919,7 +906,7 @@ class CapacityOracle:
         # the memo key is the bit pattern alone, which another space of the
         # same size shares
         _same_space(self.space, mask)
-        key = self._keys(mask.bools[None])[0]
+        key = _row_keys(mask.bools[None]).tolist()[0]
         row = self._memo.get(key)
         self.queries, self.hits = self.queries + 1, self.hits + (row is not None)
         if row is None:
@@ -948,7 +935,7 @@ class CapacityOracle:
             out[:3] = _measures(self.space.weights, bits)
             return out
         live = np.flatnonzero(bits.any(axis=1))
-        keys, memo, todo = self._keys(bits[live]), self._memo, {}
+        keys, memo, todo = _row_keys(bits[live]).tolist(), self._memo, {}
         for key, i in zip(keys, live.tolist()):
             if key not in memo:
                 todo.setdefault(key, i)

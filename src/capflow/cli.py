@@ -86,20 +86,20 @@ def _parse_family(specs) -> mn.TestSetFamily:
         try:
             if kind == "all" and not parts:
                 fams.append(mn.TestSetFamily.all_subsets())
-            elif kind == "dyadic" and len(parts) <= 1:
-                top = int(parts[0]) if parts else 4
+            elif kind == "dyadic" and len(parts) <= 1 and \
+                    (top := int(parts[0]) if parts else 4) >= 0:
                 fams.append(mn.TestSetFamily.dyadic(tuple(range(top + 1))))
             elif kind == "levels" and not parts:
                 fams.append(mn.TestSetFamily.superlevels(size_cap=32))
-            elif kind == "random" and len(parts) <= 2:
-                count = int(parts[0]) if parts else 32
+            elif kind == "random" and len(parts) <= 2 and \
+                    (count := int(parts[0]) if parts else 32) >= 1:
                 seed = int(parts[1], 0) if len(parts) > 1 else mn.DEFAULT_SEED
                 fams.append(mn.TestSetFamily.random_unions(count, seed=seed))
             else:
                 raise ValueError(kind)
         except ValueError:
-            _bad("--family", f"bad spec {spec!r} "
-                             "(grammar: all | dyadic:G | levels | random:N:SEED)")
+            _bad("--family", f"bad spec {spec!r} (grammar: all | dyadic:G | "
+                             "levels | random:N:SEED, with G >= 0 and N >= 1)")
     return sum(fams[1:], fams[0])
 
 

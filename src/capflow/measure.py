@@ -154,9 +154,6 @@ class LorentzExponents:
             raise ValueError(f"conjugate exponent requires 1 < q < inf, got q={self.q}")
         return self.q / (self.q - 1.0)
 
-    def __repr__(self) -> str:
-        return f"LorentzExponents(p={self.p}, q={self.q})"
-
 
 # ---------------------------------------------------------------------------
 # Distribution function and rearrangement

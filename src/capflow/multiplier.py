@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .capacity import (CapacityOracle, NormEstimate, SetMask, _diameter,
-                       _stack_rows, unit_cover)
+                       _row_keys, _stack_rows, unit_cover)
 from .grid import Grid
 from .measure import (DiscreteMeasureSpace, Field, LorentzExponents, _levels,
                       _same_space, _thinned, lorentz_norm, lorentz_norms)
@@ -181,9 +181,7 @@ def _distinct_rows(bits: np.ndarray) -> np.ndarray:
     """The non-empty rows of a bool matrix in order, the first of any
     duplicate kept, as a read-only matrix."""
     bits = bits[bits.any(axis=1)]
-    packed = np.packbits(bits, axis=1)
-    rows = packed.view(f"V{packed.shape[1]}").ravel()   # one opaque item per row
-    out = bits[np.sort(np.unique(rows, return_index=True)[1])]
+    out = bits[np.sort(np.unique(_row_keys(bits), return_index=True)[1])]
     out.setflags(write=False)
     return out
 

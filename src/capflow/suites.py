@@ -192,10 +192,6 @@ class Verdict:
 
 
 def _fmt(x: float) -> str:
-    if x != x:
-        return "nan"
-    if x == math.inf:
-        return "inf"
     return f"{x:.12g}"
 
 
@@ -386,11 +382,8 @@ def _random_field(rng, space, signed: bool = True,
 
 
 def _interval_mask(grid: Grid, center: float, half: float) -> SetMask:
-    """Interval on the line; disc of that radius on the plane."""
-    if grid.n == 1:
-        return SetMask(grid, np.abs(grid.coords()[:, 0] - center) <= half)
-    c = grid.coords()
-    return SetMask(grid, np.sqrt(((c - center) ** 2).sum(axis=1)) <= half)
+    """The interval of a line grid within `half` of `center`."""
+    return SetMask(grid, np.abs(grid.coords()[:, 0] - center) <= half)
 
 
 def _grid_set_corpus(rng, grid: Grid, count: int) -> List[SetMask]:
@@ -502,12 +495,8 @@ def check_equilibrium(ctx: RunContext, rows: _Rows) -> None:
         low = float(pot.values[mask.bools].min())
         supp = res.dual_measure > 0.0
         high = float(pot.values[supp].max()) if supp.any() else 1.0
-        rows.bound("band", abs(1.0 - low))
-        rows.bound("band", abs(high - 1.0))
-        if low < 1.0 - band:
-            rows.fail(f"potential floor {low:.8f}")
-        if high > 1.0 + band:
-            rows.fail(f"potential ceiling {high:.8f}")
+        rows.bound("band", abs(1.0 - low), band, f"potential floor {low:.8f}")
+        rows.bound("band", abs(high - 1.0), band, f"potential ceiling {high:.8f}")
     rows.row("", rows.worst["resid"], "equilibrium-identities",
              rows.summary("mass/energy/self-pairing residuals"))
     rows.row("/potential-band", rows.worst["band"], "nonlinear-potential",
@@ -579,9 +568,7 @@ def check_lorentz_engine(ctx: RunContext, rows: _Rows) -> None:
         r = (0.5, 2.0, 1.0 / 3.0)[i % 3]
         resid = power_identity_check(f, e, r)
         scale = max(lorentz_norm(Field(space, np.abs(f.values) ** r), e), 1.0)
-        rows.bound("power", resid / scale)
-        if resid > 1e-12 * scale:
-            rows.fail("power identity")
+        rows.bound("power", resid / scale, 1e-12, "power identity")
     rows.row("", rows.worst["quad"], "lorentz-norm-definition",
              rows.summary(f"{cfg.scale_fields} fields vs layer-cake quadrature"))
     rows.row("/power-identity", rows.worst["power"], "power-identity",
@@ -611,9 +598,7 @@ def check_gamma_sandwich(ctx: RunContext, rows: _Rows) -> None:
         e1 = LorentzExponents(2.0, 1.5)
         both = gamma_norm(Field(space, f.values + g.values), e1, 1.0)
         apart = gamma_norm(f, e1, 1.0) + gamma_norm(g, e1, 1.0)
-        rows.bound("triangle", both / apart)
-        if both > apart * (1 + 1e-7):
-            rows.fail("triangle r=1")
+        rows.bound("triangle", both / apart, 1 + 1e-7, "triangle r=1")
     rows.row("", rows.worst["gap"], "gamma-normability", rows.summary(
         f"{cfg.scale_gamma} fields x {len(lattice)} exponent triples"))
     rows.row("/triangle", rows.worst["triangle"], "gamma-normability",
@@ -1343,14 +1328,12 @@ def check_kernel_diagnostics(ctx: RunContext, rows: _Rows) -> None:
         jc = int((x + grid.L / 2) / grid.h)
         jf = int((x + fine.L / 2) / fine.h)
         c0, f0 = conv_c.values[jc], conv_f.values[jf]
-        rows.bound("drift", abs(c0 - f0) / max(abs(c0), 1e-300))
-    drift = rows.worst["drift"]
-    if drift > 0.05:
-        rows.fail(f"refinement drift {drift:.3f}")
+        drift = abs(c0 - f0) / max(abs(c0), 1e-300)
+        rows.bound("drift", drift, 0.05, f"refinement drift {drift:.3f}")
 
     rows.row("", rows.worst["quad"], "bessel-kernel-spectral",
              rows.summary("mass, evenness, quadrature oracle, clip rejection"))
-    rows.row("/symmetry", drift, "convolution-pairing-symmetry",
+    rows.row("/symmetry", rows.worst["drift"], "convolution-pairing-symmetry",
              "self-adjoint pairing and refinement drift")
 
 

@@ -290,6 +290,28 @@ def test_decompositions_on_identity_oracles_solve_nothing(model, monkeypatch):
     assert calls == []
 
 
+def test_greedy_with_a_weight_returns_the_smaller_route(model):
+    # with a weight, the constructive route replaces the greedy one only
+    # when its coefficient sum is strictly smaller; a tie keeps the greedy
+    sp, oracle = model
+    e = LorentzExponents(2.0, 2.0)
+    w = weight_of(oracle, sp, [0, 1, 2])
+    f = Field.of(sp, np.random.default_rng(2).standard_normal(6))
+    family = TestSetFamily.all_subsets()
+    greedy = block_norm_upper_greedy(f, e, family, oracle)
+    constructive = block_norm_upper_constructive(f, e, w, oracle)
+    assert constructive.sum_lambda < 0.9 * greedy.sum_lambda
+    assert _bits(block_norm_upper_greedy(f, e, family, oracle, w)) == _bits(constructive)
+    E = SetMask.from_indices(sp, [1, 2, 3])
+    tight = Field.of(sp, E.bools / (oracle.value(E) ** 0.5
+                                    * lorentz_norm(Field.of(sp, E.bools), e)))
+    single = TestSetFamily.explicit([E])
+    greedy = block_norm_upper_greedy(tight, e, single, oracle)
+    assert block_norm_upper_constructive(tight, e, w, oracle).sum_lambda == \
+        greedy.sum_lambda
+    assert _bits(block_norm_upper_greedy(tight, e, single, oracle, w)) == _bits(greedy)
+
+
 def _bits(decomp):
     return (decomp.supports.tobytes(), decomp.lambdas.tolist(),
             decomp.sum_lambda, decomp.residual)
@@ -445,6 +467,16 @@ def test_c09_group_calls_do_not_depend_on_its_pair_count(monkeypatch):
     assert {n for n, _g, _l in routes[True]} == {5}
     for seen in routes.values():
         assert len({(g, l) for _n, g, l in seen}) == 1, seen
+
+
+@pytest.mark.xfail(strict=True, reason="C09's seed-stability band compares "
+                   "two draws of a 25-pair corpus (ROADMAP item 1)")
+def test_c09_seed_stability_holds_at_master_seed_3611029060():
+    # the corpus maxima at (p, q) = (3, 2) read 0.9317 and 0.4599 at this
+    # seed: a ratio of 2.026, outside the band [0.5, 2]
+    verdicts = check_pairing(RunContext(CapflowConfig(master_seed=3611029060)))
+    row = next(v for v in verdicts if v.check_id.endswith("/seed-stability"))
+    assert row.status == "pass", row.details
 
 
 # ---------------------------------------------------------------------------

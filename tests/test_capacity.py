@@ -1313,8 +1313,7 @@ def test_oracle_counters_on_a_fixed_script():
 
 @pytest.mark.parametrize("stacked", [False, True])
 def test_measures_at_every_cardinality_are_set_measures(stacked):
-    # rows of 0 to 20 members: the ordered sums below 8 members and the
-    # grouped ones from 8 on, under one weight vector or one per row
+    # rows of 0 to 20 members, under one weight vector or one per row
     rng = np.random.default_rng(20)
     size = 20
     bits = np.zeros((21 * 4, size), dtype=bool)
@@ -1327,6 +1326,27 @@ def test_measures_at_every_cardinality_are_set_measures(stacked):
     want = [SetMask(DiscreteMeasureSpace(w), row).measure
             for w, row in zip(np.broadcast_to(weights, bits.shape), bits)]
     assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_set_measures_add_their_members_in_atom_order(stacked):
+    # the one rule: member weights added left to right, under one weight
+    # vector or one per row; numpy's pairwise 1-D sum groups the terms
+    # differently from 8 members on, and differs in some of these rows
+    rng = np.random.default_rng(29)
+    bits = rng.random((40, 32)) < rng.uniform(0.4, 1.0, (40, 1))
+    bits[:, :9] = True
+    weights = rng.lognormal(0.0, 1.0, (40 if stacked else 1, 32)) * \
+        10.0 ** rng.uniform(-3.0, 3.0, (1, 32))
+    got = _measures(weights if stacked else weights[0], bits)
+    pairwise = 0
+    for x, w, row in zip(got, np.broadcast_to(weights, bits.shape), bits):
+        acc = 0.0
+        for term in w[row].tolist():
+            acc += term
+        assert x.hex() == acc.hex() == SetMask(DiscreteMeasureSpace(w), row).measure.hex()
+        pairwise += float(w[row].sum()) != acc
+    assert pairwise > 0
 
 
 def test_gather_rows_match_single_results_on_the_line():

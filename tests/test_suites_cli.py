@@ -10,13 +10,16 @@ import sys
 import numpy as np
 import pytest
 
+from capflow import blocks as bl
 from capflow import grid as grid_module
 from capflow import modelio
+from capflow import multiplier as mn
 from capflow import suites
 from capflow import weights as wt
-from capflow.capacity import CapacityParams, grid_problem
+from capflow.capacity import (CapacityOracle, CapacityParams, grid_problem,
+                              identity_problem)
 from capflow.grid import make_grid
-from capflow.measure import DiscreteMeasureSpace
+from capflow.measure import DiscreteMeasureSpace, Field, LorentzExponents
 from capflow.suites import (CHECKS, REQUIRED_CLAIMS, SUITES, CapflowConfig,
                             ConfigError, Verdict, any_failures, run_suite,
                             write_verdicts)
@@ -491,6 +494,20 @@ def test_verdict_status_guard():
         Verdict("X", "maybe", 0.0, "claim")
 
 
+def test_verdict_files_print_nonfinite_and_rounded_measures(tmp_path):
+    # twelve significant digits; nan and both infinities as the words
+    values = [math.nan, math.inf, -math.inf, 0.1 + 0.2, 1e-300, 2.0]
+    texts = ["nan", "inf", "-inf", "0.3", "1e-300", "2"]
+    verdicts = [Verdict(f"X{i}", "recorded", x, "claim")
+                for i, x in enumerate(values)]
+    path = tmp_path / "v.json"
+    write_verdicts(verdicts, path, "x", CapflowConfig())
+    doc = json.loads(path.read_text())
+    assert [v["measured"] for v in doc["verdicts"]] == texts
+    rows = path.with_suffix(".csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == texts
+
+
 def test_small_suite_runs_and_reports(tmp_path):
     cfg = CapflowConfig().quick()
     verdicts = run_suite("determinism-core", cfg)
@@ -627,6 +644,31 @@ def test_cli_block_greedy(tmp_path, capsys):
         vals = fields["block"]
         off = np.setdiff1d(np.arange(4), t["support_cells"])
         assert np.all(vals[off] == 0.0)
+
+
+def test_cli_block_greedy_with_a_weight_takes_the_smaller_route(tmp_path, capsys):
+    # on this model the constructive route's coefficient sum, 3.5, is below
+    # the greedy one's, so --weight makes greedy mode write the former
+    sp = DiscreteMeasureSpace([1.0, 1.0, 1.0, 1.0])
+    f, weight = np.array([2.0, 1.0, 0.0, 0.5]), np.array([4.0, 2.0, 1.0, 0.5])
+    model = tmp_path / "model.txt"
+    modelio.write_finite_model(model, sp, {"f": f, "weight": weight})
+    oracle = CapacityOracle(identity_problem(sp), CapacityParams(0.5, 2.0, 1e-6))
+    e = LorentzExponents(2.0, 2.0)
+    constructive = bl.block_norm_upper_constructive(
+        Field(sp, f), e, wt.Weight(oracle, weight, WeightConfig()), oracle)
+    greedy = bl.block_norm_upper_greedy(Field(sp, f), e,
+                                        mn.TestSetFamily.all_subsets(), oracle)
+    assert constructive.sum_lambda < greedy.sum_lambda
+    out = tmp_path / "decomp.json"
+    assert cli_main(["block", "--model", str(model), "--field", "f", "--mode",
+                     "greedy", "--family", "all", "--weight", str(model),
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"terms={len(constructive.lambdas)} sum_lambda={constructive.sum_lambda!r} "
+        f"residual={constructive.residual!r}\n")
+    entries = json.loads(out.read_text())
+    assert [t["lambda"] for t in entries] == constructive.lambdas.tolist()
 
 
 def test_cli_nnorm(tmp_path, capsys):
@@ -772,6 +814,12 @@ _NNORM = ["nnorm", "--model", "{model}", "--field", "f", "--p", "2",
       "--p", "2", "--family", "random:x"], ["--family", "'random:x'"]),
     (["mnorm", "--model", "{model}", "--field", "f", "--space", "M",
       "--p", "2", "--family", "levels:3"], ["--family", "'levels:3'"]),
+    (["mnorm", "--model", "{model}", "--field", "f", "--space", "M",
+      "--p", "2", "--family", "random:0"], ["--family", "'random:0'", "N >= 1"]),
+    (["mnorm", "--model", "{model}", "--field", "f", "--space", "M",
+      "--p", "2", "--family", "random:-2"], ["--family", "'random:-2'"]),
+    (["mnorm", "--model", "{model}", "--field", "f", "--space", "M",
+      "--p", "2", "--family", "dyadic:-1"], ["--family", "'dyadic:-1'", "G >= 0"]),
     (["capacity", "--grid", "256", "--kernel", "{model}", "--set", "{mask}"],
      ["--kernel", "--grid"]),
     (["verify", "--suite", "determinism", "--out", "{tmp}/v.csv"],
@@ -794,7 +842,9 @@ _NNORM = ["nnorm", "--model", "{model}", "--field", "f", "--p", "2",
       "--s", "3"], ["capflow: exponent window violated: s=3.0 > n/alpha=1"]),
 ], ids=["grid-not-a-number", "grid-three-axes", "model-and-grid",
         "block-model-and-grid", "missing-field", "missing-weight-field",
-        "family-count", "family-extra-part", "kernel-on-grid", "csv-out",
+        "family-count", "family-extra-part", "family-no-sets",
+        "family-negative-count", "family-negative-generation",
+        "kernel-on-grid", "csv-out",
         "verify-out-dir-missing", "report-out-dir-missing",
         "no-candidates", "no-candidate-files", "empty-candidate",
         "s-below-one", "tol-above-one", "alpha-zero", "s-above-n-over-alpha"])

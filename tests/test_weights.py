@@ -265,6 +265,27 @@ def test_n_norm_refinement_never_worse():
     assert refined.value <= plain.value * (1 + 1e-12)
 
 
+def test_n_norm_reaveraging_can_win_with_a_mixture(fine_oracle):
+    # intervals either side of a centred bump: each candidate weighs one
+    # flank down, and a mixture of the two beats both by about 9%
+    g = fine_oracle.space
+    x = g.coords()[:, 0]
+    cfg = WeightConfig(delta=0.5, l1c_levels=10)
+    cands = [potential_weight(fine_oracle, SetMask(g, np.abs(x - c) <= 0.8), cfg)
+             for c in (-1.0, 1.0)]
+    f = Field.of(g, np.exp(-x ** 2))
+    e = LorentzExponents(2.0, 2.0)
+    plain = n_norm_upper(f, e, cands, cfg)
+    refined = n_norm_upper(f, e, cands, cfg, fine_oracle)
+    assert refined.value < plain.value * (1.0 - 1e-4)
+    assert refined.hi == refined.value
+    mix = refined.witness.values
+    assert all(mix.tobytes() != w.values.tobytes() for w in cands)
+    a, b = (w.values for w in cands)
+    assert np.all(np.minimum(a, b) * (1 - 1e-12) <= mix)
+    assert np.all(mix <= np.maximum(a, b) * (1 + 1e-12))
+
+
 def test_n_norm_bound_for_supported_field(fine_oracle):
     # f supported in E against the potential weight of E: the weighted norm
     # is at most [cap(E) * scale / (1-band)^delta]^(1/q') times ||f||_{p,q}
