@@ -26,7 +26,7 @@ checked with the multiplier module's estimates and `measure.pairing`.
 
 The trace class is a supremum over sets of |mu|(K)/cap(K): `trace_norm`
 feeds the multiplier module's one supremum engine and the threshold form
-(a bisection on one scalar comparison) from one `CapacityOracle.gather` of
+(the least feasible float threshold) from one `CapacityOracle.gather` of
 the family's set matrix and one product of that matrix with |mu|.
 
 The Koethe dual norm of L^{P,Q} on at most 6 atoms is exact: the level-
@@ -309,13 +309,12 @@ def trace_norm(mu: AtomicMeasure, family: TestSetFamily,
     sets, from one gather and one product of the set matrix with |mu|.
 
     The sup form estimates sup |mu|(K)/cap(K), exactly for all subsets of a
-    finite model.  The threshold form, the least a with |mu|(E) <= a cap(E)
-    for every set E, takes 120 bisection steps on a over
-    [0, 2 max|mu|(E) / min cap(E)].  Feasibility is monotone under rounding,
-    so it is the test a >= t for t the least feasible float, found in a few
-    ulp steps from max |mu|(E)/cap(E) (by bisection over bit patterns when
-    the products overflow or go subnormal); the bisection is replayed on
-    that one comparison.  The forms agree to roundoff plus capacity gaps.
+    finite model.  The threshold form is the least float a with
+    |mu|(E) <= a cap(E) for every set E (inf when a variation overflows).
+    Feasibility is monotone under rounding, so a is found in a few ulp
+    steps from max |mu|(E)/cap(E), or by bisection over bit patterns when
+    the products overflow or go subnormal.  The forms agree to roundoff
+    plus capacity gaps.
     """
     _same_space(oracle.space, mu)
     sets = family.sets(oracle.space)
@@ -325,17 +324,17 @@ def trace_norm(mu: AtomicMeasure, family: TestSetFamily,
                               oracle.space, 1.0)[0]
     keep = gathered[0] > 0.0
     caps, variations = gathered[0][keep], variations[keep]
-    if variations.max(initial=0.0) <= 0.0:
-        return sup_form, 0.0
+    top = float(variations.max(initial=0.0))
+    if top in (0.0, math.inf):   # no positive variation, or one overflows
+        return sup_form, top
 
     def feasible(k: int) -> bool:
-        """P at the nonnegative float of bit pattern k; such patterns are
-        ordered as their floats are."""
+        """P at the float of bit pattern k >= 0 (ordered as their floats)."""
         return bool(np.all(variations <= np.int64(k).view(np.float64) * caps))
 
     no, yes = 0, int(np.float64(np.inf).view(np.int64))  # P(0) false, P(inf) true
     k = int(np.max(variations / caps).view(np.int64))
-    for _ in range(8):   # a few ulps from t unless products leave the normal range
+    for _ in range(8):   # a few ulps away unless products leave the normal range
         if feasible(k):
             yes, k = k, k - 1
         else:
@@ -345,15 +344,7 @@ def trace_norm(mu: AtomicMeasure, family: TestSetFamily,
     while yes - no > 1:
         mid = (no + yes) // 2
         no, yes = (no, mid) if feasible(mid) else (mid, yes)
-    t = float(np.int64(yes).view(np.float64))
-    lo, hi = 0.0, 2.0 * float(variations.max()) / float(caps.min())
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if mid >= t:
-            hi = mid
-        else:
-            lo = mid
-    return sup_form, hi
+    return sup_form, float(np.int64(yes).view(np.float64))
 
 
 # ---------------------------------------------------------------------------

@@ -1036,11 +1036,12 @@ def l1c_norm(omega: Field, oracle: CapacityOracle,
              max_levels: Optional[int] = None) -> NormEstimate:
     """Layer-cake capacity integral int_0^inf cap({omega > t}) dt.
 
-    Exact over the distinct positive levels of omega.  When max_levels caps
-    the level count, the knots are thinned to a subsample and the integral
-    is bracketed rigorously (capacity is monotone between adjacent knots);
-    the returned value is then the upper end, mode 'upper-bound', with the
-    lower end in `lo`.
+    Exact over the distinct positive levels of omega: `measure._layer_cake`
+    at p = q = 1 (its powers and root are exact there), capacities for the
+    masses.  When max_levels caps the level count, the knots are thinned to
+    a subsample and the integral is bracketed rigorously (capacity is
+    monotone between adjacent knots); the returned value is then the upper
+    end, mode 'upper-bound', with the lower end in `lo`.
     """
     _same_space(oracle.space, omega)
     vals = omega.values
@@ -1058,9 +1059,8 @@ def l1c_norm(omega: Field, oracle: CapacityOracle,
     # {omega >= t} at the upper knots, then {omega > t} at the lower ones
     value, lower, upper, gap = oracle.gather(np.concatenate(
         [vals >= knots[:-1, None], vals > knots[1:, None]]))
-    k, widths = levels.size, knots[:-1] - knots[1:]
-    # running sums, so the rounding follows the level order
-    lo_sum, up_sum, val_sum = (float(np.cumsum(c * widths)[-1])
+    k, one = levels.size, LorentzExponents(1.0, 1.0)
+    lo_sum, up_sum, val_sum = (float(_layer_cake(levels, c, one))
                                for c in (lower[:k], upper[k:], value[k:]))
     return NormEstimate(val_sum if exact else up_sum,
                         "exact" if exact else "upper-bound",

@@ -79,7 +79,7 @@ def _oracle_and_field(args) -> tuple:
     return CapacityOracle(problem, params), f
 
 
-def _parse_family(specs) -> mn.TestSetFamily:
+def _parse_family(specs, f: Field) -> mn.TestSetFamily:
     fams = []
     for spec in specs:
         kind, *parts = spec.split(":")
@@ -100,7 +100,12 @@ def _parse_family(specs) -> mn.TestSetFamily:
         except ValueError:
             _bad("--family", f"bad spec {spec!r} (grammar: all | dyadic:G | "
                              "levels | random:N:SEED, with G >= 0 and N >= 1)")
-    return sum(fams[1:], fams[0])
+    family = sum(fams[1:], fams[0])
+    try:   # a valid spec the space cannot hold, e.g. dyadic cubes on atoms
+        family.sets(f.space, f)
+    except ValueError as err:
+        _bad("--family", str(err))
+    return family
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
@@ -136,7 +141,7 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_mnorm(args) -> int:
     oracle, f = _oracle_and_field(args)
-    family = _parse_family(args.family)
+    family = _parse_family(args.family, f)
     e = LorentzExponents(args.p, args.q)
     if args.space_kind == "M":
         est = mn.m_norm(f, e, family, oracle)
@@ -214,7 +219,7 @@ def _cmd_block(args) -> int:
             _bad("--mode", "constructive mode needs --weight")
         decomp = bl.block_norm_upper_constructive(f, e, omega, oracle)
     else:
-        family = _parse_family(args.family or ["random:32:0x5EED"])
+        family = _parse_family(args.family or ["random:32:0x5EED"], f)
         decomp = bl.block_norm_upper_greedy(f, e, family, oracle, omega)
     out = Path(args.out)
     entries = []

@@ -10,11 +10,12 @@ consumes the metrology defined here:
   * lorentz_norms       -- exact closed-form evaluation of the layer-cake
                            quasi-norm  p^(1/q) (int mu({|f|>t})^(q/p) t^q dt/t)^(1/q)
                            (the weak norm at q = inf) of every field of a
-                           (B, size) stack; lorentz_norm is its batch of one,
-                           for every q.
+                           (B, size) stack, zero-padded into one _layer_cake
+                           call; lorentz_norm is its batch of one.
   * _stack_levels       -- the one extraction of levels and tie masses.
-  * _layer_cake         -- the closed form over given levels and masses, shared
-                           with the capacitary norms (capacity in place of mu).
+  * _layer_cake         -- the closed form over given levels and masses, summed
+                           in level order; shared with the capacitary norms
+                           and the L1-capacity integral (capacity for mu).
   * gamma_norm          -- the maximal-average renorming that sandwiches the
                            Lorentz quasi-norm between explicit constants.
 
@@ -263,12 +264,14 @@ def _layer_cake(levels: np.ndarray, masses: np.ndarray,
 
         (p/q)^(1/q) * ( sum_i m_i^(q/p) (u_i^q - u_{i+1}^q) )^(1/q)
 
-    for q < inf, and to max_i u_i m_i^(1/p) for q = inf.  Repeated levels
-    add nothing.  The roots are taken by np.float_power, which has no
-    vector kernel: each is libm's pow, as a scalar root is, not numpy's
-    vector `**`, which differs in the last bit.  A row whose top level to
-    the power q is not a normal, finite float would lose its norm to
-    underflow or overflow, and raises ValueError.
+    for q < inf, and to max_i u_i m_i^(1/p) for q = inf.  The terms are
+    added in level order, so a row's bits do not depend on the rows beside
+    it; repeated levels and zero padding add exact zeros.  The roots are
+    taken by np.float_power, which has no vector kernel: each is libm's
+    pow, as a scalar root is, not numpy's vector `**`, which differs in the
+    last bit.  A row whose top level to the power q is not a normal, finite
+    float would lose its norm to underflow or overflow, and raises
+    ValueError.
     """
     p, q = e.p, e.q
     if q == math.inf:
@@ -282,18 +285,17 @@ def _layer_cake(levels: np.ndarray, masses: np.ndarray,
                          f"{levels[..., 0][bad].flat[0]:.6g} to the power q "
                          f"is not a normal float")
     drops = uq.copy()   # u_i^q - u_{i+1}^q, with u_{k+1} = 0 in the last column
-    drops.ravel()[:-1] -= uq.ravel()[1:]
-    drops[..., -1] = uq[..., -1]
-    total = np.add.reduce(masses ** (q / p) * drops, axis=-1)
+    drops[..., :-1] -= uq[..., 1:]
+    total = np.add.accumulate(masses ** (q / p) * drops, axis=-1)[..., -1]
     return (p / q) ** (1.0 / q) * np.float_power(total, 1.0 / q)
 
 
 def lorentz_norms(values: np.ndarray, weights: np.ndarray,
                   e: LorentzExponents) -> np.ndarray:
     """||f||_{p,q} (weak when q = inf) of every row f of a (B, size) stack
-    of fields on atoms of the given weights.  Rows with equal level counts
-    are compacted and evaluated together, so each row's sums reduce as 1-D
-    sums do and every row gets the bits of its own batch of one."""
+    of fields on atoms of the given weights: one `_layer_cake` call on the
+    rows with a positive value, their levels and masses padded with zeros
+    to the longest row, so each row gets the bits of its batch of one."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != weights.size:
         raise ValueError(f"need a (B, {weights.size}) stack of fields, "
@@ -304,14 +306,12 @@ def lorentz_norms(values: np.ndarray, weights: np.ndarray,
                                for i in range(0, len(values), step)])
     u, g, counts = _stack_levels(np.abs(values), weights)
     out = np.zeros(len(values))
-    kinds = set(counts.tolist())
-    for c in kinds - {0}:
-        rows = mine = slice(None)           # every row has c levels
-        if len(kinds) > 1:
-            rows = counts == c
-            mine = np.repeat(rows, counts)  # the levels of those rows
-        out[rows] = _layer_cake(u[mine].reshape(-1, c),
-                                np.cumsum(g[mine].reshape(-1, c), axis=1), e)
+    if (live := counts > 0).any():
+        mine = np.arange(counts.max()) < counts[live, None]
+        levels, masses = np.zeros(mine.shape), np.zeros(mine.shape)
+        levels[mine], masses[mine] = u, g
+        masses.cumsum(1, out=masses)[~mine] = 0.0
+        out[live] = _layer_cake(levels, masses, e)
     return out
 
 

@@ -1442,6 +1442,29 @@ def test_l1c_quantized_bracket():
     assert exact.value <= coarse.value * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("kind", ["identity", "finite"])
+def test_l1c_norm_adds_its_knots_in_level_order(kind):
+    # the value, lower and upper sums over the knots u_1 > ... > u_k > 0,
+    # each term cap * (u_i - u_(i+1)) added left to right
+    rng = np.random.default_rng(31)
+    m = 300 if kind == "identity" else 24
+    sp = DiscreteMeasureSpace(rng.random(m) + 0.1)
+    B = rng.random((m, m))
+    oracle = CapacityOracle(identity_problem(sp) if kind == "identity" else
+                            finite_problem(sp, (B + B.T) / 2 + np.eye(m)), PARAMS)
+    omega = Field.of(sp, rng.lognormal(0.0, 1.0, m))
+    est = l1c_norm(omega, oracle)
+    u = np.sort(omega.values)[::-1]
+    below = np.concatenate([u[1:], [0.0]])
+    value, lower, _, _ = oracle.gather(omega.values >= u[:, None])
+    upper = oracle.gather(omega.values > below[:, None])[2]
+    for got, caps in ((est.value, value), (est.lo, lower), (est.hi, upper)):
+        acc = 0.0
+        for term in (caps * (u - below)).tolist():
+            acc += term
+        assert got == acc
+
+
 def test_capacitary_lorentz_examples():
     sp = DiscreteMeasureSpace([1.0, 1.0])
     oracle = CapacityOracle(identity_problem(sp), PARAMS)

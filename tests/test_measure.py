@@ -211,7 +211,7 @@ def reference_norm(f, e):
         return float(np.max(u * m ** (1.0 / p)))
     uq = u ** q
     drops = uq - np.concatenate([uq[1:], [0.0]])
-    total = np.sum(m ** (q / p) * drops)
+    total = np.cumsum(m ** (q / p) * drops)[-1]   # in level order
     return float((p / q) ** (1.0 / q) * total ** (1.0 / q))
 
 
@@ -257,6 +257,35 @@ def test_stacked_norms_taller_than_one_chunk():
     sp = DiscreteMeasureSpace(w)
     assert lorentz_norms(V, w, e).tolist() == \
         [reference_norm(Field.of(sp, row), e) for row in V]
+
+
+@pytest.mark.parametrize("p,q", PAIRS)
+def test_lorentz_norms_add_their_terms_in_level_order(p, q):
+    # rows of 9 to 300 distinct levels, stacked together: each row's terms
+    # are added left to right; numpy's pairwise sum groups them differently
+    # from 9 terms on, and differs in some of these rows
+    rng = np.random.default_rng(30)
+    e = LorentzExponents(p, q)
+    w = rng.random(300) + 0.1
+    counts = [9, 10, 17, 64, 129, 300]
+    V = np.zeros((len(counts), 300))
+    for row, k in zip(V, counts):
+        row[rng.permutation(300)[:k]] = rng.lognormal(0.0, 1.0, k)
+    sp, pairwise = DiscreteMeasureSpace(w), 0
+    for row, norm in zip(V, lorentz_norms(V, w, e).tolist()):
+        u, m = reference_levels(Field.of(sp, row))
+        assert u.size in counts
+        if q == math.inf:
+            assert norm == float(np.max(u * m ** (1.0 / p)))
+            continue
+        uq = u ** q
+        terms = m ** (q / p) * (uq - np.concatenate([uq[1:], [0.0]]))
+        acc = 0.0
+        for term in terms.tolist():
+            acc += term
+        assert norm == (p / q) ** (1.0 / q) * acc ** (1.0 / q)
+        pairwise += float(np.sum(terms)) != acc
+    assert pairwise > 0 or q == math.inf
 
 
 @pytest.mark.parametrize("level, q", [(1e-150, 3.0), (1e-160, 2.0),

@@ -820,6 +820,12 @@ _NNORM = ["nnorm", "--model", "{model}", "--field", "f", "--p", "2",
       "--p", "2", "--family", "random:-2"], ["--family", "'random:-2'"]),
     (["mnorm", "--model", "{model}", "--field", "f", "--space", "M",
       "--p", "2", "--family", "dyadic:-1"], ["--family", "'dyadic:-1'", "G >= 0"]),
+    (["mnorm", "--model", "{model}", "--field", "f", "--space", "M",
+      "--p", "2", "--family", "dyadic:0"], ["--family", "need a grid model"]),
+    (["block", "--model", "{model}", "--field", "f", "--family", "dyadic:1",
+      "--out", "{tmp}/b.json"], ["--family", "need a grid model"]),
+    (["mnorm", "--grid", "256", "--field-file", "{tmp}/g.txt", "--space", "M",
+      "--p", "2", "--family", "all"], ["--family", "space has 256"]),
     (["capacity", "--grid", "256", "--kernel", "{model}", "--set", "{mask}"],
      ["--kernel", "--grid"]),
     (["verify", "--suite", "determinism", "--out", "{tmp}/v.csv"],
@@ -844,6 +850,7 @@ _NNORM = ["nnorm", "--model", "{model}", "--field", "f", "--p", "2",
         "block-model-and-grid", "missing-field", "missing-weight-field",
         "family-count", "family-extra-part", "family-no-sets",
         "family-negative-count", "family-negative-generation",
+        "mnorm-dyadic-on-atoms", "block-dyadic-on-atoms", "all-on-a-grid",
         "kernel-on-grid", "csv-out",
         "verify-out-dir-missing", "report-out-dir-missing",
         "no-candidates", "no-candidate-files", "empty-candidate",
@@ -853,6 +860,8 @@ def test_cli_bad_inputs_exit_with_one_named_line(tmp_path, argv, names):
     # flag or file and the bad token, or states the violated parameter
     # condition; no traceback
     model, mask = _three_atom_model(tmp_path)
+    grid = make_grid(1, 16.0, 256)
+    modelio.write_grid_field(tmp_path / "g.txt", grid, np.ones(grid.size))
     fill = dict(model=model, mask=mask, tmp=tmp_path)
     argv = [a.format(**fill) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "capflow.cli"] + argv,
