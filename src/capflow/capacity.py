@@ -31,11 +31,10 @@ one row per set.  `capacity_batch` builds its results from the columns and
 `capacity` is its batch of one; `CapacityOracle.gather` answers a family
 of sets from one batch and builds no object per row.
 
-Layer-cake functionals over capacities (the L1-capacity norm and the
-capacitary Lorentz norms) are evaluated exactly over the finitely many
-superlevel sets, with optional certified level quantization for fields with
-very many distinct values; the capacitary Lorentz norms are the measure
-module's one layer-cake closed form with cap in place of the measure.
+The capacitary Lorentz norms and the L1-capacity norm (their p = q = 1
+case) are one body, `_capacitary_layer_cake`: the measure module's closed
+form with cap for the measure over the superlevel sets, from one gather;
+its value is the upper end of a bracket, certified also for thinned levels.
 """
 from __future__ import annotations
 
@@ -1032,66 +1031,59 @@ class NormEstimate:
             raise ValueError(f"unknown estimate mode {self.mode!r}")
 
 
-def l1c_norm(omega: Field, oracle: CapacityOracle,
-             max_levels: Optional[int] = None) -> NormEstimate:
-    """Layer-cake capacity integral int_0^inf cap({omega > t}) dt.
-
-    Exact over the distinct positive levels of omega: `measure._layer_cake`
-    at p = q = 1 (its powers and root are exact there), capacities for the
-    masses.  When max_levels caps the level count, the knots are thinned to
-    a subsample and the integral is bracketed rigorously (capacity is
-    monotone between adjacent knots); the returned value is then the upper
-    end, mode 'upper-bound', with the lower end in `lo`.
-    """
-    _same_space(oracle.space, omega)
-    vals = omega.values
-    if np.any(vals < 0.0):
-        raise ValueError("l1c norm requires a nonnegative field")
-    if max_levels is not None and max_levels < 1:
-        raise ValueError(f"max_levels must be None or at least 1, got {max_levels}")
-    levels = _levels(omega)[0]
-    if levels.size == 0:
-        return NormEstimate(0.0, "exact", witness=None, lo=0.0, hi=0.0)
-    exact = max_levels is None or levels.size <= max_levels
-    levels = _thinned(levels, max_levels)
-
-    knots = np.concatenate([levels, [0.0]])
-    # {omega >= t} at the upper knots, then {omega > t} at the lower ones
-    value, lower, upper, gap = oracle.gather(np.concatenate(
-        [vals >= knots[:-1, None], vals > knots[1:, None]]))
-    k, one = levels.size, LorentzExponents(1.0, 1.0)
-    lo_sum, up_sum, val_sum = (float(_layer_cake(levels, c, one))
-                               for c in (lower[:k], upper[k:], value[k:]))
-    return NormEstimate(val_sum if exact else up_sum,
-                        "exact" if exact else "upper-bound",
-                        lo=lo_sum, hi=up_sum, max_gap=float(gap.max()))
-
-
-def capacitary_lorentz_norm(f: Field, e: LorentzExponents,
-                            oracle: CapacityOracle) -> NormEstimate:
-    """Lorentz layer cake with the capacity replacing the measure.
-
-    The measure norms' closed form (`measure._layer_cake`) over the distinct
-    levels u_i with cap({|f| >= u_i}) in place of the masses; the q = inf
-    case is the breakpoint supremum sup_i u_i cap({|f| >= u_i})^(1/p), with
-    the level that attains it as witness.
+def _capacitary_layer_cake(f: Field, e: LorentzExponents, oracle: CapacityOracle,
+                           max_levels: Optional[int]) -> NormEstimate:
+    """The one capacitary layer cake: `measure._layer_cake` over the distinct
+    levels u_1 > ... > u_k of |f|, thinned to max_levels when given, with
+    capacities for the masses.  One gather answers {|f| >= u_i} at the upper
+    knots and {|f| > u_(i+1)} (u_(k+1) = 0) at the lower ones, the same sets
+    unthinned.  Capacity is monotone, so `lo` over the lower capacity bounds
+    of the first and `hi` over the upper bounds of the second bracket the
+    integral.  A gathered row's value is its upper bound, so the value is
+    `hi`, mode 'exact' unless thinned.  At q = inf the witness is the level
+    whose term u_i cap^(1/p) attains the supremum.
     """
     _same_space(oracle.space, f)
+    if max_levels is not None and max_levels < 1:
+        raise ValueError(f"max_levels must be None or at least 1, got {max_levels}")
     vals = np.abs(f.values)
     levels = _levels(f)[0]
     if levels.size == 0:
         return NormEstimate(0.0, "exact", lo=0.0, hi=0.0)
-    caps, caps_lo, caps_hi, gaps = oracle.gather(vals >= levels[:, None])
+    exact = max_levels is None or levels.size <= max_levels
+    levels = _thinned(levels, max_levels)
+    k, knots = levels.size, np.concatenate([levels, [0.0]])
+    _, lower, upper, gap = oracle.gather(np.concatenate(
+        [vals >= knots[:-1, None], vals > knots[1:, None]]))
+    hi = float(_layer_cake(levels, upper[k:], e))
     witness = None
     if e.q == math.inf:
         # one single-level layer cake per level: the terms of the supremum
-        terms = _layer_cake(levels[:, None], caps[:, None], e)
+        terms = _layer_cake(levels[:, None], upper[k:, None], e)
         witness = levels[int(np.argmax(terms))]
-    return NormEstimate(float(_layer_cake(levels, caps, e)), "exact",
-                        witness=witness,
-                        lo=float(_layer_cake(levels, caps_lo, e)),
-                        hi=float(_layer_cake(levels, caps_hi, e)),
-                        max_gap=float(gaps.max()))
+    return NormEstimate(hi, "exact" if exact else "upper-bound", witness=witness,
+                        lo=float(_layer_cake(levels, lower[:k], e)), hi=hi,
+                        max_gap=float(gap.max()))
+
+
+def l1c_norm(omega: Field, oracle: CapacityOracle,
+             max_levels: Optional[int] = None) -> NormEstimate:
+    """Layer-cake capacity integral int_0^inf cap({omega > t}) dt of a
+    nonnegative field: the capacitary layer cake at p = q = 1, whose powers
+    and root are exact.  With max_levels the knots are thinned and the value
+    is the bracket's upper end, mode 'upper-bound'."""
+    if np.any(omega.values < 0.0):
+        raise ValueError("l1c norm requires a nonnegative field")
+    return _capacitary_layer_cake(omega, LorentzExponents(1.0, 1.0), oracle,
+                                  max_levels)
+
+
+def capacitary_lorentz_norm(f: Field, e: LorentzExponents,
+                            oracle: CapacityOracle) -> NormEstimate:
+    """Lorentz layer cake with the capacity replacing the measure, over
+    every distinct level of |f|: the capacitary layer cake unthinned; at
+    q = inf the breakpoint supremum sup_i u_i cap({|f| >= u_i})^(1/p)."""
+    return _capacitary_layer_cake(f, e, oracle, None)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ from .capacity import (CapacityOracle, CapacityParams, CapacityProblem,
                        lebesgue_lower_bound_check, nonlinear_potential,
                        strichartz_check)
 from .grid import DECAY_MARGIN, Grid, bessel_kernel, convolve, make_grid
-from .measure import (DiscreteMeasureSpace, Field, LorentzExponents,
+from .measure import (DiscreteMeasureSpace, Field, LorentzExponents, _levels,
                       distribution_function, gamma_norm, gamma_sandwich_bound,
                       lorentz_norm, lorentz_norms, pairing,
                       power_identity_check)
@@ -624,9 +624,13 @@ def check_capacitary_embeddings(ctx: RunContext, rows: _Rows) -> None:
     for oracle, f in cases:
         weak = capacitary_lorentz_norm(f, LorentzExponents(1.0, math.inf), oracle)
         l1c = l1c_norm(Field(f.space, np.abs(f.values)), oracle)
+        k = _levels(f)[0].size
         for q in (0.5, 0.75, 1.0):
             strong = capacitary_lorentz_norm(f, LorentzExponents(1.0, q), oracle)
+            # plus the roundoff of the k-level layer cakes and these bounds:
+            # (2k + 32 + |ln strong|) / q units of 2^-53, powers within 2^-52
             slack = 1.0 + 50.0 * max(strong.max_gap, weak.max_gap, l1c.max_gap)
+            slack += (2 * k + 32 + abs(math.log(strong.value or 1.0))) / q / 2.0 ** 53
             bound_weak = q ** (1.0 / q) * strong.value * slack + 1e-30
             bound_l1 = q ** ((1.0 - q) / q) * strong.value * slack + 1e-30
             # for positive normal floats x > y exactly when x / y > 1
@@ -752,16 +756,21 @@ def _draw_pairs(rng, space, count: int) -> tuple:
 def check_pairing(ctx: RunContext, rows: _Rows) -> None:
     cfg = ctx.cfg
 
-    def pairing_max(tag: str, groups, e_blocks, norm_type: str, estimate):
+    def pairing_max(tag: str, groups, e_blocks, norm_type: str, estimate,
+                    aligned=False):
         """Largest ratio |int f g| / (estimate * sum|lambda|) over the
         (problem, count) groups that `groups(rng)` draws lazily from the
         tag's rng, one oracle per group, and the largest solve gap behind
         it.  A group is one stack: one `block_norms_upper_greedy` call for
-        its g's, then one `estimate(fs, supports, oracle)` call."""
+        its g's, then one `estimate(fs, supports, oracle)` call.  `aligned`
+        puts g's Hoelder-aligned sign(g)|g|^(p'-1) (p' the blocks' p) for f."""
         rng = ctx.rng(tag)
         for problem, count in groups(rng):
             oracle = ctx.finite_oracle(problem)
             fs, gs, dicts = _draw_pairs(rng, problem.space, count)
+            if aligned:
+                fs = [Field(g.space, np.sign(g.values)
+                            * np.abs(g.values) ** (e_blocks.p - 1.0)) for g in gs]
             decomps = bl.block_norms_upper_greedy(gs, e_blocks, dicts, oracle,
                                                   norm_type)
             for f, decomp, est in zip(fs, decomps, estimate(
@@ -771,7 +780,7 @@ def check_pairing(ctx: RunContext, rows: _Rows) -> None:
                            / (est.value * decomp.sum_lambda))
         return rows.worst[tag], rows.worst[tag + "/gap"]
 
-    def corpus_max(tag: str, p: float, q: float, count: int):
+    def corpus_max(tag: str, p: float, q: float, count: int, aligned=False):
         """B-blocks against `m_norms`, in groups of at most 10 pairs on
         identity and random kernels in turn."""
         e = LorentzExponents(p, q)
@@ -783,7 +792,8 @@ def check_pairing(ctx: RunContext, rows: _Rows) -> None:
                        min(10, count - start))
 
         return pairing_max(tag, groups, LorentzExponents(e.p_conj, e.q_conj),
-                           "B", lambda fs, fams, o: mn.m_norms(fs, e, fams, o))
+                           "B", lambda fs, fams, o: mn.m_norms(fs, e, fams, o),
+                           aligned)
 
     hi22, gap22 = corpus_max("c09-22-a", 2.0, 2.0, cfg.scale_pairs)
     rows.bound("p=q=2", hi22, 1.0 + 10.0 * max(gap22, 1e-12),
@@ -793,8 +803,9 @@ def check_pairing(ctx: RunContext, rows: _Rows) -> None:
 
     unstable = _Tally()
     for (p, q) in ((3.0, 2.0), (2.0, 3.0)):
-        hi_a, _ = corpus_max(f"c09-{p}-{q}-a", p, q, max(cfg.scale_pairs // 4, 5))
-        hi_b, _ = corpus_max(f"c09-{p}-{q}-b", p, q, max(cfg.scale_pairs // 4, 5))
+        n = max(cfg.scale_pairs // 4, 5)
+        hi_a, hi_b = (corpus_max(f"c09-{p}-{q}-{t}", p, q, n, aligned=True)[0]
+                      for t in "ab")
         unstable.band(f"(p,q)=({p},{q})", hi_a / hi_b if hi_b > 0 else math.inf)
         rows.row(f"/recorded-p{p}-q{q}", max(hi_a, hi_b), "pairing-estimate",
                  f"corpus maxima {hi_a:.4f}/{hi_b:.4f}", "recorded")
@@ -925,6 +936,9 @@ def check_weight_characterization(ctx: RunContext, rows: _Rows) -> None:
         rng = ctx.rng(f"c11-{tag}")
         masks = _grid_set_corpus(rng, grid, 3)
         f = _bump_field(grid, rng.uniform(-1.5, 1.5), rng.uniform(0.5, 1.2))
+        # the field's superlevel sets: a corpus meets the field at every seed
+        masks += [SetMask(grid, b) for b in
+                  mn.TestSetFamily.superlevels(size_cap=4).sets(grid, f)]
         weights = [wt.potential_weight(g1, m, ctx.weights) for m in masks]
         for (p, q) in ((2.0, 2.0), (3.0, 2.0)):
             rep = mn.char_m_via_weights(f, LorentzExponents(p, q), masks,

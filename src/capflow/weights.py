@@ -175,11 +175,11 @@ def n_norm_upper(f: Field, e: LorentzExponents, candidates: Sequence[Weight],
                  oracle: Optional[CapacityOracle] = None) -> NormEstimate:
     """Upper bound of the weighted infimum norm over admissible candidates.
 
-    Each candidate is rescaled by (the upper end of) its L1-capacity
-    estimate, which makes the rescaled norm at most one, then screened
-    against the local-A1 cap: `cfg.slack` times the largest constant among
-    the candidates, their corpus maximum.  The estimate is the
-    minimum of ||f w^(-1/q')|| over survivors.  When an oracle is given
+    Each candidate is rescaled by its L1-capacity estimate, whose value is
+    its bracket's upper end, so the rescaled norm is at most one, then
+    screened against the local-A1 cap: `cfg.slack` times the largest
+    constant among the candidates, their corpus maximum.  The estimate is
+    the minimum of ||f w^(-1/q')|| over survivors.  When an oracle is given
     (the mixtures' certificates need it), the two best candidates are then
     convexly re-averaged until the improvement falls below 1e-4 relative.
     Strictly an upper bound: no lower certificate for the infimum exists at
@@ -199,8 +199,7 @@ def n_norm_upper(f: Field, e: LorentzExponents, candidates: Sequence[Weight],
     qc = e.q_conj
 
     def score(w: Weight) -> float:
-        scale = max(w.l1c_estimate.hi if math.isfinite(w.l1c_estimate.hi)
-                    else w.l1c_estimate.value, WEIGHT_FLOOR)
+        scale = max(w.l1c_estimate.hi, WEIGHT_FLOOR)
         weighted = f.values * (w.values / scale) ** (-1.0 / qc)
         return lorentz_norm(Field(f.space, weighted), e)
 

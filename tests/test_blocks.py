@@ -469,16 +469,6 @@ def test_c09_group_calls_do_not_depend_on_its_pair_count(monkeypatch):
         assert len({(g, l) for _n, g, l in seen}) == 1, seen
 
 
-@pytest.mark.xfail(strict=True, reason="C09's seed-stability band compares "
-                   "two draws of a 25-pair corpus (ROADMAP item 1)")
-def test_c09_seed_stability_holds_at_master_seed_3611029060():
-    # the corpus maxima at (p, q) = (3, 2) read 0.9317 and 0.4599 at this
-    # seed: a ratio of 2.026, outside the band [0.5, 2]
-    verdicts = check_pairing(RunContext(CapflowConfig(master_seed=3611029060)))
-    row = next(v for v in verdicts if v.check_id.endswith("/seed-stability"))
-    assert row.status == "pass", row.details
-
-
 # ---------------------------------------------------------------------------
 # Pairing chain at p = q = 2
 # ---------------------------------------------------------------------------

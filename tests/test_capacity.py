@@ -16,7 +16,7 @@ from capflow.blocks import (AtomicMeasure, block_norm_upper_constructive,
                             trace_norm, transport_decomposition)
 from capflow.capacity import (CapacityOracle, CapacityParams,
                               CapacityProblem, SetMask,
-                              _diameter, _measures,
+                              _capacitary_layer_cake, _diameter, _measures,
                               _grow_inverse_factor, _mul, _polish, _solve,
                               audit_certificate,
                               capacitary_lorentz_norm,
@@ -1463,6 +1463,49 @@ def test_l1c_norm_adds_its_knots_in_level_order(kind):
         for term in (caps * (u - below)).tolist():
             acc += term
         assert got == acc
+
+
+@pytest.mark.parametrize("p, q", [(1.0, 1.0), (1.0, 0.5), (2.0, 1.5),
+                                  (1.0, math.inf)])
+@pytest.mark.parametrize("kind", ["identity", "grid"])
+def test_thinned_capacitary_layer_cake_brackets_the_exact_one(kind, p, q):
+    # 16 of at least 300 levels: the bracket holds the layer cake over every
+    # level, and the value is the bracket's upper end, bit for bit
+    if kind == "identity":
+        rng = np.random.default_rng(37)
+        sp = DiscreteMeasureSpace(rng.random(320) + 0.1)
+        oracle = CapacityOracle(identity_problem(sp), PARAMS)
+        f = Field.of(sp, rng.lognormal(0.0, 1.0, 320) * rng.choice([-1, 1], 320))
+    else:   # a tilted bump on 512 cells: its superlevel sets are intervals
+        grid = make_grid(1, 16.0, 512)
+        params = CapacityParams(alpha=0.5, s=2.0, tol=1e-6)
+        oracle = CapacityOracle(grid_problem(grid, params), params)
+        x = grid.coords()[:, 0]
+        f = Field(grid, np.exp(-x ** 2 / 8.0) * (1.0 + 0.05 * x))
+    e = LorentzExponents(p, q)
+    exact = _capacitary_layer_cake(f, e, oracle, None)
+    thin = _capacitary_layer_cake(f, e, oracle, 16)
+    assert np.unique(np.abs(f.values)).size >= 300
+    assert exact.mode == "exact" and thin.mode == "upper-bound"
+    assert thin.lo <= exact.value <= thin.hi
+    assert thin.value == thin.hi and exact.value == exact.hi
+    assert exact.lo <= exact.hi and (q == math.inf) == (thin.witness is not None)
+
+
+@pytest.mark.parametrize("kind", ["identity", "finite"])
+def test_l1c_norm_is_the_capacitary_layer_cake_at_one_one(kind):
+    rng = np.random.default_rng(41)
+    m = 40 if kind == "identity" else 16
+    sp = DiscreteMeasureSpace(rng.random(m) + 0.1)
+    B = rng.random((m, m))
+    oracle = CapacityOracle(identity_problem(sp) if kind == "identity" else
+                            finite_problem(sp, (B + B.T) / 2 + np.eye(m)), PARAMS)
+    omega = Field.of(sp, rng.lognormal(0.0, 1.0, m) * (rng.random(m) > 0.2))
+    a = l1c_norm(omega, oracle)
+    b = capacitary_lorentz_norm(omega, LorentzExponents(1.0, 1.0), oracle)
+    assert (a.value, a.lo, a.hi, a.max_gap, a.mode) == (b.value, b.lo, b.hi,
+                                                        b.max_gap, b.mode)
+    assert a.value == a.hi
 
 
 def test_capacitary_lorentz_examples():

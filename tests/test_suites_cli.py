@@ -337,6 +337,36 @@ def test_c11_builds_no_certificate_and_eager_ones_move_no_row(monkeypatch):
     assert any(calls)
 
 
+@pytest.mark.parametrize("check, seed", [
+    ("C06", 8), ("C06", 13), ("C06", 34),
+    ("C11", 11), ("C11", 43), ("C11", 4280214213),
+    ("C09", 3611029060)])
+def test_checks_pass_at_the_master_seeds_they_used_to_fail(check, seed):
+    # C06 at ties within roundoff, C11's corpora missing the bump field and
+    # C09's independent f and g each once failed at these seeds
+    fn = next(fn for cid, _claims, fn in CHECKS if cid.startswith(check + "-"))
+    verdicts = fn(suites.RunContext(CapflowConfig(master_seed=seed)))
+    assert [v.check_id for v in verdicts if v.status == "fail"] == []
+
+
+def test_c06_roundoff_term_still_sees_a_strong_norm_too_small(monkeypatch):
+    # C06's worst ratio is 1.0 at the default seed, a tie; strong norms
+    # 1e-12 too small must still break it, far above the roundoff term
+    real = suites.capacitary_lorentz_norm
+
+    def shrunk(f, e, oracle):
+        est = real(f, e, oracle)
+        if e.q == math.inf:
+            return est
+        return dataclasses.replace(est, value=est.value * (1.0 - 1e-12))
+
+    fn = next(fn for cid, _claims, fn in CHECKS if cid.startswith("C06-"))
+    assert all(v.status == "pass" for v in fn(suites.RunContext(CapflowConfig())))
+    monkeypatch.setattr(suites, "capacitary_lorentz_norm", shrunk)
+    verdicts = fn(suites.RunContext(CapflowConfig()))
+    assert verdicts and all(v.status == "fail" for v in verdicts)
+
+
 CAMPAIGN_MODULES = """
 import sys
 from capflow.cli import main
