@@ -23,7 +23,9 @@ s = 2 every interval of a line grid polishes from one inverse Cholesky
 factor per problem (`CapacityProblem.interval_factor`), and each interval
 length once.  LAPACK sees blocks of at most 64 unknowns and `_mul` runs
 the matrix products as BLAS calls on 64 x 64 x 64 tiles, added in a fixed
-order, so the polish gives the same bits at any BLAS thread count.
+order, so the polish gives the same bits at any BLAS thread count.  A
+polish block of k unknowns is solved in one k x k working copy, which
+`_solve` eliminates in place, plus its 64-row blocks: about 1.5 k^2 floats.
 
 There is one solver, `_solve_sets`, which takes the sets as a (B, size)
 boolean matrix and writes every field of a `CapacityResult` as a column,
@@ -523,7 +525,6 @@ def _solve_rows(problem: CapacityProblem, live: np.ndarray,
     energy_coef = (s - 1.0) * s ** (-sp)
     rowsum, rowmin = np.add.reduce, np.minimum.reduce
     E = cols.E[live]   # live[r]: the column row of state row r
-    on = E.astype(float)   # 1 on E, 0 off E
 
     def energy(a):   # row sums of w max(a, 0)^s'
         t = np.maximum(a, 0.0)
@@ -548,12 +549,16 @@ def _solve_rows(problem: CapacityProblem, live: np.ndarray,
         lower = np.where(ok, (total / na) ** s, 0.0)
         return mu * t[:, None], a * t[:, None], lower
 
+    def certified(mu):   # the ray rescaling of mu, from its fresh potential
+        return ray_rescale(mu, problem.potential_of_measure(mu))
+
     def primal_upper(a):
         f = density(a)
-        floor = rowmin(np.where(E, problem.apply(f), np.inf), 1)
+        floor = rowmin(problem.apply(f), 1, where=E, initial=np.inf)
         f /= (floor * (1.0 - _FEAS_MARGIN))[:, None]
-        upper = np.where(floor > 0.0, rowsum(w * f ** s, 1), np.inf)
-        return upper, f
+        t = f ** s
+        t *= w
+        return np.where(floor > 0.0, rowsum(t, 1), np.inf), f
 
     def descend(y, grad, step, Fy):
         """Projected gradient step from y: the candidate, its potential and
@@ -569,9 +574,9 @@ def _solve_rows(problem: CapacityProblem, live: np.ndarray,
             failed = failed[step[failed] >= 1e-18]
         return mu, a, F, failed
 
-    mu_new = w * on   # the start, certified at iteration 0
-    a_new = problem.potential_of_measure(mu_new)
-    y, ay, _ = ray_rescale(mu_new, a_new)
+    # the start, certified at iteration 0 and the first momentum point
+    cands = [certified(np.where(E, w, 0.0))]
+    y, ay, _ = cands[0]
     Fy = neg_dual(y, ay)
     mu_prev, a_prev = y, ay
     best_lower, best_upper, best_mu, best_f = 0.0, np.inf, 0.0, 0.0
@@ -582,10 +587,12 @@ def _solve_rows(problem: CapacityProblem, live: np.ndarray,
     for iterations in range(params.max_iter + 1):
         last = iterations == params.max_iter
         if iterations % 5 == 0 or last:
-            cands = [ray_rescale(mu_new, a_new)]
+            if iterations:
+                cands = [ray_rescale(mu_new, a_new)]
             nu = _polish(problem, params, E, cands[0][0])
             if nu is not None:   # certified from fresh applies, as the iterate
-                cands.append(ray_rescale(nu, problem.potential_of_measure(nu)))
+                cands.append(certified(nu))
+            del nu   # only its rescaling is kept
             for mu_r, a_r, lower in cands:
                 upper, f_up = primal_upper(a_r)
                 better = lower > best_lower
@@ -609,8 +616,8 @@ def _solve_rows(problem: CapacityProblem, live: np.ndarray,
             if not keep.size:
                 return
             if keep.size < retire.size:
-                live, E, on, since, step, Fy = (live[keep], E[keep], on[keep],
-                                                since[keep], step[keep], Fy[keep])
+                live, E, since, step, Fy = (live[keep], E[keep], since[keep],
+                                            step[keep], Fy[keep])
                 y, ay = y[keep], ay[keep]
                 mu_prev, a_prev = mu_prev[keep], a_prev[keep]
                 best_lower, best_upper = best_lower[keep], best_upper[keep]
@@ -618,7 +625,7 @@ def _solve_rows(problem: CapacityProblem, live: np.ndarray,
 
         grad = problem.apply(density(ay))
         grad -= 1.0
-        grad *= on
+        grad *= E
         mu_new, a_new, F_new, retry = descend(y, grad, step, Fy)
         while retry.size:   # backtrack the rows that failed the test
             rows = retry if retry.size < step.size else slice(None)  # no gather
@@ -693,10 +700,14 @@ def _polish(problem: CapacityProblem, params: CapacityParams, E: np.ndarray,
             T, W = problem.interval_factor(k)   # leading blocks
             G, W = T[:k, :k], (W[:k, :k] if len(W) >= k else None)
         elif s == 2.0 and grid:   # (K^2)_jk sits at the difference of j and k
-            G = 0   # first the int32 flat index of each difference
-            for i in np.array(np.unravel_index(cells, space.shape), np.int32):
-                G = G * space.N + (i[:, None] - i) % space.N
-            G = np.take(problem.square / 2.0, G)
+            at = np.array(np.unravel_index(cells, space.shape), np.int32)
+            G = np.empty((k, k))
+            for r in range(0, k, 64):   # 64 rows of int32 flat indices at once
+                idx = 0
+                for i in at:
+                    idx = idx * space.N + (i[r:r + 64, None] - i) % space.N
+                np.take(problem.square[0], idx, out=G[r:r + 64])
+            G /= 2.0
         elif s == 2.0:
             G = problem.square[np.ix_(cells, cells)] / 2.0
         else:
@@ -756,11 +767,12 @@ def _polish(problem: CapacityProblem, params: CapacityParams, E: np.ndarray,
 
 
 def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """X with A X = B for stacks of positive semidefinite A and of B.  LAPACK
-    solves blocks of at most 64 unknowns, on one thread, and `_mul` forms
-    the Schur complements, so the bits do not depend on the BLAS thread
-    count.  A singular block (twin atoms) is solved with a ridge of 1e-14
-    of its largest entry, else gives nan."""
+    """X with A X = B for stacks of positive semidefinite A and of B.  A is
+    overwritten and B is not, so callers pass an A they own.  LAPACK solves
+    blocks of at most 64 unknowns, on one thread, and `_mul` subtracts the
+    Schur products from A in place, keeping the 64-row blocks of X, so the
+    bits do not depend on the BLAS thread count.  A singular block (twin
+    atoms) is solved with a ridge of 1e-14 of its largest entry, else nan."""
     k = A.shape[-1]
     if k <= 64:
         for ridge in (0.0, 1e-14 * np.abs(A).max()):
@@ -771,20 +783,22 @@ def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return B * np.nan
     X = _solve(A[..., :64, :64],
                np.concatenate([A[..., :64, 64:], B[..., :64, :]], -1))
-    low = A[..., 64:, :64]
-    Y = _solve(A[..., 64:, 64:] - _mul(low, X[..., :k - 64]),
-               B[..., 64:, :] - _mul(low, X[..., k - 64:]))
+    low = np.negative(A[..., 64:, :64], out=A[..., 64:, :64])   # -A21: _mul adds
+    Y = _solve(_mul(low, X[..., :k - 64], A[..., 64:, 64:]),
+               B[..., 64:, :] + _mul(low, X[..., k - 64:]))
     return np.concatenate([X[..., k - 64:] - _mul(X[..., :k - 64], Y), Y], -2)
 
 
-def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B for stacks, as BLAS products of tiles of at most 64 x 64 x 64,
-    each partial product over the inner dimension added into the result in
-    order.  OpenBLAS runs a product of m n k <= 64^3 on one thread, and the
-    tiles, which follow from the shapes alone, fix the order of every sum,
-    so the bits do not depend on the BLAS thread count."""
+def _mul(A: np.ndarray, B: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """out + A @ B for stacks, into out (a new zero array if None), as BLAS
+    products of tiles of at most 64 x 64 x 64, each partial product over
+    the inner dimension added into out in order.  OpenBLAS runs a product
+    of m n k <= 64^3 on one thread, and the tiles, which follow from the
+    shapes alone, fix the order of every sum, so the bits do not depend on
+    the BLAS thread count."""
     (m, k), n, t = A.shape[-2:], B.shape[-1], _TILE
-    out = np.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (m, n))
+    if out is None:
+        out = np.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (m, n))
     for i, j, h in product(range(0, m, t), range(0, n, t), range(0, k, t)):
         out[..., i:i + t, j:j + t] += (A[..., i:i + t, h:h + t]
                                        @ B[..., h:h + t, j:j + t])

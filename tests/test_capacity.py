@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -745,6 +746,84 @@ def test_tiled_products_match_einsum_tile_by_tile(stack):
                             tile = _mul(A[..., i:i + 64, :], B[..., j:j + 64])
                             assert np.array_equal(
                                 got[..., i:i + 64, j:j + 64], tile)
+
+
+def _recursive_solve(A, B):
+    """`_solve` as it was when each level formed its Schur complement and
+    right-hand side as new arrays and left A unchanged, kept as the
+    reference for the in-place elimination."""
+    k = A.shape[-1]
+    if k <= 64:
+        for ridge in (0.0, 1e-14 * np.abs(A).max()):
+            try:
+                return np.linalg.solve(A + ridge * np.eye(k), B)
+            except np.linalg.LinAlgError:
+                pass
+        return B * np.nan
+    X = _recursive_solve(A[..., :64, :64], np.concatenate(
+        [A[..., :64, 64:], B[..., :64, :]], -1))
+    low = A[..., 64:, :64]
+    Y = _recursive_solve(A[..., 64:, 64:] - _mul(low, X[..., :k - 64]),
+                         B[..., 64:, :] - _mul(low, X[..., k - 64:]))
+    return np.concatenate([X[..., k - 64:] - _mul(X[..., :k - 64], Y), Y], -2)
+
+
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_in_place_solve_matches_the_recursive_solve_bit_for_bit(stack):
+    # `_solve` overwrites A with its Schur complements and keeps only the
+    # 64-row blocks of X: the solution has the bits of the solver that
+    # formed every complement anew, on positive definite blocks, on twin
+    # rows (a singular leading block, solved with the 1e-14 ridge) and on
+    # a zero trailing block (nan), and B comes back unchanged
+    rng = np.random.default_rng(11)
+    for k in (1, 63, 64, 65, 128, 129, 200, 400):
+        M = rng.standard_normal(stack + (k, k + 16))
+        A = M @ M.swapaxes(-1, -2) / k
+        cases = {"definite": A}
+        if k >= 2:   # the Gram matrix of rows with a twin
+            T = A.copy()
+            T[..., 1, :] = T[..., 0, :]
+            T[..., :, 1] = T[..., :, 0]
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(T[..., :64, :64], np.ones(min(k, 64)))
+            cases["twin"] = T
+        if k > 64:
+            Z = A.copy()
+            Z[..., 64:, :] = Z[..., :, 64:] = 0.0
+            cases["zero"] = Z
+        for kind, A in cases.items():
+            for n in (1, 3):
+                B = rng.standard_normal(stack + (k, n))
+                B0 = B.copy()
+                got, ref = _solve(A.copy(), B), _recursive_solve(A.copy(), B)
+                assert got.shape == ref.shape == stack + (k, n)
+                assert np.array_equal(got, ref, equal_nan=True)
+                assert np.array_equal(B, B0)
+                assert np.isfinite(got).all() == (kind != "zero")
+                assert np.isnan(got).all() == (kind == "zero")
+
+
+def test_plane_solve_peaks_below_8_mib():
+    # the 484-cell square on the N=256 plane polishes one 484 x 484 block:
+    # `_solve` eliminates it in place (one working copy and 64-row blocks
+    # of X), the block is gathered 64 rows at a time, and the dual ascent
+    # holds one copy of each whole-grid array at iteration 0.  A k^2
+    # temporary per elimination level would take it past 8 MiB
+    grid = make_grid(2, 12.0, 256)
+    params = CapacityParams(alpha=1.0, s=2.0, tol=1e-6)
+    prob = grid_problem(grid, params)
+    mask = SetMask(grid, np.all(np.abs(grid.coords()) <= 0.5, axis=1))
+    assert mask.cardinality == 484
+    prob.reach, prob.square   # built and kept before the solve
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = capacity(prob, mask, params)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 0 and res.gap <= params.tol
+    assert peak < 8 * 2 ** 20
 
 
 def _interval(grid, start, length):
