@@ -19,10 +19,12 @@ one oracle as one stack: lockstep peels, one solve batch of every peel
 support, and one gather and one `lorentz_norms` stack for the terms of all
 fields, then one more of each to validate the blocks; each field keeps the
 bits of its batch of one.  A decomposition pairs against a
-multiplier-space function through `support_family()`, the supports as an
-explicit test-set family, and `reconstruction()`, the field
-sum_k lambda_k b_k, so that |int f g| <= ||f||_M * sum_k |lambda_k| can be
-checked with the multiplier module's estimates and `measure.pairing`.
+multiplier-space function through `support_family()`, its support matrix
+handed over as an explicit test-set family with no `SetMask` per row, and
+`reconstruction()`, the field sum_k lambda_k b_k that the constructor sums
+once for its residual check and keeps, so that
+|int f g| <= ||f||_M * sum_k |lambda_k| can be checked with the multiplier
+module's estimates and `measure.pairing`.
 
 The trace class is a supremum over sets of |mu|(K)/cap(K): `trace_norm`
 feeds the multiplier module's one supremum engine and the threshold form
@@ -32,9 +34,12 @@ the family's set matrix and one product of that matrix with |mu|.
 The Koethe dual norm of L^{P,Q} on at most 6 atoms is exact: the level-
 function closed form, maximized over every order of the atoms in one stack,
 certified from below by its witness's pairing over its `lorentz_norms` norm.
+The table of the m! orders depends on m only and is built once per atom
+count (at most 6 entries, 4320 indices at m = 6).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -42,11 +47,10 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import (CapacityOracle, NormEstimate, SetMask, _measures,
-                       _stack_rows)
+from .capacity import CapacityOracle, NormEstimate, _measures, _stack_rows
 from .grid import Grid
 from .measure import Field, LorentzExponents, _same_space, lorentz_norms
-from .multiplier import TestSetFamily, _sup_over_sets
+from .multiplier import TestSetFamily, _explicit_rows, _sup_over_sets
 from .weights import Weight
 
 __all__ = [
@@ -106,7 +110,8 @@ class BlockDecomposition:
     (K,), the blocks (K, size), their bool supports (K, size) and their
     normalizations (K,), all of one exponent pair and block type ('B', with
     capacity exponent 1/q', or 'scriptB', with 1/p').  The constructor
-    records the reconstruction residual and sum |lambda_k|."""
+    sums the reconstruction once, keeps it, and records its residual and
+    sum |lambda_k|."""
 
     lambdas: np.ndarray
     blocks: np.ndarray
@@ -117,9 +122,13 @@ class BlockDecomposition:
     target: Field
     residual: float = field(init=False)
     sum_lambda: float = field(init=False)
+    _reconstruction: Field = field(init=False, repr=False)
 
     def __post_init__(self):
-        acc = self.reconstruction().values
+        acc = np.zeros(self.target.space.size)
+        for lam, row in zip(self.lambdas.tolist(), self.blocks):
+            acc += lam * row
+        self._reconstruction = Field(self.target.space, acc)
         self.residual = float(np.abs(self.target.values - acc).max(initial=0.0))
         scale = float(np.abs(self.target.values).max(initial=0.0))
         if scale > 0.0 and self.residual > 1e-9 * max(scale, 1e-300):
@@ -128,16 +137,13 @@ class BlockDecomposition:
         self.sum_lambda = float(sum(abs(lam) for lam in self.lambdas.tolist()))
 
     def support_family(self) -> TestSetFamily:
-        """The block supports, as an explicit test-set family."""
-        space = self.target.space
-        return TestSetFamily.explicit([SetMask(space, row) for row in self.supports])
+        """The support matrix, as an explicit test-set family."""
+        return _explicit_rows(self.target.space, self.supports)
 
     def reconstruction(self) -> Field:
-        """sum_k lambda_k block_k, term by term in order."""
-        acc = np.zeros(self.target.space.size)
-        for lam, row in zip(self.lambdas.tolist(), self.blocks):
-            acc += lam * row
-        return Field(self.target.space, acc)
+        """sum_k lambda_k block_k, summed term by term in order by the
+        constructor."""
+        return self._reconstruction
 
 
 def _tight_terms(targets: list, bits: np.ndarray, pieces: np.ndarray, ends,
@@ -351,6 +357,14 @@ def trace_norm(mu: AtomicMeasure, family: TestSetFamily,
 # Integral duals
 # ---------------------------------------------------------------------------
 
+@functools.cache   # one entry per atom count m <= 6
+def _orders(m: int) -> np.ndarray:
+    """Every order of m atoms, one per row, read-only."""
+    orders = np.array(list(itertools.permutations(range(m))))
+    orders.setflags(write=False)
+    return orders
+
+
 def lorentz_kothe_dual_norm(f: Field, e: LorentzExponents) -> NormEstimate:
     """sup of int |f g| over ||g||_{P,Q} <= 1, e = (P, Q) with 1 < Q < inf,
     exactly, on at most 6 atoms.
@@ -377,7 +391,7 @@ def lorentz_kothe_dual_norm(f: Field, e: LorentzExponents) -> NormEstimate:
     if scale == 0.0:
         return NormEstimate(0.0, "exact", witness=np.zeros(m), lo=0.0, hi=0.0)
     a = np.abs(f.values) / scale    # homogeneity keeps the powers in range
-    orders = np.array(list(itertools.permutations(range(m))))
+    orders = _orders(m)
     C, W = np.cumsum(np.pad(np.stack([a * w, w])[:, orders],
                             ((0, 0), (0, 0), (1, 0))), axis=2)
     V = (e.p / e.q) * W ** (e.q / e.p)

@@ -15,7 +15,12 @@ A family's sets for a space are one read-only (B, size) boolean matrix,
 one set per row, built directly for every family kind: rows in generation
 order, the first of any duplicate kept, empty rows dropped.  All-subsets
 rows are distinct and non-empty as generated, so only the other kinds and
-unions pay for that screening.
+unions pay for that screening.  An explicit family is one such matrix on
+its space (`explicit` stacks its masks once; a decomposition's supports
+are handed over without a `SetMask` per row).  The all-subsets matrix
+depends on the atom count only, so each count's is built once and kept
+read-only: at most `_ALL_SUBSETS_LIMIT` = 20 entries, 38 MiB if every
+count is asked for, 48 KiB up to the 12 atoms a campaign reaches.
 
 Every supremum over a family here and in `blocks` (the multiplier norms,
 both forms of the weak norm, the trace class) runs through one engine,
@@ -33,6 +38,7 @@ under the local maximal operator in one `m_norms` call.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -73,7 +79,10 @@ class TestSetFamily:
     """Deterministic generator of test sets for supremum estimates.
 
     kind in {'all-subsets', 'dyadic-cubes', 'superlevels', 'random-unions',
-    'explicit', 'union'}; generation is reproducible given the seed.
+    'explicit', 'union'}; generation is reproducible given the seed.  A
+    union's members are its two families; an explicit family's are its
+    matrix's bytes and its space (none without masks, and every space of
+    its masks when they live on several).
     """
 
     kind: str
@@ -104,7 +113,12 @@ class TestSetFamily:
 
     @staticmethod
     def explicit(masks: Sequence[SetMask]) -> "TestSetFamily":
-        return TestSetFamily("explicit", members=tuple(masks))
+        """The masks stacked into one matrix.  Masks on two spaces make a
+        family that every space rejects when asked for its sets."""
+        spaces = tuple({id(m.space): m.space for m in masks}.values())
+        if len(spaces) != 1:
+            return TestSetFamily("explicit", members=(b"", *spaces))
+        return _explicit_rows(spaces[0], [m.bools for m in masks])
 
     def __add__(self, other: "TestSetFamily") -> "TestSetFamily":
         return TestSetFamily("union", members=(self, other))
@@ -115,26 +129,24 @@ class TestSetFamily:
         in generation order, the first of any duplicate kept, none empty.
         All-subsets rows are distinct and non-empty as generated."""
         if self.kind == "all-subsets":
-            rows = self._rows(space, f)
-            rows.setflags(write=False)
-            return rows
+            return self._rows(space, f)
         return _distinct_rows(self._rows(space, f))
 
     def _rows(self, space, f) -> np.ndarray:
         if self.kind == "union":
             return np.concatenate([fam._rows(space, f) for fam in self.members])
         if self.kind == "explicit":
-            _same_space(space, *self.members)
-            return np.array([m.bools for m in self.members],
-                            dtype=bool).reshape(-1, space.size)
+            rows, *spaces = self.members
+            if any(s is not space for s in spaces):
+                raise ValueError("explicit family and space live on different "
+                                 "spaces")
+            return np.frombuffer(rows, dtype=bool).reshape(-1, space.size)
         if self.kind == "all-subsets":
-            m = space.size
-            if m > _ALL_SUBSETS_LIMIT:
+            if space.size > _ALL_SUBSETS_LIMIT:
                 raise ValueError(
                     f"all-subsets family limited to {_ALL_SUBSETS_LIMIT} atoms, "
-                    f"space has {m}")
-            # row b - 1 holds the bits of b, atom i being bit i
-            return ((np.arange(1, 1 << m)[:, None] >> np.arange(m)) & 1).astype(bool)
+                    f"space has {space.size}")
+            return _all_subsets(space.size)
         if self.kind == "dyadic-cubes":
             if not isinstance(space, Grid):
                 raise ValueError("dyadic cubes need a grid model")
@@ -169,12 +181,28 @@ class TestSetFamily:
                 k = int(rng.integers(1, 5))
                 row[:] = pool[rng.integers(0, len(pool), size=k)].any(axis=0)
         else:
-            for row in out:
-                density = rng.uniform(0.1, 0.6)
-                row[:] = rng.random(space.size) < density
+            for row in out:   # the stream of uniform(0.1, 0.6), then random(size)
+                u = rng.random(space.size + 1)
+                np.less(u[1:], 0.1 + (0.6 - 0.1) * u[0], out=row)
                 if not row.any():
                     row[int(rng.integers(0, space.size))] = True
         return out
+
+
+def _explicit_rows(space, rows) -> TestSetFamily:
+    """The explicit family of the rows of a bool matrix on `space`."""
+    rows = np.asarray(rows, dtype=bool).reshape(-1, space.size)
+    return TestSetFamily("explicit", members=(rows.tobytes(), space))
+
+
+@functools.cache   # one entry per atom count m <= _ALL_SUBSETS_LIMIT
+def _all_subsets(m: int) -> np.ndarray:
+    """Every non-empty subset of m atoms, read-only: row b - 1 holds the
+    bits of b, atom i being bit i."""
+    codes = np.arange(1, 1 << m, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    rows = np.unpackbits(codes, axis=1, count=m, bitorder="little").view(bool)
+    rows.setflags(write=False)
+    return rows
 
 
 def _distinct_rows(bits: np.ndarray) -> np.ndarray:

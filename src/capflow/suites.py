@@ -376,8 +376,8 @@ def _random_field(rng, space, signed: bool = True,
         qs = np.quantile(v, np.linspace(0.0, 1.0, levels + 1)[1:])
         v = qs[np.searchsorted(qs, v, side="left").clip(0, levels - 1)]
         v = v * (rng.random(space.size) > 0.2)
-    if signed:
-        v = v * rng.choice([-1.0, 1.0], space.size)
+    if signed:   # the stream of rng.choice([-1.0, 1.0], size)
+        v = v * np.array([-1.0, 1.0])[rng.integers(0, 2, space.size)]
     return Field(space, v)
 
 
@@ -742,8 +742,7 @@ def _draw_pairs(rng, space, count: int) -> tuple:
     """Lists fs, gs, dictionaries of `count` (f, g, covering) draws.  A
     covering dictionary is random unions plus the singletons, so greedy
     peeling always terminates; the draws share one singletons family."""
-    singles = mn.TestSetFamily.explicit(
-        [SetMask.from_indices(space, [i]) for i in range(space.size)])
+    singles = mn._explicit_rows(space, np.eye(space.size, dtype=bool))
     triples = [(_random_field(rng, space), _random_field(rng, space),
                 mn.TestSetFamily.random_unions(6, seed=int(rng.integers(2**31)))
                 + singles) for _ in range(count)]

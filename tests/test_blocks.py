@@ -171,6 +171,26 @@ def test_decomposition_records_its_residual_and_coefficient_sum(model):
     assert family.sets(sp).tolist() == [[True] * 6]   # one distinct set
 
 
+def test_support_family_hands_the_support_matrix_over(monkeypatch):
+    # neither the draws' singletons nor the supports' family build a SetMask
+    rng = np.random.default_rng(12)
+    problem = _random_finite_problem(rng, 9)
+    oracle = CapacityOracle(problem, PARAMS)
+
+    def no_mask(*args, **kwargs):
+        raise AssertionError("a SetMask was built")
+
+    monkeypatch.setattr(SetMask, "__init__", no_mask)
+    _fs, gs, dicts = _draw_pairs(rng, problem.space, 4)
+    decomps = block_norms_upper_greedy(gs, LorentzExponents(2.0, 2.0), dicts,
+                                       oracle)
+    for d in decomps:
+        bits = d.support_family().sets(problem.space)
+        assert bits.shape == d.supports.shape
+        assert bits.tobytes() == d.supports.tobytes()
+        assert d.reconstruction() is d.reconstruction()
+
+
 # ---------------------------------------------------------------------------
 # Constructive decomposition
 # ---------------------------------------------------------------------------

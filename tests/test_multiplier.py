@@ -284,12 +284,21 @@ def _reference_dyadic(generations, grid):
     return out
 
 
+_EXPLICIT_MASKS = {}   # explicit family -> the masks it was made from
+
+
+def _explicit(masks):
+    fam = TestSetFamily.explicit(masks)
+    _EXPLICIT_MASKS[fam] = list(masks)
+    return fam
+
+
 def _reference_raw(fam, space, f):
     if fam.kind == "union":
         return [m for member in fam.members
                 for m in _reference_raw(member, space, f)]
     if fam.kind == "explicit":
-        return list(fam.members)
+        return _EXPLICIT_MASKS[fam]
     if fam.kind == "all-subsets":
         bits = (np.arange(1, 1 << space.size)[:, None] >> np.arange(space.size)) & 1
         return [SetMask(space, row) for row in bits.astype(bool)]
@@ -315,12 +324,8 @@ def _reference_raw(fam, space, f):
                 acc |= pool[p].bools
             out.append(SetMask(space, acc))
     else:
-        for _ in range(fam.count):
-            density = rng.uniform(0.1, 0.6)
-            b = rng.random(space.size) < density
-            if not b.any():
-                b[int(rng.integers(0, space.size))] = True
-            out.append(SetMask(space, b))
+        rows, _ = _union_rows_reference(rng, fam.count, space.size)
+        out = [SetMask(space, b) for b in rows]
     return out
 
 
@@ -352,8 +357,7 @@ def _family_cases():
         (sp, None, every),
         (sp, None, TestSetFamily.random_unions(40, seed=3)),
         (sp, None, every + TestSetFamily.random_unions(12)),   # duplicates
-        (sp, None, TestSetFamily.explicit([A, SetMask.empty(sp), A,
-                                           SetMask.full(sp)])),
+        (sp, None, _explicit([A, SetMask.empty(sp), A, SetMask.full(sp)])),
         (sp, ties, TestSetFamily.superlevels()),
         (sp, ties, TestSetFamily.superlevels(size_cap=2)),
         (many.space, many, TestSetFamily.superlevels(size_cap=5)),
@@ -384,6 +388,60 @@ def test_explicit_members_of_another_space_raise():
         fam.sets(small)
     with pytest.raises(ValueError, match="different space"):
         (TestSetFamily.all_subsets() + fam).sets(other)
+
+
+def test_all_subsets_matrix_is_one_read_only_table_per_atom_count():
+    a, b = DiscreteMeasureSpace(np.ones(7)), DiscreteMeasureSpace(np.arange(1.0, 8.0))
+    rows = TestSetFamily.all_subsets().sets(a)
+    assert TestSetFamily.all_subsets().sets(b) is rows
+    assert TestSetFamily.all_subsets().sets(DiscreteMeasureSpace(np.ones(6))) is not rows
+    ref = ((np.arange(1, 1 << 7)[:, None] >> np.arange(7)) & 1).astype(bool)
+    assert rows.dtype == bool and rows.tobytes() == ref.tobytes()
+    assert rows.shape == (127, 7) and not rows.flags.writeable
+    # an explicit family is one matrix on its space, and still only there
+    masks = [SetMask.from_indices(a, [0, 2]), SetMask.full(a)]
+    fam = TestSetFamily.explicit(masks)
+    assert fam == mn._explicit_rows(a, np.array([m.bools for m in masks]))
+    assert fam.sets(a).tobytes() == np.array([m.bools for m in masks]).tobytes()
+    with pytest.raises(ValueError, match="different space"):
+        fam.sets(b)
+    assert TestSetFamily.explicit([]).sets(b).shape == (0, 7)
+
+
+def _union_rows_reference(rng, count, size):
+    """The per-row draw of finite random unions that one `random(size + 1)`
+    call per row replaced, kept as the reference: a uniform density, then
+    `random(size)`, then `integers` for a row that comes out empty."""
+    out, empty = np.zeros((count, size), dtype=bool), 0
+    for row in out:
+        density = rng.uniform(0.1, 0.6)
+        row[:] = rng.random(size) < density
+        if not row.any():
+            empty += 1
+            row[int(rng.integers(0, size))] = True
+    return out, empty
+
+
+def test_random_union_rows_keep_the_per_row_stream(monkeypatch):
+    made, real = [], np.random.default_rng
+
+    def recorded(seed):
+        made.append(real(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    empty = 0
+    for seed in range(200):
+        for size in range(1, 21):
+            made.clear()
+            rows = TestSetFamily.random_unions(6, seed=seed)._random_unions(
+                DiscreteMeasureSpace(np.ones(size)))
+            ref = real(seed)
+            want, n = _union_rows_reference(ref, 6, size)
+            assert rows.tobytes() == want.tobytes()
+            assert made[0].bit_generator.state == ref.bit_generator.state
+            empty += n
+    assert empty > 0   # the integers fallback was drawn
 
 
 def _per_set_reference(sets, numerator, oracle, cap_exponent, exact):

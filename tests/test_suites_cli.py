@@ -379,6 +379,18 @@ print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
 """
 
 
+def test_random_field_signs_keep_the_choice_stream():
+    # the sign draw rng.choice([-1.0, 1.0], size), kept as the reference
+    for seed in range(200):
+        for size in range(1, 21):
+            space = DiscreteMeasureSpace(np.ones(size))
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = suites._random_field(a, space).values
+            want = b.lognormal(0.0, 1.0, size) * b.choice([-1.0, 1.0], size)
+            assert got.tobytes() == want.tobytes()
+            assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_campaigns_load_no_numpy_ma(tmp_path):
     # a fresh interpreter: a localization and a blocks-duality campaign
     # leave numpy.ma unloaded (plain np.unique imports it on numpy >= 2.3)
